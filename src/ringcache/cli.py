@@ -23,8 +23,10 @@ from fractions import Fraction
 from .model import InvalidParameters, RegimeError, SystemParams
 from .placement import CacheLayout, build_layout, build_subset_layout, layout_to_json
 from .delivery import (
+    UncharacterizedRegime,
     deliver,
     format_log,
+    format_report,
     random_demand,
     verify_decodability,
     worst_case_demand,
@@ -137,16 +139,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         demand = random_demand(params, args.seed)
     else:
         demand = worst_case_demand(params.k)
-    result = deliver(layout, demand, unchecked=args.unchecked)
+    try:
+        result = deliver(layout, demand, unchecked=args.unchecked)
+    except UncharacterizedRegime as exc:
+        raise RegimeError(f"{exc.reason}; pass --unchecked to run it anyway") from exc
     report = verify_decodability(layout, demand, result.transmissions)
-    lines = [format_log(result)]
-    lines.append(f"# demand={','.join(str(d) for d in demand)}")
-    if report.ok:
-        lines.append(f"# decodability PASS ({report.checked} mini-subfiles)")
-    else:
-        lines.append(f"# decodability FAIL for users {report.failing_users()}")
-        for f in report.failures:
-            lines.append(f"#   user {f.user} misses S={f.s:#x} T={f.t:#x}: {f.reason}")
+    lines = [
+        format_log(result),
+        f"# demand={','.join(str(d) for d in demand)}",
+        format_report(report),
+    ]
     _emit("\n".join(lines) + "\n", args.output)
     return 0 if report.ok else 2
 

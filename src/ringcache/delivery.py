@@ -1,17 +1,22 @@
 """XOR broadcast delivery.
 
 For a demand vector the server walks the users' demand sets and emits one
-XOR transmission per uncovered (window, T) pair. The union set
-I = {u} | S | T decides the construction:
+XOR transmission per uncovered (window, T) pair, its anchor (u, S, T).
+With I = {u} | S | T in ascending order, I[0] < ... < I[m-1], the shift by
+i is the relabelling I[p] -> I[(p + i) mod m]; it maps the anchor to an
+image (u_i, S_i, T_i) that again partitions I. A window of the ring lies
+inside I exactly when it is the image S_i of the window S under some
+shift, so the windows among the S-images decide the construction:
 
 * exactly one window inside I (S itself)            -> SC1
 * exactly the two disjoint windows S and {u} | T    -> SC2
   (only possible when gamma_p = span - 1)
 * otherwise                                         -> GENERAL
 
-GENERAL transmissions collect every cyclic rotation of the anchor's
-position sets whose rotated S-image is again a window; SC1 swaps the user
-into the private index set; SC2 does the SC1 swap on both windows.
+A GENERAL transmission holds the anchor and, by ascending shift, every
+image whose S_i is a window; SC1 swaps the user into the private index
+set; SC2 does the SC1 swap on the anchor and again on the image that
+carries S onto {u} | T.
 
 That is the ring placement. On the subset placement (L = 1, or no shared
 layer) every union set Q = {u} | S | T has t + 1 = 1 + gamma_a + gamma_p
@@ -27,27 +32,27 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, NamedTuple, Sequence
 
 from .model import (
+    InvalidMiniSubfile,
     InvalidParameters,
-    PositionSets,
     RegimeError,
     SystemParams,
     bit,
     bits,
-    mask_of,
     mask_str,
-    only_bit,
-    position_sets,
-    shift_positions,
     window_set,
 )
-from .placement import SUBSET, CacheLayout, Mini, has_mini
+from .placement import SUBSET, CacheLayout
 
 GENERAL = "GENERAL"
 SC1 = "SC1"
 SC2 = "SC2"
+
+# (user, S mask, T mask): a transmission's anchor or a term without its file
+Anchor = tuple[int, int, int]
 
 
 class Term(NamedTuple):
@@ -58,16 +63,12 @@ class Term(NamedTuple):
     s: int
     t: int
 
-    @property
-    def mini(self) -> Mini:
-        return Mini(self.file, self.s, self.t)
-
 
 @dataclass(frozen=True)
 class Transmission:
     case: str
     terms: tuple[Term, ...]
-    anchor: tuple[int, int, int]
+    anchor: Anchor
 
     @property
     def union(self) -> int:
@@ -116,30 +117,54 @@ def _window_set(params: SystemParams) -> frozenset[int]:
     return window_set(params.k, params.span)
 
 
+def _relabel(u: int, s: int, t: int) -> list[Anchor]:
+    """Images of the anchor (u, S, T) under every shift of its union set:
+    entry i relabels each member union[p] as union[(p + i) mod m], union
+    being the ascending members of {u} | S | T. Entry 0 is the anchor."""
+    own = 1 << (u - 1)
+    if own & s or own & t or s & t:
+        raise InvalidMiniSubfile(f"user {u}, window {bits(s)} and private set {bits(t)} overlap")
+    union = own | s | t
+    members = bits(union)
+    m = len(members)
+    lifted = [1 << (x - 1) for x in members] * 2  # index p + i needs no mod
+    p_u = members.index(u)
+    p_s = [p for p in range(m) if s & lifted[p]]
+    images = []
+    for i in range(m):
+        s_img = 0
+        for p in p_s:
+            s_img |= lifted[p + i]
+        u_img = lifted[p_u + i]
+        images.append((u_img.bit_length(), s_img, union ^ s_img ^ u_img))
+    return images
+
+
 def classify(params: SystemParams, u: int, s: int, t: int) -> tuple[str, int | None]:
-    """Case tag for the anchor (u, S, T), plus the SC2 rotation shift."""
-    pos = position_sets(u, s, t)
-    union_mask = bit(u) | s | t
-    windows = [w for w in sorted(_window_set(params)) if w & union_mask == w]
-    if len(windows) == 1:
-        if windows[0] != s:
+    """Case tag for the anchor (u, S, T), plus the SC2 shift."""
+    return _classify(_window_set(params), u, s, t, _relabel(u, s, t))
+
+
+def _classify(
+    windows: frozenset[int], u: int, s: int, t: int, images: list[Anchor]
+) -> tuple[str, int | None]:
+    inside = {s_img for _, s_img, _ in images if s_img in windows}
+    if len(inside) == 1:
+        if s not in inside:
             raise AssertionError("the lone window inside the union set is not S")
         return SC1, None
-    if len(windows) == 2 and windows[0] & windows[1] == 0:
-        other = windows[0] if windows[1] == s else windows[1]
+    if len(inside) == 2:
+        a, b = inside
+        other = a if b == s else b
         # the pair must be S and {u} | T to qualify; with gamma_p < span that
         # is forced, outside the regime the anchor falls back to GENERAL
-        if other == bit(u) | t:
-            return SC2, _sc2_shift(pos, s, other)
+        if a & b == 0 and other == bit(u) | t:
+            return SC2, _sc2_shift(images, other)
     return GENERAL, None
 
 
-def _sc2_shift(pos: PositionSets, s: int, other: int) -> int:
-    hits = [
-        j
-        for j in range(1, pos.size)
-        if pos.elements_at(shift_positions(pos.p_s, j, pos.size)) == other
-    ]
+def _sc2_shift(images: list[Anchor], other: int) -> int:
+    hits = [i for i in range(1, len(images)) if images[i][1] == other]
     if len(hits) != 1:
         raise AssertionError(f"rotation of S onto {{u}} | T is not unique: {hits}")
     return hits[0]
@@ -148,17 +173,22 @@ def _sc2_shift(pos: PositionSets, s: int, other: int) -> int:
 def build_general(
     params: SystemParams, demand: Sequence[int], u: int, s: int, t: int
 ) -> Transmission:
-    """Anchor plus every rotation whose S-image is a window."""
-    pos = position_sets(u, s, t)
-    windows = _window_set(params)
+    """Anchor plus every image whose S is a window."""
+    return _general(_window_set(params), demand, u, s, t, _relabel(u, s, t))
+
+
+def _general(
+    windows: frozenset[int],
+    demand: Sequence[int],
+    u: int,
+    s: int,
+    t: int,
+    images: list[Anchor],
+) -> Transmission:
     terms = [Term(u, demand[u - 1], s, t)]
-    for i in range(1, pos.size):
-        s_img = pos.elements_at(shift_positions(pos.p_s, i, pos.size))
-        if s_img not in windows:
-            continue
-        u_img = only_bit(pos.elements_at(shift_positions(pos.p_u, i, pos.size)))
-        t_img = pos.elements_at(shift_positions(pos.p_t, i, pos.size))
-        terms.append(Term(u_img, demand[u_img - 1], s_img, t_img))
+    for v, s_img, t_img in images[1:]:
+        if s_img in windows:
+            terms.append(Term(v, demand[v - 1], s_img, t_img))
     return Transmission(GENERAL, tuple(terms), (u, s, t))
 
 
@@ -178,26 +208,36 @@ def build_sc1(params: SystemParams, demand: Sequence[int], u: int, s: int, t: in
 def build_sc2(
     params: SystemParams, demand: Sequence[int], u: int, s: int, t: int, j: int
 ) -> Transmission:
-    """SC1-style group on S, then the rotated anchor and its group on {u} | T."""
-    pos = position_sets(u, s, t)
+    """SC1-style group on S, then the image under shift j and its group on
+    {u} | T."""
+    images = _relabel(u, s, t)
+    return _sc2(demand, u, s, t, images[j % len(images)])
+
+
+def _sc2(demand: Sequence[int], u: int, s: int, t: int, image: Anchor) -> Transmission:
     terms = _swap_group(demand, u, s, t)
-    u2 = only_bit(pos.elements_at(shift_positions(pos.p_u, j, pos.size)))
-    s2 = pos.elements_at(shift_positions(pos.p_s, j, pos.size))
-    t2 = pos.elements_at(shift_positions(pos.p_t, j, pos.size))
-    terms.extend(_swap_group(demand, u2, s2, t2))
+    terms.extend(_swap_group(demand, *image))
     return Transmission(SC2, tuple(terms), (u, s, t))
 
 
 def build_transmission(
     params: SystemParams, demand: Sequence[int], u: int, s: int, t: int
 ) -> Transmission:
-    case, j = classify(params, u, s, t)
+    return _ring_xor(_window_set(params), demand, u, s, t)
+
+
+def _ring_xor(
+    windows: frozenset[int], demand: Sequence[int], u: int, s: int, t: int
+) -> Transmission:
+    """Classify the anchor and build its transmission from one relabelling."""
+    images = _relabel(u, s, t)
+    case, j = _classify(windows, u, s, t, images)
     if case == SC1:
-        return build_sc1(params, demand, u, s, t)
+        return Transmission(SC1, tuple(_swap_group(demand, u, s, t)), (u, s, t))
     if case == SC2:
         assert j is not None
-        return build_sc2(params, demand, u, s, t, j)
-    return build_general(params, demand, u, s, t)
+        return _sc2(demand, u, s, t, images[j])
+    return _general(windows, demand, u, s, t, images)
 
 
 def build_subset_xor(
@@ -206,17 +246,30 @@ def build_subset_xor(
     """Subset-placement XOR through the anchor (u, S, T): for each other v
     in Q = {u} | S | T, S_v holds the elements of Q - {v} at the positions S
     takes in Q - {u}, and T_v the rest of Q - {v}."""
-    union = bit(u) | s | t
-    members = bits(union)
-    positions = [p for p, x in enumerate(m for m in members if m != u) if s & bit(x)]
+    own = bit(u)
+    union = own | s | t
+    lifted = [1 << (x - 1) for x in bits(union)]
+    positions = [p for p, b in enumerate(x for x in lifted if x != own) if s & b]
     terms = [Term(u, demand[u - 1], s, t)]
-    for v in members:
-        if v == u:
+    for vb in lifted:
+        if vb == own:
             continue
-        rest = [x for x in members if x != v]
-        s_v = mask_of(rest[p] for p in positions)
-        terms.append(Term(v, demand[v - 1], s_v, union ^ bit(v) ^ s_v))
+        rest = [x for x in lifted if x != vb]
+        s_v = 0
+        for p in positions:
+            s_v |= rest[p]
+        v = vb.bit_length()
+        terms.append(Term(v, demand[v - 1], s_v, union ^ vb ^ s_v))
     return Transmission(SC1, tuple(terms), (u, s, t))
+
+
+class UncharacterizedRegime(RegimeError):
+    """Delivery was asked for outside the regime it is characterized for;
+    ``reason`` says why, without the hint on how to override it."""
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(f"{reason}; pass unchecked=True to run it anyway")
+        self.reason = reason
 
 
 def _check_regime(params: SystemParams, unchecked: bool) -> None:
@@ -226,9 +279,9 @@ def _check_regime(params: SystemParams, unchecked: bool) -> None:
     if span == 0 or gp < span or span + gp >= k - 1:
         return
     if not unchecked:
-        raise RegimeError(
+        raise UncharacterizedRegime(
             f"delivery is uncharacterized for gamma_p={gp} >= span={span} below the"
-            " large-memory regime; pass unchecked=True to run it anyway"
+            " large-memory regime"
         )
 
 
@@ -237,20 +290,24 @@ def deliver(
 ) -> DeliveryResult:
     """Run the full delivery loop for the layout's placement; every demand
     pair lands in exactly one transmission. Deterministic: users ascending,
-    demand pairs in canonical order, rotation terms by ascending shift."""
+    demand pairs in canonical order, image terms by ascending shift."""
     params = layout.params
     demand = check_demand(params, demand)
     _check_regime(params, unchecked)
-    build = build_subset_xor if layout.placement == SUBSET else build_transmission
+    if layout.placement == SUBSET:
+        build = partial(build_subset_xor, params, demand)
+    else:
+        build = partial(_ring_xor, _window_set(params), demand)
     remaining: list[dict[tuple[int, int], None]] = [
         dict.fromkeys(layout.demand_pairs(u)) for u in range(1, params.k + 1)
     ]
     out: list[Transmission] = []
     for u in range(1, params.k + 1):
-        for pair in list(remaining[u - 1]):
-            if pair not in remaining[u - 1]:
+        mine = remaining[u - 1]
+        for pair in list(mine):
+            if pair not in mine:
                 continue
-            tx = build(params, demand, u, pair[0], pair[1])
+            tx = build(u, pair[0], pair[1])
             for term in tx.terms:
                 remaining[term.user - 1].pop((term.s, term.t), None)
             out.append(tx)
@@ -290,33 +347,41 @@ def verify_decodability(
     Returns the violation list instead of raising."""
     params = layout.params
     demand = check_demand(params, demand)
-    txs = tuple(transmissions)
-    carrying: dict[tuple[int, int, int], list[int]] = {}
-    for idx, tx in enumerate(txs):
-        for term in tx.terms:
-            carrying.setdefault((term.user, term.s, term.t), []).append(idx)
+    carried: set[Anchor] = set()
+    peeled: set[Anchor] = set()
+    for tx in transmissions:
+        keys = [(v, s, t) for v, _, s, t in tx.terms]
+        carried.update(keys)
+        peeled.update(_peelable(keys))
 
     failures: list[Failure] = []
     checked = 0
     for u in range(1, params.k + 1):
         for s, t in layout.demand_pairs(u):
             checked += 1
-            spots = carrying.get((u, s, t))
-            if not spots:
-                failures.append(Failure(u, s, t, "never transmitted"))
+            key = (u, s, t)
+            if key in peeled:
                 continue
-            if not any(_peelable(u, s, t, txs[i]) for i in spots):
+            if key in carried:
                 failures.append(Failure(u, s, t, "all carriers blocked by unreadable terms"))
+            else:
+                failures.append(Failure(u, s, t, "never transmitted"))
     return DecodabilityReport(not failures, checked, tuple(failures))
 
 
-def _peelable(u: int, s: int, t: int, tx: Transmission) -> bool:
-    for term in tx.terms:
-        if (term.user, term.s, term.t) == (u, s, t):
-            continue
-        if not has_mini(u, term.mini):
-            return False
-    return True
+def _peelable(keys: list[Anchor]) -> list[Anchor]:
+    """The (user, S, T) terms of one XOR whose user reads every other term,
+    through a shared cache (user in S) or its private cache (user in T)."""
+    reach = [s | t for _, s, t in keys]
+    out = []
+    for key in keys:
+        own = 1 << (key[0] - 1)
+        for other, r in zip(keys, reach):
+            if not r & own and other != key:
+                break
+        else:
+            out.append(key)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +402,19 @@ def format_log(result: DeliveryResult) -> str:
         f" sc1={result.count(SC1)} sc2={result.count(SC2)}"
     )
     lines.append(f"# F={result.f} rate={rate.numerator}/{rate.denominator}")
+    return "\n".join(lines)
+
+
+def format_report(report: DecodabilityReport) -> str:
+    """The decodability footer: one PASS line, or a FAIL line naming the
+    users followed by one line per miss with S and T as in the log."""
+    if report.ok:
+        return f"# decodability PASS ({report.checked} mini-subfiles)"
+    lines = [f"# decodability FAIL for users {report.failing_users()}"]
+    lines.extend(
+        f"#   user {f.user} misses S={mask_str(f.s)} T={mask_str(f.t)}: {f.reason}"
+        for f in report.failures
+    )
     return "\n".join(lines)
 
 

@@ -73,12 +73,10 @@ def mask_of(indices: Iterable[int]) -> int:
 def bits(mask: int) -> tuple[int, ...]:
     """Indices in ``mask``, ascending."""
     out = []
-    i = 1
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 
@@ -86,8 +84,13 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
+@lru_cache(maxsize=1 << 12)
 def mask_str(mask: int) -> str:
-    """Comma-joined ascending indices; empty mask renders as ''."""
+    """Comma-joined ascending indices; empty mask renders as ''.
+
+    Memoized, but bounded: a log or a layout dump repeats the same few
+    thousand S and T masks, while a long-lived process may see many more.
+    """
     return ",".join(str(i) for i in bits(mask))
 
 

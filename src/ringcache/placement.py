@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from .model import (
@@ -49,7 +50,6 @@ from .model import (
     binom,
     bit,
     cyc,
-    mask_of,
     mask_str,
     subset_masks,
     window_mask,
@@ -110,7 +110,14 @@ class CacheLayout:
     def demand_pairs(self, u: int) -> tuple[tuple[int, int], ...]:
         """User u's demand set on this layout's placement, ordered by S
         (as in :attr:`shared_sets`) then T lexicographically."""
-        return _demand_pairs(self.params, u, self.shared_sets)
+        return self._demand_sets[u - 1]
+
+    @cached_property
+    def _demand_sets(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Every user's demand set, built once and shared by delivery and
+        the decodability check."""
+        sets = self.shared_sets
+        return tuple(_demand_pairs(self.params, u, sets) for u in range(1, self.params.k + 1))
 
     def window_of(self, end: int) -> int:
         return window_mask(end, self.params.span, self.params.k)
@@ -127,17 +134,18 @@ def subpacketization(params: SystemParams) -> int:
 def t_sets(params: SystemParams, s_mask: int, containing: int = 0) -> Iterator[int]:
     """gamma_p-subsets of the users outside ``s_mask``, lexicographically
     ascending; ``containing`` restricts to sets including that user."""
-    pool = [i for i in range(1, params.k + 1) if not s_mask & bit(i)]
+    pool = [b for b in map(bit, range(1, params.k + 1)) if not s_mask & b]
     gp = params.gp
     if containing:
-        if gp == 0 or s_mask & bit(containing):
+        own = bit(containing)
+        if gp == 0 or s_mask & own:
             return
-        rest = [i for i in pool if i != containing]
+        rest = [b for b in pool if b != own]
         for combo in itertools.combinations(rest, gp - 1):
-            yield bit(containing) | sum(bit(i) for i in combo)
+            yield own | sum(combo)
         return
     for combo in itertools.combinations(pool, gp):
-        yield sum(bit(i) for i in combo)
+        yield sum(combo)
 
 
 def demand_pairs(params: SystemParams, u: int) -> tuple[tuple[int, int], ...]:
@@ -149,14 +157,8 @@ def demand_pairs(params: SystemParams, u: int) -> tuple[tuple[int, int], ...]:
 def _demand_pairs(
     params: SystemParams, u: int, shared_sets: tuple[int, ...]
 ) -> tuple[tuple[int, int], ...]:
-    k, gp = params.k, params.gp
-    pairs: list[tuple[int, int]] = []
-    for s in shared_sets:
-        if s & bit(u):
-            continue
-        pool = [i for i in range(1, k + 1) if i != u and not s & bit(i)]
-        pairs.extend((s, mask_of(combo)) for combo in itertools.combinations(pool, gp))
-    return tuple(pairs)
+    own = bit(u)
+    return tuple((s, t) for s in shared_sets if not s & own for t in t_sets(params, s | own))
 
 
 def _check_integral(params: SystemParams) -> None:

@@ -1,8 +1,11 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
 
 from ringcache.cli import dec6, main
 from fractions import Fraction
@@ -122,6 +125,31 @@ def test_simulate_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "system,footer,digest",
+    [
+        # ring placement: 300 GENERAL, 70 SC1 and 15 SC2 transmissions
+        (
+            ("-K", "10", "-L", "3", "--ma", "1", "--mp", "2", "-N", "10"),
+            "# total=385 general=300 sc1=70 sc2=15",
+            "bf7d994aafae8761c8f554974cc835cc7a6b60a1bcf63646a53e2fda7da9d9d0",
+        ),
+        # subset placement at L = 1: 224 SC1 transmissions
+        (
+            ("-K", "8", "-L", "1", "--ma", "3", "--mp", "1", "-N", "8"),
+            "# total=224 general=0 sc1=224 sc2=0",
+            "ac9f05603965247d9253a8e7f4567be8c2d09e7adea1b603db36a50d0aea17c6",
+        ),
+    ],
+)
+def test_simulate_larger_logs_are_pinned(system, footer, digest):
+    # whole worst-case logs, byte for byte, beyond the hand-checked K = 5, 7
+    code, out, _ = run_cli("simulate", *system, "--worst-case")
+    assert code == 0
+    assert footer in out.splitlines()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_sweep_csv_shape_and_values():
     code, out, _ = run_cli(
         "sweep", "-K", "30", "-L", "3", "-N", "30", "--ma", "6", "--mp-range", "10:12"
@@ -210,6 +238,7 @@ def test_simulate_decodability_failure_exit():
     )
     assert code == 1
     assert "uncharacterized" in err
+    assert "--unchecked" in err
 
 
 def test_simulate_l1_reports_the_rate_command_rate():

@@ -2,16 +2,28 @@
 against the worked instances, coverage and decodability."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from ringcache.model import RegimeError, SystemParams, binom, mask_of, params_from_gammas
+from ringcache.model import (
+    InvalidMiniSubfile,
+    RegimeError,
+    SystemParams,
+    binom,
+    mask_of,
+    only_bit,
+    params_from_gammas,
+    position_sets,
+    shift_positions,
+)
 from ringcache.placement import build_layout, build_subset_layout, demand_pairs
 from ringcache.delivery import (
     GENERAL,
     SC1,
     SC2,
+    _relabel,
     build_general,
     build_sc1,
     build_sc2,
@@ -21,12 +33,14 @@ from ringcache.delivery import (
     deliver,
     drop_transmission,
     format_log,
+    format_report,
     format_transmission,
     random_demand,
     verify_decodability,
     worst_case_demand,
 )
 from ringcache.analysis import achievable_rate
+from ringcache.verify import sweep_grid
 
 from golden import EX5, EX5_TRANSMISSIONS, EX7, EX7_SC1, EX7_SC2, term_set
 from l1 import l1_instances
@@ -79,6 +93,34 @@ def test_sc2_requires_boundary_replication():
         layout = build_layout(params)
         result = deliver(layout, worst_case_demand(k))
         assert result.count(SC2) == 0
+
+
+def test_relabel_matches_position_set_rotation():
+    # the images under shift i equal the rotation of the anchor's position
+    # sets by i, read back through the sorted union
+    for params in sweep_grid(4, 9):
+        for u in range(1, params.k + 1):
+            for s, t in demand_pairs(params, u):
+                pos = position_sets(u, s, t)
+                images = _relabel(u, s, t)
+                assert len(images) == pos.size
+                assert images[0] == (u, s, t)
+                for i in range(1, pos.size):
+                    expected = (
+                        only_bit(pos.elements_at(shift_positions(pos.p_u, i, pos.size))),
+                        pos.elements_at(shift_positions(pos.p_s, i, pos.size)),
+                        pos.elements_at(shift_positions(pos.p_t, i, pos.size)),
+                    )
+                    assert images[i] == expected, (params, u, s, t, i)
+
+
+@pytest.mark.parametrize("u,s,t", [(3, (3, 4), (6,)), (1, (3, 4), (4,)), (2, (3, 4), (2, 5))])
+def test_overlapping_anchor_is_rejected(u, s, t):
+    params, demand = SystemParams(**EX7), worst_case_demand(7)
+    with pytest.raises(InvalidMiniSubfile):
+        classify(params, u, mask_of(s), mask_of(t))
+    with pytest.raises(InvalidMiniSubfile):
+        build_general(params, demand, u, mask_of(s), mask_of(t))
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +246,34 @@ def test_dropping_a_transmission_breaks_its_users(run5):
         report = verify_decodability(layout, demand, crippled.transmissions)
         assert not report.ok
         assert report.failing_users() == tuple(sorted({t.user for t in tx.terms}))
+
+
+def test_failure_report_names_sets_like_the_log(run5):
+    layout, demand, result = run5
+    assert format_transmission(result.transmissions[0]) == "GENERAL d1:2,3:4 ^ d2:3,4:1 ^ d4:1,2:3"
+    crippled = drop_transmission(result, 0)
+    report = verify_decodability(layout, demand, crippled.transmissions)
+    assert format_report(report).splitlines() == [
+        "# decodability FAIL for users (1, 2, 4)",
+        "#   user 1 misses S=2,3 T=4: never transmitted",
+        "#   user 2 misses S=3,4 T=1: never transmitted",
+        "#   user 4 misses S=1,2 T=3: never transmitted",
+    ]
+    report = verify_decodability(layout, demand, result.transmissions)
+    assert format_report(report) == "# decodability PASS (30 mini-subfiles)"
+
+
+def test_blocked_carrier_is_reported(run5):
+    # a carrier whose other terms the user cannot read does not decode
+    layout, demand, result = run5
+    tx = result.transmissions[0]
+    foreign = tx.terms[0]._replace(user=3, s=mask_of((5,)), t=0)  # read by 3 and 5 only
+    blocked = replace(tx, terms=tx.terms + (foreign,))
+    txs = (blocked,) + result.transmissions[1:]
+    report = verify_decodability(layout, demand, txs)
+    assert [(f.user, f.reason) for f in report.failures] == [
+        (v, "all carriers blocked by unreadable terms") for v in (1, 2, 4)
+    ]
 
 
 def test_non_distinct_demands_still_decode(run5):
