@@ -23,12 +23,9 @@ from .model import (
 )
 from .placement import (
     CacheLayout,
-    Mini,
     build_layout,
     build_subset_layout,
     demand_pairs,
-    has_mini,
-    user_access,
 )
 from .delivery import (
     GENERAL,
@@ -62,7 +59,6 @@ __all__ = [
     "InvalidMiniSubfile",
     "InvalidParameters",
     "MemoryShare",
-    "Mini",
     "PositionSets",
     "RegimeError",
     "SystemParams",
@@ -78,7 +74,6 @@ __all__ = [
     "deliver",
     "demand_pairs",
     "enumerate_transmission_subsets",
-    "has_mini",
     "is_optimal",
     "is_window",
     "man_crosscheck",
@@ -88,7 +83,6 @@ __all__ = [
     "rate_with_sharing",
     "shift_positions",
     "table1_counts",
-    "user_access",
     "verify_decodability",
     "worst_case_demand",
 ]

@@ -8,7 +8,8 @@ and ``layout-dump`` (cache contents as JSON). ``simulate`` and
 rate ``rate`` and ``sweep`` report there, and the ring placement otherwise.
 
 Exit codes: 0 success, 1 usage or validation error, 2 decodability or
-oracle failure. RINGCACHE_JOBS caps sweep parallelism (default 1).
+oracle failure. RINGCACHE_JOBS sets sweep parallelism (default 1, at most the
+CPU count and the row count); a value that is not a positive integer exits 1.
 """
 
 from __future__ import annotations
@@ -153,27 +154,50 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if report.ok else 2
 
 
-def _sweep_row(task: tuple[int, int, int, Fraction, Fraction, bool, bool]) -> str:
+def _sweep_row(task: tuple[int, int, int, Fraction, Fraction, bool, bool]) -> tuple[str, ...]:
+    """The 15 field values of one sweep row, in :data:`CSV_HEADER` order;
+    fields a row cannot fill are empty and ``note`` holds the reason."""
     k, l, n, ma, mp, with_bound, with_optimal = task
-    base = f"{k},{l},{n},{ma},{mp}"
+    base = (str(k), str(l), str(n), str(ma), str(mp))
     try:
         params = SystemParams(k=k, l=l, ma=ma, mp=mp, n=n)
     except InvalidParameters as exc:
-        return f"{base},,,,,,,,,," + f'"{exc}"'
-    gammas = f"{params.gamma_a},{params.gamma_p}"
+        return base + ("",) * 9 + (str(exc),)
+    gammas = (str(params.gamma_a), str(params.gamma_p))
     try:
         rate = rate_with_sharing(params)
     except RegimeError as exc:
-        return f"{base},{gammas},,,,,,,," + f'"{exc}"'
-    cells = [base, gammas, f"{rate.numerator},{rate.denominator},{dec6(rate)}"]
+        return base + gammas + ("",) * 7 + (str(exc),)
+    cells = (str(rate.numerator), str(rate.denominator), dec6(rate))
     if with_bound:
         bound = cutset_bound(params)
-        cells.append(f"{bound.numerator},{bound.denominator},{dec6(bound)}")
+        cells += (str(bound.numerator), str(bound.denominator), dec6(bound))
     else:
-        cells.append(",,")
-    cells.append(("true" if is_optimal(params) else "false") if with_optimal else "")
-    cells.append("")
-    return ",".join(cells)
+        cells += ("", "", "")
+    optimal = ("true" if is_optimal(params) else "false") if with_optimal else ""
+    return base + gammas + cells + (optimal, "")
+
+
+def _csv_line(row: tuple[str, ...]) -> str:
+    """One CSV line; a non-empty note is always quoted, the other fields
+    never need to be."""
+    *fields, note = row
+    return ",".join(fields + [f'"{note}"' if note else ""])
+
+
+def sweep_jobs(value: str | None, cpus: int | None, tasks: int) -> int:
+    """Worker processes for a sweep: RINGCACHE_JOBS (default 1), clamped to
+    the CPU count and the number of rows. A value that is not a positive
+    integer is refused."""
+    if value is None:
+        return 1
+    try:
+        jobs = int(value)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"RINGCACHE_JOBS must be a positive integer, got {value!r}")
+    return min(jobs, cpus or 1, tasks)
 
 
 def _parse_range(spec: str) -> list[Fraction]:
@@ -201,24 +225,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for ma in ma_list
         for mp in mp_list
     ]
-    jobs = int(os.environ.get("RINGCACHE_JOBS", "1"))
+    jobs = sweep_jobs(os.environ.get("RINGCACHE_JOBS"), os.cpu_count(), len(tasks))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:
         rows = [_sweep_row(t) for t in tasks]
     if args.format == "json":
-        payload = [_row_to_json(row) for row in rows]
+        keys = CSV_HEADER.split(",")
+        payload = [dict(zip(keys, row)) for row in rows]
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
     else:
-        _emit("\n".join([CSV_HEADER] + rows) + "\n", args.output)
+        _emit("\n".join([CSV_HEADER] + [_csv_line(row) for row in rows]) + "\n", args.output)
     return 0
-
-
-def _row_to_json(row: str) -> dict:
-    fields = row.split(",", 14)
-    keys = CSV_HEADER.split(",")
-    return dict(zip(keys, fields))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -30,7 +30,7 @@ this is exactly the SC1 swap group, so these XORs carry the SC1 tag.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Iterable, NamedTuple, Sequence
@@ -416,9 +416,3 @@ def format_report(report: DecodabilityReport) -> str:
         for f in report.failures
     )
     return "\n".join(lines)
-
-
-def drop_transmission(result: DeliveryResult, index: int) -> DeliveryResult:
-    """Result with one transmission removed (for coverage experiments)."""
-    kept = result.transmissions[:index] + result.transmissions[index + 1 :]
-    return replace(result, transmissions=kept)

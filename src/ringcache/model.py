@@ -153,16 +153,6 @@ def is_window(mask: int, k: int, width: int) -> bool:
     return mask in window_set(k, width)
 
 
-def window_end(mask: int, k: int, width: int) -> int:
-    """Canonical end label of a window mask (0 for the empty window)."""
-    if width == 0 and mask == 0:
-        return 0
-    for j in range(1, k + 1):
-        if window_mask(j, width, k) == mask:
-            return j
-    raise ValueError(f"{bits(mask)} is not a width-{width} window over [1, {k}]")
-
-
 # ---------------------------------------------------------------------------
 # position sets inside a sorted union
 # ---------------------------------------------------------------------------

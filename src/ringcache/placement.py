@@ -28,6 +28,13 @@ With no shared-cache layer (gamma_a = 0) the two coincide: each file has
 the single empty S and subpacketization C(K, gamma_p), and
 :func:`build_layout` returns the subset layout.
 
+Both placements are uncoded and file-symmetric: every file is split and
+cached the same way. A layout therefore stores each cache's pattern once
+(the S masks a shared cache holds, the (S, T) pairs a private cache
+holds), and a cache holds that pattern of every file; the file index n
+is attached only in :func:`layout_to_json` and in the terms delivery
+sends.
+
 The rate reported at L = 1 is the subset placement's; the census and
 :func:`ringcache.verify.count_vs_formula` still check the ring placement
 at every L.
@@ -41,7 +48,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .model import (
     InvalidParameters,
@@ -60,38 +67,23 @@ RING = "ring"
 SUBSET = "subset"
 
 
-class Mini(NamedTuple):
-    """A mini-subfile identity: file n, shared-set mask s, private index mask t."""
-
-    n: int
-    s: int
-    t: int
-
-
-class Subfile(NamedTuple):
-    """A shared-cache entry: file n, ring window end label (0 on the subset
-    placement, whose sets are not windows) and the mask s of users that
-    reach it through shared caches."""
-
-    n: int
-    end: int
-    s: int
-
-
 @dataclass(frozen=True)
 class CacheLayout:
-    """Immutable contents of every shared and private cache.
+    """Immutable contents of every shared and private cache, once for all
+    files: the placement splits and caches every file the same way.
 
-    ``access[k-1]`` lists the subfiles in shared cache k, ``private[u-1]``
-    the mini-subfiles in user u's private cache; ``f`` is the
-    subpacketization (mini-subfiles per file) and ``placement`` is
-    :data:`RING` or :data:`SUBSET`.
+    ``access[k-1]`` holds the S masks of the subfiles shared cache k stores
+    of every file, ``private[u-1]`` the (S, T) pairs of the mini-subfiles
+    user u stores of every file; ``f`` is the subpacketization (mini-subfiles
+    per file) and ``placement`` is :data:`RING` or :data:`SUBSET`. File
+    indices are attached only where output needs them: in
+    :func:`layout_to_json` and in the terms delivery sends.
     """
 
     params: SystemParams
     f: int
-    access: tuple[tuple[Subfile, ...], ...]
-    private: tuple[tuple[Mini, ...], ...]
+    access: tuple[tuple[int, ...], ...]
+    private: tuple[tuple[tuple[int, int], ...], ...]
     placement: str
 
     @property
@@ -118,9 +110,6 @@ class CacheLayout:
         the decodability check."""
         sets = self.shared_sets
         return tuple(_demand_pairs(self.params, u, sets) for u in range(1, self.params.k + 1))
-
-    def window_of(self, end: int) -> int:
-        return window_mask(end, self.params.span, self.params.k)
 
 
 def subpacketization(params: SystemParams) -> int:
@@ -175,8 +164,7 @@ def build_layout(params: SystemParams) -> CacheLayout:
     _check_integral(params)
     if params.ga == 0:
         return build_subset_layout(params)
-    k, n = params.k, params.n
-    ga, gp = params.ga, params.gp
+    k, ga, gp = params.k, params.ga, params.gp
     span = params.span
     if span > k:
         raise InvalidParameters(f"span gamma_a*L = {span} exceeds the ring size K = {k}")
@@ -185,14 +173,15 @@ def build_layout(params: SystemParams) -> CacheLayout:
             f"gamma_p = {gp} exceeds the {k - span} users outside a window"
         )
 
-    access: list[tuple[Subfile, ...]] = []
-    for cache in range(1, k + 1):
-        ends = sorted(cyc(cache + (j - 1) * params.l, k) for j in range(1, ga + 1))
-        wins = [(e, window_mask(e, span, k)) for e in ends]
-        access.append(tuple(Subfile(nn, e, s) for nn in range(1, n + 1) for e, s in wins))
-
+    access = tuple(
+        tuple(
+            window_mask(end, span, k)
+            for end in sorted(cyc(cache + (j - 1) * params.l, k) for j in range(1, ga + 1))
+        )
+        for cache in range(1, k + 1)
+    )
     private = _private_caches(params, window_masks(k, span))
-    layout = CacheLayout(params, subpacketization(params), tuple(access), private, RING)
+    layout = CacheLayout(params, subpacketization(params), access, private, RING)
     _check_memory(layout)
     return layout
 
@@ -201,8 +190,7 @@ def build_subset_layout(params: SystemParams) -> CacheLayout:
     """Populate every cache with the subset placement, for integral
     replication factors at L = 1 (or at any L without a shared layer)."""
     _check_integral(params)
-    k, n = params.k, params.n
-    ga, gp = params.ga, params.gp
+    k, ga, gp = params.k, params.ga, params.gp
     if ga and params.l != 1:
         raise RegimeError(
             f"subset placement needs L = 1, got L = {params.l}: at L >= 2 a"
@@ -213,10 +201,7 @@ def build_subset_layout(params: SystemParams) -> CacheLayout:
             f"gamma_p = {gp} exceeds the {k - ga} users outside a shared set"
         )
     sets = subset_masks(k, ga)
-    held = [[s for s in sets if s & bit(cache)] for cache in range(1, k + 1)]
-    access = tuple(
-        tuple(Subfile(nn, 0, s) for nn in range(1, n + 1) for s in cell) for cell in held
-    )
+    access = tuple(tuple(s for s in sets if s & bit(cache)) for cache in range(1, k + 1))
     f = binom(k, ga) * binom(k - ga, gp)
     layout = CacheLayout(params, f, access, _private_caches(params, sets), SUBSET)
     _check_memory(layout)
@@ -225,71 +210,42 @@ def build_subset_layout(params: SystemParams) -> CacheLayout:
 
 def _private_caches(
     params: SystemParams, shared_sets: tuple[int, ...]
-) -> tuple[tuple[Mini, ...], ...]:
-    """User u privately stores, for every file, each (S, T) with u outside S
-    and inside T."""
-    private = []
-    for u in range(1, params.k + 1):
-        pattern = [
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """User u privately stores each (S, T) with u outside S and inside T."""
+    return tuple(
+        tuple(
             (s, t)
             for s in shared_sets
             if not s & bit(u)
             for t in t_sets(params, s, containing=u)
-        ]
-        private.append(
-            tuple(Mini(nn, s, t) for nn in range(1, params.n + 1) for s, t in pattern)
         )
-    return tuple(private)
+        for u in range(1, params.k + 1)
+    )
 
 
 def _check_memory(layout: CacheLayout) -> None:
     """Every cache must hit its size budget exactly: Ma * F mini-subfiles in
-    each shared cache and Mp * F in each private one."""
+    each shared cache and Mp * F in each private one, over all N files."""
     p = layout.params
     per_subfile = binom(p.k - layout.width, p.gp)
     shared_budget, private_budget = p.ma * layout.f, p.mp * layout.f
     for cache in layout.access:
-        if len(cache) * per_subfile != shared_budget:
+        if p.n * len(cache) * per_subfile != shared_budget:
             raise AssertionError("shared cache holds a wrong subfile count")
     for cell in layout.private:
-        if len(cell) != private_budget:
+        if p.n * len(cell) != private_budget:
             raise AssertionError("private cache holds a wrong mini-subfile count")
 
 
-def has_mini(u: int, mini: Mini) -> bool:
-    """True iff user u can read the mini-subfile: through a shared cache
-    (u in S) or its private cache (u in T)."""
-    return bool((mini.s | mini.t) & bit(u))
-
-
-@dataclass(frozen=True)
-class UserAccess:
-    """Everything user u can read, plus the (window, T) pairs it lacks."""
-
-    user: int
-    accessible: frozenset[Mini]
-    demanded: tuple[tuple[int, int], ...]
-
-
-def user_access(layout: CacheLayout, u: int) -> UserAccess:
-    params = layout.params
-    reach: set[Mini] = set()
-    for off in range(params.l):
-        cache = layout.access[cyc(u + off, params.k) - 1]
-        for sub in cache:
-            reach.update(Mini(sub.n, sub.s, t) for t in t_sets(params, sub.s))
-    reach.update(layout.private[u - 1])
-    return UserAccess(u, frozenset(reach), layout.demand_pairs(u))
-
-
-def mini_label(mini: Mini) -> str:
-    """Serialized id ``n:S:T`` with S and T as sorted comma-joined indices."""
-    return f"{mini.n}:{mask_str(mini.s)}:{mask_str(mini.t)}"
-
-
 def layout_to_json(layout: CacheLayout) -> dict:
-    """JSON-ready dump: shared entries as ``n:S``, private as ``n:S:T``."""
+    """JSON-ready dump: shared entries as ``n:S``, private as ``n:S:T``,
+    file-major (every entry of file 1, then of file 2, ...)."""
     p = layout.params
+    files = range(1, p.n + 1)
+
+    def per_file(labels: list[str]) -> list[str]:
+        return [f"{n}:{label}" for n in files for label in labels]
+
     return {
         "K": p.k,
         "L": p.l,
@@ -298,22 +254,11 @@ def layout_to_json(layout: CacheLayout) -> dict:
         "Mp": str(p.mp),
         "F": layout.f,
         "access": {
-            str(k + 1): [f"{sub.n}:{mask_str(sub.s)}" for sub in cache]
+            str(k + 1): per_file([mask_str(s) for s in cache])
             for k, cache in enumerate(layout.access)
         },
         "private": {
-            str(u + 1): [mini_label(m) for m in cell]
+            str(u + 1): per_file([f"{mask_str(s)}:{mask_str(t)}" for s, t in cell])
             for u, cell in enumerate(layout.private)
         },
     }
-
-
-def accessible_subfile_windows(layout: CacheLayout, u: int) -> tuple[int, ...]:
-    """Window masks of the subfiles user u reaches through shared caches."""
-    p = layout.params
-    seen: list[int] = []
-    for off in range(p.l):
-        for sub in layout.access[cyc(u + off, p.k) - 1]:
-            if sub.s not in seen:
-                seen.append(sub.s)
-    return tuple(sorted(seen))

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import csv
 import hashlib
 import io
 import json
@@ -7,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from ringcache.cli import dec6, main
+from ringcache.cli import dec6, main, sweep_jobs
 from fractions import Fraction
 
 
@@ -148,6 +149,80 @@ def test_simulate_larger_logs_are_pinned(system, footer, digest):
     assert code == 0
     assert footer in out.splitlines()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "system,digest",
+    [
+        # ring placement, N = 2K
+        (
+            ("-K", "10", "-L", "3", "--ma", "2", "--mp", "4", "-N", "20"),
+            "ed1d9d7777c76762229736f95ed2ca60e25a310c68d23e5a24f4b7aa1e7110c1",
+        ),
+        # subset placement at L = 1, N = 2K
+        (
+            ("-K", "8", "-L", "1", "--ma", "6", "--mp", "2", "-N", "16"),
+            "f2d5af866c14c7546adabebde740a45cdf5cbf2454cb7d0e36e06db84590a5f4",
+        ),
+        # no shared layer, N = 2K
+        (
+            ("-K", "7", "-L", "2", "--ma", "0", "--mp", "4", "-N", "14"),
+            "b0bfcfc55145389877dc51aa4f827c9095ef4f0f56a0fa6f4e375887ec39c65c",
+        ),
+    ],
+)
+def test_layout_dumps_are_pinned(system, digest):
+    # whole multi-file dumps, byte for byte: every file's entries, file-major
+    code, out, _ = run_cli("layout-dump", *system)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+SWEEP_MIXED = ("sweep", "-K", "8", "-L", "1", "-N", "8", "--ma", "0,1,2,17/2", "--mp-range", "0:9:1/2")
+
+
+def test_sweep_csv_is_pinned():
+    # in-regime, out-of-regime and invalid-parameter rows in one CSV
+    code, out, _ = run_cli(*SWEEP_MIXED)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3d730c48e6c92ca768e10e8f0ce2a8662ebda1bce8cb6596f51b4356712539d5"
+    )
+
+
+def test_sweep_csv_and_json_carry_the_same_rows():
+    code, out, _ = run_cli(*SWEEP_MIXED)
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    code, out, _ = run_cli(*SWEEP_MIXED, "--format", "json")
+    assert code == 0
+    records = json.loads(out)
+    assert records == [dict(zip(header, row)) for row in rows]
+    notes = {r["note"] for r in records}
+    assert "private-cache size mp=9 outside [0, N=8]" in notes  # bare, no CSV quotes
+    assert any(n.startswith("rate uncharacterized") for n in notes)
+    assert "" in notes
+
+
+def test_sweep_jobs_clamp():
+    assert sweep_jobs(None, 8, 100) == 1
+    assert sweep_jobs("1", 8, 100) == 1
+    assert sweep_jobs("4", 8, 100) == 4
+    assert sweep_jobs("64", 8, 100) == 8
+    assert sweep_jobs("64", None, 100) == 1
+    assert sweep_jobs("64", 8, 3) == 3
+    for bad in ("abc", "", "1.5", "0", "-3"):
+        with pytest.raises(ValueError, match="RINGCACHE_JOBS"):
+            sweep_jobs(bad, 8, 100)
+
+
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_sweep_rejects_bad_jobs_setting(monkeypatch, value):
+    monkeypatch.setenv("RINGCACHE_JOBS", value)
+    code, out, err = run_cli(*SWEEP_MIXED)
+    assert code == 1
+    assert out == ""
+    assert "RINGCACHE_JOBS" in err and repr(value) in err
 
 
 def test_sweep_csv_shape_and_values():

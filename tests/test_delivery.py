@@ -31,7 +31,6 @@ from ringcache.delivery import (
     build_transmission,
     classify,
     deliver,
-    drop_transmission,
     format_log,
     format_report,
     format_transmission,
@@ -42,6 +41,7 @@ from ringcache.delivery import (
 from ringcache.analysis import achievable_rate
 from ringcache.verify import sweep_grid
 
+from helpers import drop_transmission
 from golden import EX5, EX5_TRANSMISSIONS, EX7, EX7_SC1, EX7_SC2, term_set
 from l1 import l1_instances
 

@@ -1,5 +1,6 @@
 """Cache placement against the worked instances and its exact size budgets."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,24 +10,24 @@ from ringcache.model import (
     RegimeError,
     SystemParams,
     binom,
+    bit,
     bits,
     mask_of,
     popcount,
+    window_mask,
 )
 from ringcache.placement import (
     SUBSET,
-    Mini,
-    accessible_subfile_windows,
+    _check_memory,
     build_layout,
     build_subset_layout,
     demand_pairs,
-    has_mini,
     layout_to_json,
     subpacketization,
     t_sets,
-    user_access,
 )
 
+from helpers import accessible_subfile_windows, reads, window_end
 from golden import EX5, EX5_PRIVATE, EX5_SPLIT, EX5_WINDOWS, EX7, EX7_DEMAND_1, EX7_PRIVATE_2
 from l1 import l1_instances
 
@@ -46,14 +47,15 @@ def test_ex5_subpacketization(layout5):
 
 
 def test_ex5_access_caches(layout5):
-    # shared cache k holds the single original subfile index k for every file
+    # shared cache k holds the single original subfile index k of every file
     for k in range(1, 6):
-        assert [(s.n, s.end) for s in layout5.access[k - 1]] == [(n, k) for n in range(1, 6)]
+        assert layout5.access[k - 1] == (window_mask(k, 2, 5),)
+        assert [window_end(s, 5, 2) for s in layout5.access[k - 1]] == [k]
 
 
 def test_ex5_reindexing(layout5):
     for original, window in EX5_WINDOWS.items():
-        assert bits(layout5.window_of(original)) == tuple(sorted(window))
+        assert bits(layout5.shared_sets[original - 1]) == tuple(sorted(window))
 
 
 def test_ex5_mini_split(layout5):
@@ -65,13 +67,15 @@ def test_ex5_mini_split(layout5):
 
 def test_ex5_private_caches(layout5):
     for u, pairs in EX5_PRIVATE.items():
-        expected = {Mini(n, mask_of(s), mask_of(t)) for n in range(1, 6) for s, t in pairs}
+        expected = {(mask_of(s), mask_of(t)) for s, t in pairs}
         assert set(layout5.private[u - 1]) == expected
+        assert len(layout5.private[u - 1]) == len(expected)
 
 
 def test_ex7_private_cache_2(layout7):
-    expected = {Mini(n, mask_of(s), mask_of(t)) for n in range(1, 8) for s, t in EX7_PRIVATE_2}
+    expected = {(mask_of(s), mask_of(t)) for s, t in EX7_PRIVATE_2}
     assert set(layout7.private[1]) == expected
+    assert len(layout7.private[1]) == len(expected)
     assert layout7.f == 35
 
 
@@ -90,8 +94,9 @@ def test_no_overlap_between_private_and_access():
         params = SystemParams(k=k, l=l, ma=Fraction(k * ga, k), mp=Fraction(k * gp, k), n=k)
         layout = build_layout(params)
         for u in range(1, k + 1):
-            for mini in layout.private[u - 1]:
-                assert not mini.s & (1 << (u - 1))
+            for s, t in layout.private[u - 1]:
+                assert not s & bit(u)
+                assert t & bit(u)
 
 
 def test_memory_budgets_exact():
@@ -102,16 +107,30 @@ def test_memory_budgets_exact():
         layout = build_layout(params)
         f = layout.f
         minis_per_subfile = f // k  # general path: each subfile splits evenly
+        # every cache holds its pattern of each of the n files
         for cache in layout.access:
-            held = len(cache) * minis_per_subfile
+            held = n * len(cache) * minis_per_subfile
             assert Fraction(held, f) == params.ma
         for cell in layout.private:
-            assert Fraction(len(cell), f) == params.mp
+            assert Fraction(n * len(cell), f) == params.mp
+
+
+@pytest.mark.parametrize("system", [EX5, EX7, dict(k=8, l=1, ma=6, mp=2, n=16)])
+@pytest.mark.parametrize("side", ["access", "private"])
+def test_check_memory_rejects_a_cache_one_entry_short(system, side):
+    params = SystemParams(**system)
+    layout = build_subset_layout(params) if params.l == 1 else build_layout(params)
+    _check_memory(layout)
+    for i, cell in enumerate(getattr(layout, side)):
+        caches = list(getattr(layout, side))
+        caches[i] = cell[:-1]
+        with pytest.raises(AssertionError, match="wrong"):
+            _check_memory(replace(layout, **{side: tuple(caches)}))
 
 
 def test_partition_of_subfiles_and_minis(layout5):
     params = layout5.params
-    windows = [layout5.window_of(j) for j in range(1, 6)]
+    windows = list(layout5.shared_sets)
     assert len(set(windows)) == 5
     for w in windows:
         tails = list(t_sets(params, w))
@@ -121,24 +140,31 @@ def test_partition_of_subfiles_and_minis(layout5):
             assert t & w == 0
 
 
-def test_has_mini_trichotomy(layout5):
-    params = layout5.params
-    for u in range(1, 6):
-        access = user_access(layout5, u)
-        demanded_minis = {
-            Mini(d, s, t) for d in range(1, 6) for (s, t) in access.demanded
-        }
-        assert not demanded_minis & access.accessible
-        for mini in access.accessible:
-            assert has_mini(u, mini)
-        for mini in demanded_minis:
-            assert not has_mini(u, mini)
+def test_has_mini_trichotomy():
+    # every (S, T) of the placement is either in user u's caches, and then
+    # u is in S | T, or in u's demand set, and then it is not
+    for system in (EX5, EX7, dict(k=8, l=1, ma=3, mp=1, n=8)):
+        params = SystemParams(**system)
+        layout = build_subset_layout(params) if params.l == 1 else build_layout(params)
+        pairs = [(s, t) for s in layout.shared_sets for t in t_sets(params, s)]
+        assert len(pairs) == layout.f
+        for u in range(1, params.k + 1):
+            demanded = set(layout.demand_pairs(u))
+            readable = {(s, t) for s, t in pairs if reads(layout, u, s, t)}
+            assert not demanded & readable
+            assert demanded | readable == set(pairs)
+            for s, t in readable:
+                assert (s | t) & bit(u)
+            for s, t in demanded:
+                assert not (s | t) & bit(u)
 
 
-def test_has_mini_spot_examples():
-    assert has_mini(1, Mini(1, mask_of((1, 2)), mask_of((3,))))
-    assert has_mini(1, Mini(1, mask_of((2, 3)), mask_of((1,))))
-    assert not has_mini(1, Mini(1, mask_of((2, 3)), mask_of((4,))))
+def test_has_mini_spot_examples(layout5):
+    # user 1 reads S = {1,2} from shared cache 2, holds ({2,3}, {1})
+    # privately, and has neither copy of ({2,3}, {4})
+    assert reads(layout5, 1, mask_of((1, 2)), mask_of((3,)))
+    assert reads(layout5, 1, mask_of((2, 3)), mask_of((1,)))
+    assert not reads(layout5, 1, mask_of((2, 3)), mask_of((4,)))
 
 
 def test_demand_set_sizes():
@@ -165,10 +191,10 @@ def test_dedicated_mode_layout():
     assert layout.f == 10
     assert all(not cache for cache in layout.access)
     for u in range(1, 6):
-        for mini in layout.private[u - 1]:
-            assert mini.s == 0
-            assert mini.t & (1 << (u - 1))
-    assert len(layout.private[0]) == 5 * 4  # N * C(K-1, gamma_p-1)
+        for s, t in layout.private[u - 1]:
+            assert s == 0
+            assert t & bit(u)
+    assert len(layout.private[0]) == 4  # C(K-1, gamma_p-1), held of every file
 
 
 def test_zero_memory_layout():
@@ -216,14 +242,14 @@ def test_subset_layout_fills_budgets_exactly():
         assert layout.placement == SUBSET
         assert f == binom(k, ga) * binom(k - ga, gp)
         for cache, entries in enumerate(layout.access, start=1):
-            assert Fraction(len(entries) * binom(k - ga, gp), f) == params.ma
+            assert Fraction(k * len(entries) * binom(k - ga, gp), f) == params.ma
             assert len(set(entries)) == len(entries)
-            assert all(popcount(sub.s) == ga and sub.s & (1 << (cache - 1)) for sub in entries)
+            assert all(popcount(s) == ga and s & bit(cache) for s in entries)
         for u, cell in enumerate(layout.private, start=1):
-            assert Fraction(len(cell), f) == params.mp
+            assert Fraction(k * len(cell), f) == params.mp
             assert len(set(cell)) == len(cell)
-            for mini in cell:
-                assert mini.t & (1 << (u - 1)) and not mini.s & (1 << (u - 1))
-                assert not mini.s & mini.t
-                assert (popcount(mini.s), popcount(mini.t)) == (ga, gp)
+            for s, t in cell:
+                assert t & bit(u) and not s & bit(u)
+                assert not s & t
+                assert (popcount(s), popcount(t)) == (ga, gp)
 
