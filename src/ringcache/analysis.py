@@ -39,11 +39,9 @@ class TransmissionCounts:
         return self.subsets - self.sc1 - self.sc2
 
 
-def _counting_regime(params: SystemParams) -> tuple[int, int, int]:
+def _counting_regime(k: int, l: int, ga: int, gp: int) -> tuple[int, int, int]:
     """Validate the regime the counting formulas cover; return (K, span, gp)."""
-    k = params.k
-    ga, gp = params.ga, params.gp
-    span = ga * params.l
+    span = ga * l
     if ga < 1:
         raise RegimeError("no shared-cache layer (gamma_a = 0): dedicated-cache regime")
     if span >= k:
@@ -62,7 +60,10 @@ def _counting_regime(params: SystemParams) -> tuple[int, int, int]:
 
 def table1_counts(params: SystemParams) -> TransmissionCounts:
     """Per-case transmission-subset counts from the closed-form columns."""
-    k, w, gp = _counting_regime(params)
+    return _counts(*_counting_regime(params.k, params.l, params.ga, params.gp))
+
+
+def _counts(k: int, w: int, gp: int) -> TransmissionCounts:
     tail = sum(binom(k - 2 * w - 1 + i, 1 + gp - w + i) for i in range(1, w))
     base = binom(k - w, 1 + gp) + (k - 1) * binom(k - w - 1, 1 + gp) - tail
     if gp < w - 1:
@@ -91,7 +92,11 @@ def rate_closed_form(params: SystemParams) -> Fraction:
     Independent transcription of the same counting, kept separate from
     :func:`table1_counts` so the two can cross-check each other.
     """
-    k, w, gp = _counting_regime(params)
+    return Fraction(*_closed_form(*_counting_regime(params.k, params.l, params.ga, params.gp)))
+
+
+def _closed_form(k: int, w: int, gp: int) -> tuple[int, int]:
+    """Numerator and denominator (not reduced) of :func:`rate_closed_form`."""
     tail = sum(binom(k - w - 1 - (w - i), 1 + gp - (w - i)) for i in range(1, w))
     num = (1 + gp) * (binom(k - w, 1 + gp) + (k - 1) * binom(k - w - 1, 1 + gp) - tail)
     num -= gp * k * binom(k - w - 2, 1 + gp)
@@ -106,7 +111,7 @@ def rate_closed_form(params: SystemParams) -> Fraction:
             0, (1 + w) * (k - 2 * w - 1) + (k - 2 * w - 2) * (k - 2 * w - 1) // 2
         )
         num -= eta
-    return Fraction(num, k * binom(k - w, gp))
+    return num, k * binom(k - w, gp)
 
 
 def _dedicated_rate(k: int, t: int) -> Fraction:
@@ -130,22 +135,28 @@ def achievable_rate(params: SystemParams) -> Fraction:
     census and ``verify``) would give more transmissions for
     2 <= gamma_a <= K - 2. At L >= 2 the rate is the ring placement's.
     """
-    k = params.k
-    ga, gp = params.ga, params.gp
+    return _rate(params.k, params.l, params.ga, params.gp)
+
+
+def _rate(k: int, l: int, ga: int, gp: int) -> Fraction:
+    """:func:`achievable_rate` of the network (K, L) at the integral
+    replication point (gamma_a, gamma_p); N does not enter."""
     if ga == 0:
         return _dedicated_rate(k, gp)
-    span = ga * params.l
+    span = ga * l
     if span >= k or span + gp >= k:
         return Fraction(0)
     if gp < span:
-        if params.l == 1:
+        if l == 1:
             return _dedicated_rate(k, ga + gp)
-        counts = table1_counts(params)
+        # 1 <= gamma_a, span < K and gamma_p < span: _counting_regime would
+        # reject nothing here
+        counts = _counts(k, span, gp)
         rate = Fraction(counts.transmissions, counts.f)
-        closed = rate_closed_form(params)
-        if rate != closed:
+        num, den = _closed_form(k, span, gp)
+        if counts.transmissions * den != num * counts.f:
             raise AssertionError(
-                f"count law {rate} and closed form {closed} diverge at"
+                f"count law {rate} and closed form {Fraction(num, den)} diverge at"
                 f" K={k} span={span} gamma_p={gp}"
             )
         return rate
@@ -164,20 +175,38 @@ def cutset_bound(params: SystemParams) -> Fraction:
     Serving s users through their p = min(s+L-1, K) shared caches and
     floor(N/s) broadcast rounds forces
     rate >= s - (p*ma + s*mp) / floor(N/s); maximize over s, floor at 0.
+
+    Evaluated in integers: with D the common denominator of ma and mp, and
+    A = ma*D and B = mp*D, the term for s is the pair
+    (s*q*D - (p*A + s*B), q*D) at q = floor(N/s). The largest pair is kept
+    by cross-multiplication (the denominators are positive, as q >= 1), and
+    only the maximum becomes a Fraction.
     """
-    best = Fraction(0)
-    for s in range(1, params.k + 1):
-        p = min(s + params.l - 1, params.k)
-        val = s - (p * params.ma + s * params.mp) / (params.n // s)
-        if val > best:
-            best = val
-    return best
+    k, l, n = params.k, params.l, params.n
+    ma, mp = params.ma, params.mp
+    d = math.lcm(ma.denominator, mp.denominator)
+    a = ma.numerator * (d // ma.denominator)
+    b = mp.numerator * (d // mp.denominator)
+    best_num, best_den = 0, 1
+    for s in range(1, k + 1):
+        p = min(s + l - 1, k)
+        q = n // s
+        num = s * q * d - (p * a + s * b)
+        den = q * d
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return Fraction(best_num, best_den)
 
 
 def is_optimal(params: SystemParams) -> bool:
     """True in the large-memory regime ma*L + mp >= N*(1 - 1/K), where the
     scheme meets the cut-set bound."""
-    return params.ma * params.l + params.mp >= Fraction(params.n) * (params.k - 1) / params.k
+    ma, mp = params.ma, params.mp
+    # both sides times K * den(ma) * den(mp)
+    lhs = params.k * (
+        ma.numerator * mp.denominator * params.l + mp.numerator * ma.denominator
+    )
+    return lhs >= params.n * (params.k - 1) * ma.denominator * mp.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +245,9 @@ def memory_share(params: SystemParams) -> MemoryShare:
     for ga_c, wa in axes_a:
         for gp_c, wp in axes_p:
             weight = wa * wp
-            corner = params.with_memory(
-                Fraction(params.n * ga_c, params.k), Fraction(params.n * gp_c, params.k)
-            )
+            # 0 <= gamma <= K, so every corner is a valid network of its own
             try:
-                rate = achievable_rate(corner)
+                rate = _rate(params.k, params.l, ga_c, gp_c)
             except RegimeError as exc:
                 raise RegimeError(
                     f"memory-sharing corner (gamma_a={ga_c}, gamma_p={gp_c}) is"

@@ -15,6 +15,7 @@ CPU count and the row count); a value that is not a positive integer exits 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -47,6 +48,22 @@ def fraction_arg(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _rational(text: str, flag: str) -> Fraction:
+    """``Fraction(text)``, with a zero denominator reported against ``flag``;
+    other malformed text raises ``ValueError`` as ``Fraction`` does."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag}: {text!r} has a zero denominator") from None
+
+
+def _demand_entry(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--demands: entry {text!r} is not an integer") from None
 
 
 def dec6(x: Fraction) -> str:
@@ -135,7 +152,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     params = _params(args)
     layout = _layout(params)
     if args.demands:
-        demand = tuple(int(x) for x in args.demands.split(","))
+        demand = tuple(_demand_entry(x) for x in args.demands.split(","))
     elif args.seed is not None:
         demand = random_demand(params, args.seed)
     else:
@@ -205,8 +222,8 @@ def _parse_range(spec: str) -> list[Fraction]:
     parts = spec.split(":")
     if len(parts) not in (2, 3):
         raise ValueError(f"range must be start:stop[:step], got {spec!r}")
-    start, stop = Fraction(parts[0]), Fraction(parts[1])
-    step = Fraction(parts[2]) if len(parts) == 3 else Fraction(1)
+    start, stop = _rational(parts[0], "--mp-range"), _rational(parts[1], "--mp-range")
+    step = _rational(parts[2], "--mp-range") if len(parts) == 3 else Fraction(1)
     if step <= 0:
         raise ValueError("range step must be positive")
     out = []
@@ -218,7 +235,7 @@ def _parse_range(spec: str) -> list[Fraction]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    ma_list = [Fraction(x) for x in args.ma.split(",")]
+    ma_list = [_rational(x, "--ma") for x in args.ma.split(",")]
     mp_list = _parse_range(args.mp_range)
     tasks = [
         (args.K, args.L, args.N, ma, mp, args.bound, args.optimal)
@@ -305,7 +322,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ringcache`` parser, built once per process: parsing reads it and
+    never changes it, so in-process :func:`main` calls share it."""
     parser = _Parser(prog="ringcache", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

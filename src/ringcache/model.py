@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Union
 
 MAX_USERS = 64
@@ -248,11 +248,14 @@ class SystemParams:
         if not 0 <= self.mp <= self.n:
             raise InvalidParameters(f"private-cache size mp={self.mp} outside [0, N={self.n}]")
 
-    @property
+    # computed once per instance; cached_property writes the instance
+    # __dict__ directly, so it works on a frozen dataclass and leaves eq,
+    # hash and repr (which read the fields alone) unchanged
+    @cached_property
     def gamma_a(self) -> Fraction:
         return Fraction(self.k, self.n) * self.ma
 
-    @property
+    @cached_property
     def gamma_p(self) -> Fraction:
         return Fraction(self.k, self.n) * self.mp
 

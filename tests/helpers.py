@@ -1,7 +1,9 @@
 """Helpers only the tests need: window labels, what a layout lets a user
-read, and delivery results with a transmission taken out."""
+read, delivery results with a transmission taken out, and the cut-set bound
+as a loop over Fractions."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 from ringcache.delivery import DeliveryResult
 from ringcache.model import bits, cyc, window_mask
@@ -35,3 +37,23 @@ def drop_transmission(result: DeliveryResult, index: int) -> DeliveryResult:
     """Result with one transmission removed (for coverage experiments)."""
     kept = result.transmissions[:index] + result.transmissions[index + 1 :]
     return replace(result, transmissions=kept)
+
+
+def cutset_terms(params) -> list[Fraction]:
+    """The cut-set term s - (p*ma + s*mp) / floor(N/s) for s = 1..K, with
+    p = min(s+L-1, K), in Fraction arithmetic."""
+    terms = []
+    for s in range(1, params.k + 1):
+        p = min(s + params.l - 1, params.k)
+        terms.append(s - (p * params.ma + s * params.mp) / (params.n // s))
+    return terms
+
+
+def cutset_bound_reference(params) -> Fraction:
+    """The cut-set bound as the Fraction loop the library's integer
+    evaluation replaced: the largest term, floored at 0."""
+    best = Fraction(0)
+    for val in cutset_terms(params):
+        if val > best:
+            best = val
+    return best

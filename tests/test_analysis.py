@@ -1,9 +1,13 @@
 """Closed forms: counting, rate, cut-set bound, optimality, memory sharing."""
 
+import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from ringcache import analysis
 from ringcache.model import RegimeError, SystemParams, binom, params_from_gammas
 from ringcache.analysis import (
     achievable_rate,
@@ -15,6 +19,8 @@ from ringcache.analysis import (
     table1_counts,
 )
 from ringcache.verify import sweep_grid
+
+from helpers import cutset_bound_reference, cutset_terms
 
 
 def test_counts_worked_instances():
@@ -95,6 +101,30 @@ def test_cutset_examples():
 
 def test_cutset_never_negative():
     assert cutset_bound(SystemParams(k=4, l=2, ma=2, mp=2, n=4)) == 0
+
+
+def test_cutset_bound_matches_fraction_reference():
+    # seeded grid: K <= 64, 1 <= L <= K, K <= N <= 3K+5, fractional Ma and Mp,
+    # half of them small enough that the bound is positive
+    rng = random.Random(5)
+    zero = ties = 0
+    for _ in range(1500):
+        k = rng.randint(1, 64)
+        l = rng.randint(1, k)
+        n = rng.randint(k, 3 * k + 5)
+        top = rng.choice((min(n, n // k + 1), n))
+        da, dp = rng.randint(1, 6), rng.randint(1, 6)
+        params = SystemParams(
+            k, l, Fraction(rng.randint(0, top * da), da), Fraction(rng.randint(0, top * dp), dp), n
+        )
+        bound = cutset_bound(params)
+        assert bound == cutset_bound_reference(params), params
+        terms = cutset_terms(params)
+        zero += bound == 0
+        ties += bound > 0 and terms.count(bound) > 1
+    # the grid reaches the floor at 0 and maxima shared by several s
+    assert zero > 100
+    assert ties > 5
 
 
 def test_bound_sandwich_and_equality_region():
@@ -187,6 +217,54 @@ def test_memory_share_bilinear():
     assert acc_ma == params.ma
     assert acc_mp == params.mp
     assert sum(pt.weight for pt in share.points) == 1
+
+
+def test_memory_share_corners_match_params_path():
+    # each corner rate equals achievable_rate on the corner's own params, and
+    # a rejected corner carries that path's message
+    rng = random.Random(11)
+    shared = rejected = 0
+    for _ in range(400):
+        k = rng.randint(2, 24)
+        l = rng.randint(1, k)
+        n = rng.randint(k, 3 * k + 5)
+        den = rng.randint(2, 7)
+        params = SystemParams(
+            k, l, Fraction(rng.randint(0, n * den), den), Fraction(rng.randint(0, n * den), den), n
+        )
+
+        def corner(ga_c, gp_c):
+            return params.with_memory(Fraction(n * ga_c, k), Fraction(n * gp_c, k))
+
+        try:
+            share = memory_share(params)
+        except RegimeError as exc:
+            rejected += 1
+            ga_c, gp_c = map(int, re.search(r"gamma_a=(\d+), gamma_p=(\d+)", str(exc)).groups())
+            with pytest.raises(RegimeError) as direct:
+                achievable_rate(corner(ga_c, gp_c))
+            assert str(exc).endswith(f"unsupported: {direct.value}")
+            continue
+        shared += 1
+        expected = {
+            (a, p)
+            for a in (math.floor(params.gamma_a), math.ceil(params.gamma_a))
+            for p in (math.floor(params.gamma_p), math.ceil(params.gamma_p))
+        }
+        assert {(pt.gamma_a, pt.gamma_p) for pt in share.points} == expected
+        for pt in share.points:
+            assert pt.rate == achievable_rate(corner(pt.gamma_a, pt.gamma_p))
+    assert shared > 100 and rejected > 10
+
+
+def test_count_law_cross_check_runs_on_every_rate(monkeypatch):
+    # a closed form that drifts from the count law is caught by a direct
+    # rate and by every memory-sharing corner rate
+    monkeypatch.setattr(analysis, "_closed_form", lambda k, w, gp: (1, 10**9))
+    with pytest.raises(AssertionError, match="diverge"):
+        achievable_rate(SystemParams(k=7, l=2, ma=1, mp=1, n=7))
+    with pytest.raises(AssertionError, match="diverge"):
+        memory_share(SystemParams(k=10, l=3, ma=1, mp=Fraction(3, 2), n=10))
 
 
 def test_memory_share_corner_rejection():

@@ -4,11 +4,15 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from ringcache.cli import dec6, main, sweep_jobs
+from conftest import SRC
+from ringcache.cli import build_parser, dec6, main, sweep_jobs
 from fractions import Fraction
 
 
@@ -55,6 +59,18 @@ def test_rate_json_with_sharing():
     payload = json.loads(out)
     assert payload["gamma_p"] == "3/2"
     assert len(payload["memory_sharing"]) == 2
+
+
+def test_rate_json_with_sharing_is_pinned():
+    # N != K, unequal corner weights: the whole payload, memory_sharing included
+    code, out, _ = run_cli(
+        "rate", "-K", "12", "-L", "2", "--ma", "11/3", "--mp", "7/4", "-N", "15", "--json"
+    )
+    assert code == 0
+    assert len(json.loads(out)["memory_sharing"]) == 4
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8c20fa8a5ddefc5b47b5925662aff29b5a839438226bf05ba3769eb8ccb5685d"
+    )
 
 
 def test_rate_command_rejects_bad_params():
@@ -113,6 +129,15 @@ def test_simulate_rejects_bad_demand():
         "--demands", "1,2,3",
     )
     assert code == 1
+
+
+def test_simulate_names_a_bad_demand_entry():
+    code, out, err = run_cli(
+        "simulate", "-K", "4", "-L", "2", "--ma", "1", "--mp", "0", "-N", "4",
+        "--demands", "1,x,2,3",
+    )
+    assert (code, out) == (1, "")
+    assert err == "ringcache: --demands: entry 'x' is not an integer\n"
 
 
 def test_simulate_determinism(tmp_path):
@@ -202,6 +227,34 @@ def test_sweep_csv_and_json_carry_the_same_rows():
     assert "private-cache size mp=9 outside [0, N=8]" in notes  # bare, no CSV quotes
     assert any(n.startswith("rate uncharacterized") for n in notes)
     assert "" in notes
+
+
+def test_sweep_json_is_pinned():
+    # N != K, fractional Ma: computed rows (true and false), memory-sharing
+    # corner rejections and the bound columns
+    code, out, _ = run_cli(
+        "sweep", "-K", "9", "-L", "2", "-N", "13", "--ma", "0,5/3,7/2,13/2",
+        "--mp-range", "0:13:1/3", "--format", "json",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2d02baf3d7cede7575e878da434942062191c010b4c112856ebce77d9d9bed15"
+    )
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (("--ma", "1/0", "--mp-range", "0:1"), "ringcache: --ma: '1/0' has a zero denominator\n"),
+        (
+            ("--ma", "1", "--mp-range", "0:1:1/0"),
+            "ringcache: --mp-range: '1/0' has a zero denominator\n",
+        ),
+    ],
+)
+def test_sweep_rejects_a_zero_denominator(flags, message):
+    code, out, err = run_cli("sweep", "-K", "5", "-L", "2", "-N", "5", *flags)
+    assert (code, out, err) == (1, "", message)
 
 
 def test_sweep_jobs_clamp():
@@ -339,3 +392,44 @@ def test_layout_dump_l1_subset_placement():
     assert payload["F"] == 30  # C(5, 2) * C(3, 1)
     assert payload["access"]["1"][:4] == ["1:1,2", "1:1,3", "1:1,4", "1:1,5"]
     assert payload["private"]["1"][:3] == ["1:2,3:1", "1:2,4:1", "1:2,5:1"]
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: back-to-back in-process calls share no state
+# ---------------------------------------------------------------------------
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_unchecked_does_not_carry_over():
+    system = ("simulate", "-K", "8", "-L", "2", "--ma", "1", "--mp", "3", "-N", "8")
+    code, _, _ = run_cli(*system, "--unchecked")
+    assert code in (0, 2)  # it runs; whether it decodes is not the point here
+    code, out, err = run_cli(*system)
+    assert (code, out) == (1, "")
+    assert "--unchecked" in err
+
+
+def test_no_bound_does_not_carry_over():
+    sweep = ("sweep", "-K", "7", "-L", "2", "-N", "7", "--ma", "1", "--mp-range", "1:1")
+    code, out, _ = run_cli(*sweep, "--no-bound")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[10:13] == ["", "", ""]
+    code, out, _ = run_cli(*sweep)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[10:13] == ["4", "7", "0.571429"]
+
+
+def test_usage_error_then_command_matches_fresh_processes():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    commands = [
+        ("rate", "-K", "5"),
+        ("rate", "-K", "7", "-L", "2", "--ma", "1", "--mp", "1", "-N", "7"),
+    ]
+    for argv in commands:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "ringcache", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run_cli(*argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
