@@ -11,15 +11,12 @@ from .model import (
     GuardExceeded,
     InvalidMiniSubfile,
     InvalidParameters,
-    PositionSets,
     RegimeError,
     SystemParams,
     binom,
     cyc,
     is_window,
     params_from_gammas,
-    position_sets,
-    shift_positions,
 )
 from .placement import (
     CacheLayout,
@@ -59,7 +56,6 @@ __all__ = [
     "InvalidMiniSubfile",
     "InvalidParameters",
     "MemoryShare",
-    "PositionSets",
     "RegimeError",
     "SystemParams",
     "Transmission",
@@ -79,9 +75,7 @@ __all__ = [
     "man_crosscheck",
     "memory_share",
     "params_from_gammas",
-    "position_sets",
     "rate_with_sharing",
-    "shift_positions",
     "table1_counts",
     "verify_decodability",
     "worst_case_demand",

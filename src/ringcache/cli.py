@@ -19,18 +19,21 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .model import InvalidParameters, RegimeError, SystemParams
 from .placement import CacheLayout, build_layout, build_subset_layout, layout_to_json
 from .delivery import (
+    DecodeCheck,
     UncharacterizedRegime,
-    deliver,
-    format_log,
+    check_demand,
+    format_footer,
+    format_packet,
     format_report,
+    plan_packets,
     random_demand,
-    verify_decodability,
     worst_case_demand,
 )
 from .analysis import cutset_bound, is_optimal, memory_share, rate_with_sharing
@@ -51,12 +54,13 @@ def fraction_arg(text: str) -> Fraction:
 
 
 def _rational(text: str, flag: str) -> Fraction:
-    """``Fraction(text)``, with a zero denominator reported against ``flag``;
-    other malformed text raises ``ValueError`` as ``Fraction`` does."""
+    """``Fraction(text)``, with malformed text reported against ``flag``."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{flag}: {text!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"{flag}: {text!r} is not a rational number") from None
 
 
 def _demand_entry(text: str) -> int:
@@ -157,13 +161,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         demand = random_demand(params, args.seed)
     else:
         demand = worst_case_demand(params.k)
+    demand = check_demand(params, demand)
     try:
-        result = deliver(layout, demand, unchecked=args.unchecked)
+        packets = plan_packets(layout, unchecked=args.unchecked)
     except UncharacterizedRegime as exc:
         raise RegimeError(f"{exc.reason}; pass --unchecked to run it anyway") from exc
-    report = verify_decodability(layout, demand, result.transmissions)
-    lines = [
-        format_log(result),
+    # each packet is rendered and checked as it streams past, never kept
+    check = DecodeCheck()
+    counts: Counter[str] = Counter()
+    lines = []
+    for case, keys in packets:
+        lines.append(format_packet(case, keys))
+        counts[case] += 1
+        check.add(keys)
+    report = check.report(layout)
+    lines += [
+        format_footer(counts, layout.f),
         f"# demand={','.join(str(d) for d in demand)}",
         format_report(report),
     ]
@@ -221,11 +234,11 @@ def _parse_range(spec: str) -> list[Fraction]:
     """'start:stop[:step]' inclusive, exact rational arithmetic."""
     parts = spec.split(":")
     if len(parts) not in (2, 3):
-        raise ValueError(f"range must be start:stop[:step], got {spec!r}")
+        raise ValueError(f"--mp-range: {spec!r} is not start:stop[:step]")
     start, stop = _rational(parts[0], "--mp-range"), _rational(parts[1], "--mp-range")
     step = _rational(parts[2], "--mp-range") if len(parts) == 3 else Fraction(1)
     if step <= 0:
-        raise ValueError("range step must be positive")
+        raise ValueError(f"--mp-range: step {parts[2]!r} is not positive")
     out = []
     x = start
     while x <= stop:

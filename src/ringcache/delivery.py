@@ -1,39 +1,57 @@
 """XOR broadcast delivery.
 
-For a demand vector the server walks the users' demand sets and emits one
-XOR transmission per uncovered (window, T) pair, its anchor (u, S, T).
-With I = {u} | S | T in ascending order, I[0] < ... < I[m-1], the shift by
-i is the relabelling I[p] -> I[(p + i) mod m]; it maps the anchor to an
-image (u_i, S_i, T_i) that again partitions I. A window of the ring lies
-inside I exactly when it is the image S_i of the window S under some
-shift, so the windows among the S-images decide the construction:
+Every user's demand set lists the (S, T) pairs it cannot read. The server
+sends XOR packets, each built through an anchor key (u, S, T) and holding
+one term per user, until every demand key is in one.
+
+Ring placement. With I = {u} | S | T in ascending order, I[0] < ... <
+I[m-1], the shift by i is the relabelling I[p] -> I[(p + i) mod m]; it maps
+the anchor to an image (u_i, S_i, T_i) that again partitions I. A window of
+the ring lies inside I exactly when it is the image S_i of the window S
+under some shift, so the windows among the S-images decide the packet:
 
 * exactly one window inside I (S itself)            -> SC1
 * exactly the two disjoint windows S and {u} | T    -> SC2
   (only possible when gamma_p = span - 1)
 * otherwise                                         -> GENERAL
 
-A GENERAL transmission holds the anchor and, by ascending shift, every
-image whose S_i is a window; SC1 swaps the user into the private index
-set; SC2 does the SC1 swap on the anchor and again on the image that
-carries S onto {u} | T.
+A GENERAL packet holds the anchor and, by ascending shift, every image
+whose S_i is a window; SC1 swaps the user into the private index set; SC2
+does the SC1 swap on the anchor and again on the image that carries S onto
+{u} | T.
 
-That is the ring placement. On the subset placement (L = 1, or no shared
-layer) every union set Q = {u} | S | T has t + 1 = 1 + gamma_a + gamma_p
-users and the XOR is Maddah-Ali--Niesen's: one term per user v of Q, for
-the mini-subfile whose S holds the elements of Q - {v} at the positions S
-takes in Q - {u}, and whose T holds the rest. Each (t+1)-set Q and each
-gamma_a-subset of the positions 1..t give one XOR. Without a shared layer
-this is exactly the SC1 swap group, so these XORs carry the SC1 tag.
+Subset placement (L = 1, or no shared layer). Q = {u} | S | T has
+t + 1 = 1 + gamma_a + gamma_p users and the XOR is Maddah-Ali--Niesen's:
+one term per user v of Q, for the mini-subfile whose S holds the elements
+of Q - {v} at the positions S takes in Q - {u}, and whose T the rest.
+Without a shared layer this is the SC1 swap group, so it carries that tag.
+
+Orbits. Turning the ring by one user (i to i + 1, K to 1) maps windows,
+caches and demand sets onto themselves, and both constructions only see
+positions inside the sorted union set, which the turn rotates. So the
+packet through a turned anchor is the turned packet, whatever the demand,
+which only labels the terms with files. One representative through
+(1, S, T) per demand pair (S, T) of user 1 thus gives every packet by
+rotation. Packets go out in a greedy scan: users ascending, each user's
+demand pairs in order, a packet at the first of its keys that no earlier
+packet holds. With one term per user, that is the packet's lowest user:
+the rotation by j of a representative whose highest user is h goes out at
+user 1 + j exactly when h <= K - j, and otherwise wraps past K and went
+out earlier. No term user wraps, so the rotation keeps the term order.
+
+:func:`plan_packets` streams the packets; :func:`deliver` wraps them into
+:class:`Transmission` objects, while ``simulate`` renders and checks each
+one (:class:`DecodeCheck`) without keeping it.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .model import (
     InvalidMiniSubfile,
@@ -53,6 +71,10 @@ SC2 = "SC2"
 
 # (user, S mask, T mask): a transmission's anchor or a term without its file
 Anchor = tuple[int, int, int]
+# a packet without files: its case and its terms' keys, the anchor first
+Packet = tuple[str, list[Anchor]]
+# representatives by the demand pair of user 1 they go through, with highest user
+Orbit = dict[tuple[int, int], tuple[str, list[Anchor], int]]
 
 
 class Term(NamedTuple):
@@ -113,10 +135,6 @@ def check_demand(params: SystemParams, demand: Sequence[int]) -> tuple[int, ...]
     return tuple(demand)
 
 
-def _window_set(params: SystemParams) -> frozenset[int]:
-    return window_set(params.k, params.span)
-
-
 def _relabel(u: int, s: int, t: int) -> list[Anchor]:
     """Images of the anchor (u, S, T) under every shift of its union set:
     entry i relabels each member union[p] as union[(p + i) mod m], union
@@ -140,14 +158,10 @@ def _relabel(u: int, s: int, t: int) -> list[Anchor]:
     return images
 
 
-def classify(params: SystemParams, u: int, s: int, t: int) -> tuple[str, int | None]:
-    """Case tag for the anchor (u, S, T), plus the SC2 shift."""
-    return _classify(_window_set(params), u, s, t, _relabel(u, s, t))
-
-
 def _classify(
     windows: frozenset[int], u: int, s: int, t: int, images: list[Anchor]
 ) -> tuple[str, int | None]:
+    """Case tag for the anchor (u, S, T), plus the SC2 shift."""
     inside = {s_img for _, s_img, _ in images if s_img in windows}
     if len(inside) == 1:
         if s not in inside:
@@ -159,90 +173,39 @@ def _classify(
         # the pair must be S and {u} | T to qualify; with gamma_p < span that
         # is forced, outside the regime the anchor falls back to GENERAL
         if a & b == 0 and other == bit(u) | t:
-            return SC2, _sc2_shift(images, other)
+            hits = [i for i in range(1, len(images)) if images[i][1] == other]
+            if len(hits) != 1:
+                raise AssertionError(f"rotation of S onto {{u}} | T is not unique: {hits}")
+            return SC2, hits[0]
     return GENERAL, None
 
 
-def _sc2_shift(images: list[Anchor], other: int) -> int:
-    hits = [i for i in range(1, len(images)) if images[i][1] == other]
-    if len(hits) != 1:
-        raise AssertionError(f"rotation of S onto {{u}} | T is not unique: {hits}")
-    return hits[0]
+def _general(windows: frozenset[int], images: list[Anchor]) -> list[Anchor]:
+    """The anchor plus, by ascending shift, every image whose S is a window."""
+    return images[:1] + [image for image in images[1:] if image[1] in windows]
 
 
-def build_general(
-    params: SystemParams, demand: Sequence[int], u: int, s: int, t: int
-) -> Transmission:
-    """Anchor plus every image whose S is a window."""
-    return _general(_window_set(params), demand, u, s, t, _relabel(u, s, t))
-
-
-def _general(
-    windows: frozenset[int],
-    demand: Sequence[int],
-    u: int,
-    s: int,
-    t: int,
-    images: list[Anchor],
-) -> Transmission:
-    terms = [Term(u, demand[u - 1], s, t)]
-    for v, s_img, t_img in images[1:]:
-        if s_img in windows:
-            terms.append(Term(v, demand[v - 1], s_img, t_img))
-    return Transmission(GENERAL, tuple(terms), (u, s, t))
-
-
-def _swap_group(demand: Sequence[int], u: int, s: int, t: int) -> list[Term]:
-    """Anchor plus, for each v in T, the term with v swapped against u."""
-    group = [Term(u, demand[u - 1], s, t)]
+def _swap_group(u: int, s: int, t: int) -> list[Anchor]:
+    """Anchor plus, for each v in T, the key with v swapped against u."""
+    group = [(u, s, t)]
     pool = bit(u) | t
     for v in bits(t):
-        group.append(Term(v, demand[v - 1], s, pool ^ bit(v)))
+        group.append((v, s, pool ^ bit(v)))
     return group
 
 
-def build_sc1(params: SystemParams, demand: Sequence[int], u: int, s: int, t: int) -> Transmission:
-    return Transmission(SC1, tuple(_swap_group(demand, u, s, t)), (u, s, t))
-
-
-def build_sc2(
-    params: SystemParams, demand: Sequence[int], u: int, s: int, t: int, j: int
-) -> Transmission:
-    """SC1-style group on S, then the image under shift j and its group on
-    {u} | T."""
-    images = _relabel(u, s, t)
-    return _sc2(demand, u, s, t, images[j % len(images)])
-
-
-def _sc2(demand: Sequence[int], u: int, s: int, t: int, image: Anchor) -> Transmission:
-    terms = _swap_group(demand, u, s, t)
-    terms.extend(_swap_group(demand, *image))
-    return Transmission(SC2, tuple(terms), (u, s, t))
-
-
-def build_transmission(
-    params: SystemParams, demand: Sequence[int], u: int, s: int, t: int
-) -> Transmission:
-    return _ring_xor(_window_set(params), demand, u, s, t)
-
-
-def _ring_xor(
-    windows: frozenset[int], demand: Sequence[int], u: int, s: int, t: int
-) -> Transmission:
-    """Classify the anchor and build its transmission from one relabelling."""
+def _ring_xor(windows: frozenset[int], u: int, s: int, t: int) -> Packet:
+    """Classify the anchor and build its packet from one relabelling."""
     images = _relabel(u, s, t)
     case, j = _classify(windows, u, s, t, images)
     if case == SC1:
-        return Transmission(SC1, tuple(_swap_group(demand, u, s, t)), (u, s, t))
+        return SC1, _swap_group(u, s, t)
     if case == SC2:
-        assert j is not None
-        return _sc2(demand, u, s, t, images[j])
-    return _general(windows, demand, u, s, t, images)
+        return SC2, _swap_group(u, s, t) + _swap_group(*images[j])
+    return GENERAL, _general(windows, images)
 
 
-def build_subset_xor(
-    params: SystemParams, demand: Sequence[int], u: int, s: int, t: int
-) -> Transmission:
+def _subset_xor(u: int, s: int, t: int) -> Packet:
     """Subset-placement XOR through the anchor (u, S, T): for each other v
     in Q = {u} | S | T, S_v holds the elements of Q - {v} at the positions S
     takes in Q - {u}, and T_v the rest of Q - {v}."""
@@ -250,7 +213,7 @@ def build_subset_xor(
     union = own | s | t
     lifted = [1 << (x - 1) for x in bits(union)]
     positions = [p for p, b in enumerate(x for x in lifted if x != own) if s & b]
-    terms = [Term(u, demand[u - 1], s, t)]
+    keys = [(u, s, t)]
     for vb in lifted:
         if vb == own:
             continue
@@ -258,9 +221,8 @@ def build_subset_xor(
         s_v = 0
         for p in positions:
             s_v |= rest[p]
-        v = vb.bit_length()
-        terms.append(Term(v, demand[v - 1], s_v, union ^ vb ^ s_v))
-    return Transmission(SC1, tuple(terms), (u, s, t))
+        keys.append((vb.bit_length(), s_v, union ^ vb ^ s_v))
+    return SC1, keys
 
 
 class UncharacterizedRegime(RegimeError):
@@ -273,9 +235,7 @@ class UncharacterizedRegime(RegimeError):
 
 
 def _check_regime(params: SystemParams, unchecked: bool) -> None:
-    span = params.span
-    gp = params.gp
-    k = params.k
+    span, gp, k = params.span, params.gp, params.k
     if span == 0 or gp < span or span + gp >= k - 1:
         return
     if not unchecked:
@@ -285,36 +245,71 @@ def _check_regime(params: SystemParams, unchecked: bool) -> None:
         )
 
 
+def _representatives(layout: CacheLayout) -> Orbit:
+    """For each demand pair (S, T) of user 1, the packet through (1, S, T)
+    and its highest user. Raises AssertionError if the rotations that
+    :func:`plan_packets` sends leave some user's demand pair uncovered."""
+    params = layout.params
+    k, full = params.k, (1 << params.k) - 1
+    if layout.placement == SUBSET:
+        build = _subset_xor
+    else:
+        build = partial(_ring_xor, window_set(k, params.span))
+    reps = {}
+    for s, t in layout.demand_pairs(1):
+        case, keys = build(1, s, t)
+        reps[s, t] = case, keys, max(v for v, _, _ in keys)
+    # a representative with highest user h sends its term (v, S, T) to users
+    # v .. v + K - h, as that term turned back by v - 1 and on again
+    sent = dict.fromkeys(reps, 0)  # users each pair is sent to, as a mask
+    for _, keys, h in reps.values():
+        for v, s, t in keys:
+            j, back = v - 1, k - v + 1
+            pair = (((s >> j) | (s << back)) & full, ((t >> j) | (t << back)) & full)
+            if pair in sent:
+                sent[pair] |= ((1 << (k - h + 1)) - 1) << j
+    leftovers = sum(k - users.bit_count() for users in sent.values())
+    if leftovers:
+        raise AssertionError(f"{leftovers} demand pairs were never covered")
+    return reps
+
+
+def plan_packets(layout: CacheLayout, *, unchecked: bool = False) -> Iterator[Packet]:
+    """Every packet of the layout's delivery in the greedy scan's order,
+    rotated from the representatives as the iterator is consumed; the
+    regime and the coverage are checked before this returns."""
+    _check_regime(layout.params, unchecked)
+    return _scan(layout, _representatives(layout))
+
+
+def _scan(layout: CacheLayout, reps: Orbit) -> Iterator[Packet]:
+    k = layout.params.k
+    full = (1 << k) - 1
+    for u in range(1, k + 1):
+        j, back = u - 1, k - u + 1
+        for s, t in layout.demand_pairs(u):
+            # the pair turned back by j, then its packet turned on by j
+            case, keys, h = reps[((s >> j) | (s << back)) & full, ((t >> j) | (t << back)) & full]
+            if h <= back:
+                yield case, [
+                    (v + j, ((a << j) | (a >> back)) & full, ((b << j) | (b >> back)) & full)
+                    for v, a, b in keys
+                ]
+
+
 def deliver(
     layout: CacheLayout, demand: Sequence[int], *, unchecked: bool = False
 ) -> DeliveryResult:
-    """Run the full delivery loop for the layout's placement; every demand
-    pair lands in exactly one transmission. Deterministic: users ascending,
-    demand pairs in canonical order, image terms by ascending shift."""
+    """Run the full delivery for the layout's placement: the packets of
+    :func:`plan_packets`, each term labelled with its user's file. Every
+    demand pair lands in exactly one transmission."""
     params = layout.params
     demand = check_demand(params, demand)
-    _check_regime(params, unchecked)
-    if layout.placement == SUBSET:
-        build = partial(build_subset_xor, params, demand)
-    else:
-        build = partial(_ring_xor, _window_set(params), demand)
-    remaining: list[dict[tuple[int, int], None]] = [
-        dict.fromkeys(layout.demand_pairs(u)) for u in range(1, params.k + 1)
-    ]
-    out: list[Transmission] = []
-    for u in range(1, params.k + 1):
-        mine = remaining[u - 1]
-        for pair in list(mine):
-            if pair not in mine:
-                continue
-            tx = build(u, pair[0], pair[1])
-            for term in tx.terms:
-                remaining[term.user - 1].pop((term.s, term.t), None)
-            out.append(tx)
-    leftovers = sum(len(d) for d in remaining)
-    if leftovers:
-        raise AssertionError(f"{leftovers} demand pairs were never covered")
-    return DeliveryResult(params, layout.f, tuple(out))
+    transmissions = tuple(
+        Transmission(case, tuple([Term(v, demand[v - 1], s, t) for v, s, t in keys]), keys[0])
+        for case, keys in plan_packets(layout, unchecked=unchecked)
+    )
+    return DeliveryResult(params, layout.f, transmissions)
 
 
 # ---------------------------------------------------------------------------
@@ -339,69 +334,85 @@ class DecodabilityReport:
         return tuple(sorted({f.user for f in self.failures}))
 
 
+class DecodeCheck:
+    """Decodability, one packet at a time. :meth:`add` takes a packet's
+    (user, S, T) keys; a user peels its term when it reads every other
+    term, through a shared cache (user in S) or its private cache (user in
+    T). :meth:`report` then checks every demand pair of the layout."""
+
+    def __init__(self) -> None:
+        self.peeled: set[Anchor] = set()
+        self.blocked: set[Anchor] = set()
+
+    def add(self, keys: Sequence[Anchor]) -> None:
+        # before & after[i + 1]: the users reading every term but the i-th
+        after = [-1] * (len(keys) + 1)
+        for i in range(len(keys) - 1, 0, -1):
+            after[i] = after[i + 1] & (keys[i][1] | keys[i][2])
+        before = -1
+        for i, key in enumerate(keys):
+            v, s, t = key
+            if (before & after[i + 1]) >> (v - 1) & 1:
+                self.peeled.add(key)
+            else:
+                self.blocked.add(key)
+            before &= s | t
+
+    def report(self, layout: CacheLayout) -> DecodabilityReport:
+        failures = []
+        checked = 0
+        for u in range(1, layout.params.k + 1):
+            pairs = layout.demand_pairs(u)
+            checked += len(pairs)
+            for s, t in pairs:
+                key = (u, s, t)
+                if key in self.peeled:
+                    continue
+                reason = "never transmitted"
+                if key in self.blocked:
+                    reason = "all carriers blocked by unreadable terms"
+                failures.append(Failure(u, s, t, reason))
+        return DecodabilityReport(not failures, checked, tuple(failures))
+
+
 def verify_decodability(
     layout: CacheLayout, demand: Sequence[int], transmissions: Iterable[Transmission]
 ) -> DecodabilityReport:
     """Check that every user can peel every demanded mini-subfile out of some
-    transmission: all other terms in it must be readable by that user.
-    Returns the violation list instead of raising."""
-    params = layout.params
-    demand = check_demand(params, demand)
-    carried: set[Anchor] = set()
-    peeled: set[Anchor] = set()
+    transmission. Returns the violation list instead of raising."""
+    check_demand(layout.params, demand)
+    check = DecodeCheck()
     for tx in transmissions:
-        keys = [(v, s, t) for v, _, s, t in tx.terms]
-        carried.update(keys)
-        peeled.update(_peelable(keys))
-
-    failures: list[Failure] = []
-    checked = 0
-    for u in range(1, params.k + 1):
-        for s, t in layout.demand_pairs(u):
-            checked += 1
-            key = (u, s, t)
-            if key in peeled:
-                continue
-            if key in carried:
-                failures.append(Failure(u, s, t, "all carriers blocked by unreadable terms"))
-            else:
-                failures.append(Failure(u, s, t, "never transmitted"))
-    return DecodabilityReport(not failures, checked, tuple(failures))
-
-
-def _peelable(keys: list[Anchor]) -> list[Anchor]:
-    """The (user, S, T) terms of one XOR whose user reads every other term,
-    through a shared cache (user in S) or its private cache (user in T)."""
-    reach = [s | t for _, s, t in keys]
-    out = []
-    for key in keys:
-        own = 1 << (key[0] - 1)
-        for other, r in zip(keys, reach):
-            if not r & own and other != key:
-                break
-        else:
-            out.append(key)
-    return out
+        check.add([(v, s, t) for v, _, s, t in tx.terms])
+    return check.report(layout)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
-def format_transmission(tx: Transmission) -> str:
+def format_packet(case: str, keys: Iterable[Anchor]) -> str:
     """One log line: ``CASE d<u>:S:T ^ d<u'>:S':T' ...``."""
-    body = " ^ ".join(f"d{t.user}:{mask_str(t.s)}:{mask_str(t.t)}" for t in tx.terms)
-    return f"{tx.case} {body}"
+    return case + " " + " ^ ".join([f"d{v}:{mask_str(s)}:{mask_str(t)}" for v, s, t in keys])
+
+
+def format_transmission(tx: Transmission) -> str:
+    return format_packet(tx.case, [(v, s, t) for v, _, s, t in tx.terms])
+
+
+def format_footer(counts: Counter[str], f: int) -> str:
+    """The count and rate lines that close a log of ``counts`` packets per case."""
+    total = sum(counts.values())
+    rate = Fraction(total, f)
+    return (
+        f"# total={total} general={counts[GENERAL]} sc1={counts[SC1]} sc2={counts[SC2]}\n"
+        f"# F={f} rate={rate.numerator}/{rate.denominator}"
+    )
 
 
 def format_log(result: DeliveryResult) -> str:
     lines = [format_transmission(tx) for tx in result.transmissions]
-    rate = result.rate
-    lines.append(
-        f"# total={result.total} general={result.count(GENERAL)}"
-        f" sc1={result.count(SC1)} sc2={result.count(SC2)}"
-    )
-    lines.append(f"# F={result.f} rate={rate.numerator}/{rate.denominator}")
+    lines.append(format_footer(Counter(tx.case for tx in result.transmissions), result.f))
     return "\n".join(lines)
 
 

@@ -94,13 +94,6 @@ def mask_str(mask: int) -> str:
     return ",".join(str(i) for i in bits(mask))
 
 
-def only_bit(mask: int) -> int:
-    """The single index in a singleton mask."""
-    if mask == 0 or mask & (mask - 1):
-        raise ValueError(f"mask {mask:#x} is not a singleton")
-    return mask.bit_length()
-
-
 # ---------------------------------------------------------------------------
 # subfile windows: runs of cyclically consecutive indices
 # ---------------------------------------------------------------------------
@@ -154,7 +147,8 @@ def is_window(mask: int, k: int, width: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# position sets inside a sorted union
+# position sets inside a sorted union (delivery relabels through masks; the
+# benchmark still traces position_sets as a stage boundary)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -175,13 +169,6 @@ class PositionSets:
     def size(self) -> int:
         return len(self.union)
 
-    def elements_at(self, pos_mask: int) -> int:
-        """Element mask picked out by a position mask."""
-        m = 0
-        for p in bits(pos_mask):
-            m |= bit(self.union[p - 1])
-        return m
-
 
 def position_sets(u: int, s_mask: int, t_mask: int) -> PositionSets:
     u_mask = bit(u)
@@ -199,17 +186,6 @@ def position_sets(u: int, s_mask: int, t_mask: int) -> PositionSets:
         else:
             p_t |= 1 << (pos - 1)
     return PositionSets(union, p_u, p_s, p_t)
-
-
-def shift_positions(pos_mask: int, j: int, m: int) -> int:
-    """Cyclically shift a position mask by j within positions [1, m]."""
-    if m < 1:
-        raise InvalidParameters(f"position range must be non-empty, got m={m}")
-    j %= m
-    full = (1 << m) - 1
-    if j == 0:
-        return pos_mask & full
-    return ((pos_mask << j) | (pos_mask >> (m - j))) & full
 
 
 # ---------------------------------------------------------------------------

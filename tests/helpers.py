@@ -1,12 +1,29 @@
 """Helpers only the tests need: window labels, what a layout lets a user
-read, delivery results with a transmission taken out, and the cut-set bound
-as a loop over Fractions."""
+read, position-set rotations, the delivery builders one anchor at a time,
+the greedy delivery loop the orbit plan replaced, delivery results with a
+transmission taken out, and the cut-set bound as a loop over Fractions."""
 
 from dataclasses import replace
 from fractions import Fraction
 
-from ringcache.delivery import DeliveryResult
-from ringcache.model import bits, cyc, window_mask
+from ringcache.delivery import (
+    GENERAL,
+    SC1,
+    SC2,
+    DeliveryResult,
+    Term,
+    Transmission,
+    _check_regime,
+    _classify,
+    _general,
+    _relabel,
+    _ring_xor,
+    _subset_xor,
+    _swap_group,
+    check_demand,
+)
+from ringcache.model import bit, bits, cyc, window_mask, window_set
+from ringcache.placement import SUBSET
 
 
 def window_end(mask: int, k: int, width: int) -> int:
@@ -31,6 +48,94 @@ def reads(layout, u: int, s: int, t: int) -> bool:
     every file: one of its shared caches holds S, or its private cache
     holds (S, T)."""
     return s in accessible_subfile_windows(layout, u) or (s, t) in layout.private[u - 1]
+
+
+def only_bit(mask: int) -> int:
+    """The single index in a singleton mask."""
+    if mask == 0 or mask & (mask - 1):
+        raise ValueError(f"mask {mask:#x} is not a singleton")
+    return mask.bit_length()
+
+
+def shift_positions(pos_mask: int, j: int, m: int) -> int:
+    """Cyclically shift a position mask by j within positions [1, m]."""
+    j %= m
+    full = (1 << m) - 1
+    if j == 0:
+        return pos_mask & full
+    return ((pos_mask << j) | (pos_mask >> (m - j))) & full
+
+
+def elements_at(pos, pos_mask: int) -> int:
+    """Element mask a position mask picks out of ``pos.union``."""
+    m = 0
+    for p in bits(pos_mask):
+        m |= bit(pos.union[p - 1])
+    return m
+
+
+def _transmission(case, keys, demand) -> Transmission:
+    """A packet's keys labelled with each user's file; the anchor is first."""
+    return Transmission(case, tuple(Term(v, demand[v - 1], s, t) for v, s, t in keys), keys[0])
+
+
+def _windows(params):
+    return window_set(params.k, params.span)
+
+
+def classify(params, u: int, s: int, t: int):
+    """Case tag for the anchor (u, S, T), plus the SC2 shift."""
+    return _classify(_windows(params), u, s, t, _relabel(u, s, t))
+
+
+def build_general(params, demand, u: int, s: int, t: int) -> Transmission:
+    """Anchor plus every image whose S is a window."""
+    return _transmission(GENERAL, _general(_windows(params), _relabel(u, s, t)), demand)
+
+
+def build_sc1(params, demand, u: int, s: int, t: int) -> Transmission:
+    return _transmission(SC1, _swap_group(u, s, t), demand)
+
+
+def build_sc2(params, demand, u: int, s: int, t: int, j: int) -> Transmission:
+    """SC1-style group on S, then the image under shift j and its group on
+    {u} | T."""
+    images = _relabel(u, s, t)
+    keys = _swap_group(u, s, t) + _swap_group(*images[j % len(images)])
+    return _transmission(SC2, keys, demand)
+
+
+def build_transmission(params, demand, u: int, s: int, t: int) -> Transmission:
+    return _transmission(*_ring_xor(_windows(params), u, s, t), demand)
+
+
+def build_subset_xor(params, demand, u: int, s: int, t: int) -> Transmission:
+    return _transmission(*_subset_xor(u, s, t), demand)
+
+
+def deliver_greedy_reference(layout, demand, *, unchecked: bool = False) -> DeliveryResult:
+    """Delivery as one greedy loop: users ascending, each user's demand
+    pairs in order, a transmission built through every pair no earlier
+    transmission holds."""
+    params = layout.params
+    demand = check_demand(params, demand)
+    _check_regime(params, unchecked)
+    build = build_subset_xor if layout.placement == SUBSET else build_transmission
+    remaining = [dict.fromkeys(layout.demand_pairs(u)) for u in range(1, params.k + 1)]
+    out = []
+    for u in range(1, params.k + 1):
+        mine = remaining[u - 1]
+        for pair in list(mine):
+            if pair not in mine:
+                continue
+            tx = build(params, demand, u, pair[0], pair[1])
+            for term in tx.terms:
+                remaining[term.user - 1].pop((term.s, term.t), None)
+            out.append(tx)
+    leftovers = sum(len(d) for d in remaining)
+    if leftovers:
+        raise AssertionError(f"{leftovers} demand pairs were never covered")
+    return DeliveryResult(params, layout.f, tuple(out))
 
 
 def drop_transmission(result: DeliveryResult, index: int) -> DeliveryResult:

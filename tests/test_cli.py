@@ -12,8 +12,14 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from conftest import SRC
+import ringcache.cli
 from ringcache.cli import build_parser, dec6, main, sweep_jobs
+from ringcache.delivery import deliver, format_report, plan_packets, verify_decodability
+from ringcache.model import SystemParams
+from ringcache.placement import build_layout, build_subset_layout
 from fractions import Fraction
+
+from helpers import drop_transmission
 
 
 def run_cli(*argv):
@@ -166,6 +172,18 @@ def test_simulate_determinism(tmp_path):
             "# total=224 general=0 sc1=224 sc2=0",
             "ac9f05603965247d9253a8e7f4567be8c2d09e7adea1b603db36a50d0aea17c6",
         ),
+        # the largest instance of the simulate benchmark ladder
+        (
+            ("-K", "16", "-L", "2", "--ma", "2", "--mp", "3", "-N", "16"),
+            "# total=10984 general=7680 sc1=3248 sc2=56",
+            "6db2c76e65430b80979e6a281885812dca5899c127c8caad831866c8bb02dded",
+        ),
+        # no shared layer: the dedicated-cache scheme at t = 4
+        (
+            ("-K", "16", "-L", "1", "--ma", "0", "--mp", "4", "-N", "16"),
+            "# total=4368 general=0 sc1=4368 sc2=0",
+            "2daa295384704e9742f6d9116259bdb561fe3babbaf446031ae23f42de48a494",
+        ),
     ],
 )
 def test_simulate_larger_logs_are_pinned(system, footer, digest):
@@ -253,6 +271,27 @@ def test_sweep_json_is_pinned():
     ],
 )
 def test_sweep_rejects_a_zero_denominator(flags, message):
+    code, out, err = run_cli("sweep", "-K", "5", "-L", "2", "-N", "5", *flags)
+    assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (("--ma", "abc", "--mp-range", "0:1"), "ringcache: --ma: 'abc' is not a rational number\n"),
+        (("--ma", "1,", "--mp-range", "0:1"), "ringcache: --ma: '' is not a rational number\n"),
+        (("--ma", "1", "--mp-range", "0"), "ringcache: --mp-range: '0' is not start:stop[:step]\n"),
+        (
+            ("--ma", "1", "--mp-range", "0:x"),
+            "ringcache: --mp-range: 'x' is not a rational number\n",
+        ),
+        (
+            ("--ma", "1", "--mp-range", "0:2:-1/2"),
+            "ringcache: --mp-range: step '-1/2' is not positive\n",
+        ),
+    ],
+)
+def test_sweep_names_the_flag_of_a_malformed_value(flags, message):
     code, out, err = run_cli("sweep", "-K", "5", "-L", "2", "-N", "5", *flags)
     assert (code, out, err) == (1, "", message)
 
@@ -367,6 +406,47 @@ def test_simulate_decodability_failure_exit():
     assert code == 1
     assert "uncharacterized" in err
     assert "--unchecked" in err
+
+
+@pytest.mark.parametrize(
+    "system,dropped,miss",
+    [
+        # the first EX5 packet: GENERAL d1:2,3:4 ^ d2:3,4:1 ^ d4:1,2:3
+        ((5, 2, 1, 1), 0, "#   user 1 misses S=2,3 T=4: never transmitted"),
+        # EX7: an SC2 packet at user 1, and one sent at user 3 by rotation
+        ((7, 2, 1, 1), 7, "#   user 3 misses S=1,7 T=4: never transmitted"),
+        ((7, 2, 1, 1), 44, "#   user 7 misses S=3,4 T=6: never transmitted"),
+        # subset placement at L = 1
+        ((6, 1, 2, 1), 17, None),
+    ],
+)
+def test_simulate_reports_a_dropped_packet(monkeypatch, system, dropped, miss):
+    # the streamed check is the one verify_decodability runs on whole results
+    k, l, ma, mp = system
+
+    def plan_without_one(layout, **kwargs):
+        for index, packet in enumerate(plan_packets(layout, **kwargs)):
+            if index != dropped:
+                yield packet
+
+    monkeypatch.setattr(ringcache.cli, "plan_packets", plan_without_one)
+    argv = ("-K", str(k), "-L", str(l), "--ma", str(ma), "--mp", str(mp), "-N", str(k))
+    code, out, _ = run_cli("simulate", *argv)
+    assert code == 2
+    params = SystemParams(k=k, l=l, ma=ma, mp=mp, n=k)
+    layout = build_subset_layout(params) if l == 1 else build_layout(params)
+    demand = tuple(range(1, k + 1))
+    crippled = drop_transmission(deliver(layout, demand), dropped)
+    report = verify_decodability(layout, demand, crippled.transmissions)
+    assert not report.ok
+    lines = out.splitlines()
+    start = lines.index(f"# decodability FAIL for users {report.failing_users()}")
+    assert lines[start:] == format_report(report).splitlines()
+    assert f"# total={crippled.total} " in out
+    users = {f"#   user {f.user} misses" for f in report.failures}
+    assert {ln.split(" S=")[0] for ln in lines[start + 1 :]} == users
+    if miss is not None:
+        assert miss in lines
 
 
 def test_simulate_l1_reports_the_rate_command_rate():

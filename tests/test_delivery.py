@@ -13,23 +13,16 @@ from ringcache.model import (
     SystemParams,
     binom,
     mask_of,
-    only_bit,
     params_from_gammas,
     position_sets,
-    shift_positions,
 )
 from ringcache.placement import build_layout, build_subset_layout, demand_pairs
+from ringcache import delivery
 from ringcache.delivery import (
     GENERAL,
     SC1,
     SC2,
     _relabel,
-    build_general,
-    build_sc1,
-    build_sc2,
-    build_subset_xor,
-    build_transmission,
-    classify,
     deliver,
     format_log,
     format_report,
@@ -41,7 +34,19 @@ from ringcache.delivery import (
 from ringcache.analysis import achievable_rate
 from ringcache.verify import sweep_grid
 
-from helpers import drop_transmission
+from helpers import (
+    build_general,
+    build_sc1,
+    build_sc2,
+    build_subset_xor,
+    build_transmission,
+    classify,
+    deliver_greedy_reference,
+    drop_transmission,
+    elements_at,
+    only_bit,
+    shift_positions,
+)
 from golden import EX5, EX5_TRANSMISSIONS, EX7, EX7_SC1, EX7_SC2, term_set
 from l1 import l1_instances
 
@@ -107,9 +112,9 @@ def test_relabel_matches_position_set_rotation():
                 assert images[0] == (u, s, t)
                 for i in range(1, pos.size):
                     expected = (
-                        only_bit(pos.elements_at(shift_positions(pos.p_u, i, pos.size))),
-                        pos.elements_at(shift_positions(pos.p_s, i, pos.size)),
-                        pos.elements_at(shift_positions(pos.p_t, i, pos.size)),
+                        only_bit(elements_at(pos, shift_positions(pos.p_u, i, pos.size))),
+                        elements_at(pos, shift_positions(pos.p_s, i, pos.size)),
+                        elements_at(pos, shift_positions(pos.p_t, i, pos.size)),
                     )
                     assert images[i] == expected, (params, u, s, t, i)
 
@@ -413,3 +418,80 @@ def test_dedicated_delivery_is_the_ring_swap_group_run():
                             covered.update((term.user, term.s, term.t) for term in tx.terms)
                             expected.append(tx)
                 assert result.transmissions == tuple(expected)
+
+
+# ---------------------------------------------------------------------------
+# the orbit plan against the greedy loop
+# ---------------------------------------------------------------------------
+
+def demands_with_a_repeat(params, seed):
+    """The worst-case demand, then seeded demands with a repeated file at
+    N = K and N = 2K; returns (params, demand) pairs."""
+    out = [(params, worst_case_demand(params.k))]
+    for n in (params.k, 2 * params.k):
+        at_n = params_from_gammas(params.k, params.l, params.gamma_a, params.gamma_p, n)
+        demand = list(random_demand(at_n, seed))
+        demand[-1] = demand[0]
+        out.append((at_n, tuple(demand)))
+    return out
+
+
+def assert_orbit_matches_greedy(layout_of, params, seed, unchecked=False):
+    for at_n, demand in demands_with_a_repeat(params, seed):
+        layout = layout_of(at_n)
+        got = deliver(layout, demand, unchecked=unchecked)
+        want = deliver_greedy_reference(layout, demand, unchecked=unchecked)
+        # same case, terms (files included) and anchor, transmission for transmission
+        assert got == want, (at_n, demand)
+
+
+def test_orbit_plan_matches_greedy_loop_on_the_grid():
+    for seed, params in enumerate(sweep_grid(3, 11)):
+        assert_orbit_matches_greedy(build_layout, params, seed)
+
+
+def test_orbit_plan_matches_greedy_loop_without_a_shared_layer():
+    for k in range(2, 10):
+        for l in range(1, k + 1):
+            for gp in range(k + 1):
+                params = SystemParams(k=k, l=l, ma=0, mp=gp, n=k)
+                assert_orbit_matches_greedy(build_layout, params, 10 * k + gp)
+
+
+def test_orbit_plan_matches_greedy_loop_on_the_subset_placement():
+    for k, ga, gp in l1_instances(3, 9):
+        params = SystemParams(k=k, l=1, ma=ga, mp=gp, n=k)
+        assert_orbit_matches_greedy(build_subset_layout, params, 100 * k + 10 * ga + gp)
+
+
+def test_orbit_plan_matches_greedy_loop_in_the_uncharacterized_band():
+    band = [(12, 2, 1, 3)]
+    band += [
+        (k, l, ga, gp)
+        for k in range(5, 11)
+        for l in (2, 3)
+        for ga in range(1, k // l + 1)
+        for gp in range(ga * l, k - ga * l - 1)
+    ]
+    assert (8, 2, 1, 2) in band and len(band) > 20
+    for seed, (k, l, ga, gp) in enumerate(band):
+        params = params_from_gammas(k, l, ga, gp, k)
+        with pytest.raises(RegimeError):
+            deliver(build_layout(params), worst_case_demand(k))
+        assert_orbit_matches_greedy(build_layout, params, seed, unchecked=True)
+
+
+def test_an_uncovered_demand_pair_is_an_error(monkeypatch):
+    # each SC2 representative of EX7 loses its last term; the rotations the
+    # scan sends then hold no packet with 5 of the demand pairs (counted over
+    # the packets sent), and the plan refuses to start
+    build = delivery._ring_xor
+
+    def without_sc2_tail(windows, u, s, t):
+        case, keys = build(windows, u, s, t)
+        return case, keys[:-1] if case == SC2 else keys
+
+    monkeypatch.setattr(delivery, "_ring_xor", without_sc2_tail)
+    layout = build_layout(SystemParams(**EX7))
+    with pytest.raises(AssertionError, match="^5 demand pairs were never covered$"):
+        deliver(layout, worst_case_demand(7))

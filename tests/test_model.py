@@ -17,12 +17,11 @@ from ringcache.model import (
     mask_of,
     params_from_gammas,
     position_sets,
-    shift_positions,
     window_mask,
     window_masks,
 )
 
-from helpers import window_end
+from helpers import shift_positions, window_end
 
 
 @pytest.mark.parametrize("a,k,expected", [(6, 5, 1), (5, 5, 5), (0, 7, 7), (1, 1, 1), (-3, 4, 1)])

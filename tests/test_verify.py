@@ -6,13 +6,15 @@ import pytest
 
 from ringcache.model import GuardExceeded, SystemParams, binom, params_from_gammas
 from ringcache.placement import build_layout, demand_pairs
-from ringcache.delivery import GENERAL, SC1, SC2, classify, deliver, worst_case_demand
+from ringcache.delivery import GENERAL, SC1, SC2, deliver, worst_case_demand
 from ringcache.verify import (
     count_vs_formula,
     enumerate_transmission_subsets,
     man_crosscheck,
     sweep_grid,
 )
+
+from helpers import classify
 
 
 def test_census_worked_instances():
