@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import RegimeError, SystemParams, binom
+from .model import RegimeError, SystemParams, binom, uncharacterized
 
 
 @dataclass(frozen=True)
@@ -144,8 +144,13 @@ def _rate(k: int, l: int, ga: int, gp: int) -> Fraction:
     if ga == 0:
         return _dedicated_rate(k, gp)
     span = ga * l
-    if span >= k or span + gp >= k:
+    if span + gp >= k:
         return Fraction(0)
+    if uncharacterized(k, span, gp):
+        raise RegimeError(
+            f"rate uncharacterized for gamma_p = {gp} >= span = {span} below the"
+            " large-memory regime"
+        )
     if gp < span:
         if l == 1:
             return _dedicated_rate(k, ga + gp)
@@ -160,13 +165,9 @@ def _rate(k: int, l: int, ga: int, gp: int) -> Fraction:
                 f" K={k} span={span} gamma_p={gp}"
             )
         return rate
-    if span + gp == k - 1:
-        # every union set is the whole ring: K-term XORs, one file in K parts
-        return Fraction(1, k)
-    raise RegimeError(
-        f"rate uncharacterized for gamma_p = {gp} >= span = {span} below the"
-        " large-memory regime"
-    )
+    # span + gamma_p = K - 1: every union set is the whole ring, K-term XORs,
+    # one file in K parts
+    return Fraction(1, k)
 
 
 def cutset_bound(params: SystemParams) -> Fraction:

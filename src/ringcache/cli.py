@@ -8,8 +8,7 @@ and ``layout-dump`` (cache contents as JSON). ``simulate`` and
 rate ``rate`` and ``sweep`` report there, and the ring placement otherwise.
 
 Exit codes: 0 success, 1 usage or validation error, 2 decodability or
-oracle failure. RINGCACHE_JOBS sets sweep parallelism (default 1, at most the
-CPU count and the row count); a value that is not a positive integer exits 1.
+oracle failure.
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .model import InvalidParameters, RegimeError, SystemParams
@@ -155,7 +152,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _params(args)
     layout = _layout(params)
-    if args.demands:
+    if args.demands is not None:
         demand = tuple(_demand_entry(x) for x in args.demands.split(","))
     elif args.seed is not None:
         demand = random_demand(params, args.seed)
@@ -184,10 +181,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if report.ok else 2
 
 
-def _sweep_row(task: tuple[int, int, int, Fraction, Fraction, bool, bool]) -> tuple[str, ...]:
+def _sweep_row(
+    k: int, l: int, n: int, ma: Fraction, mp: Fraction, with_bound: bool, with_optimal: bool
+) -> tuple[str, ...]:
     """The 15 field values of one sweep row, in :data:`CSV_HEADER` order;
     fields a row cannot fill are empty and ``note`` holds the reason."""
-    k, l, n, ma, mp, with_bound, with_optimal = task
     base = (str(k), str(l), str(n), str(ma), str(mp))
     try:
         params = SystemParams(k=k, l=l, ma=ma, mp=mp, n=n)
@@ -215,21 +213,6 @@ def _csv_line(row: tuple[str, ...]) -> str:
     return ",".join(fields + [f'"{note}"' if note else ""])
 
 
-def sweep_jobs(value: str | None, cpus: int | None, tasks: int) -> int:
-    """Worker processes for a sweep: RINGCACHE_JOBS (default 1), clamped to
-    the CPU count and the number of rows. A value that is not a positive
-    integer is refused."""
-    if value is None:
-        return 1
-    try:
-        jobs = int(value)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ValueError(f"RINGCACHE_JOBS must be a positive integer, got {value!r}")
-    return min(jobs, cpus or 1, tasks)
-
-
 def _parse_range(spec: str) -> list[Fraction]:
     """'start:stop[:step]' inclusive, exact rational arithmetic."""
     parts = spec.split(":")
@@ -250,17 +233,11 @@ def _parse_range(spec: str) -> list[Fraction]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     ma_list = [_rational(x, "--ma") for x in args.ma.split(",")]
     mp_list = _parse_range(args.mp_range)
-    tasks = [
-        (args.K, args.L, args.N, ma, mp, args.bound, args.optimal)
+    rows = [
+        _sweep_row(args.K, args.L, args.N, ma, mp, args.bound, args.optimal)
         for ma in ma_list
         for mp in mp_list
     ]
-    jobs = sweep_jobs(os.environ.get("RINGCACHE_JOBS"), os.cpu_count(), len(tasks))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
-    else:
-        rows = [_sweep_row(t) for t in tasks]
     if args.format == "json":
         keys = CSV_HEADER.split(",")
         payload = [dict(zip(keys, row)) for row in rows]

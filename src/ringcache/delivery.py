@@ -61,6 +61,7 @@ from .model import (
     bit,
     bits,
     mask_str,
+    uncharacterized,
     window_set,
 )
 from .placement import SUBSET, CacheLayout
@@ -235,10 +236,8 @@ class UncharacterizedRegime(RegimeError):
 
 
 def _check_regime(params: SystemParams, unchecked: bool) -> None:
-    span, gp, k = params.span, params.gp, params.k
-    if span == 0 or gp < span or span + gp >= k - 1:
-        return
-    if not unchecked:
+    span, gp = params.span, params.gp
+    if uncharacterized(params.k, span, gp) and not unchecked:
         raise UncharacterizedRegime(
             f"delivery is uncharacterized for gamma_p={gp} >= span={span} below the"
             " large-memory regime"

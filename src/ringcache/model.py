@@ -54,6 +54,13 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def uncharacterized(k: int, span: int, gp: int) -> bool:
+    """True in the band that neither the rate formulas nor delivery cover:
+    a shared layer (span >= 1) with gamma_p >= span, below the large-memory
+    regime span + gamma_p >= K - 1."""
+    return 1 <= span <= gp and span + gp < k - 1
+
+
 # ---------------------------------------------------------------------------
 # index-set bitmasks
 # ---------------------------------------------------------------------------

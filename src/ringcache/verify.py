@@ -92,7 +92,6 @@ class AgreementReport:
     params: SystemParams
     table: TransmissionCounts
     census: SubsetCensus
-    delivered: tuple[int, int, int, int]  # (subsets-eq, sc1, sc2, total)
     rate: Fraction
     passed: bool
     divergence: str | None
@@ -163,15 +162,7 @@ def count_vs_formula(params: SystemParams) -> AgreementReport:
             if stray:
                 divergence = f"delivery used union sets the census never saw: {sorted(stray)}"
 
-    delivered = (
-        result.count(GENERAL) // (1 + gp) + result.count(SC1) + result.count(SC2),
-        result.count(SC1),
-        result.count(SC2),
-        result.total,
-    )
-    return AgreementReport(
-        params, table, census, delivered, result.rate, divergence is None, divergence
-    )
+    return AgreementReport(params, table, census, result.rate, divergence is None, divergence)
 
 
 def _first_mismatched_record(census: SubsetCensus, table: TransmissionCounts) -> SubsetRecord | None:

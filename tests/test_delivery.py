@@ -16,7 +16,7 @@ from ringcache.model import (
     params_from_gammas,
     position_sets,
 )
-from ringcache.placement import build_layout, build_subset_layout, demand_pairs
+from ringcache.placement import SUBSET, build_layout, build_subset_layout, demand_pairs
 from ringcache import delivery
 from ringcache.delivery import (
     GENERAL,
@@ -27,6 +27,7 @@ from ringcache.delivery import (
     format_log,
     format_report,
     format_transmission,
+    plan_packets,
     random_demand,
     verify_decodability,
     worst_case_demand,
@@ -333,6 +334,44 @@ def test_uncharacterized_regime_gate():
         deliver(layout, worst_case_demand(8))
     result = deliver(layout, worst_case_demand(8), unchecked=True)
     assert verify_decodability(layout, worst_case_demand(8), result.transmissions).ok
+
+
+class _NothingDemanded:
+    """A layout that demands nothing: :func:`plan_packets` checks the regime
+    on the parameters alone before it builds a packet, so this shows its
+    refusals without building a layout."""
+
+    placement = SUBSET
+
+    def __init__(self, params):
+        self.params = params
+
+    def demand_pairs(self, u):
+        return ()
+
+
+def _refuses(call, arg):
+    try:
+        call(arg)
+    except RegimeError:
+        return True
+    return False
+
+
+def test_rate_and_delivery_refuse_the_same_points():
+    # every integral point a ring layout exists for: span + gamma_p <= K
+    points, refused = 0, 0
+    for k in range(1, 25):
+        for l in range(1, k + 1):
+            for ga in range(k // l + 1):
+                for gp in range(k - ga * l + 1):
+                    params = params_from_gammas(k, l, ga, gp, k)
+                    by_rate = _refuses(achievable_rate, params)
+                    assert _refuses(plan_packets, _NothingDemanded(params)) == by_rate, params
+                    points += 1
+                    refused += by_rate
+    assert points == 12344
+    assert refused > 0
 
 
 def test_demand_validation():
