@@ -247,22 +247,46 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_flags(why: str, *flags: tuple[str, object]) -> None:
+    """Refuse the first of ``flags`` that was given (is not None)."""
+    for flag, value in flags:
+        if value is not None:
+            raise ValueError(f"{flag} {why}")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
+    # each mode refuses the other's flags rather than check something
+    # nobody asked for
     if args.K is not None:
+        _refuse_flags(
+            "bounds the grid run and does not apply with -K",
+            ("--kmin", args.kmin), ("--kmax", args.kmax),
+        )
         if args.ga is None or args.gp is None:
             print("explicit instances need --ga and --gp", file=sys.stderr)
             return 1
+        n = args.N or args.K
         instances = [
             SystemParams(
                 k=args.K,
-                l=args.L,
-                ma=Fraction(args.N * args.ga, args.K),
-                mp=Fraction(args.N * args.gp, args.K),
-                n=args.N,
+                l=2 if args.L is None else args.L,
+                ma=Fraction(n * args.ga, args.K),
+                mp=Fraction(n * args.gp, args.K),
+                n=n,
             )
         ]
     else:
-        instances = sweep_grid(args.kmin, args.kmax)
+        _refuse_flags(
+            "describes one instance and needs -K",
+            ("-L", args.L), ("-N", args.N or None), ("--ga", args.ga), ("--gp", args.gp),
+        )
+        kmin = 4 if args.kmin is None else args.kmin
+        kmax = 10 if args.kmax is None else args.kmax
+        instances = sweep_grid(kmin, kmax)
+        if not instances:
+            raise ValueError(
+                f"--kmin/--kmax: no counting-regime instance with {kmin} <= K <= {kmax}"
+            )
     failures = 0
     reports = []
     for params in instances:
@@ -285,7 +309,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_man(args: argparse.Namespace) -> int:
-    report = man_crosscheck(args.K, args.t, args.N)
+    report = man_crosscheck(args.K, args.t, args.N or args.K)
     tag = "PASS" if report.passed else "FAIL"
     print(
         f"{tag} K={report.k} t={report.t} F={report.f} (expected {report.expected_f})"
@@ -297,7 +321,7 @@ def cmd_man(args: argparse.Namespace) -> int:
 def cmd_layout_dump(args: argparse.Namespace) -> int:
     params = _params(args)
     layout = _layout(params)
-    _emit(json.dumps(layout_to_json(layout), indent=2) + "\n", args.output)
+    _emit(layout_to_json(layout) + "\n", args.output)
     return 0
 
 
@@ -347,10 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="three-way count agreement harness")
-    p.add_argument("--kmin", type=int, default=4)
-    p.add_argument("--kmax", type=int, default=10)
+    p.add_argument("--kmin", type=int, help="smallest K of the grid (defaults to 4)")
+    p.add_argument("--kmax", type=int, help="largest K of the grid (defaults to 10)")
     p.add_argument("-K", type=int, help="check one explicit instance instead")
-    p.add_argument("-L", type=int, default=2)
+    p.add_argument("-L", type=int, help="access degree of the instance (defaults to 2)")
     p.add_argument("-N", type=int, default=0, help="library size (defaults to K)")
     p.add_argument("--ga", type=int)
     p.add_argument("--gp", type=int)
@@ -377,8 +401,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    if getattr(args, "N", None) == 0:
-        args.N = args.K
     try:
         return args.func(args)
     except (InvalidParameters, RegimeError) as exc:

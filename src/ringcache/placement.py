@@ -35,6 +35,12 @@ holds), and a cache holds that pattern of every file; the file index n
 is attached only in :func:`layout_to_json` and in the terms delivery
 sends.
 
+:func:`layout_to_json` returns the ``layout-dump`` JSON text, rendered
+directly rather than built as a dict for ``json.dumps``: the text is
+byte-identical to ``json.dumps(dump, indent=2)``, but with ``indent``
+set the json module walks every entry in pure Python, and a dump holds
+N times each cache's pattern.
+
 The rate reported at L = 1 is the subset placement's; the census and
 :func:`ringcache.verify.count_vs_formula` still check the ring placement
 at every L.
@@ -46,6 +52,7 @@ sizes and decodability, never file bytes.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -237,28 +244,42 @@ def _check_memory(layout: CacheLayout) -> None:
             raise AssertionError("private cache holds a wrong mini-subfile count")
 
 
-def layout_to_json(layout: CacheLayout) -> dict:
-    """JSON-ready dump: shared entries as ``n:S``, private as ``n:S:T``,
-    file-major (every entry of file 1, then of file 2, ...)."""
+def layout_to_json(layout: CacheLayout) -> str:
+    """The layout dump as JSON text: shared entries as ``n:S``, private as
+    ``n:S:T``, file-major (every entry of file 1, then of file 2, ...).
+
+    The text is byte-identical to ``json.dumps(dump, indent=2)`` of the
+    dump as a dict, but rendered directly: with ``indent`` set the json
+    module skips its C encoder and walks every one of the N * (entries)
+    strings in pure Python. Labels hold only digits, commas and colons, so
+    nothing needs escaping; each cache's labels are rendered once and each
+    file's run of entries is one ``str.join`` over a separator that carries
+    the file index.
+    """
     p = layout.params
-    files = range(1, p.n + 1)
+    # (opening of the file's first entry, separator between its entries)
+    files = [(f'"{n}:', f'",\n      "{n}:') for n in range(1, p.n + 1)]
 
-    def per_file(labels: list[str]) -> list[str]:
-        return [f"{n}:{label}" for n in files for label in labels]
+    def entries(labels: list[str]) -> str:
+        if not labels:
+            return "[]"
+        runs = ",\n      ".join(head + sep.join(labels) + '"' for head, sep in files)
+        return "[\n      " + runs + "\n    ]"
 
-    return {
-        "K": p.k,
-        "L": p.l,
-        "N": p.n,
-        "Ma": str(p.ma),
-        "Mp": str(p.mp),
-        "F": layout.f,
-        "access": {
-            str(k + 1): per_file([mask_str(s) for s in cache])
-            for k, cache in enumerate(layout.access)
-        },
-        "private": {
-            str(u + 1): per_file([f"{mask_str(s)}:{mask_str(t)}" for s, t in cell])
-            for u, cell in enumerate(layout.private)
-        },
-    }
+    def caches(cells: list[list[str]]) -> str:
+        return ",\n".join(f'    "{c}": {entries(labels)}' for c, labels in enumerate(cells, 1))
+
+    header = (
+        ("K", p.k), ("L", p.l), ("N", p.n), ("Ma", str(p.ma)), ("Mp", str(p.mp)), ("F", layout.f)
+    )
+    access = caches([[mask_str(s) for s in cache] for cache in layout.access])
+    private = caches(
+        [[f"{mask_str(s)}:{mask_str(t)}" for s, t in cell] for cell in layout.private]
+    )
+    # one join: the private caches hold most of the text, and a chain of
+    # concatenations would copy it once per step
+    return "".join(
+        ["{\n"]
+        + [f'  "{key}": {json.dumps(value)},\n' for key, value in header]
+        + ['  "access": {\n', access, '\n  },\n  "private": {\n', private, "\n  }\n}"]
+    )

@@ -1,6 +1,7 @@
 """Helpers only the tests need: window labels, what a layout lets a user
-read, position-set rotations, the delivery builders one anchor at a time,
-the greedy delivery loop the orbit plan replaced, delivery results with a
+read, the layout dump as the dict the direct JSON renderer replaced,
+position-set rotations, the delivery builders one anchor at a time, the
+greedy delivery loop the orbit plan replaced, delivery results with a
 transmission taken out, and the cut-set bound as a loop over Fractions."""
 
 from dataclasses import replace
@@ -22,7 +23,7 @@ from ringcache.delivery import (
     _swap_group,
     check_demand,
 )
-from ringcache.model import bit, bits, cyc, window_mask, window_set
+from ringcache.model import bit, bits, cyc, mask_str, window_mask, window_set
 from ringcache.placement import SUBSET
 
 
@@ -48,6 +49,34 @@ def reads(layout, u: int, s: int, t: int) -> bool:
     every file: one of its shared caches holds S, or its private cache
     holds (S, T)."""
     return s in accessible_subfile_windows(layout, u) or (s, t) in layout.private[u - 1]
+
+
+def layout_reference_dict(layout) -> dict:
+    """The layout dump as a dict, one Python string per entry: what
+    ``json.dumps(..., indent=2)`` rendered before ``layout_to_json``
+    rendered the text itself."""
+    p = layout.params
+    files = range(1, p.n + 1)
+
+    def per_file(labels: list[str]) -> list[str]:
+        return [f"{n}:{label}" for n in files for label in labels]
+
+    return {
+        "K": p.k,
+        "L": p.l,
+        "N": p.n,
+        "Ma": str(p.ma),
+        "Mp": str(p.mp),
+        "F": layout.f,
+        "access": {
+            str(k + 1): per_file([mask_str(s) for s in cache])
+            for k, cache in enumerate(layout.access)
+        },
+        "private": {
+            str(u + 1): per_file([f"{mask_str(s)}:{mask_str(t)}" for s, t in cell])
+            for u, cell in enumerate(layout.private)
+        },
+    }
 
 
 def only_bit(mask: int) -> int:

@@ -360,10 +360,71 @@ def test_verify_command_grid():
     assert out.strip().splitlines()[-1].endswith("instances agree")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # instance flags without -K used to be dropped for the default grid
+        (("--ga", "1", "--gp", "0"), "--ga describes one instance and needs -K"),
+        (("--gp", "1"), "--gp describes one instance and needs -K"),
+        (("-L", "3"), "-L describes one instance and needs -K"),
+        (("-N", "7"), "-N describes one instance and needs -K"),
+        # an empty grid used to report "# 0/0 instances agree" and pass
+        (
+            ("--kmin", "9", "--kmax", "4"),
+            "--kmin/--kmax: no counting-regime instance with 9 <= K <= 4",
+        ),
+        (
+            ("--kmin", "1", "--kmax", "1"),
+            "--kmin/--kmax: no counting-regime instance with 1 <= K <= 1",
+        ),
+        (("--kmin", "11"), "--kmin/--kmax: no counting-regime instance with 11 <= K <= 10"),
+        # and -K used to drop the grid bounds
+        (
+            ("-K", "7", "--ga", "1", "--gp", "1", "--kmax", "4"),
+            "--kmax bounds the grid run and does not apply with -K",
+        ),
+    ],
+)
+def test_verify_refuses_what_it_would_not_check(argv, message):
+    code, out, err = run_cli("verify", *argv)
+    assert (code, out, err) == (1, "", f"ringcache: {message}\n")
+
+
+def test_verify_library_size_zero_means_k():
+    system = ("-K", "7", "-L", "2", "--ga", "1", "--gp", "1")
+    assert run_cli("verify", *system, "-N", "0") == run_cli("verify", *system, "-N", "7")
+    assert run_cli("verify", *system, "-N", "0") == run_cli("verify", *system)
+
+
 def test_man_check_command():
     code, out, _ = run_cli("man-check", "-K", "4", "-t", "2")
     assert code == 0
     assert "PASS" in out and "rate=2/3" in out
+
+
+def test_man_check_library_size_zero_means_k():
+    expected = run_cli("man-check", "-K", "4", "-t", "2", "-N", "4")
+    assert run_cli("man-check", "-K", "4", "-t", "2", "-N", "0") == expected
+    assert run_cli("man-check", "-K", "4", "-t", "2") == expected
+
+
+@pytest.mark.parametrize("command", ["rate", "simulate", "layout-dump"])
+def test_required_library_size_zero_is_refused(command):
+    # -N is required here, so 0 is a library of no files, not "N = K"
+    code, out, err = run_cli(command, "-K", "4", "-L", "2", "--ma", "1", "--mp", "1", "-N", "0")
+    assert (code, out) == (1, "")
+    assert err == "ringcache: library must cover distinct demands: N=0 < K=4\n"
+
+
+def test_sweep_library_size_zero_is_a_row_note():
+    # sweep keeps an invalid point's row and gives the reason in `note`
+    argv = ("-K", "4", "-L", "2", "-N", "0", "--ma", "1", "--mp-range", "0:1")
+    code, out, err = run_cli("sweep", *argv)
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(row["N"], row["Mp"]) for row in rows] == [("0", "0"), ("0", "1")]
+    assert {row["note"] for row in rows} == {"library must cover distinct demands: N=0 < K=4"}
+    assert {row["rate"] for row in rows} == {""}
 
 
 def test_layout_dump(tmp_path):
@@ -442,6 +503,16 @@ def test_simulate_l1_reports_the_rate_command_rate():
     code, out, _ = run_cli("rate", *system)
     assert code == 0
     assert "rate  = 1 (1.000000)" in out
+
+
+def test_layout_dump_file_is_stdout(tmp_path):
+    system = ("-K", "8", "-L", "2", "--ma", "4", "--mp", "6", "-N", "16")  # gamma_a=2, gamma_p=3
+    code, out, _ = run_cli("layout-dump", *system)
+    assert code == 0 and out.endswith("\n  }\n}\n")
+    target = tmp_path / "layout.json"
+    code, printed, _ = run_cli("layout-dump", *system, "-o", str(target))
+    assert (code, printed) == (0, "")
+    assert target.read_bytes() == out.encode()
 
 
 def test_layout_dump_l1_subset_placement():

@@ -1,5 +1,7 @@
 """Cache placement against the worked instances and its exact size budgets."""
 
+import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from ringcache.model import (
     window_mask,
 )
 from ringcache.placement import (
+    RING,
     SUBSET,
     _check_memory,
     build_layout,
@@ -27,7 +30,7 @@ from ringcache.placement import (
     t_sets,
 )
 
-from helpers import accessible_subfile_windows, reads, window_end
+from helpers import accessible_subfile_windows, layout_reference_dict, reads, window_end
 from golden import EX5, EX5_PRIVATE, EX5_SPLIT, EX5_WINDOWS, EX7, EX7_DEMAND_1, EX7_PRIVATE_2
 from l1 import l1_instances
 
@@ -219,11 +222,53 @@ def test_build_rejections():
 
 
 def test_layout_json_golden(layout5):
-    js = layout_to_json(layout5)
+    js = json.loads(layout_to_json(layout5))
     assert js["F"] == 15
     assert js["access"]["1"] == [f"{n}:1,5" for n in range(1, 6)]
     assert js["private"]["5"][:3] == ["1:1,2:5", "1:2,3:5", "1:3,4:5"]
     assert set(js) == {"K", "L", "N", "Ma", "Mp", "F", "access", "private"}
+
+
+def _dump_grid():
+    """Layouts the CLI dumps: every valid (K <= 7, L, gamma_a, gamma_p) at
+    N = K and N = 2K + 1, plus a seeded sample with 8 <= K <= 11."""
+    rng = random.Random(8)
+    shapes = [
+        (k, l, ga, gp) for k in range(1, 8) for l in range(1, k + 1)
+        for ga in range(k + 1) for gp in range(k + 1)
+    ]
+    shapes += [
+        (k, rng.randint(1, 3), rng.randint(0, 3), rng.randint(0, 4))
+        for k in (rng.randint(8, 11) for _ in range(40))
+    ]
+    layouts = []
+    for k, l, ga, gp in shapes:
+        for n in (k, 2 * k + 1):
+            try:
+                params = SystemParams(k=k, l=l, ma=Fraction(n * ga, k), mp=Fraction(n * gp, k), n=n)
+                layouts.append(build_subset_layout(params) if l == 1 else build_layout(params))
+            except (InvalidParameters, RegimeError):
+                continue
+    return layouts
+
+
+def test_layout_json_matches_the_indenting_encoder():
+    # the direct renderer is byte for byte what json.dumps(indent=2) makes
+    # of the dump as a dict, and parses back to that dict
+    layouts = _dump_grid()
+    for layout in layouts:
+        text = layout_to_json(layout)
+        reference = layout_reference_dict(layout)
+        assert text == json.dumps(reference, indent=2)
+        assert json.loads(text) == reference
+    # the grid reaches every rendering shape
+    placements = {layout.placement for layout in layouts if layout.params.ga}
+    assert placements == {RING, SUBSET}
+    assert any(layout.params.ga == 0 for layout in layouts)  # empty access lists
+    assert any(layout.params.gp == 0 for layout in layouts)  # empty private lists
+    assert any(layout.params.n == 2 * layout.params.k + 1 for layout in layouts)
+    assert Fraction(7, 3) in {layout.params.ma for layout in layouts}  # "Ma": "7/3"
+    assert Fraction(14, 3) in {layout.params.mp for layout in layouts}
 
 
 def test_subpacketization_formulas():
