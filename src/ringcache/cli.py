@@ -36,6 +36,9 @@ from .delivery import (
 from .analysis import cutset_bound, is_optimal, memory_share, rate_with_sharing
 from .verify import count_vs_formula, man_crosscheck, sweep_grid
 
+# most rows one sweep builds; 20,000 rows take about 1 s, and 100 MB as JSON
+SWEEP_ROW_BUDGET = 50_000
+
 CSV_HEADER = (
     "K,L,N,Ma,Mp,gamma_a,gamma_p,rate_num,rate_den,rate,"
     "bound_num,bound_den,bound,optimal,note"
@@ -213,8 +216,9 @@ def _csv_line(row: tuple[str, ...]) -> str:
     return ",".join(fields + [f'"{note}"' if note else ""])
 
 
-def _parse_range(spec: str) -> list[Fraction]:
-    """'start:stop[:step]' inclusive, exact rational arithmetic."""
+def _parse_range(spec: str) -> tuple[Fraction, Fraction, int]:
+    """'start:stop[:step]' inclusive, exact rational arithmetic: the start,
+    the step and the number of points."""
     parts = spec.split(":")
     if len(parts) not in (2, 3):
         raise ValueError(f"--mp-range: {spec!r} is not start:stop[:step]")
@@ -222,17 +226,20 @@ def _parse_range(spec: str) -> list[Fraction]:
     step = _rational(parts[2], "--mp-range") if len(parts) == 3 else Fraction(1)
     if step <= 0:
         raise ValueError(f"--mp-range: step {parts[2]!r} is not positive")
-    out = []
-    x = start
-    while x <= stop:
-        out.append(x)
-        x += step
-    return out
+    return start, step, ((stop - start) // step + 1 if stop >= start else 0)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     ma_list = [_rational(x, "--ma") for x in args.ma.split(",")]
-    mp_list = _parse_range(args.mp_range)
+    start, step, points = _parse_range(args.mp_range)
+    # counted before any row is built: a fine step over a wide range would
+    # otherwise hold every row in memory before the first is written
+    if len(ma_list) * points > SWEEP_ROW_BUDGET:
+        raise ValueError(
+            f"--mp-range: {len(ma_list)} Ma x {points} Mp values make"
+            f" {len(ma_list) * points} rows, over the budget of {SWEEP_ROW_BUDGET}"
+        )
+    mp_list = [start + i * step for i in range(points)]
     rows = [
         _sweep_row(args.K, args.L, args.N, ma, mp, args.bound, args.optimal)
         for ma in ma_list
@@ -263,8 +270,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ("--kmin", args.kmin), ("--kmax", args.kmax),
         )
         if args.ga is None or args.gp is None:
-            print("explicit instances need --ga and --gp", file=sys.stderr)
-            return 1
+            raise ValueError("explicit instances need --ga and --gp")
         n = args.N or args.K
         instances = [
             SystemParams(
@@ -403,9 +409,6 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (InvalidParameters, RegimeError) as exc:
-        print(f"ringcache: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"ringcache: {exc}", file=sys.stderr)
         return 1

@@ -28,6 +28,11 @@ With no shared-cache layer (gamma_a = 0) the two coincide: each file has
 the single empty S and subpacketization C(K, gamma_p), and
 :func:`build_layout` returns the subset layout.
 
+On both placements each S's list of T is enumerated once for all users, and
+a user u outside S splits it as Maddah-Ali--Niesen placement does: u
+privately holds the (S, T) with u in T and demands those with u outside T
+(demand sets are built on first use).
+
 Both placements are uncoded and file-symmetric: every file is split and
 cached the same way. A layout therefore stores each cache's pattern once
 (the S masks a shared cache holds, the (S, T) pairs a private cache
@@ -73,6 +78,9 @@ from .model import (
 RING = "ring"
 SUBSET = "subset"
 
+# each S of a placement with its gamma_p-subsets T of the users outside S
+Tails = tuple[tuple[int, tuple[int, ...]], ...]
+
 
 @dataclass(frozen=True)
 class CacheLayout:
@@ -115,8 +123,8 @@ class CacheLayout:
     def _demand_sets(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Every user's demand set, built once and shared by delivery and
         the decodability check."""
-        sets = self.shared_sets
-        return tuple(_demand_pairs(self.params, u, sets) for u in range(1, self.params.k + 1))
+        tails = _tails(self.params, self.shared_sets)
+        return tuple(_cell(tails, u, held=False) for u in range(1, self.params.k + 1))
 
 
 def subpacketization(params: SystemParams) -> int:
@@ -127,34 +135,31 @@ def subpacketization(params: SystemParams) -> int:
     return params.k * binom(params.k - params.span, params.gp)
 
 
-def t_sets(params: SystemParams, s_mask: int, containing: int = 0) -> Iterator[int]:
+def t_sets(params: SystemParams, s_mask: int) -> Iterator[int]:
     """gamma_p-subsets of the users outside ``s_mask``, lexicographically
-    ascending; ``containing`` restricts to sets including that user."""
+    ascending."""
     pool = [b for b in map(bit, range(1, params.k + 1)) if not s_mask & b]
-    gp = params.gp
-    if containing:
-        own = bit(containing)
-        if gp == 0 or s_mask & own:
-            return
-        rest = [b for b in pool if b != own]
-        for combo in itertools.combinations(rest, gp - 1):
-            yield own | sum(combo)
-        return
-    for combo in itertools.combinations(pool, gp):
+    for combo in itertools.combinations(pool, params.gp):
         yield sum(combo)
+
+
+def _tails(params: SystemParams, shared_sets: tuple[int, ...]) -> Tails:
+    """Each S with its T list: every (S, T) of the placement, in order."""
+    return tuple((s, tuple(t_sets(params, s))) for s in shared_sets)
+
+
+def _cell(tails: Tails, u: int, *, held: bool) -> tuple[tuple[int, int], ...]:
+    """User u's private cache (``held``) or demand set: the (S, T) pairs with
+    u outside S, and inside T or outside it, in the order of ``tails``."""
+    own = bit(u)
+    want = own if held else 0
+    return tuple((s, t) for s, ts in tails if not s & own for t in ts if (t & own) == want)
 
 
 def demand_pairs(params: SystemParams, u: int) -> tuple[tuple[int, int], ...]:
     """User u's demand set on the ring placement: every (window, T) pair it
     cannot reach, ordered by window end then T lexicographically."""
-    return _demand_pairs(params, u, window_masks(params.k, params.span))
-
-
-def _demand_pairs(
-    params: SystemParams, u: int, shared_sets: tuple[int, ...]
-) -> tuple[tuple[int, int], ...]:
-    own = bit(u)
-    return tuple((s, t) for s in shared_sets if not s & own for t in t_sets(params, s | own))
+    return _cell(_tails(params, window_masks(params.k, params.span)), u, held=False)
 
 
 def _check_integral(params: SystemParams) -> None:
@@ -187,7 +192,8 @@ def build_layout(params: SystemParams) -> CacheLayout:
         )
         for cache in range(1, k + 1)
     )
-    private = _private_caches(params, window_masks(k, span))
+    tails = _tails(params, window_masks(k, span))
+    private = tuple(_cell(tails, u, held=True) for u in range(1, k + 1))
     layout = CacheLayout(params, subpacketization(params), access, private, RING)
     _check_memory(layout)
     return layout
@@ -209,25 +215,12 @@ def build_subset_layout(params: SystemParams) -> CacheLayout:
         )
     sets = subset_masks(k, ga)
     access = tuple(tuple(s for s in sets if s & bit(cache)) for cache in range(1, k + 1))
+    tails = _tails(params, sets)
+    private = tuple(_cell(tails, u, held=True) for u in range(1, k + 1))
     f = binom(k, ga) * binom(k - ga, gp)
-    layout = CacheLayout(params, f, access, _private_caches(params, sets), SUBSET)
+    layout = CacheLayout(params, f, access, private, SUBSET)
     _check_memory(layout)
     return layout
-
-
-def _private_caches(
-    params: SystemParams, shared_sets: tuple[int, ...]
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """User u privately stores each (S, T) with u outside S and inside T."""
-    return tuple(
-        tuple(
-            (s, t)
-            for s in shared_sets
-            if not s & bit(u)
-            for t in t_sets(params, s, containing=u)
-        )
-        for u in range(1, params.k + 1)
-    )
 
 
 def _check_memory(layout: CacheLayout) -> None:

@@ -56,13 +56,11 @@ def classify_subset(windows: tuple[int, ...]) -> str:
     return GENERAL
 
 
-def enumerate_transmission_subsets(
-    params: SystemParams, *, guard: int = ENUMERATION_GUARD
-) -> SubsetCensus:
+def enumerate_transmission_subsets(params: SystemParams) -> SubsetCensus:
     """Exhaustive census over all C(K, 1 + span + gamma_p) candidate subsets."""
     k = params.k
-    if k > guard:
-        raise GuardExceeded(f"refusing exhaustive enumeration for K={k} > {guard}")
+    if k > ENUMERATION_GUARD:
+        raise GuardExceeded(f"refusing exhaustive enumeration for K={k} > {ENUMERATION_GUARD}")
     span = params.span
     gp = params.gp
     size = 1 + span + gp

@@ -1,9 +1,12 @@
 """Helpers only the tests need: window labels, what a layout lets a user
-read, the layout dump as the dict the direct JSON renderer replaced,
+read, each user's private cache and demand set enumerated user by user as
+the placement did before it split one T list per shared set, the layout
+dump as the dict the direct JSON renderer replaced,
 position-set rotations, the delivery builders one anchor at a time, the
 greedy delivery loop the orbit plan replaced, delivery results with a
 transmission taken out, and the cut-set bound as a loop over Fractions."""
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -49,6 +52,41 @@ def reads(layout, u: int, s: int, t: int) -> bool:
     every file: one of its shared caches holds S, or its private cache
     holds (S, T)."""
     return s in accessible_subfile_windows(layout, u) or (s, t) in layout.private[u - 1]
+
+
+def t_sets_reference(params, s_mask: int, containing: int = 0):
+    """gamma_p-subsets of the users outside ``s_mask``, lexicographically
+    ascending; ``containing`` restricts to sets including that user."""
+    pool = [b for b in map(bit, range(1, params.k + 1)) if not s_mask & b]
+    gp = params.gp
+    if containing:
+        own = bit(containing)
+        if gp == 0 or s_mask & own:
+            return
+        rest = [b for b in pool if b != own]
+        for combo in itertools.combinations(rest, gp - 1):
+            yield own | sum(combo)
+        return
+    for combo in itertools.combinations(pool, gp):
+        yield sum(combo)
+
+
+def private_cache_reference(params, shared_sets, u: int) -> tuple[tuple[int, int], ...]:
+    """User u's private cache: each (S, T) with u outside S and inside T."""
+    return tuple(
+        (s, t)
+        for s in shared_sets
+        if not s & bit(u)
+        for t in t_sets_reference(params, s, containing=u)
+    )
+
+
+def demand_pairs_reference(params, shared_sets, u: int) -> tuple[tuple[int, int], ...]:
+    """User u's demand set: each (S, T) with u outside S | T."""
+    own = bit(u)
+    return tuple(
+        (s, t) for s in shared_sets if not s & own for t in t_sets_reference(params, s | own)
+    )
 
 
 def layout_reference_dict(layout) -> dict:

@@ -291,11 +291,28 @@ def test_sweep_rejects_a_zero_denominator(flags, message):
             ("--ma", "1", "--mp-range", "0:2:-1/2"),
             "ringcache: --mp-range: step '-1/2' is not positive\n",
         ),
+        # counted from start, stop and step: the 10^9 points are never built
+        (
+            ("--ma", "1", "--mp-range", "0:1000000:1/1000"),
+            "ringcache: --mp-range: 1 Ma x 1000000001 Mp values make 1000000001 rows,"
+            " over the budget of 50000\n",
+        ),
     ],
 )
 def test_sweep_names_the_flag_of_a_malformed_value(flags, message):
     code, out, err = run_cli("sweep", "-K", "5", "-L", "2", "-N", "5", *flags)
     assert (code, out, err) == (1, "", message)
+
+
+def test_sweep_row_budget_counts_every_ma():
+    budget = ringcache.cli.SWEEP_ROW_BUDGET
+    base = ("sweep", "-K", "8", "-L", "2", "-N", "8", "--no-bound", "--no-optimal")
+    code, out, err = run_cli(*base, "--ma", "1,2", "--mp-range", f"1:{budget // 2}")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + budget
+    code, out, err = run_cli(*base, "--ma", "1,2", "--mp-range", f"0:{budget // 2}")
+    assert (code, out) == (1, "")
+    assert f"make {budget + 2} rows" in err
 
 
 def test_sweep_csv_shape_and_values():
@@ -383,6 +400,8 @@ def test_verify_command_grid():
             ("-K", "7", "--ga", "1", "--gp", "1", "--kmax", "4"),
             "--kmax bounds the grid run and does not apply with -K",
         ),
+        # an instance without both replication factors
+        (("-K", "7", "-L", "2", "--ga", "1"), "explicit instances need --ga and --gp"),
     ],
 )
 def test_verify_refuses_what_it_would_not_check(argv, message):

@@ -1,5 +1,6 @@
 """Cache placement against the worked instances and its exact size budgets."""
 
+import itertools
 import json
 import random
 from dataclasses import replace
@@ -30,7 +31,14 @@ from ringcache.placement import (
     t_sets,
 )
 
-from helpers import accessible_subfile_windows, layout_reference_dict, reads, window_end
+from helpers import (
+    accessible_subfile_windows,
+    demand_pairs_reference,
+    layout_reference_dict,
+    private_cache_reference,
+    reads,
+    window_end,
+)
 from golden import EX5, EX5_PRIVATE, EX5_SPLIT, EX5_WINDOWS, EX7, EX7_DEMAND_1, EX7_PRIVATE_2
 from l1 import l1_instances
 
@@ -269,6 +277,33 @@ def test_layout_json_matches_the_indenting_encoder():
     assert any(layout.params.n == 2 * layout.params.k + 1 for layout in layouts)
     assert Fraction(7, 3) in {layout.params.ma for layout in layouts}  # "Ma": "7/3"
     assert Fraction(14, 3) in {layout.params.mp for layout in layouts}
+
+
+def test_cells_match_the_per_user_enumeration():
+    # private caches and demand sets, read off one T list per shared set,
+    # are tuple for tuple and in order what enumerating each (user, S)
+    # pair on its own gives, on every valid (K <= 9, L, gamma_a, gamma_p)
+    layouts = []
+    for k in range(1, 10):
+        for l, ga, gp in itertools.product(range(1, k + 1), range(k + 1), range(k + 1)):
+            params = SystemParams(k=k, l=l, ma=ga, mp=gp, n=k)
+            for build in (build_layout, build_subset_layout):
+                try:
+                    layouts.append((build, build(params)))
+                except (InvalidParameters, RegimeError):
+                    continue
+    for build, layout in layouts:
+        params, sets = layout.params, layout.shared_sets
+        for u in range(1, params.k + 1):
+            assert layout.private[u - 1] == private_cache_reference(params, sets, u)
+            assert layout.demand_pairs(u) == demand_pairs_reference(params, sets, u)
+            if build is build_layout:
+                assert demand_pairs(params, u) == layout.demand_pairs(u)
+    # the grid reaches both placements, no shared layer and no private one
+    placements = {layout.placement for _, layout in layouts if layout.params.ga}
+    assert placements == {RING, SUBSET}
+    assert any(layout.params.ga == 0 for _, layout in layouts)
+    assert any(layout.params.gp == 0 for _, layout in layouts)
 
 
 def test_subpacketization_formulas():
