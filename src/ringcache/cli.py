@@ -20,7 +20,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from .model import InvalidParameters, RegimeError, SystemParams
+from .model import InvalidParameters, RegimeError, SystemParams, params_from_gammas
 from .placement import CacheLayout, build_layout, build_subset_layout, layout_to_json
 from .delivery import (
     DecodeCheck,
@@ -33,7 +33,7 @@ from .delivery import (
     random_demand,
     worst_case_demand,
 )
-from .analysis import cutset_bound, is_optimal, memory_share, rate_with_sharing
+from .analysis import achievable_rate, cutset_bound, is_optimal, memory_share, rate_with_sharing
 from .verify import count_vs_formula, man_crosscheck, sweep_grid
 
 # most rows one sweep builds; 20,000 rows take about 1 s, and 100 MB as JSON
@@ -98,8 +98,11 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
 
 def _emit(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"-o: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -110,7 +113,9 @@ def _emit(text: str, path: str | None) -> None:
 
 def cmd_rate(args: argparse.Namespace) -> int:
     params = _params(args)
-    rate = rate_with_sharing(params)
+    # one memory share serves the rate, the corner lines and the JSON list
+    share = None if params.integral else memory_share(params)
+    rate = achievable_rate(params) if share is None else share.rate
     bound = cutset_bound(params)
     optimal = is_optimal(params)
     if args.json:
@@ -128,7 +133,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
             "bound_decimal": dec6(bound),
             "optimal": optimal,
         }
-        if not params.integral:
+        if share is not None:
             payload["memory_sharing"] = [
                 {
                     "gamma_a": pt.gamma_a,
@@ -136,15 +141,15 @@ def cmd_rate(args: argparse.Namespace) -> int:
                     "weight": str(pt.weight),
                     "rate": str(pt.rate),
                 }
-                for pt in memory_share(params).points
+                for pt in share.points
             ]
         print(json.dumps(payload, indent=2))
         return 0
     print(f"rate  = {rate} ({dec6(rate)})")
     print(f"bound = {bound} ({dec6(bound)})")
     print(f"optimal = {'yes' if optimal else 'no'}")
-    if not params.integral:
-        for pt in memory_share(params).points:
+    if share is not None:
+        for pt in share.points:
             print(
                 f"  corner gamma_a={pt.gamma_a} gamma_p={pt.gamma_p}"
                 f" weight={pt.weight} rate={pt.rate}"
@@ -271,16 +276,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         if args.ga is None or args.gp is None:
             raise ValueError("explicit instances need --ga and --gp")
-        n = args.N or args.K
-        instances = [
-            SystemParams(
-                k=args.K,
-                l=2 if args.L is None else args.L,
-                ma=Fraction(n * args.ga, args.K),
-                mp=Fraction(n * args.gp, args.K),
-                n=n,
-            )
-        ]
+        l = 2 if args.L is None else args.L
+        instances = [params_from_gammas(args.K, l, args.ga, args.gp, args.N or args.K)]
     else:
         _refuse_flags(
             "describes one instance and needs -K",

@@ -335,27 +335,27 @@ class DecodabilityReport:
 
 class DecodeCheck:
     """Decodability, one packet at a time. :meth:`add` takes a packet's
-    (user, S, T) keys; a user peels its term when it reads every other
-    term, through a shared cache (user in S) or its private cache (user in
-    T). :meth:`report` then checks every demand pair of the layout."""
+    (user, S, T) keys. A user reads a term through a shared cache (user in
+    S) or its private cache (user in T). The user of a demand key is in
+    neither, so it peels its term when no second term is unreadable to it:
+    the running mask ``once`` holds the users some term leaves unreadable, and
+    ``twice`` those two terms do. :meth:`report` checks every demand pair."""
 
     def __init__(self) -> None:
         self.peeled: set[Anchor] = set()
         self.blocked: set[Anchor] = set()
 
     def add(self, keys: Sequence[Anchor]) -> None:
-        # before & after[i + 1]: the users reading every term but the i-th
-        after = [-1] * (len(keys) + 1)
-        for i in range(len(keys) - 1, 0, -1):
-            after[i] = after[i + 1] & (keys[i][1] | keys[i][2])
-        before = -1
-        for i, key in enumerate(keys):
-            v, s, t = key
-            if (before & after[i + 1]) >> (v - 1) & 1:
-                self.peeled.add(key)
-            else:
+        once = twice = 0
+        for _, s, t in keys:
+            unread = ~(s | t)
+            twice |= once & unread
+            once |= unread
+        for key in keys:
+            if twice >> (key[0] - 1) & 1:
                 self.blocked.add(key)
-            before &= s | t
+            else:
+                self.peeled.add(key)
 
     def report(self, layout: CacheLayout) -> DecodabilityReport:
         failures = []

@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Iterable, Union
 
 MAX_USERS = 64
@@ -91,12 +91,13 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
-@lru_cache(maxsize=1 << 12)
+@cache
 def mask_str(mask: int) -> str:
     """Comma-joined ascending indices; empty mask renders as ''.
 
-    Memoized, but bounded: a log or a layout dump repeats the same few
-    thousand S and T masks, while a long-lived process may see many more.
+    Memoized without a bound: a log or a layout dump renders each of its S
+    and T masks many times, and the cache holds only the distinct masks of
+    the layouts rendered, fewer entries than those layouts hold themselves.
     """
     return ",".join(str(i) for i in bits(mask))
 

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import GuardExceeded, SystemParams, binom, bit, bits, window_set
+from .model import GuardExceeded, SystemParams, binom, bit, bits, params_from_gammas, window_set
 from .placement import build_layout
 from .delivery import GENERAL, SC1, SC2, deliver, worst_case_demand
 from .analysis import TransmissionCounts, table1_counts
@@ -192,7 +192,7 @@ class ManReport:
 
 
 def man_crosscheck(k: int, t: int, n: int) -> ManReport:
-    params = SystemParams(k=k, l=1, ma=Fraction(0), mp=Fraction(n * t, k), n=n)
+    params = params_from_gammas(k, 1, 0, t, n)
     layout = build_layout(params)
     result = deliver(layout, worst_case_demand(k))
     expected_f = binom(k, t)
@@ -210,9 +210,5 @@ def sweep_grid(kmin: int, kmax: int) -> list[SystemParams]:
             for ga in range(1, k // l + 1):
                 span = ga * l
                 for gp in range(0, min(span, k - span)):
-                    if 1 + span + gp > k:
-                        break
-                    grid.append(
-                        SystemParams(k=k, l=l, ma=Fraction(k * ga, k), mp=Fraction(k * gp, k), n=k)
-                    )
+                    grid.append(params_from_gammas(k, l, ga, gp, k))
     return grid

@@ -3,8 +3,10 @@ read, each user's private cache and demand set enumerated user by user as
 the placement did before it split one T list per shared set, the layout
 dump as the dict the direct JSON renderer replaced,
 position-set rotations, the delivery builders one anchor at a time, the
-greedy delivery loop the orbit plan replaced, delivery results with a
-transmission taken out, and the cut-set bound as a loop over Fractions."""
+greedy delivery loop the orbit plan replaced, the decode check with the
+per-term prefix and suffix rule the two running masks replaced, delivery
+results with a transmission taken out, and the cut-set bound as a loop
+over Fractions."""
 
 import itertools
 from dataclasses import replace
@@ -14,6 +16,7 @@ from ringcache.delivery import (
     GENERAL,
     SC1,
     SC2,
+    DecodeCheck,
     DeliveryResult,
     Term,
     Transmission,
@@ -203,6 +206,25 @@ def deliver_greedy_reference(layout, demand, *, unchecked: bool = False) -> Deli
     if leftovers:
         raise AssertionError(f"{leftovers} demand pairs were never covered")
     return DeliveryResult(params, layout.f, tuple(out))
+
+
+class DecodeCheckReference(DecodeCheck):
+    """:class:`DecodeCheck` with the rule spelled out term by term: a key
+    peels when its user reads every other term of the packet."""
+
+    def add(self, keys) -> None:
+        # before & after[i + 1]: the users reading every term but the i-th
+        after = [-1] * (len(keys) + 1)
+        for i in range(len(keys) - 1, 0, -1):
+            after[i] = after[i + 1] & (keys[i][1] | keys[i][2])
+        before = -1
+        for i, key in enumerate(keys):
+            v, s, t = key
+            if (before & after[i + 1]) >> (v - 1) & 1:
+                self.peeled.add(key)
+            else:
+                self.blocked.add(key)
+            before &= s | t
 
 
 def drop_transmission(result: DeliveryResult, index: int) -> DeliveryResult:

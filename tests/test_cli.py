@@ -435,6 +435,25 @@ def test_required_library_size_zero_is_refused(command):
     assert err == "ringcache: library must cover distinct demands: N=0 < K=4\n"
 
 
+SYSTEM_5 = ("-K", "5", "-L", "2", "--ma", "1", "--mp", "1", "-N", "5")
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (("simulate", *SYSTEM_5), "."),
+        (("layout-dump", *SYSTEM_5), "missing/dir/x.json"),
+        (("sweep", "-K", "5", "-L", "2", "-N", "5", "--ma", "1", "--mp-range", "0:2"), "."),
+    ],
+)
+def test_an_unwritable_output_path_is_a_validation_error(tmp_path, argv, target):
+    # the work is done by then; a bad -o is reported like a bad flag, not a crash
+    code, out, err = run_cli(*argv, "-o", str(tmp_path / target))
+    assert (code, out) == (1, "")
+    assert err.startswith("ringcache: -o: [Errno ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_sweep_library_size_zero_is_a_row_note():
     # sweep keeps an invalid point's row and gives the reason in `note`
     argv = ("-K", "4", "-L", "2", "-N", "0", "--ma", "1", "--mp-range", "0:1")

@@ -2,6 +2,8 @@
 against the worked instances, coverage and decodability."""
 
 import itertools
+import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from ringcache.model import (
     RegimeError,
     SystemParams,
     binom,
+    bit,
     mask_of,
     params_from_gammas,
     position_sets,
@@ -22,6 +25,7 @@ from ringcache.delivery import (
     GENERAL,
     SC1,
     SC2,
+    DecodeCheck,
     _relabel,
     deliver,
     format_log,
@@ -36,6 +40,7 @@ from ringcache.analysis import achievable_rate
 from ringcache.verify import sweep_grid
 
 from helpers import (
+    DecodeCheckReference,
     build_general,
     build_sc1,
     build_sc2,
@@ -534,3 +539,67 @@ def test_an_uncovered_demand_pair_is_an_error(monkeypatch):
     layout = build_layout(SystemParams(**EX7))
     with pytest.raises(AssertionError, match="^5 demand pairs were never covered$"):
         deliver(layout, worst_case_demand(7))
+
+
+# ---------------------------------------------------------------------------
+# the two-mask decode check against the term-by-term rule
+# ---------------------------------------------------------------------------
+
+def is_demand_key(key):
+    v, s, t = key
+    return not bit(v) & (s | t)
+
+
+def filed(check, keys):
+    """Where ``check`` filed each demand key of ``keys``: the only keys
+    :meth:`DecodeCheck.report` looks up."""
+    return [(key, key in check.peeled, key in check.blocked) for key in keys if is_demand_key(key)]
+
+
+def random_packet(rng, k):
+    """1-7 terms over a few users of [1, k], so users repeat; some keys
+    repeat whole, and some have their user in their own S or T."""
+    users = rng.sample(range(1, k + 1), rng.randint(1, k))
+    keys = []
+    for _ in range(rng.randint(1, 7)):
+        if keys and rng.random() < 0.15:
+            keys.append(rng.choice(keys))
+            continue
+        v, s, t = rng.choice(users), rng.getrandbits(k), rng.getrandbits(k)
+        if rng.random() < 0.7:
+            s, t = s & ~bit(v), t & ~bit(v)
+        keys.append((v, s, t))
+    return keys
+
+
+def test_two_mask_rule_matches_the_term_by_term_rule_on_random_packets():
+    rng = random.Random(20261018)
+    seen = Counter()
+    for _ in range(20_000):
+        keys = random_packet(rng, rng.randint(2, 8))
+        got, want = DecodeCheck(), DecodeCheckReference()
+        got.add(keys)
+        want.add(keys)
+        assert filed(got, keys) == filed(want, keys), keys
+        seen["repeated key"] += len(set(keys)) < len(keys)
+        seen["user twice"] += len({v for v, _, _ in keys}) < len(keys)
+        seen["user in own S or T"] += not all(map(is_demand_key, keys))
+        for _, peeled, _ in filed(want, keys):
+            seen["peeled" if peeled else "blocked"] += 1
+    assert min(seen.values()) > 1000, seen
+
+
+def test_two_mask_rule_matches_the_term_by_term_rule_on_delivered_streams():
+    layouts = [build_layout(params) for params in sweep_grid(3, 10)]
+    layouts += [
+        build_subset_layout(SystemParams(k=k, l=1, ma=ga, mp=gp, n=k))
+        for k, ga, gp in l1_instances(3, 10)
+    ]
+    for layout in layouts:
+        got, want = DecodeCheck(), DecodeCheckReference()
+        for _, keys in plan_packets(layout):
+            assert all(map(is_demand_key, keys))
+            got.add(keys)
+            want.add(keys)
+        assert (got.peeled, got.blocked) == (want.peeled, want.blocked), layout.params
+        assert got.report(layout) == want.report(layout)

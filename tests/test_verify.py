@@ -1,5 +1,6 @@
 """Brute-force census oracles and the three-way agreement harness."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from ringcache.model import GuardExceeded, SystemParams, binom, params_from_gammas
 from ringcache.placement import build_layout, demand_pairs
 from ringcache.delivery import GENERAL, SC1, SC2, deliver, worst_case_demand
+from ringcache.analysis import table1_counts
 from ringcache.verify import (
     count_vs_formula,
     enumerate_transmission_subsets,
@@ -127,6 +129,20 @@ def test_sweep_grid_contents():
     assert (5, 1, 4, 0) in keys  # widest window
     assert all(p.gp < p.span and 1 + p.span + p.gp <= p.k for p in grid)
     assert all(p.n == p.k for p in grid)
+
+
+def test_sweep_grid_is_what_the_counting_formulas_accept():
+    accepted = []
+    for k in range(1, 17):
+        for l, ga, gp in itertools.product(range(1, 4), range(k + 1), range(k + 1)):
+            try:
+                table1_counts(params_from_gammas(k, l, ga, gp, k))
+            except ValueError:  # invalid parameters, or outside the counting regime
+                continue
+            accepted.append((k, l, ga, gp))
+    grid = sweep_grid(1, 16)
+    assert [(p.k, p.l, p.ga, p.gp) for p in grid] == accepted
+    assert len(accepted) == 676 and all(p.n == p.k for p in grid)
 
 
 def test_divergence_reporting_names_subset():
