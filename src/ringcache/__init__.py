@@ -2,7 +2,8 @@
 
 The public surface: build a :class:`SystemParams`, place caches with
 :func:`build_layout` (ring placement) or :func:`build_subset_layout` (L = 1),
-run :func:`deliver` for a demand vector, and evaluate
+stream the XOR packets with :func:`deliver`, check them with
+:func:`verify_decodability`, and evaluate the
 :func:`achievable_rate` / :func:`cutset_bound` closed forms. The
 :mod:`ringcache.verify` oracles cross-check the counting by brute force.
 """
@@ -15,7 +16,6 @@ from .model import (
     SystemParams,
     binom,
     cyc,
-    is_window,
     params_from_gammas,
 )
 from .placement import (
@@ -28,8 +28,6 @@ from .delivery import (
     GENERAL,
     SC1,
     SC2,
-    DeliveryResult,
-    Transmission,
     deliver,
     verify_decodability,
     worst_case_demand,
@@ -51,14 +49,12 @@ __all__ = [
     "SC1",
     "SC2",
     "CacheLayout",
-    "DeliveryResult",
     "GuardExceeded",
     "InvalidMiniSubfile",
     "InvalidParameters",
     "MemoryShare",
     "RegimeError",
     "SystemParams",
-    "Transmission",
     "TransmissionCounts",
     "achievable_rate",
     "binom",
@@ -71,7 +67,6 @@ __all__ = [
     "demand_pairs",
     "enumerate_transmission_subsets",
     "is_optimal",
-    "is_window",
     "man_crosscheck",
     "memory_share",
     "params_from_gammas",

@@ -25,7 +25,7 @@ from .model import RegimeError, SystemParams, binom, uncharacterized
 
 @dataclass(frozen=True)
 class TransmissionCounts:
-    """Transmission-subset totals per case plus the transmission count and
+    """Totals of transmission-subsets per case plus the transmission count and
     subpacketization they imply."""
 
     subsets: int

@@ -16,21 +16,20 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-from collections import Counter
 from fractions import Fraction
 
 from .model import InvalidParameters, RegimeError, SystemParams, params_from_gammas
 from .placement import CacheLayout, build_layout, build_subset_layout, layout_to_json
 from .delivery import (
-    DecodeCheck,
     UncharacterizedRegime,
     check_demand,
-    format_footer,
-    format_packet,
+    deliver,
+    format_log,
     format_report,
-    plan_packets,
     random_demand,
+    verify_decodability,
     worst_case_demand,
 )
 from .analysis import achievable_rate, cutset_bound, is_optimal, memory_share, rate_with_sharing
@@ -168,23 +167,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         demand = worst_case_demand(params.k)
     demand = check_demand(params, demand)
     try:
-        packets = plan_packets(layout, unchecked=args.unchecked)
+        packets = deliver(layout, unchecked=args.unchecked)
     except UncharacterizedRegime as exc:
         raise RegimeError(f"{exc.reason}; pass --unchecked to run it anyway") from exc
-    # each packet is rendered and checked as it streams past, never kept
-    check = DecodeCheck()
-    counts: Counter[str] = Counter()
-    lines = []
-    for case, keys in packets:
-        lines.append(format_packet(case, keys))
-        counts[case] += 1
-        check.add(keys)
-    report = check.report(layout)
-    lines += [
-        format_footer(counts, layout.f),
-        f"# demand={','.join(str(d) for d in demand)}",
-        format_report(report),
-    ]
+    # one pass: each packet is rendered and checked as it streams past, never kept
+    lines: list[str] = []
+    report = verify_decodability(layout, format_log(packets, layout.f, lines))
+    lines += [f"# demand={','.join(str(d) for d in demand)}", format_report(report)]
     _emit("\n".join(lines) + "\n", args.output)
     return 0 if report.ok else 2
 
@@ -405,9 +394,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except ValueError as exc:
         print(f"ringcache: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader went away (``| head``): point stdout at devnull so the
+        # final flush at exit cannot fail again, and exit without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

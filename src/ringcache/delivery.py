@@ -39,9 +39,10 @@ the rotation by j of a representative whose highest user is h goes out at
 user 1 + j exactly when h <= K - j, and otherwise wraps past K and went
 out earlier. No term user wraps, so the rotation keeps the term order.
 
-:func:`plan_packets` streams the packets; :func:`deliver` wraps them into
-:class:`Transmission` objects, while ``simulate`` renders and checks each
-one (:class:`DecodeCheck`) without keeping it.
+:func:`deliver` streams the packets as (case, keys) pairs that carry no
+files: the demand only labels the terms. :func:`format_log` renders each
+packet as it passes and :func:`verify_decodability` checks the stream
+(:class:`DecodeCheck`), so ``simulate`` keeps no packet.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .model import (
     InvalidMiniSubfile,
@@ -70,51 +71,12 @@ GENERAL = "GENERAL"
 SC1 = "SC1"
 SC2 = "SC2"
 
-# (user, S mask, T mask): a transmission's anchor or a term without its file
+# (user, S mask, T mask): a packet's anchor or a term without its file
 Anchor = tuple[int, int, int]
 # a packet without files: its case and its terms' keys, the anchor first
 Packet = tuple[str, list[Anchor]]
 # representatives by the demand pair of user 1 they go through, with highest user
 Orbit = dict[tuple[int, int], tuple[str, list[Anchor], int]]
-
-
-class Term(NamedTuple):
-    """One XOR operand: the mini-subfile (file, s, t) wanted by ``user``."""
-
-    user: int
-    file: int
-    s: int
-    t: int
-
-
-@dataclass(frozen=True)
-class Transmission:
-    case: str
-    terms: tuple[Term, ...]
-    anchor: Anchor
-
-    @property
-    def union(self) -> int:
-        u, s, t = self.anchor
-        return bit(u) | s | t
-
-
-@dataclass(frozen=True)
-class DeliveryResult:
-    params: SystemParams
-    f: int
-    transmissions: tuple[Transmission, ...]
-
-    @property
-    def total(self) -> int:
-        return len(self.transmissions)
-
-    def count(self, case: str) -> int:
-        return sum(1 for tx in self.transmissions if tx.case == case)
-
-    @property
-    def rate(self) -> Fraction:
-        return Fraction(self.total, self.f)
 
 
 def worst_case_demand(k: int) -> tuple[int, ...]:
@@ -247,7 +209,7 @@ def _check_regime(params: SystemParams, unchecked: bool) -> None:
 def _representatives(layout: CacheLayout) -> Orbit:
     """For each demand pair (S, T) of user 1, the packet through (1, S, T)
     and its highest user. Raises AssertionError if the rotations that
-    :func:`plan_packets` sends leave some user's demand pair uncovered."""
+    :func:`deliver` sends leave some user's demand pair uncovered."""
     params = layout.params
     k, full = params.k, (1 << params.k) - 1
     if layout.placement == SUBSET:
@@ -273,10 +235,11 @@ def _representatives(layout: CacheLayout) -> Orbit:
     return reps
 
 
-def plan_packets(layout: CacheLayout, *, unchecked: bool = False) -> Iterator[Packet]:
+def deliver(layout: CacheLayout, *, unchecked: bool = False) -> Iterator[Packet]:
     """Every packet of the layout's delivery in the greedy scan's order,
     rotated from the representatives as the iterator is consumed; the
-    regime and the coverage are checked before this returns."""
+    regime and the coverage are checked before this returns. Every demand
+    pair lands in exactly one packet."""
     _check_regime(layout.params, unchecked)
     return _scan(layout, _representatives(layout))
 
@@ -294,21 +257,6 @@ def _scan(layout: CacheLayout, reps: Orbit) -> Iterator[Packet]:
                     (v + j, ((a << j) | (a >> back)) & full, ((b << j) | (b >> back)) & full)
                     for v, a, b in keys
                 ]
-
-
-def deliver(
-    layout: CacheLayout, demand: Sequence[int], *, unchecked: bool = False
-) -> DeliveryResult:
-    """Run the full delivery for the layout's placement: the packets of
-    :func:`plan_packets`, each term labelled with its user's file. Every
-    demand pair lands in exactly one transmission."""
-    params = layout.params
-    demand = check_demand(params, demand)
-    transmissions = tuple(
-        Transmission(case, tuple([Term(v, demand[v - 1], s, t) for v, s, t in keys]), keys[0])
-        for case, keys in plan_packets(layout, unchecked=unchecked)
-    )
-    return DeliveryResult(params, layout.f, transmissions)
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +322,12 @@ class DecodeCheck:
         return DecodabilityReport(not failures, checked, tuple(failures))
 
 
-def verify_decodability(
-    layout: CacheLayout, demand: Sequence[int], transmissions: Iterable[Transmission]
-) -> DecodabilityReport:
+def verify_decodability(layout: CacheLayout, packets: Iterable[Packet]) -> DecodabilityReport:
     """Check that every user can peel every demanded mini-subfile out of some
-    transmission. Returns the violation list instead of raising."""
-    check_demand(layout.params, demand)
+    packet of ``packets``. Returns the violation list instead of raising."""
     check = DecodeCheck()
-    for tx in transmissions:
-        check.add([(v, s, t) for v, _, s, t in tx.terms])
+    for _, keys in packets:
+        check.add(keys)
     return check.report(layout)
 
 
@@ -395,24 +340,21 @@ def format_packet(case: str, keys: Iterable[Anchor]) -> str:
     return case + " " + " ^ ".join([f"d{v}:{mask_str(s)}:{mask_str(t)}" for v, s, t in keys])
 
 
-def format_transmission(tx: Transmission) -> str:
-    return format_packet(tx.case, [(v, s, t) for v, _, s, t in tx.terms])
-
-
-def format_footer(counts: Counter[str], f: int) -> str:
-    """The count and rate lines that close a log of ``counts`` packets per case."""
+def format_log(packets: Iterable[Packet], f: int, lines: list[str]) -> Iterator[Packet]:
+    """Pass ``packets`` through, appending each one's log line to ``lines``
+    as it goes by and, once the stream ends, the count and rate lines over
+    subpacketization ``f``."""
+    counts: Counter[str] = Counter()
+    for packet in packets:
+        lines.append(format_packet(*packet))
+        counts[packet[0]] += 1
+        yield packet
     total = sum(counts.values())
     rate = Fraction(total, f)
-    return (
+    lines.append(
         f"# total={total} general={counts[GENERAL]} sc1={counts[SC1]} sc2={counts[SC2]}\n"
         f"# F={f} rate={rate.numerator}/{rate.denominator}"
     )
-
-
-def format_log(result: DeliveryResult) -> str:
-    lines = [format_transmission(tx) for tx in result.transmissions]
-    lines.append(format_footer(Counter(tx.case for tx in result.transmissions), result.f))
-    return "\n".join(lines)
 
 
 def format_report(report: DecodabilityReport) -> str:

@@ -87,10 +87,6 @@ def bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 @cache
 def mask_str(mask: int) -> str:
     """Comma-joined ascending indices; empty mask renders as ''.
@@ -145,13 +141,6 @@ def subset_masks(k: int, width: int) -> tuple[int, ...]:
 def window_set(k: int, width: int) -> frozenset[int]:
     """The window masks of :func:`window_masks` as a set, for membership tests."""
     return frozenset(window_masks(k, width))
-
-
-def is_window(mask: int, k: int, width: int) -> bool:
-    """True iff ``mask`` is a run of ``width`` cyclically consecutive indices."""
-    if popcount(mask) != width:
-        return False
-    return mask in window_set(k, width)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +263,8 @@ class SystemParams:
 
 def params_from_gammas(k: int, l: int, ga: RationalLike, gp: RationalLike, n: int) -> SystemParams:
     """Build params from replication factors instead of cache sizes."""
+    if k < 1:  # refused as SystemParams would, before the division by K
+        raise InvalidParameters(f"need at least one user, got K={k}")
     ga = Fraction(ga)
     gp = Fraction(gp)
     return SystemParams(k, l, Fraction(n) * ga / k, Fraction(n) * gp / k, n)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .model import GuardExceeded, SystemParams, binom, bit, bits, params_from_gammas, window_set
 from .placement import build_layout
-from .delivery import GENERAL, SC1, SC2, deliver, worst_case_demand
+from .delivery import GENERAL, SC1, SC2, deliver
 from .analysis import TransmissionCounts, table1_counts
 
 ENUMERATION_GUARD = 20
@@ -122,12 +122,15 @@ def count_vs_formula(params: SystemParams) -> AgreementReport:
     table = table1_counts(params)
     census = enumerate_transmission_subsets(params)
     layout = build_layout(params)
-    result = deliver(layout, worst_case_demand(params.k))
     gp = params.gp
 
+    # each packet's union set is its anchor's {u} | S | T
     per_union: dict[int, list[str]] = {}
-    for tx in result.transmissions:
-        per_union.setdefault(tx.union, []).append(tx.case)
+    total = 0
+    for case, keys in deliver(layout):
+        u, s, t = keys[0]
+        per_union.setdefault(bit(u) | s | t, []).append(case)
+        total += 1
 
     divergence = None
     if (census.subsets, census.sc1, census.sc2) != (table.subsets, table.sc1, table.sc2):
@@ -143,8 +146,8 @@ def count_vs_formula(params: SystemParams) -> AgreementReport:
         divergence = (
             f"census X={census.transmissions} != formula X={table.transmissions}"
         )
-    if divergence is None and result.total != table.transmissions:
-        divergence = f"delivery made {result.total} transmissions, formulas say {table.transmissions}"
+    if divergence is None and total != table.transmissions:
+        divergence = f"delivery made {total} transmissions, formulas say {table.transmissions}"
     if divergence is None:
         for rec in census.records:
             made = per_union.get(rec.union, [])
@@ -160,7 +163,8 @@ def count_vs_formula(params: SystemParams) -> AgreementReport:
             if stray:
                 divergence = f"delivery used union sets the census never saw: {sorted(stray)}"
 
-    return AgreementReport(params, table, census, result.rate, divergence is None, divergence)
+    rate = Fraction(total, layout.f)
+    return AgreementReport(params, table, census, rate, divergence is None, divergence)
 
 
 def _first_mismatched_record(census: SubsetCensus, table: TransmissionCounts) -> SubsetRecord | None:
@@ -194,11 +198,11 @@ class ManReport:
 def man_crosscheck(k: int, t: int, n: int) -> ManReport:
     params = params_from_gammas(k, 1, 0, t, n)
     layout = build_layout(params)
-    result = deliver(layout, worst_case_demand(k))
+    rate = Fraction(sum(1 for _ in deliver(layout)), layout.f)
     expected_f = binom(k, t)
     expected_rate = Fraction(binom(k, t + 1), binom(k, t))
-    passed = layout.f == expected_f and result.rate == expected_rate
-    return ManReport(k, t, layout.f, expected_f, result.rate, expected_rate, passed)
+    passed = layout.f == expected_f and rate == expected_rate
+    return ManReport(k, t, layout.f, expected_f, rate, expected_rate, passed)
 
 
 def sweep_grid(kmin: int, kmax: int) -> list[SystemParams]:

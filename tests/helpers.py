@@ -1,25 +1,24 @@
-"""Helpers only the tests need: window labels, what a layout lets a user
-read, each user's private cache and demand set enumerated user by user as
-the placement did before it split one T list per shared set, the layout
-dump as the dict the direct JSON renderer replaced,
-position-set rotations, the delivery builders one anchor at a time, the
-greedy delivery loop the orbit plan replaced, the decode check with the
-per-term prefix and suffix rule the two running masks replaced, delivery
-results with a transmission taken out, and the cut-set bound as a loop
-over Fractions."""
+"""Helpers only the tests need: window labels and the window and popcount
+predicates, what a layout lets a user read, each user's private cache and
+demand set enumerated user by user as the placement did before it split one
+T list per shared set, the layout dump as the dict the direct JSON renderer
+replaced, position-set rotations, the delivery builders one anchor at a
+time, packets materialized as transmissions whose terms carry files (the
+library streams file-free packets), the greedy delivery loop the orbit plan
+replaced, the decode check with the per-term prefix and suffix rule the two
+running masks replaced, delivery results with a transmission taken out, and
+the cut-set bound as a loop over Fractions."""
 
 import itertools
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from ringcache.delivery import (
     GENERAL,
     SC1,
     SC2,
     DecodeCheck,
-    DeliveryResult,
-    Term,
-    Transmission,
     _check_regime,
     _classify,
     _general,
@@ -28,9 +27,22 @@ from ringcache.delivery import (
     _subset_xor,
     _swap_group,
     check_demand,
+    deliver,
+    format_packet,
 )
-from ringcache.model import bit, bits, cyc, mask_str, window_mask, window_set
+from ringcache.model import SystemParams, bit, bits, cyc, mask_str, window_mask, window_set
 from ringcache.placement import SUBSET
+
+
+def popcount(mask: int) -> int:
+    return mask.bit_count()
+
+
+def is_window(mask: int, k: int, width: int) -> bool:
+    """True iff ``mask`` is a run of ``width`` cyclically consecutive indices."""
+    if popcount(mask) != width:
+        return False
+    return mask in window_set(k, width)
 
 
 def window_end(mask: int, k: int, width: int) -> int:
@@ -144,6 +156,57 @@ def elements_at(pos, pos_mask: int) -> int:
     return m
 
 
+class Term(NamedTuple):
+    """One XOR operand: the mini-subfile (file, s, t) wanted by ``user``."""
+
+    user: int
+    file: int
+    s: int
+    t: int
+
+
+@dataclass(frozen=True)
+class Transmission:
+    case: str
+    terms: tuple[Term, ...]
+    anchor: tuple[int, int, int]
+
+    @property
+    def union(self) -> int:
+        u, s, t = self.anchor
+        return bit(u) | s | t
+
+    @property
+    def packet(self):
+        """The file-free packet the library streams: (case, keys)."""
+        return self.case, [(v, s, t) for v, _, s, t in self.terms]
+
+
+@dataclass(frozen=True)
+class DeliveryResult:
+    params: SystemParams
+    f: int
+    transmissions: tuple[Transmission, ...]
+
+    @property
+    def total(self) -> int:
+        return len(self.transmissions)
+
+    def count(self, case: str) -> int:
+        return sum(1 for tx in self.transmissions if tx.case == case)
+
+    @property
+    def rate(self) -> Fraction:
+        return Fraction(self.total, self.f)
+
+    def packets(self):
+        return [tx.packet for tx in self.transmissions]
+
+
+def format_transmission(tx: Transmission) -> str:
+    return format_packet(*tx.packet)
+
+
 def _transmission(case, keys, demand) -> Transmission:
     """A packet's keys labelled with each user's file; the anchor is first."""
     return Transmission(case, tuple(Term(v, demand[v - 1], s, t) for v, s, t in keys), keys[0])
@@ -181,6 +244,16 @@ def build_transmission(params, demand, u: int, s: int, t: int) -> Transmission:
 
 def build_subset_xor(params, demand, u: int, s: int, t: int) -> Transmission:
     return _transmission(*_subset_xor(u, s, t), demand)
+
+
+def materialize(layout, demand, *, unchecked: bool = False) -> DeliveryResult:
+    """The streamed delivery of :func:`deliver`, each packet's terms labelled
+    with their users' files in ``demand``."""
+    demand = check_demand(layout.params, demand)
+    packets = deliver(layout, unchecked=unchecked)
+    return DeliveryResult(
+        layout.params, layout.f, tuple(_transmission(*packet, demand) for packet in packets)
+    )
 
 
 def deliver_greedy_reference(layout, demand, *, unchecked: bool = False) -> DeliveryResult:

@@ -21,7 +21,6 @@ from ringcache.delivery import (
     GENERAL,
     SC1,
     SC2,
-    deliver,
     verify_decodability,
     worst_case_demand,
 )
@@ -35,6 +34,8 @@ from ringcache.analysis import (
 )
 from ringcache.verify import enumerate_transmission_subsets, sweep_grid
 from ringcache.cli import main as cli_main
+
+from helpers import materialize
 
 
 def announce(num, name, ok, detail=""):
@@ -53,8 +54,8 @@ def test_criterion_1_worked_instance_5():
     started = time.monotonic()
     layout = build_layout(SystemParams(k=5, l=2, ma=1, mp=1, n=5))
     demand = worst_case_demand(5)
-    result = deliver(layout, demand)
-    report = verify_decodability(layout, demand, result.transmissions)
+    result = materialize(layout, demand)
+    report = verify_decodability(layout, result.packets())
     elapsed = time.monotonic() - started
     ok = (
         result.total == 10
@@ -72,8 +73,8 @@ def test_criterion_2_worked_instance_7():
     started = time.monotonic()
     layout = build_layout(SystemParams(k=7, l=2, ma=1, mp=1, n=7))
     demand = worst_case_demand(7)
-    result = deliver(layout, demand)
-    report = verify_decodability(layout, demand, result.transmissions)
+    result = materialize(layout, demand)
+    report = verify_decodability(layout, result.packets())
     elapsed = time.monotonic() - started
     cases = (result.count(GENERAL), result.count(SC1), result.count(SC2))
     ok = (
@@ -97,7 +98,7 @@ def test_criterion_3_triple_agreement():
         closed = rate_closed_form(params)
         census = enumerate_transmission_subsets(params)
         layout = build_layout(params)
-        result = deliver(layout, worst_case_demand(params.k))
+        result = materialize(layout, worst_case_demand(params.k))
         f = counts.f
         values = {
             "closed form": closed,
@@ -132,8 +133,8 @@ def test_criterion_4_decodability_universality():
         if k == 6:
             demands = random.Random(0).sample(demands, 500)
         for demand in demands:
-            result = deliver(layout, demand)
-            report = verify_decodability(layout, demand, result.transmissions)
+            result = materialize(layout, demand)
+            report = verify_decodability(layout, result.packets())
             checked += 1
             if not report.ok:
                 failures.append((k, span, gp, demand, report.failing_users()))
@@ -189,7 +190,7 @@ def test_criterion_7a_dedicated_reduction_no_shared_layer():
         for t in range(0, k + 1):
             params = SystemParams(k=k, l=1, ma=0, mp=Fraction(k * t, k), n=k)
             layout = build_layout(params)
-            result = deliver(layout, worst_case_demand(k))
+            result = materialize(layout, worst_case_demand(k))
             if layout.f != binom(k, t) or result.rate != Fraction(binom(k, t + 1), binom(k, t)):
                 failures.append((k, t, layout.f, result.rate))
     ok = not failures

@@ -174,6 +174,27 @@ def test_is_optimal_examples():
     assert not is_optimal(SystemParams(k=30, l=3, ma=6, mp=1, n=30))
 
 
+def test_large_memory_integral_points_meet_the_bound():
+    # the paper's optimality theorem: in the large-memory regime the scheme
+    # meets the cut-set bound, checked at every integral point of the grid
+    checked = 0
+    for k in range(2, 13):
+        for l in range(1, k + 1):
+            for n in (k, 2 * k + 1):
+                for ga in range(k + 1):
+                    for gp in range(k + 1):
+                        params = params_from_gammas(k, l, ga, gp, n)
+                        if not is_optimal(params):
+                            continue
+                        try:
+                            rate = achievable_rate(params)
+                        except RegimeError:
+                            continue
+                        assert rate == cutset_bound(params), (k, l, n, ga, gp)
+                        checked += 1
+    assert checked == 12852
+
+
 def test_memory_share_passthrough():
     params = SystemParams(k=7, l=2, ma=1, mp=1, n=7)
     share = memory_share(params)

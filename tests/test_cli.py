@@ -14,12 +14,12 @@ import pytest
 from conftest import SRC
 import ringcache.cli
 from ringcache.cli import build_parser, dec6, main
-from ringcache.delivery import deliver, format_report, plan_packets, verify_decodability
+from ringcache.delivery import deliver, format_report, verify_decodability
 from ringcache.model import SystemParams
 from ringcache.placement import build_layout, build_subset_layout
 from fractions import Fraction
 
-from helpers import drop_transmission
+from helpers import drop_transmission, materialize
 
 
 def run_cli(*argv):
@@ -427,6 +427,29 @@ def test_man_check_library_size_zero_means_k():
     assert run_cli("man-check", "-K", "4", "-t", "2") == expected
 
 
+@pytest.mark.parametrize(
+    "argv", [("verify", "-K", "0", "--ga", "0", "--gp", "0"), ("man-check", "-K", "0", "-t", "0")]
+)
+def test_no_users_is_refused(argv):
+    # refused before the replication factors are divided by K
+    assert run_cli(*argv) == (1, "", "ringcache: need at least one user, got K=0\n")
+
+
+def test_a_closed_stdout_exits_quietly():
+    # unbuffered, every verify line is written as it is made, so lines are
+    # still due when the reader closes the pipe after the first
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "ringcache", "verify", "--kmax", "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.stdout.readline().startswith(b"PASS K=4 ")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 @pytest.mark.parametrize("command", ["rate", "simulate", "layout-dump"])
 def test_required_library_size_zero_is_refused(command):
     # -N is required here, so 0 is a library of no files, not "N = K"
@@ -501,23 +524,23 @@ def test_simulate_decodability_failure_exit():
     ],
 )
 def test_simulate_reports_a_dropped_packet(monkeypatch, system, dropped, miss):
-    # the streamed check is the one verify_decodability runs on whole results
+    # simulate reports what verify_decodability finds in the stream without that packet
     k, l, ma, mp = system
 
-    def plan_without_one(layout, **kwargs):
-        for index, packet in enumerate(plan_packets(layout, **kwargs)):
+    def deliver_without_one(layout, **kwargs):
+        for index, packet in enumerate(deliver(layout, **kwargs)):
             if index != dropped:
                 yield packet
 
-    monkeypatch.setattr(ringcache.cli, "plan_packets", plan_without_one)
+    monkeypatch.setattr(ringcache.cli, "deliver", deliver_without_one)
     argv = ("-K", str(k), "-L", str(l), "--ma", str(ma), "--mp", str(mp), "-N", str(k))
     code, out, _ = run_cli("simulate", *argv)
     assert code == 2
     params = SystemParams(k=k, l=l, ma=ma, mp=mp, n=k)
     layout = build_subset_layout(params) if l == 1 else build_layout(params)
     demand = tuple(range(1, k + 1))
-    crippled = drop_transmission(deliver(layout, demand), dropped)
-    report = verify_decodability(layout, demand, crippled.transmissions)
+    crippled = drop_transmission(materialize(layout, demand), dropped)
+    report = verify_decodability(layout, crippled.packets())
     assert not report.ok
     lines = out.splitlines()
     start = lines.index(f"# decodability FAIL for users {report.failing_users()}")

@@ -11,6 +11,7 @@ import pytest
 
 from ringcache.model import (
     InvalidMiniSubfile,
+    InvalidParameters,
     RegimeError,
     SystemParams,
     binom,
@@ -27,11 +28,10 @@ from ringcache.delivery import (
     SC2,
     DecodeCheck,
     _relabel,
+    check_demand,
     deliver,
     format_log,
     format_report,
-    format_transmission,
-    plan_packets,
     random_demand,
     verify_decodability,
     worst_case_demand,
@@ -50,6 +50,8 @@ from helpers import (
     deliver_greedy_reference,
     drop_transmission,
     elements_at,
+    format_transmission,
+    materialize,
     only_bit,
     shift_positions,
 )
@@ -65,14 +67,14 @@ def as_sets(transmissions):
 def run5():
     layout = build_layout(SystemParams(**EX5))
     demand = worst_case_demand(5)
-    return layout, demand, deliver(layout, demand)
+    return layout, demand, materialize(layout, demand)
 
 
 @pytest.fixture(scope="module")
 def run7():
     layout = build_layout(SystemParams(**EX7))
     demand = worst_case_demand(7)
-    return layout, demand, deliver(layout, demand)
+    return layout, demand, materialize(layout, demand)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +104,7 @@ def test_sc2_requires_boundary_replication():
         params = params_from_gammas(k, l, ga, gp, k)
         assert gp != params.span - 1
         layout = build_layout(params)
-        result = deliver(layout, worst_case_demand(k))
+        result = materialize(layout, worst_case_demand(k))
         assert result.count(SC2) == 0
 
 
@@ -244,44 +246,44 @@ def test_general_terms_have_distinct_windows(run7):
 
 
 def test_decodability_worked_instances(run5, run7):
-    for layout, demand, result in (run5, run7):
-        report = verify_decodability(layout, demand, result.transmissions)
+    for layout, _, result in (run5, run7):
+        report = verify_decodability(layout, result.packets())
         assert report.ok
         assert report.checked == layout.params.k * len(demand_pairs(layout.params, 1))
 
 
 def test_dropping_a_transmission_breaks_its_users(run5):
-    layout, demand, result = run5
+    layout, _, result = run5
     for idx, tx in enumerate(result.transmissions):
         crippled = drop_transmission(result, idx)
-        report = verify_decodability(layout, demand, crippled.transmissions)
+        report = verify_decodability(layout, crippled.packets())
         assert not report.ok
         assert report.failing_users() == tuple(sorted({t.user for t in tx.terms}))
 
 
 def test_failure_report_names_sets_like_the_log(run5):
-    layout, demand, result = run5
+    layout, _, result = run5
     assert format_transmission(result.transmissions[0]) == "GENERAL d1:2,3:4 ^ d2:3,4:1 ^ d4:1,2:3"
     crippled = drop_transmission(result, 0)
-    report = verify_decodability(layout, demand, crippled.transmissions)
+    report = verify_decodability(layout, crippled.packets())
     assert format_report(report).splitlines() == [
         "# decodability FAIL for users (1, 2, 4)",
         "#   user 1 misses S=2,3 T=4: never transmitted",
         "#   user 2 misses S=3,4 T=1: never transmitted",
         "#   user 4 misses S=1,2 T=3: never transmitted",
     ]
-    report = verify_decodability(layout, demand, result.transmissions)
+    report = verify_decodability(layout, result.packets())
     assert format_report(report) == "# decodability PASS (30 mini-subfiles)"
 
 
 def test_blocked_carrier_is_reported(run5):
     # a carrier whose other terms the user cannot read does not decode
-    layout, demand, result = run5
+    layout, _, result = run5
     tx = result.transmissions[0]
     foreign = tx.terms[0]._replace(user=3, s=mask_of((5,)), t=0)  # read by 3 and 5 only
     blocked = replace(tx, terms=tx.terms + (foreign,))
     txs = (blocked,) + result.transmissions[1:]
-    report = verify_decodability(layout, demand, txs)
+    report = verify_decodability(layout, [tx.packet for tx in txs])
     assert [(f.user, f.reason) for f in report.failures] == [
         (v, "all carriers blocked by unreadable terms") for v in (1, 2, 4)
     ]
@@ -290,8 +292,8 @@ def test_blocked_carrier_is_reported(run5):
 def test_non_distinct_demands_still_decode(run5):
     layout, _, _ = run5
     for demand in [(1, 1, 1, 1, 1), (2, 2, 3, 3, 1), (5, 4, 4, 1, 1)]:
-        result = deliver(layout, demand)
-        report = verify_decodability(layout, demand, result.transmissions)
+        result = materialize(layout, demand)
+        report = verify_decodability(layout, result.packets())
         assert report.ok
         assert result.total <= 10  # never worse than the all-distinct case
 
@@ -300,8 +302,8 @@ def test_all_permutations_decode_k4():
     params = params_from_gammas(4, 2, 1, 1, 4)
     layout = build_layout(params)
     for demand in itertools.permutations(range(1, 5)):
-        result = deliver(layout, demand)
-        assert verify_decodability(layout, demand, result.transmissions).ok
+        result = materialize(layout, demand)
+        assert verify_decodability(layout, result.packets()).ok
 
 
 def test_sampled_permutations_decode_k6_k7():
@@ -312,14 +314,14 @@ def test_sampled_permutations_decode_k6_k7():
         for l, ga, gp in shapes:
             layout = build_layout(params_from_gammas(k, l, ga, gp, k))
             for demand in perms:
-                result = deliver(layout, demand)
-                assert verify_decodability(layout, demand, result.transmissions).ok
+                result = materialize(layout, demand)
+                assert verify_decodability(layout, result.packets()).ok
 
 
 def test_full_coverage_produces_nothing():
     # gamma_p = K - span: nothing is demanded
     layout = build_layout(SystemParams(k=5, l=2, ma=1, mp=3, n=5))
-    result = deliver(layout, worst_case_demand(5))
+    result = materialize(layout, worst_case_demand(5))
     assert result.total == 0
     assert result.rate == 0
 
@@ -327,22 +329,22 @@ def test_full_coverage_produces_nothing():
 def test_large_memory_boundary_runs_unchecked_free():
     # span + gamma_p = K - 1 is allowed even with gamma_p >= span
     layout = build_layout(SystemParams(k=6, l=2, ma=1, mp=3, n=6))
-    result = deliver(layout, worst_case_demand(6))
+    result = materialize(layout, worst_case_demand(6))
     assert result.rate == Fraction(1, 6)
-    assert verify_decodability(layout, worst_case_demand(6), result.transmissions).ok
+    assert verify_decodability(layout, result.packets()).ok
 
 
 def test_uncharacterized_regime_gate():
     # gamma_p >= span below the large-memory boundary needs the override
     layout = build_layout(SystemParams(k=8, l=2, ma=1, mp=3, n=8))
     with pytest.raises(RegimeError):
-        deliver(layout, worst_case_demand(8))
-    result = deliver(layout, worst_case_demand(8), unchecked=True)
-    assert verify_decodability(layout, worst_case_demand(8), result.transmissions).ok
+        deliver(layout)
+    result = materialize(layout, worst_case_demand(8), unchecked=True)
+    assert verify_decodability(layout, result.packets()).ok
 
 
 class _NothingDemanded:
-    """A layout that demands nothing: :func:`plan_packets` checks the regime
+    """A layout that demands nothing: :func:`deliver` checks the regime
     on the parameters alone before it builds a packet, so this shows its
     refusals without building a layout."""
 
@@ -372,7 +374,7 @@ def test_rate_and_delivery_refuse_the_same_points():
                 for gp in range(k - ga * l + 1):
                     params = params_from_gammas(k, l, ga, gp, k)
                     by_rate = _refuses(achievable_rate, params)
-                    assert _refuses(plan_packets, _NothingDemanded(params)) == by_rate, params
+                    assert _refuses(deliver, _NothingDemanded(params)) == by_rate, params
                     points += 1
                     refused += by_rate
     assert points == 12344
@@ -380,11 +382,11 @@ def test_rate_and_delivery_refuse_the_same_points():
 
 
 def test_demand_validation():
-    layout = build_layout(SystemParams(**EX5))
-    with pytest.raises(Exception):
-        deliver(layout, (1, 2, 3))
-    with pytest.raises(Exception):
-        deliver(layout, (1, 2, 3, 4, 6))
+    params = SystemParams(**EX5)
+    with pytest.raises(InvalidParameters):
+        check_demand(params, (1, 2, 3))
+    with pytest.raises(InvalidParameters):
+        check_demand(params, (1, 2, 3, 4, 6))
 
 
 def test_transmission_count_law(run7):
@@ -401,17 +403,21 @@ def test_transmission_count_law(run7):
 
 
 def test_log_format(run5):
-    _, _, result = run5
+    layout, _, result = run5
     line = format_transmission(result.transmissions[0])
     assert line == "GENERAL d1:2,3:4 ^ d2:3,4:1 ^ d4:1,2:3"
-    log = format_log(result)
-    assert log.splitlines()[-2] == "# total=10 general=10 sc1=0 sc2=0"
-    assert log.splitlines()[-1] == "# F=15 rate=2/3"
+    lines = []
+    # the packets pass through unchanged, their lines and the footer land in lines
+    assert list(format_log(deliver(layout), layout.f, lines)) == result.packets()
+    log = "\n".join(lines).splitlines()
+    assert log[:-2] == [format_transmission(tx) for tx in result.transmissions]
+    assert log[-2] == "# total=10 general=10 sc1=0 sc2=0"
+    assert log[-1] == "# F=15 rate=2/3"
 
 
 def test_deliver_is_deterministic(run7):
     layout, demand, result = run7
-    again = deliver(layout, demand)
+    again = materialize(layout, demand)
     assert again.transmissions == result.transmissions
 
 
@@ -434,8 +440,8 @@ def test_l1_rate_comes_from_a_delivery_that_decodes():
         repeated = list(random_demand(params, seed=100 * k + 10 * ga + gp))
         repeated[-1] = repeated[0]  # at least one file wanted twice
         for demand in (worst_case_demand(k), tuple(repeated)):
-            result = deliver(layout, demand)
-            report = verify_decodability(layout, demand, result.transmissions)
+            result = materialize(layout, demand)
+            report = verify_decodability(layout, result.packets())
             assert report.ok, (k, ga, gp, demand, report.failures[:3])
             assert report.checked == k * binom(k - 1, ga) * binom(k - 1 - ga, gp)
             assert result.total == binom(k, t + 1) * binom(t, ga)
@@ -452,7 +458,7 @@ def test_dedicated_delivery_is_the_ring_swap_group_run():
                 params = SystemParams(k=k, l=l, ma=0, mp=gp, n=k)
                 layout = build_layout(params)
                 demand = worst_case_demand(k)
-                result = deliver(layout, demand)
+                result = materialize(layout, demand)
                 expected = []
                 covered = set()
                 for u in range(1, k + 1):
@@ -483,7 +489,7 @@ def demands_with_a_repeat(params, seed):
 def assert_orbit_matches_greedy(layout_of, params, seed, unchecked=False):
     for at_n, demand in demands_with_a_repeat(params, seed):
         layout = layout_of(at_n)
-        got = deliver(layout, demand, unchecked=unchecked)
+        got = materialize(layout, demand, unchecked=unchecked)
         want = deliver_greedy_reference(layout, demand, unchecked=unchecked)
         # same case, terms (files included) and anchor, transmission for transmission
         assert got == want, (at_n, demand)
@@ -521,7 +527,7 @@ def test_orbit_plan_matches_greedy_loop_in_the_uncharacterized_band():
     for seed, (k, l, ga, gp) in enumerate(band):
         params = params_from_gammas(k, l, ga, gp, k)
         with pytest.raises(RegimeError):
-            deliver(build_layout(params), worst_case_demand(k))
+            deliver(build_layout(params))
         assert_orbit_matches_greedy(build_layout, params, seed, unchecked=True)
 
 
@@ -538,7 +544,7 @@ def test_an_uncovered_demand_pair_is_an_error(monkeypatch):
     monkeypatch.setattr(delivery, "_ring_xor", without_sc2_tail)
     layout = build_layout(SystemParams(**EX7))
     with pytest.raises(AssertionError, match="^5 demand pairs were never covered$"):
-        deliver(layout, worst_case_demand(7))
+        deliver(layout)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +603,7 @@ def test_two_mask_rule_matches_the_term_by_term_rule_on_delivered_streams():
     ]
     for layout in layouts:
         got, want = DecodeCheck(), DecodeCheckReference()
-        for _, keys in plan_packets(layout):
+        for _, keys in deliver(layout):
             assert all(map(is_demand_key, keys))
             got.add(keys)
             want.add(keys)

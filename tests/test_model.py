@@ -13,7 +13,6 @@ from ringcache.model import (
     binom,
     bits,
     cyc,
-    is_window,
     mask_of,
     params_from_gammas,
     position_sets,
@@ -21,7 +20,7 @@ from ringcache.model import (
     window_masks,
 )
 
-from helpers import shift_positions, window_end
+from helpers import is_window, shift_positions, window_end
 
 
 @pytest.mark.parametrize("a,k,expected", [(6, 5, 1), (5, 5, 5), (0, 7, 7), (1, 1, 1), (-3, 4, 1)])

@@ -16,7 +16,6 @@ from ringcache.model import (
     bit,
     bits,
     mask_of,
-    popcount,
     window_mask,
 )
 from ringcache.placement import (
@@ -35,6 +34,7 @@ from helpers import (
     accessible_subfile_windows,
     demand_pairs_reference,
     layout_reference_dict,
+    popcount,
     private_cache_reference,
     reads,
     window_end,

@@ -7,7 +7,7 @@ import pytest
 
 from ringcache.model import GuardExceeded, SystemParams, binom, params_from_gammas
 from ringcache.placement import build_layout, demand_pairs
-from ringcache.delivery import GENERAL, SC1, SC2, deliver, worst_case_demand
+from ringcache.delivery import GENERAL, SC1, SC2, worst_case_demand
 from ringcache.analysis import table1_counts
 from ringcache.verify import (
     count_vs_formula,
@@ -16,7 +16,7 @@ from ringcache.verify import (
     sweep_grid,
 )
 
-from helpers import classify
+from helpers import classify, materialize
 
 
 def test_census_worked_instances():
@@ -100,7 +100,7 @@ def test_per_subset_multiplicity():
         params = params_from_gammas(k, l, ga, gp, k)
         census = enumerate_transmission_subsets(params)
         layout = build_layout(params)
-        result = deliver(layout, worst_case_demand(k))
+        result = materialize(layout, worst_case_demand(k))
         per_union: dict[int, list[str]] = {}
         for tx in result.transmissions:
             per_union.setdefault(tx.union, []).append(tx.case)
