@@ -33,7 +33,7 @@ from .delivery import (
     worst_case_demand,
 )
 from .analysis import achievable_rate, cutset_bound, is_optimal, memory_share, rate_with_sharing
-from .verify import count_vs_formula, man_crosscheck, sweep_grid
+from .verify import check_enumeration_guard, count_vs_formula, man_crosscheck, sweep_grid
 
 # most rows one sweep builds; 20,000 rows take about 1 s, and 100 MB as JSON
 SWEEP_ROW_BUDGET = 50_000
@@ -279,6 +279,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"--kmin/--kmax: no counting-regime instance with {kmin} <= K <= {kmax}"
             )
+    for params in instances:  # refused before the first instance runs and prints
+        check_enumeration_guard(params.k)
     failures = 0
     reports = []
     for params in instances:

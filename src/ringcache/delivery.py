@@ -42,30 +42,31 @@ out earlier. No term user wraps, so the rotation keeps the term order.
 :func:`deliver` streams the packets as (case, keys) pairs that carry no
 files: the demand only labels the terms. :func:`format_log` renders each
 packet as it passes and :func:`verify_decodability` checks the stream
-(:class:`DecodeCheck`), so ``simulate`` keeps no packet.
+(:class:`DecodeCheck`), so ``simulate`` keeps no packet. The check files
+each key as a bit of its user under its (S, T) pair: nothing is per user.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 from .model import (
-    InvalidMiniSubfile,
     InvalidParameters,
     RegimeError,
     SystemParams,
     bit,
     bits,
     mask_str,
+    position_sets,
     uncharacterized,
     window_set,
 )
-from .placement import SUBSET, CacheLayout
+from .placement import SUBSET, CacheLayout, demand_pairs
 
 GENERAL = "GENERAL"
 SC1 = "SC1"
@@ -102,17 +103,13 @@ def _relabel(u: int, s: int, t: int) -> list[Anchor]:
     """Images of the anchor (u, S, T) under every shift of its union set:
     entry i relabels each member union[p] as union[(p + i) mod m], union
     being the ascending members of {u} | S | T. Entry 0 is the anchor."""
-    own = 1 << (u - 1)
-    if own & s or own & t or s & t:
-        raise InvalidMiniSubfile(f"user {u}, window {bits(s)} and private set {bits(t)} overlap")
-    union = own | s | t
-    members = bits(union)
-    m = len(members)
-    lifted = [1 << (x - 1) for x in members] * 2  # index p + i needs no mod
-    p_u = members.index(u)
-    p_s = [p for p in range(m) if s & lifted[p]]
+    pos = position_sets(u, s, t)
+    union = bit(u) | s | t
+    lifted = [1 << (x - 1) for x in pos.union] * 2  # index p + i needs no mod
+    p_u = pos.p_u.bit_length() - 1
+    p_s = [p - 1 for p in bits(pos.p_s)]
     images = []
-    for i in range(m):
+    for i in range(pos.size):
         s_img = 0
         for p in p_s:
             s_img |= lifted[p + i]
@@ -217,7 +214,7 @@ def _representatives(layout: CacheLayout) -> Orbit:
     else:
         build = partial(_ring_xor, window_set(k, params.span))
     reps = {}
-    for s, t in layout.demand_pairs(1):
+    for s, t in demand_pairs(layout, 1):
         case, keys = build(1, s, t)
         reps[s, t] = case, keys, max(v for v, _, _ in keys)
     # a representative with highest user h sends its term (v, S, T) to users
@@ -249,7 +246,7 @@ def _scan(layout: CacheLayout, reps: Orbit) -> Iterator[Packet]:
     full = (1 << k) - 1
     for u in range(1, k + 1):
         j, back = u - 1, k - u + 1
-        for s, t in layout.demand_pairs(u):
+        for s, t in demand_pairs(layout, u):
             # the pair turned back by j, then its packet turned on by j
             case, keys, h = reps[((s >> j) | (s << back)) & full, ((t >> j) | (t << back)) & full]
             if h <= back:
@@ -287,11 +284,13 @@ class DecodeCheck:
     S) or its private cache (user in T). The user of a demand key is in
     neither, so it peels its term when no second term is unreadable to it:
     the running mask ``once`` holds the users some term leaves unreadable, and
-    ``twice`` those two terms do. :meth:`report` checks every demand pair."""
+    ``twice`` those two terms do. A key is filed as its user's bit in
+    ``peeled[S, T]`` or ``blocked[S, T]``. :meth:`report` checks every
+    demand pair."""
 
     def __init__(self) -> None:
-        self.peeled: set[Anchor] = set()
-        self.blocked: set[Anchor] = set()
+        self.peeled: defaultdict[tuple[int, int], int] = defaultdict(int)
+        self.blocked: defaultdict[tuple[int, int], int] = defaultdict(int)
 
     def add(self, keys: Sequence[Anchor]) -> None:
         once = twice = 0
@@ -299,27 +298,32 @@ class DecodeCheck:
             unread = ~(s | t)
             twice |= once & unread
             once |= unread
-        for key in keys:
-            if twice >> (key[0] - 1) & 1:
-                self.blocked.add(key)
+        peeled, blocked = self.peeled, self.blocked
+        for v, s, t in keys:
+            own = 1 << (v - 1)
+            if twice & own:
+                blocked[s, t] |= own
             else:
-                self.peeled.add(key)
+                peeled[s, t] |= own
 
     def report(self, layout: CacheLayout) -> DecodabilityReport:
-        failures = []
+        """One pass over the layout's (S, T) pairs, each demanded by the users
+        outside S | T; misses by user, then in that user's demand-set order."""
+        full = (1 << layout.params.k) - 1
+        misses = []
         checked = 0
-        for u in range(1, layout.params.k + 1):
-            pairs = layout.demand_pairs(u)
-            checked += len(pairs)
-            for s, t in pairs:
-                key = (u, s, t)
-                if key in self.peeled:
-                    continue
+        pairs = ((s, t) for s, ts in layout.tails for t in ts)
+        for i, pair in enumerate(pairs):
+            want = full & ~(pair[0] | pair[1])
+            checked += want.bit_count()
+            for v in bits(want & ~self.peeled.get(pair, 0)):
                 reason = "never transmitted"
-                if key in self.blocked:
+                if self.blocked.get(pair, 0) >> (v - 1) & 1:
                     reason = "all carriers blocked by unreadable terms"
-                failures.append(Failure(u, s, t, reason))
-        return DecodabilityReport(not failures, checked, tuple(failures))
+                misses.append((v, i, Failure(v, *pair, reason)))
+        misses.sort(key=lambda miss: miss[:2])
+        failures = tuple(failure for _, _, failure in misses)
+        return DecodabilityReport(not failures, checked, failures)
 
 
 def verify_decodability(layout: CacheLayout, packets: Iterable[Packet]) -> DecodabilityReport:

@@ -144,8 +144,7 @@ def window_set(k: int, width: int) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# position sets inside a sorted union (delivery relabels through masks; the
-# benchmark still traces position_sets as a stage boundary)
+# position sets inside a sorted union: delivery relabels an anchor through them
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -174,15 +173,12 @@ def position_sets(u: int, s_mask: int, t_mask: int) -> PositionSets:
             f"user {u}, window {bits(s_mask)} and private set {bits(t_mask)} overlap"
         )
     union = bits(u_mask | s_mask | t_mask)
-    p_u = p_s = p_t = 0
-    for pos, elem in enumerate(union, start=1):
-        if elem == u:
-            p_u |= 1 << (pos - 1)
-        elif s_mask & bit(elem):
-            p_s |= 1 << (pos - 1)
-        else:
-            p_t |= 1 << (pos - 1)
-    return PositionSets(union, p_u, p_s, p_t)
+    p_s = 0
+    for pos, elem in enumerate(union):
+        if s_mask >> (elem - 1) & 1:
+            p_s |= 1 << pos
+    p_u = 1 << union.index(u)
+    return PositionSets(union, p_u, p_s, ((1 << len(union)) - 1) ^ p_u ^ p_s)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,9 @@ the single empty S and subpacketization C(K, gamma_p), and
 
 On both placements each S's list of T is enumerated once for all users, and
 a user u outside S splits it as Maddah-Ali--Niesen placement does: u
-privately holds the (S, T) with u in T and demands those with u outside T
-(demand sets are built on first use).
+privately holds the (S, T) with u in T and demands those with u outside T.
+The layout keeps those lists (:attr:`CacheLayout.tails`) and no demand set:
+:func:`demand_pairs` reads user u's off them when asked.
 
 Both placements are uncoded and file-symmetric: every file is split and
 cached the same way. A layout therefore stores each cache's pattern once
@@ -59,7 +60,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 from .model import (
@@ -90,9 +90,12 @@ class CacheLayout:
     ``access[k-1]`` holds the S masks of the subfiles shared cache k stores
     of every file, ``private[u-1]`` the (S, T) pairs of the mini-subfiles
     user u stores of every file; ``f`` is the subpacketization (mini-subfiles
-    per file) and ``placement`` is :data:`RING` or :data:`SUBSET`. File
-    indices are attached only where output needs them: in
-    :func:`layout_to_json` and in the terms delivery sends.
+    per file) and ``placement`` is :data:`RING` or :data:`SUBSET`.
+    ``tails`` lists each S with its T lists, in order: the F (S, T) pairs
+    of a file, from which every private cache was cut and every demand set
+    is read (:func:`demand_pairs`). File indices are attached only where
+    output needs them: in :func:`layout_to_json` and in the terms delivery
+    sends.
     """
 
     params: SystemParams
@@ -100,6 +103,7 @@ class CacheLayout:
     access: tuple[tuple[int, ...], ...]
     private: tuple[tuple[tuple[int, int], ...], ...]
     placement: str
+    tails: Tails
 
     @property
     def width(self) -> int:
@@ -110,21 +114,7 @@ class CacheLayout:
     def shared_sets(self) -> tuple[int, ...]:
         """Every S a subfile can carry, in canonical order: ring windows by
         end, or all gamma_a-subsets lexicographically."""
-        if self.placement == SUBSET:
-            return subset_masks(self.params.k, self.width)
-        return window_masks(self.params.k, self.width)
-
-    def demand_pairs(self, u: int) -> tuple[tuple[int, int], ...]:
-        """User u's demand set on this layout's placement, ordered by S
-        (as in :attr:`shared_sets`) then T lexicographically."""
-        return self._demand_sets[u - 1]
-
-    @cached_property
-    def _demand_sets(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Every user's demand set, built once and shared by delivery and
-        the decodability check."""
-        tails = _tails(self.params, self.shared_sets)
-        return tuple(_cell(tails, u, held=False) for u in range(1, self.params.k + 1))
+        return tuple(s for s, _ in self.tails)
 
 
 def subpacketization(params: SystemParams) -> int:
@@ -156,10 +146,11 @@ def _cell(tails: Tails, u: int, *, held: bool) -> tuple[tuple[int, int], ...]:
     return tuple((s, t) for s, ts in tails if not s & own for t in ts if (t & own) == want)
 
 
-def demand_pairs(params: SystemParams, u: int) -> tuple[tuple[int, int], ...]:
-    """User u's demand set on the ring placement: every (window, T) pair it
-    cannot reach, ordered by window end then T lexicographically."""
-    return _cell(_tails(params, window_masks(params.k, params.span)), u, held=False)
+def demand_pairs(layout: CacheLayout, u: int) -> tuple[tuple[int, int], ...]:
+    """User u's demand set: every (S, T) pair of the layout with u outside
+    S | T, ordered by S (as in :attr:`CacheLayout.shared_sets`) then T
+    lexicographically."""
+    return _cell(layout.tails, u, held=False)
 
 
 def _check_integral(params: SystemParams) -> None:
@@ -194,7 +185,7 @@ def build_layout(params: SystemParams) -> CacheLayout:
     )
     tails = _tails(params, window_masks(k, span))
     private = tuple(_cell(tails, u, held=True) for u in range(1, k + 1))
-    layout = CacheLayout(params, subpacketization(params), access, private, RING)
+    layout = CacheLayout(params, subpacketization(params), access, private, RING, tails)
     _check_memory(layout)
     return layout
 
@@ -218,7 +209,7 @@ def build_subset_layout(params: SystemParams) -> CacheLayout:
     tails = _tails(params, sets)
     private = tuple(_cell(tails, u, held=True) for u in range(1, k + 1))
     f = binom(k, ga) * binom(k - ga, gp)
-    layout = CacheLayout(params, f, access, private, SUBSET)
+    layout = CacheLayout(params, f, access, private, SUBSET, tails)
     _check_memory(layout)
     return layout
 

@@ -56,11 +56,16 @@ def classify_subset(windows: tuple[int, ...]) -> str:
     return GENERAL
 
 
+def check_enumeration_guard(k: int) -> None:
+    """Refuse the census above :data:`ENUMERATION_GUARD` users."""
+    if k > ENUMERATION_GUARD:
+        raise GuardExceeded(f"refusing exhaustive enumeration for K={k} > {ENUMERATION_GUARD}")
+
+
 def enumerate_transmission_subsets(params: SystemParams) -> SubsetCensus:
     """Exhaustive census over all C(K, 1 + span + gamma_p) candidate subsets."""
     k = params.k
-    if k > ENUMERATION_GUARD:
-        raise GuardExceeded(f"refusing exhaustive enumeration for K={k} > {ENUMERATION_GUARD}")
+    check_enumeration_guard(k)
     span = params.span
     gp = params.gp
     size = 1 + span + gp

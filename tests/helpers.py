@@ -6,8 +6,9 @@ replaced, position-set rotations, the delivery builders one anchor at a
 time, packets materialized as transmissions whose terms carry files (the
 library streams file-free packets), the greedy delivery loop the orbit plan
 replaced, the decode check with the per-term prefix and suffix rule the two
-running masks replaced, delivery results with a transmission taken out, and
-the cut-set bound as a loop over Fractions."""
+running masks replaced, the decode check with one set of (user, S, T) keys
+per verdict that the (S, T) ledgers replaced, delivery results with a
+transmission taken out, and the cut-set bound as a loop over Fractions."""
 
 import itertools
 from dataclasses import dataclass, replace
@@ -18,7 +19,9 @@ from ringcache.delivery import (
     GENERAL,
     SC1,
     SC2,
+    DecodabilityReport,
     DecodeCheck,
+    Failure,
     _check_regime,
     _classify,
     _general,
@@ -31,7 +34,7 @@ from ringcache.delivery import (
     format_packet,
 )
 from ringcache.model import SystemParams, bit, bits, cyc, mask_str, window_mask, window_set
-from ringcache.placement import SUBSET
+from ringcache.placement import SUBSET, demand_pairs
 
 
 def popcount(mask: int) -> int:
@@ -264,7 +267,7 @@ def deliver_greedy_reference(layout, demand, *, unchecked: bool = False) -> Deli
     demand = check_demand(params, demand)
     _check_regime(params, unchecked)
     build = build_subset_xor if layout.placement == SUBSET else build_transmission
-    remaining = [dict.fromkeys(layout.demand_pairs(u)) for u in range(1, params.k + 1)]
+    remaining = [dict.fromkeys(demand_pairs(layout, u)) for u in range(1, params.k + 1)]
     out = []
     for u in range(1, params.k + 1):
         mine = remaining[u - 1]
@@ -294,10 +297,48 @@ class DecodeCheckReference(DecodeCheck):
         for i, key in enumerate(keys):
             v, s, t = key
             if (before & after[i + 1]) >> (v - 1) & 1:
-                self.peeled.add(key)
+                self.peeled[s, t] |= bit(v)
             else:
-                self.blocked.add(key)
+                self.blocked[s, t] |= bit(v)
             before &= s | t
+
+
+class DecodeCheckSets:
+    """The decode check as it was before it filed keys by (S, T): one set of
+    whole (user, S, T) keys per verdict, and a report that walks every
+    user's demand set."""
+
+    def __init__(self) -> None:
+        self.peeled: set = set()
+        self.blocked: set = set()
+
+    def add(self, keys) -> None:
+        once = twice = 0
+        for _, s, t in keys:
+            unread = ~(s | t)
+            twice |= once & unread
+            once |= unread
+        for key in keys:
+            if twice >> (key[0] - 1) & 1:
+                self.blocked.add(key)
+            else:
+                self.peeled.add(key)
+
+    def report(self, layout) -> DecodabilityReport:
+        failures = []
+        checked = 0
+        for u in range(1, layout.params.k + 1):
+            pairs = demand_pairs_reference(layout.params, layout.shared_sets, u)
+            checked += len(pairs)
+            for s, t in pairs:
+                key = (u, s, t)
+                if key in self.peeled:
+                    continue
+                reason = "never transmitted"
+                if key in self.blocked:
+                    reason = "all carriers blocked by unreadable terms"
+                failures.append(Failure(u, s, t, reason))
+        return DecodabilityReport(not failures, checked, tuple(failures))
 
 
 def drop_transmission(result: DeliveryResult, index: int) -> DeliveryResult:

@@ -409,6 +409,27 @@ def test_verify_refuses_what_it_would_not_check(argv, message):
     assert (code, out, err) == (1, "", f"ringcache: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv,k",
+    [
+        (("--kmin", "20", "--kmax", "21"), 21),
+        (("--kmin", "19", "--kmax", "23"), 21),
+        (("-K", "22", "--ga", "1", "--gp", "1"), 22),
+    ],
+)
+def test_verify_refuses_an_oversized_census_before_any_instance(monkeypatch, argv, k):
+    # a grid that reaches past the census guard used to run every instance
+    # below it (minutes at K = 20) and print their lines before refusing
+    def no_instance(params):
+        raise AssertionError(f"ran K={params.k} before refusing")
+
+    monkeypatch.setattr(ringcache.cli, "count_vs_formula", no_instance)
+    code, out, err = run_cli("verify", *argv)
+    assert (code, out, err) == (
+        1, "", f"ringcache: refusing exhaustive enumeration for K={k} > 20\n"
+    )
+
+
 def test_verify_library_size_zero_means_k():
     system = ("-K", "7", "-L", "2", "--ga", "1", "--gp", "1")
     assert run_cli("verify", *system, "-N", "0") == run_cli("verify", *system, "-N", "7")

@@ -3,6 +3,7 @@ against the worked instances, coverage and decodability."""
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -20,7 +21,7 @@ from ringcache.model import (
     params_from_gammas,
     position_sets,
 )
-from ringcache.placement import SUBSET, build_layout, build_subset_layout, demand_pairs
+from ringcache.placement import RING, SUBSET, build_layout, build_subset_layout, demand_pairs
 from ringcache import delivery
 from ringcache.delivery import (
     GENERAL,
@@ -41,6 +42,7 @@ from ringcache.verify import sweep_grid
 
 from helpers import (
     DecodeCheckReference,
+    DecodeCheckSets,
     build_general,
     build_sc1,
     build_sc2,
@@ -112,8 +114,9 @@ def test_relabel_matches_position_set_rotation():
     # the images under shift i equal the rotation of the anchor's position
     # sets by i, read back through the sorted union
     for params in sweep_grid(4, 9):
+        layout = build_layout(params)
         for u in range(1, params.k + 1):
-            for s, t in demand_pairs(params, u):
+            for s, t in demand_pairs(layout, u):
                 pos = position_sets(u, s, t)
                 images = _relabel(u, s, t)
                 assert len(images) == pos.size
@@ -225,14 +228,13 @@ def test_ex7_full_run(run7):
 
 def test_coverage_exactly_once(run7):
     layout, _, result = run7
-    params = layout.params
     seen = {}
     for tx in result.transmissions:
         for term in tx.terms:
             key = (term.user, term.s, term.t)
             seen[key] = seen.get(key, 0) + 1
     expected = {
-        (u, s, t): 1 for u in range(1, 8) for (s, t) in demand_pairs(params, u)
+        (u, s, t): 1 for u in range(1, 8) for (s, t) in demand_pairs(layout, u)
     }
     assert seen == expected
 
@@ -249,7 +251,7 @@ def test_decodability_worked_instances(run5, run7):
     for layout, _, result in (run5, run7):
         report = verify_decodability(layout, result.packets())
         assert report.ok
-        assert report.checked == layout.params.k * len(demand_pairs(layout.params, 1))
+        assert report.checked == layout.params.k * len(demand_pairs(layout, 1))
 
 
 def test_dropping_a_transmission_breaks_its_users(run5):
@@ -349,12 +351,10 @@ class _NothingDemanded:
     refusals without building a layout."""
 
     placement = SUBSET
+    tails = ()
 
     def __init__(self, params):
         self.params = params
-
-    def demand_pairs(self, u):
-        return ()
 
 
 def _refuses(call, arg):
@@ -462,7 +462,7 @@ def test_dedicated_delivery_is_the_ring_swap_group_run():
                 expected = []
                 covered = set()
                 for u in range(1, k + 1):
-                    for s, t in demand_pairs(params, u):
+                    for s, t in demand_pairs(layout, u):
                         if (u, s, t) not in covered:
                             tx = build_transmission(params, demand, u, s, t)
                             covered.update((term.user, term.s, term.t) for term in tx.terms)
@@ -559,7 +559,12 @@ def is_demand_key(key):
 def filed(check, keys):
     """Where ``check`` filed each demand key of ``keys``: the only keys
     :meth:`DecodeCheck.report` looks up."""
-    return [(key, key in check.peeled, key in check.blocked) for key in keys if is_demand_key(key)]
+    return [
+        (key, bool(check.peeled.get(key[1:], 0) & bit(key[0])),
+         bool(check.blocked.get(key[1:], 0) & bit(key[0])))
+        for key in keys
+        if is_demand_key(key)
+    ]
 
 
 def random_packet(rng, k):
@@ -609,3 +614,80 @@ def test_two_mask_rule_matches_the_term_by_term_rule_on_delivered_streams():
             want.add(keys)
         assert (got.peeled, got.blocked) == (want.peeled, want.blocked), layout.params
         assert got.report(layout) == want.report(layout)
+
+
+# ---------------------------------------------------------------------------
+# the (S, T) ledgers against the two key sets they replaced
+# ---------------------------------------------------------------------------
+
+def mutated_stream(rng, layout, packets):
+    """``packets`` with one to three seeded faults: a packet dropped,
+    duplicated or cut short, or a key added whose user is in its own S or T
+    or whose pair is not one of the placement's."""
+    k, packets = layout.params.k, [list(keys) for _, keys in packets]
+    placed = {(s, t) for s, ts in layout.tails for t in ts}
+    for _ in range(rng.randint(1, 3)):
+        if not packets:
+            break
+        i = rng.randrange(len(packets))
+        fault = rng.choice(("drop", "duplicate", "truncate", "own", "foreign"))
+        if fault == "drop":
+            del packets[i]
+        elif fault == "duplicate":
+            packets.insert(rng.randrange(len(packets) + 1), list(packets[i]))
+        elif fault == "truncate":
+            packets[i] = packets[i][: rng.randrange(len(packets[i]) or 1)]
+        else:
+            v, s, t = rng.randint(1, k), rng.getrandbits(k), rng.getrandbits(k)
+            if fault == "own":
+                s, t = (s | bit(v), t & ~bit(v)) if rng.random() < 0.5 else (s & ~bit(v), t | bit(v))
+            else:
+                while (s, t) in placed:
+                    s = rng.getrandbits(k)
+                s, t = s & ~bit(v), t & ~(s | bit(v))
+            packets[i].insert(rng.randrange(len(packets[i]) + 1), (v, s, t))
+    return packets
+
+
+def test_ledgers_report_what_the_key_sets_reported_on_mutated_streams():
+    rng = random.Random(20261019)
+    layouts = [build_layout(params) for params in sweep_grid(3, 8)]
+    layouts += [
+        build_subset_layout(SystemParams(k=k, l=1, ma=ga, mp=gp, n=k))
+        for k, ga, gp in l1_instances(3, 8)
+    ]
+    assert {layout.placement for layout in layouts if layout.params.ga} == {RING, SUBSET}
+    seen = Counter()
+    for layout in layouts:
+        packets = list(deliver(layout))
+        for copy in range(8):
+            stream = mutated_stream(rng, layout, packets) if copy else [k for _, k in packets]
+            got, want = DecodeCheck(), DecodeCheckSets()
+            for keys in stream:
+                got.add(keys)
+                want.add(keys)
+            report = got.report(layout)
+            assert report == want.report(layout), (layout.params, copy)
+            seen["stream"] += 1
+            seen["failing"] += not report.ok
+            seen.update({failure.reason for failure in report.failures})
+    assert seen["failing"] >= 500, seen
+    assert seen["never transmitted"] >= 100 and seen["all carriers blocked by unreadable terms"] >= 100
+
+
+def test_decode_check_memory_is_per_pair_not_per_key():
+    # K=14: 11,760 demand keys over F=1,680 pairs; the key sets and the
+    # per-user demand sets took about 3 MB, the ledgers take under 1 MB
+    layout = build_layout(params_from_gammas(14, 2, 2, 3, 14))
+    tracemalloc.start()
+    try:
+        report = verify_decodability(layout, deliver(layout))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.checked == 11_760
+    assert peak < 1_500_000, peak
+    check = DecodeCheck()
+    for _, keys in deliver(layout):
+        check.add(keys)
+    assert len(check.peeled) <= layout.f and len(check.blocked) <= layout.f

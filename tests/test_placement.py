@@ -91,7 +91,7 @@ def test_ex7_private_cache_2(layout7):
 
 
 def test_ex7_demand_set_user1(layout7):
-    got = demand_pairs(layout7.params, 1)
+    got = demand_pairs(layout7, 1)
     assert got == tuple((mask_of(s), mask_of(t)) for s, t in EX7_DEMAND_1)
     assert len(got) == 20
 
@@ -160,7 +160,7 @@ def test_has_mini_trichotomy():
         pairs = [(s, t) for s in layout.shared_sets for t in t_sets(params, s)]
         assert len(pairs) == layout.f
         for u in range(1, params.k + 1):
-            demanded = set(layout.demand_pairs(u))
+            demanded = set(demand_pairs(layout, u))
             readable = {(s, t) for s, t in pairs if reads(layout, u, s, t)}
             assert not demanded & readable
             assert demanded | readable == set(pairs)
@@ -183,15 +183,16 @@ def test_demand_set_sizes():
         params = SystemParams(k=k, l=l, ma=Fraction(k * ga, k), mp=Fraction(k * gp, k), n=k)
         span = params.span
         expected = (k - span) * binom(k - span - 1, gp)
+        layout = build_layout(params)
         for u in range(1, k + 1):
-            assert len(demand_pairs(params, u)) == expected
+            assert len(demand_pairs(layout, u)) == expected
 
 
 def test_full_private_coverage_leaves_no_demand():
     # gamma_p = K - span: users reach the whole library, demand sets empty
     params = SystemParams(k=5, l=2, ma=1, mp=3, n=5)
-    assert all(not demand_pairs(params, u) for u in range(1, 6))
     layout = build_layout(params)
+    assert all(not demand_pairs(layout, u) for u in range(1, 6))
     assert layout.f == 5
 
 
@@ -292,13 +293,11 @@ def test_cells_match_the_per_user_enumeration():
                     layouts.append((build, build(params)))
                 except (InvalidParameters, RegimeError):
                     continue
-    for build, layout in layouts:
+    for _, layout in layouts:
         params, sets = layout.params, layout.shared_sets
         for u in range(1, params.k + 1):
             assert layout.private[u - 1] == private_cache_reference(params, sets, u)
-            assert layout.demand_pairs(u) == demand_pairs_reference(params, sets, u)
-            if build is build_layout:
-                assert demand_pairs(params, u) == layout.demand_pairs(u)
+            assert demand_pairs(layout, u) == demand_pairs_reference(params, sets, u)
     # the grid reaches both placements, no shared layer and no private one
     placements = {layout.placement for _, layout in layouts if layout.params.ga}
     assert placements == {RING, SUBSET}

@@ -48,8 +48,9 @@ def test_census_matches_anchor_classification():
         params = params_from_gammas(k, l, ga, gp, k)
         census = enumerate_transmission_subsets(params)
         by_union = {rec.union: rec for rec in census.records}
+        layout = build_layout(params)
         for u in range(1, k + 1):
-            for s, t in demand_pairs(params, u):
+            for s, t in demand_pairs(layout, u):
                 union = (1 << (u - 1)) | s | t
                 case, _ = classify(params, u, s, t)
                 assert case == by_union[union].case
