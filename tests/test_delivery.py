@@ -642,9 +642,9 @@ def mutated_stream(rng, layout, packets):
             if fault == "own":
                 s, t = (s | bit(v), t & ~bit(v)) if rng.random() < 0.5 else (s & ~bit(v), t | bit(v))
             else:
-                while (s, t) in placed:
-                    s = rng.getrandbits(k)
                 s, t = s & ~bit(v), t & ~(s | bit(v))
+                if (s, t) in placed:
+                    continue
             packets[i].insert(rng.randrange(len(packets[i]) + 1), (v, s, t))
     return packets
 
