@@ -14,11 +14,13 @@ oracle failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, Iterator
 
 from .model import InvalidParameters, RegimeError, SystemParams, params_from_gammas
 from .placement import CacheLayout, build_layout, build_subset_layout, layout_to_json
@@ -95,15 +97,23 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("-N", type=int, required=True, help="library size in files")
 
 
+@contextlib.contextmanager
+def _sink(path: str | None) -> Iterator[Callable[[str], object]]:
+    """``write`` of the ``-o`` file, or of stdout without one; a file that
+    cannot be opened or written is a validation error."""
+    if not path:
+        yield sys.stdout.write
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh.write
+    except OSError as exc:
+        raise ValueError(f"-o: {exc}") from None
+
+
 def _emit(text: str, path: str | None) -> None:
-    if path:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"-o: {exc}") from None
-    else:
-        sys.stdout.write(text)
+    with _sink(path) as write:
+        write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +180,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         packets = deliver(layout, unchecked=args.unchecked)
     except UncharacterizedRegime as exc:
         raise RegimeError(f"{exc.reason}; pass --unchecked to run it anyway") from exc
-    # one pass: each packet is rendered and checked as it streams past, never kept
-    lines: list[str] = []
-    report = verify_decodability(layout, format_log(packets, layout.f, lines))
-    lines += [f"# demand={','.join(str(d) for d in demand)}", format_report(report)]
-    _emit("\n".join(lines) + "\n", args.output)
+    # one pass: each packet is written and checked as it streams past, never
+    # kept; a refused run has opened no sink
+    with _sink(args.output) as write:
+        report = verify_decodability(layout, format_log(packets, layout.f, write))
+        write(f"# demand={','.join(str(d) for d in demand)}\n{format_report(report)}\n")
     return 0 if report.ok else 2
 
 
@@ -274,6 +284,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         kmin = 4 if args.kmin is None else args.kmin
         kmax = 10 if args.kmax is None else args.kmax
+        for k in range(kmin, kmax + 1):  # the first K past the guard, before any grid
+            check_enumeration_guard(k)
         instances = sweep_grid(kmin, kmax)
         if not instances:
             raise ValueError(

@@ -8,7 +8,10 @@ Ring placement. With I = {u} | S | T in ascending order, I[0] < ... <
 I[m-1], the shift by i is the relabelling I[p] -> I[(p + i) mod m]; it maps
 the anchor to an image (u_i, S_i, T_i) that again partitions I. A window of
 the ring lies inside I exactly when it is the image S_i of the window S
-under some shift, so the windows among the S-images decide the packet:
+under some shift: the shift by the positions of I from S's end to its end
+x. The windows are found by their ends, x with x, x - 1, ..., x - span + 1
+all in I: one mask, I ANDed with its turns by 1 .. span - 1. They decide
+the packet, with no relabelling:
 
 * exactly one window inside I (S itself)            -> SC1
 * exactly the two disjoint windows S and {u} | T    -> SC2
@@ -38,22 +41,27 @@ packet holds. With one term per user, that is the packet's lowest user:
 the rotation by j of a representative whose highest user is h goes out at
 user 1 + j exactly when h <= K - j, and otherwise wraps past K and went
 out earlier. No term user wraps, so the rotation keeps the term order.
+Rotation j thus sends the representatives with h <= K - j, a prefix of
+them sorted by h, in the order of their turned anchors among the demand
+pairs of user 1 + j: one lookup of the anchor's place per packet.
 
 :func:`deliver` streams the packets as (case, keys) pairs that carry no
-files: the demand only labels the terms. :func:`format_log` renders each
-packet as it passes and :func:`verify_decodability` checks the stream
-(:class:`DecodeCheck`), so ``simulate`` keeps no packet. The check files
-each key as a bit of its user under its (S, T) pair: nothing is per user.
+files: the demand only labels the terms. :func:`format_log` writes each
+packet's log line to its sink as the packet passes and
+:func:`verify_decodability` checks the stream (:class:`DecodeCheck`), so
+``simulate`` keeps neither packets nor lines. The check files each key as
+a bit of its user under its pair's int S << 64 | T: nothing is per user.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import (
     InvalidParameters,
@@ -62,9 +70,8 @@ from .model import (
     bit,
     bits,
     mask_str,
-    position_sets,
     uncharacterized,
-    window_set,
+    window_masks,
 )
 from .placement import SUBSET, CacheLayout, demand_pairs
 
@@ -76,8 +83,8 @@ SC2 = "SC2"
 Anchor = tuple[int, int, int]
 # a packet without files: its case and its terms' keys, the anchor first
 Packet = tuple[str, list[Anchor]]
-# representatives by the demand pair of user 1 they go through, with highest user
-Orbit = dict[tuple[int, int], tuple[str, list[Anchor], int]]
+# the packets through user 1's demand pairs, each with its highest user, by that user
+Orbit = list[tuple[int, str, list[Anchor]]]
 
 
 def worst_case_demand(k: int) -> tuple[int, ...]:
@@ -99,52 +106,6 @@ def check_demand(params: SystemParams, demand: Sequence[int]) -> tuple[int, ...]
     return tuple(demand)
 
 
-def _relabel(u: int, s: int, t: int) -> list[Anchor]:
-    """Images of the anchor (u, S, T) under every shift of its union set:
-    entry i relabels each member union[p] as union[(p + i) mod m], union
-    being the ascending members of {u} | S | T. Entry 0 is the anchor."""
-    pos = position_sets(u, s, t)
-    union = bit(u) | s | t
-    lifted = [1 << (x - 1) for x in pos.union] * 2  # index p + i needs no mod
-    p_u = pos.p_u.bit_length() - 1
-    p_s = [p - 1 for p in bits(pos.p_s)]
-    images = []
-    for i in range(pos.size):
-        s_img = 0
-        for p in p_s:
-            s_img |= lifted[p + i]
-        u_img = lifted[p_u + i]
-        images.append((u_img.bit_length(), s_img, union ^ s_img ^ u_img))
-    return images
-
-
-def _classify(
-    windows: frozenset[int], u: int, s: int, t: int, images: list[Anchor]
-) -> tuple[str, int | None]:
-    """Case tag for the anchor (u, S, T), plus the SC2 shift."""
-    inside = {s_img for _, s_img, _ in images if s_img in windows}
-    if len(inside) == 1:
-        if s not in inside:
-            raise AssertionError("the lone window inside the union set is not S")
-        return SC1, None
-    if len(inside) == 2:
-        a, b = inside
-        other = a if b == s else b
-        # the pair must be S and {u} | T to qualify; with gamma_p < span that
-        # is forced, outside the regime the anchor falls back to GENERAL
-        if a & b == 0 and other == bit(u) | t:
-            hits = [i for i in range(1, len(images)) if images[i][1] == other]
-            if len(hits) != 1:
-                raise AssertionError(f"rotation of S onto {{u}} | T is not unique: {hits}")
-            return SC2, hits[0]
-    return GENERAL, None
-
-
-def _general(windows: frozenset[int], images: list[Anchor]) -> list[Anchor]:
-    """The anchor plus, by ascending shift, every image whose S is a window."""
-    return images[:1] + [image for image in images[1:] if image[1] in windows]
-
-
 def _swap_group(u: int, s: int, t: int) -> list[Anchor]:
     """Anchor plus, for each v in T, the key with v swapped against u."""
     group = [(u, s, t)]
@@ -154,15 +115,32 @@ def _swap_group(u: int, s: int, t: int) -> list[Anchor]:
     return group
 
 
-def _ring_xor(windows: frozenset[int], u: int, s: int, t: int) -> Packet:
-    """Classify the anchor and build its packet from one relabelling."""
-    images = _relabel(u, s, t)
-    case, j = _classify(windows, u, s, t, images)
-    if case == SC1:
+def _ring_xor(windows: tuple[int, ...], u: int, s: int, t: int) -> Packet:
+    """Classify the anchor (u, S, T) by the windows inside its union set I,
+    found by their ends, and build its packet; ``windows[x - 1]`` is the
+    ring's window that ends at x."""
+    k = len(windows)
+    full = (1 << k) - 1
+    union = bit(u) | s | t
+    ends = union  # x ends a window inside I when x, x - 1, ..., x - span + 1 are
+    for d in range(1, s.bit_count()):
+        ends &= ((union << d) | (union >> (k - d))) & full
+    if ends.bit_count() == 1:
         return SC1, _swap_group(u, s, t)
-    if case == SC2:
-        return SC2, _swap_group(u, s, t) + _swap_group(*images[j])
-    return GENERAL, _general(windows, images)
+    end = s & ~((s >> 1) | (s << (k - 1)))  # the member of S whose successor is not
+    members, p_end = bits(union), (union & (end - 1)).bit_count()
+    p_u, others = members.index(u) - p_end, ends ^ end
+    images = []
+    for x in bits(others & -end) + bits(others & (end - 1)):  # by ascending shift
+        w = windows[x - 1]
+        v = members[(p_u + (union & (bit(x) - 1)).bit_count()) % len(members)]
+        images.append((v, w, union ^ w ^ bit(v)))
+    if len(images) == 1 and images[0][1] == bit(u) | t:
+        # S and {u} | T alone: the half turn carries one onto the other, and u into S
+        if not bit(images[0][0]) & s:
+            raise AssertionError("the shift carrying S onto {u} | T does not carry u into S")
+        return SC2, _swap_group(u, s, t) + _swap_group(*images[0])
+    return GENERAL, [(u, s, t)] + images
 
 
 def _subset_xor(u: int, s: int, t: int) -> Packet:
@@ -205,30 +183,33 @@ def _check_regime(params: SystemParams, unchecked: bool) -> None:
 
 def _representatives(layout: CacheLayout) -> Orbit:
     """For each demand pair (S, T) of user 1, the packet through (1, S, T)
-    and its highest user. Raises AssertionError if the rotations that
-    :func:`deliver` sends leave some user's demand pair uncovered."""
+    with its highest user, sorted by that user. Raises AssertionError if the
+    rotations that :func:`deliver` sends leave some user's demand pair
+    uncovered."""
     params = layout.params
     k, full = params.k, (1 << params.k) - 1
     if layout.placement == SUBSET:
         build = _subset_xor
     else:
-        build = partial(_ring_xor, window_set(k, params.span))
-    reps = {}
+        build = partial(_ring_xor, window_masks(k, params.span))
+    reps = []
+    sent = {}  # users each demand pair of user 1 is sent to, as a mask
     for s, t in demand_pairs(layout, 1):
         case, keys = build(1, s, t)
-        reps[s, t] = case, keys, max(v for v, _, _ in keys)
+        reps.append((max(v for v, _, _ in keys), case, keys))
+        sent[s << 64 | t] = 0
     # a representative with highest user h sends its term (v, S, T) to users
     # v .. v + K - h, as that term turned back by v - 1 and on again
-    sent = dict.fromkeys(reps, 0)  # users each pair is sent to, as a mask
-    for _, keys, h in reps.values():
+    for h, _, keys in reps:
         for v, s, t in keys:
             j, back = v - 1, k - v + 1
-            pair = (((s >> j) | (s << back)) & full, ((t >> j) | (t << back)) & full)
+            pair = (((s >> j) | (s << back)) & full) << 64 | (((t >> j) | (t << back)) & full)
             if pair in sent:
                 sent[pair] |= ((1 << (k - h + 1)) - 1) << j
     leftovers = sum(k - users.bit_count() for users in sent.values())
     if leftovers:
         raise AssertionError(f"{leftovers} demand pairs were never covered")
+    reps.sort(key=lambda rep: rep[0])
     return reps
 
 
@@ -244,16 +225,22 @@ def deliver(layout: CacheLayout, *, unchecked: bool = False) -> Iterator[Packet]
 def _scan(layout: CacheLayout, reps: Orbit) -> Iterator[Packet]:
     k = layout.params.k
     full = (1 << k) - 1
-    for u in range(1, k + 1):
-        j, back = u - 1, k - u + 1
-        for s, t in demand_pairs(layout, u):
-            # the pair turned back by j, then its packet turned on by j
-            case, keys, h = reps[((s >> j) | (s << back)) & full, ((t >> j) | (t << back)) & full]
-            if h <= back:
-                yield case, [
-                    (v + j, ((a << j) | (a >> back)) & full, ((b << j) | (b >> back)) & full)
-                    for v, a, b in keys
-                ]
+    pairs = (s << 64 | t for s, ts in layout.tails for t in ts)
+    place = {pair: i for i, pair in enumerate(pairs)}  # in every demand set's order
+    highs = [h for h, _, _ in reps]
+    for j in range(k):
+        back = k - j
+        batch = []  # the packets that go out at user 1 + j, by their anchor turned on by j
+        for _, case, keys in reps[: bisect_right(highs, back)]:
+            _, s, t = keys[0]
+            anchor = (((s << j) | (s >> back)) & full) << 64 | (((t << j) | (t >> back)) & full)
+            batch.append((place[anchor], case, keys))
+        batch.sort()
+        for _, case, keys in batch:
+            yield case, [
+                (v + j, ((a << j) | (a >> back)) & full, ((b << j) | (b >> back)) & full)
+                for v, a, b in keys
+            ]
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +272,12 @@ class DecodeCheck:
     neither, so it peels its term when no second term is unreadable to it:
     the running mask ``once`` holds the users some term leaves unreadable, and
     ``twice`` those two terms do. A key is filed as its user's bit in
-    ``peeled[S, T]`` or ``blocked[S, T]``. :meth:`report` checks every
-    demand pair."""
+    ``peeled[S << 64 | T]`` or ``blocked[S << 64 | T]``, one int per pair
+    (K <= 64). :meth:`report` checks every demand pair."""
 
     def __init__(self) -> None:
-        self.peeled: defaultdict[tuple[int, int], int] = defaultdict(int)
-        self.blocked: defaultdict[tuple[int, int], int] = defaultdict(int)
+        self.peeled: defaultdict[int, int] = defaultdict(int)
+        self.blocked: defaultdict[int, int] = defaultdict(int)
 
     def add(self, keys: Sequence[Anchor]) -> None:
         once = twice = 0
@@ -302,9 +289,9 @@ class DecodeCheck:
         for v, s, t in keys:
             own = 1 << (v - 1)
             if twice & own:
-                blocked[s, t] |= own
+                blocked[s << 64 | t] |= own
             else:
-                peeled[s, t] |= own
+                peeled[s << 64 | t] |= own
 
     def report(self, layout: CacheLayout) -> DecodabilityReport:
         """One pass over the layout's (S, T) pairs, each demanded by the users
@@ -313,14 +300,14 @@ class DecodeCheck:
         misses = []
         checked = 0
         pairs = ((s, t) for s, ts in layout.tails for t in ts)
-        for i, pair in enumerate(pairs):
-            want = full & ~(pair[0] | pair[1])
+        for i, (s, t) in enumerate(pairs):
+            want = full & ~(s | t)
             checked += want.bit_count()
-            for v in bits(want & ~self.peeled.get(pair, 0)):
+            for v in bits(want & ~self.peeled.get(s << 64 | t, 0)):
                 reason = "never transmitted"
-                if self.blocked.get(pair, 0) >> (v - 1) & 1:
+                if self.blocked.get(s << 64 | t, 0) >> (v - 1) & 1:
                     reason = "all carriers blocked by unreadable terms"
-                misses.append((v, i, Failure(v, *pair, reason)))
+                misses.append((v, i, Failure(v, s, t, reason)))
         misses.sort(key=lambda miss: miss[:2])
         failures = tuple(failure for _, _, failure in misses)
         return DecodabilityReport(not failures, checked, failures)
@@ -344,20 +331,20 @@ def format_packet(case: str, keys: Iterable[Anchor]) -> str:
     return case + " " + " ^ ".join([f"d{v}:{mask_str(s)}:{mask_str(t)}" for v, s, t in keys])
 
 
-def format_log(packets: Iterable[Packet], f: int, lines: list[str]) -> Iterator[Packet]:
-    """Pass ``packets`` through, appending each one's log line to ``lines``
+def format_log(packets: Iterable[Packet], f: int, write: Callable[[str], object]) -> Iterator[Packet]:
+    """Pass ``packets`` through, writing each one's log line with ``write``
     as it goes by and, once the stream ends, the count and rate lines over
-    subpacketization ``f``."""
+    subpacketization ``f``; every line ends in a newline."""
     counts: Counter[str] = Counter()
     for packet in packets:
-        lines.append(format_packet(*packet))
+        write(format_packet(*packet) + "\n")
         counts[packet[0]] += 1
         yield packet
     total = sum(counts.values())
     rate = Fraction(total, f)
-    lines.append(
+    write(
         f"# total={total} general={counts[GENERAL]} sc1={counts[SC1]} sc2={counts[SC2]}\n"
-        f"# F={f} rate={rate.numerator}/{rate.denominator}"
+        f"# F={f} rate={rate.numerator}/{rate.denominator}\n"
     )
 
 

@@ -144,7 +144,7 @@ def window_set(k: int, width: int) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# position sets inside a sorted union: delivery relabels an anchor through them
+# position sets inside a sorted union, through which a shift relabels an anchor
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)

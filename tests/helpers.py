@@ -3,10 +3,12 @@ predicates, what a layout lets a user read, each user's private cache and
 demand set enumerated user by user as the placement did before it split one
 T list per shared set, the layout dump as the dict the direct JSON renderer
 replaced, position-set rotations, the delivery builders one anchor at a
-time, packets materialized as transmissions whose terms carry files (the
-library streams file-free packets), the greedy delivery loop the orbit plan
-replaced, the decode check with the per-term prefix and suffix rule the two
-running masks replaced, the decode check with one set of (user, S, T) keys
+time, the relabelling ring builder and the per-user scan that the
+window-end builder and the scan by rotation replaced, packets materialized
+as transmissions whose terms carry files (the library streams file-free
+packets), the greedy delivery loop the orbit plan replaced, the decode
+check with the per-term prefix and suffix rule the two running masks
+replaced, the decode check with one set of (user, S, T) keys
 per verdict that the (S, T) ledgers replaced, delivery results with a
 transmission taken out, and the cut-set bound as a loop over Fractions."""
 
@@ -23,17 +25,22 @@ from ringcache.delivery import (
     DecodeCheck,
     Failure,
     _check_regime,
-    _classify,
-    _general,
-    _relabel,
-    _ring_xor,
     _subset_xor,
     _swap_group,
     check_demand,
     deliver,
     format_packet,
 )
-from ringcache.model import SystemParams, bit, bits, cyc, mask_str, window_mask, window_set
+from ringcache.model import (
+    SystemParams,
+    bit,
+    bits,
+    cyc,
+    mask_str,
+    position_sets,
+    window_mask,
+    window_set,
+)
 from ringcache.placement import SUBSET, demand_pairs
 
 
@@ -215,6 +222,84 @@ def _transmission(case, keys, demand) -> Transmission:
     return Transmission(case, tuple(Term(v, demand[v - 1], s, t) for v, s, t in keys), keys[0])
 
 
+def _relabel(u: int, s: int, t: int):
+    """Images of the anchor (u, S, T) under every shift of its union set:
+    entry i relabels each member union[p] as union[(p + i) mod m], union
+    being the ascending members of {u} | S | T. Entry 0 is the anchor."""
+    pos = position_sets(u, s, t)
+    union = bit(u) | s | t
+    lifted = [1 << (x - 1) for x in pos.union] * 2  # index p + i needs no mod
+    p_u = pos.p_u.bit_length() - 1
+    p_s = [p - 1 for p in bits(pos.p_s)]
+    images = []
+    for i in range(pos.size):
+        s_img = 0
+        for p in p_s:
+            s_img |= lifted[p + i]
+        u_img = lifted[p_u + i]
+        images.append((u_img.bit_length(), s_img, union ^ s_img ^ u_img))
+    return images
+
+
+def _classify(windows, u: int, s: int, t: int, images):
+    """Case tag for the anchor (u, S, T), plus the SC2 shift: the windows
+    among the S-images of its relabellings decide it."""
+    inside = {s_img for _, s_img, _ in images if s_img in windows}
+    if len(inside) == 1:
+        if s not in inside:
+            raise AssertionError("the lone window inside the union set is not S")
+        return SC1, None
+    if len(inside) == 2:
+        a, b = inside
+        other = a if b == s else b
+        # the pair must be S and {u} | T to qualify; with gamma_p < span that
+        # is forced, outside the regime the anchor falls back to GENERAL
+        if a & b == 0 and other == bit(u) | t:
+            hits = [i for i in range(1, len(images)) if images[i][1] == other]
+            if len(hits) != 1:
+                raise AssertionError(f"rotation of S onto {{u}} | T is not unique: {hits}")
+            return SC2, hits[0]
+    return GENERAL, None
+
+
+def _general(windows, images):
+    """The anchor plus, by ascending shift, every image whose S is a window."""
+    return images[:1] + [image for image in images[1:] if image[1] in windows]
+
+
+def ring_xor_reference(windows, u: int, s: int, t: int):
+    """The ring packet through (u, S, T) from one relabelling of its union
+    set, ``windows`` being the set of window masks: what
+    ``delivery._ring_xor`` built before it found the windows by their ends."""
+    images = _relabel(u, s, t)
+    case, j = _classify(windows, u, s, t, images)
+    if case == SC1:
+        return SC1, _swap_group(u, s, t)
+    if case == SC2:
+        return SC2, _swap_group(u, s, t) + _swap_group(*images[j])
+    return GENERAL, _general(windows, images)
+
+
+def scan_reference(layout, reps):
+    """The packets of ``reps`` (as ``delivery._representatives`` returns
+    them) in the greedy scan's order, found as the scan did before it went
+    by rotation: users ascending, each user's demand pairs in order, every
+    pair turned back to user 1's frame and its packet sent when its highest
+    user does not wrap."""
+    by_pair = {keys[0][1:]: (case, keys, h) for h, case, keys in reps}
+    k = layout.params.k
+    full = (1 << k) - 1
+    for u in range(1, k + 1):
+        j, back = u - 1, k - u + 1
+        for s, t in demand_pairs(layout, u):
+            case, keys, h = by_pair[((s >> j) | (s << back)) & full, ((t >> j) | (t << back)) & full]
+            if h <= back:
+                yield case, [
+                    (v + j, ((a << j) | (a >> back)) & full, ((b << j) | (b >> back)) & full)
+                    for v, a, b in keys
+                ]
+
+
 def _windows(params):
     return window_set(params.k, params.span)
 
@@ -242,7 +327,7 @@ def build_sc2(params, demand, u: int, s: int, t: int, j: int) -> Transmission:
 
 
 def build_transmission(params, demand, u: int, s: int, t: int) -> Transmission:
-    return _transmission(*_ring_xor(_windows(params), u, s, t), demand)
+    return _transmission(*ring_xor_reference(_windows(params), u, s, t), demand)
 
 
 def build_subset_xor(params, demand, u: int, s: int, t: int) -> Transmission:
@@ -297,9 +382,9 @@ class DecodeCheckReference(DecodeCheck):
         for i, key in enumerate(keys):
             v, s, t = key
             if (before & after[i + 1]) >> (v - 1) & 1:
-                self.peeled[s, t] |= bit(v)
+                self.peeled[s << 64 | t] |= bit(v)
             else:
-                self.blocked[s, t] |= bit(v)
+                self.blocked[s << 64 | t] |= bit(v)
             before &= s | t
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -15,7 +16,7 @@ from conftest import SRC
 import ringcache.cli
 from ringcache.cli import build_parser, dec6, main
 from ringcache.delivery import deliver, format_report, verify_decodability
-from ringcache.model import SystemParams
+from ringcache.model import SystemParams, params_from_gammas
 from ringcache.placement import build_layout, build_subset_layout
 from fractions import Fraction
 
@@ -127,6 +128,78 @@ def test_simulate_explicit_and_seeded_demands():
     )
     assert code == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("-K", "7", "-L", "2", "--ma", "1", "--mp", "1", "-N", "7"),
+        ("-K", "8", "-L", "1", "--ma", "3", "--mp", "1", "-N", "8", "--seed", "5"),
+        ("-K", "9", "-L", "3", "--ma", "1", "--mp", "2", "-N", "9", "--demands", "2,2,1,4,5,6,7,8,9"),
+        # outside the characterized regime, where the log ends in a FAIL report
+        ("-K", "8", "-L", "2", "--ma", "1", "--mp", "3", "-N", "8", "--unchecked"),
+    ],
+)
+def test_simulate_file_is_stdout(tmp_path, extra):
+    code, out, err = run_cli("simulate", *extra)
+    target = tmp_path / "simulate.log"
+    assert run_cli("simulate", *extra, "-o", str(target)) == (code, "", err)
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("-K", "8", "-L", "2", "--ma", "1", "--mp", "3", "-N", "8"),
+        ("-K", "5", "-L", "2", "--ma", "1", "--mp", "1", "-N", "5", "--demands", "1,2,3"),
+        ("-K", "5", "-L", "2", "--ma", "1", "--mp", "1", "-N", "5", "--demands", "1,x,2,3,4"),
+    ],
+)
+def test_a_refused_simulate_creates_no_file(tmp_path, extra):
+    # the sink is opened once delivery has started, after every refusal
+    target = tmp_path / "simulate.log"
+    code, out, err = run_cli("simulate", *extra, "-o", str(target))
+    assert (code, out) == (1, "") and err.startswith("ringcache: ")
+    assert not target.exists()
+
+
+def test_simulate_streams_its_log(tmp_path):
+    # K=20 L=2 gamma_a=3 gamma_p=4 writes a 6.5 MB log; written line by line
+    # as the packets stream, the run peaks no higher than the delivery and its
+    # check alone, where holding the lines and joining them took 14 MB more
+    params = params_from_gammas(20, 2, 3, 4, 20)
+    target = tmp_path / "k20.log"
+    tracemalloc.start()
+    try:
+        layout = build_layout(params)
+        assert verify_decodability(layout, deliver(layout)).ok
+        del layout
+        alone = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        code = main(["simulate", "-K", "20", "-L", "2", "--ma", "3", "--mp", "4", "-N", "20",
+                     "-o", str(target)])
+        streamed = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    log = target.read_bytes()
+    assert code == 0 and log.endswith(b"\n# decodability PASS (200200 mini-subfiles)\n")
+    assert streamed - alone < len(log) / 4, (streamed, alone, len(log))
+
+
+def test_a_closed_stdout_stops_simulate_quietly():
+    # unbuffered, every log line is written as it streams, so the pipe that
+    # the reader closes after the first line fails the next write
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "ringcache", "simulate",
+         "-K", "18", "-L", "3", "--ma", "1", "--mp", "2", "-N", "18"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.stdout.readline().startswith(b"GENERAL d1:")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_simulate_rejects_bad_demand():
@@ -402,6 +475,11 @@ def test_verify_command_grid():
         ),
         # an instance without both replication factors
         (("-K", "7", "-L", "2", "--ga", "1"), "explicit instances need --ga and --gp"),
+        # an empty grid past the census guard is still an empty grid
+        (
+            ("--kmin", "25", "--kmax", "22"),
+            "--kmin/--kmax: no counting-regime instance with 25 <= K <= 22",
+        ),
     ],
 )
 def test_verify_refuses_what_it_would_not_check(argv, message):
@@ -415,15 +493,24 @@ def test_verify_refuses_what_it_would_not_check(argv, message):
         (("--kmin", "20", "--kmax", "21"), 21),
         (("--kmin", "19", "--kmax", "23"), 21),
         (("-K", "22", "--ga", "1", "--gp", "1"), 22),
+        # past the 64-user cap too: refused at the first K past the guard,
+        # not by the cap once the grid is built
+        (("--kmax", "100000"), 21),
+        (("--kmin", "30", "--kmax", "70"), 30),
     ],
 )
 def test_verify_refuses_an_oversized_census_before_any_instance(monkeypatch, argv, k):
     # a grid that reaches past the census guard used to run every instance
-    # below it (minutes at K = 20) and print their lines before refusing
+    # below it (minutes at K = 20) and print their lines before refusing;
+    # the range is checked against the guard before the grid is built
     def no_instance(params):
         raise AssertionError(f"ran K={params.k} before refusing")
 
+    def no_grid(kmin, kmax):
+        raise AssertionError(f"built the grid {kmin}..{kmax} before refusing")
+
     monkeypatch.setattr(ringcache.cli, "count_vs_formula", no_instance)
+    monkeypatch.setattr(ringcache.cli, "sweep_grid", no_grid)
     code, out, err = run_cli("verify", *argv)
     assert (code, out, err) == (
         1, "", f"ringcache: refusing exhaustive enumeration for K={k} > 20\n"

@@ -20,6 +20,8 @@ from ringcache.model import (
     mask_of,
     params_from_gammas,
     position_sets,
+    window_masks,
+    window_set,
 )
 from ringcache.placement import RING, SUBSET, build_layout, build_subset_layout, demand_pairs
 from ringcache import delivery
@@ -28,7 +30,9 @@ from ringcache.delivery import (
     SC1,
     SC2,
     DecodeCheck,
-    _relabel,
+    _representatives,
+    _ring_xor,
+    _scan,
     check_demand,
     deliver,
     format_log,
@@ -43,6 +47,7 @@ from ringcache.verify import sweep_grid
 from helpers import (
     DecodeCheckReference,
     DecodeCheckSets,
+    _relabel,
     build_general,
     build_sc1,
     build_sc2,
@@ -55,6 +60,8 @@ from helpers import (
     format_transmission,
     materialize,
     only_bit,
+    ring_xor_reference,
+    scan_reference,
     shift_positions,
 )
 from golden import EX5, EX5_TRANSMISSIONS, EX7, EX7_SC1, EX7_SC2, term_set
@@ -406,10 +413,11 @@ def test_log_format(run5):
     layout, _, result = run5
     line = format_transmission(result.transmissions[0])
     assert line == "GENERAL d1:2,3:4 ^ d2:3,4:1 ^ d4:1,2:3"
-    lines = []
-    # the packets pass through unchanged, their lines and the footer land in lines
-    assert list(format_log(deliver(layout), layout.f, lines)) == result.packets()
-    log = "\n".join(lines).splitlines()
+    chunks = []
+    # the packets pass through unchanged, their lines and the footer are written
+    assert list(format_log(deliver(layout), layout.f, chunks.append)) == result.packets()
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    log = "".join(chunks).splitlines()
     assert log[:-2] == [format_transmission(tx) for tx in result.transmissions]
     assert log[-2] == "# total=10 general=10 sc1=0 sc2=0"
     assert log[-1] == "# F=15 rate=2/3"
@@ -514,7 +522,8 @@ def test_orbit_plan_matches_greedy_loop_on_the_subset_placement():
         assert_orbit_matches_greedy(build_subset_layout, params, 100 * k + 10 * ga + gp)
 
 
-def test_orbit_plan_matches_greedy_loop_in_the_uncharacterized_band():
+def uncharacterized_band():
+    """(K, L, gamma_a, gamma_p) of band points that run with ``unchecked``."""
     band = [(12, 2, 1, 3)]
     band += [
         (k, l, ga, gp)
@@ -523,12 +532,60 @@ def test_orbit_plan_matches_greedy_loop_in_the_uncharacterized_band():
         for ga in range(1, k // l + 1)
         for gp in range(ga * l, k - ga * l - 1)
     ]
+    return band
+
+
+def test_orbit_plan_matches_greedy_loop_in_the_uncharacterized_band():
+    band = uncharacterized_band()
     assert (8, 2, 1, 2) in band and len(band) > 20
     for seed, (k, l, ga, gp) in enumerate(band):
         params = params_from_gammas(k, l, ga, gp, k)
         with pytest.raises(RegimeError):
             deliver(build_layout(params))
         assert_orbit_matches_greedy(build_layout, params, seed, unchecked=True)
+
+
+# ---------------------------------------------------------------------------
+# the window-end kernel and the scan by rotation against what they replaced
+# ---------------------------------------------------------------------------
+
+def kernel_params():
+    """The verify grid, the L = 1 instances and the uncharacterized band."""
+    params = sweep_grid(3, 12)
+    params += [SystemParams(k=k, l=1, ma=ga, mp=gp, n=k) for k, ga, gp in l1_instances(3, 12)]
+    params += [params_from_gammas(k, l, ga, gp, k) for k, l, ga, gp in uncharacterized_band()]
+    return list(dict.fromkeys(params))  # the grid's L = 1 instances are among the L = 1 ones
+
+
+def test_window_end_kernel_matches_the_relabelling_one():
+    # every demand pair of user 1 on every ring layout, and of every user up
+    # to K = 8, where S also wraps past K: same case, same keys in order
+    seen = Counter()
+    for params in kernel_params():
+        layout = build_layout(params)
+        if layout.placement != RING:
+            continue
+        ends, windows = window_masks(params.k, params.span), window_set(params.k, params.span)
+        for u in range(1, params.k + 1 if params.k <= 8 else 2):
+            for s, t in demand_pairs(layout, u):
+                got = _ring_xor(ends, u, s, t)
+                assert got == ring_xor_reference(windows, u, s, t), (params, u, s, t)
+                seen[got[0], u == 1] += 1
+    assert min(seen[case, first] for case in (GENERAL, SC1, SC2) for first in (0, 1)) > 100, seen
+
+
+def test_scan_by_rotation_matches_the_per_user_scan():
+    # the ring layouts of the kernel test, and the subset ones up to K = 10
+    layouts = [build_layout(params) for params in kernel_params()]
+    layouts += [
+        build_subset_layout(SystemParams(k=k, l=1, ma=ga, mp=gp, n=k))
+        for k, ga, gp in l1_instances(3, 10)
+    ]
+    assert {layout.placement for layout in layouts if layout.params.ga} == {RING, SUBSET}
+    for layout in layouts:
+        reps = _representatives(layout)
+        assert [h for h, _, _ in reps] == sorted(h for h, _, _ in reps)
+        assert list(_scan(layout, reps)) == list(scan_reference(layout, reps)), layout.params
 
 
 def test_an_uncovered_demand_pair_is_an_error(monkeypatch):
@@ -560,8 +617,8 @@ def filed(check, keys):
     """Where ``check`` filed each demand key of ``keys``: the only keys
     :meth:`DecodeCheck.report` looks up."""
     return [
-        (key, bool(check.peeled.get(key[1:], 0) & bit(key[0])),
-         bool(check.blocked.get(key[1:], 0) & bit(key[0])))
+        (key, bool(check.peeled.get(key[1] << 64 | key[2], 0) & bit(key[0])),
+         bool(check.blocked.get(key[1] << 64 | key[2], 0) & bit(key[0])))
         for key in keys
         if is_demand_key(key)
     ]
