@@ -9,16 +9,18 @@ subset of [K] containing at least one window. A GENERAL subset yields
 
 The achievable rate is implemented twice, as the one-line closed form and
 as X/F from the per-case counts, and the two are cross-asserted on every
-call; the brute-force census in :mod:`ringcache.verify` is the arbiter
-behind both. Counts and closed forms describe the ring placement at every
-L; the achievable rate at L = 1 is the subset placement's instead.
+call; within one sweep, where each distinct corner is rated once, that is
+once per corner. The brute-force census in :mod:`ringcache.verify` is the
+arbiter behind both. Counts and closed forms describe the ring placement
+at every L; the achievable rate at L = 1 is the subset placement's instead.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 from .model import RegimeError, SystemParams, binom, uncharacterized
 
@@ -177,17 +179,16 @@ def cutset_bound(params: SystemParams) -> Fraction:
     floor(N/s) broadcast rounds forces
     rate >= s - (p*ma + s*mp) / floor(N/s); maximize over s, floor at 0.
 
-    Evaluated in integers: with D the common denominator of ma and mp, and
-    A = ma*D and B = mp*D, the term for s is the pair
+    Evaluated in integers: with D = den(ma) * den(mp), A = ma*D and
+    B = mp*D, the term for s is the pair
     (s*q*D - (p*A + s*B), q*D) at q = floor(N/s). The largest pair is kept
     by cross-multiplication (the denominators are positive, as q >= 1), and
     only the maximum becomes a Fraction.
     """
     k, l, n = params.k, params.l, params.n
     ma, mp = params.ma, params.mp
-    d = math.lcm(ma.denominator, mp.denominator)
-    a = ma.numerator * (d // ma.denominator)
-    b = mp.numerator * (d // mp.denominator)
+    d = ma.denominator * mp.denominator
+    a, b = ma.numerator * mp.denominator, mp.numerator * ma.denominator
     best_num, best_den = 0, 1
     for s in range(1, k + 1):
         p = min(s + l - 1, k)
@@ -230,37 +231,46 @@ class MemoryShare:
     rate: Fraction
 
 
-def memory_share(params: SystemParams) -> MemoryShare:
-    """Realize fractional replication by splitting files between the integral
-    corner schemes; the rate is the matching convex combination of corner
-    rates. Integral inputs degenerate to a single unit-weight corner."""
-    ga, gp = params.gamma_a, params.gamma_p
-    fa, ca = math.floor(ga), math.ceil(ga)
-    fp, cp = math.floor(gp), math.ceil(gp)
-    alpha_a = Fraction(ca) - ga if ca != fa else Fraction(1)
-    alpha_p = Fraction(cp) - gp if cp != fp else Fraction(1)
-
-    axes_a = [(fa, alpha_a)] if fa == ca else [(fa, alpha_a), (ca, 1 - alpha_a)]
-    axes_p = [(fp, alpha_p)] if fp == cp else [(fp, alpha_p), (cp, 1 - alpha_p)]
-    points = []
-    for ga_c, wa in axes_a:
-        for gp_c, wp in axes_p:
-            weight = wa * wp
+def _share(
+    gamma_a: Fraction, gamma_p: Fraction, corner_rate: Callable[[int, int], Fraction]
+) -> tuple[list[tuple[int, int, int, Fraction]], Fraction]:
+    """Memory sharing in integers: at gamma = lo + rest/q, corner lo weighs
+    (q - rest)/q and corner lo + 1 weighs rest/q. The corners, floor first
+    and gamma_a outer, as (gamma_a, gamma_p, weight * den(gamma_a) *
+    den(gamma_p), rate), and their weighted rate, reduced once."""
+    axes = []
+    for gamma in (gamma_a, gamma_p):
+        q = gamma.denominator
+        lo, rest = divmod(gamma.numerator, q)
+        axes.append(((lo, q - rest), (lo + 1, rest)) if rest else ((lo, 1),))
+    points, num, den = [], 0, 1
+    for ga_c, wa in axes[0]:
+        for gp_c, wp in axes[1]:
             # 0 <= gamma <= K, so every corner is a valid network of its own
             try:
-                rate = _rate(params.k, params.l, ga_c, gp_c)
+                rate = corner_rate(ga_c, gp_c)
             except RegimeError as exc:
                 raise RegimeError(
                     f"memory-sharing corner (gamma_a={ga_c}, gamma_p={gp_c}) is"
                     f" unsupported: {exc}"
                 ) from exc
-            points.append(SharePoint(ga_c, gp_c, weight, rate))
-    total = sum((pt.weight * pt.rate for pt in points), start=Fraction(0))
-    return MemoryShare(tuple(points), total)
+            points.append((ga_c, gp_c, wa * wp, rate))
+            num = num * rate.denominator + wa * wp * rate.numerator * den
+            den *= rate.denominator
+    return points, Fraction(num, den * gamma_a.denominator * gamma_p.denominator)
+
+
+def memory_share(params: SystemParams) -> MemoryShare:
+    """Realize fractional replication by splitting files between the integral
+    corner schemes; the rate is the matching convex combination of corner
+    rates. Integral inputs degenerate to a single unit-weight corner."""
+    points, rate = _share(params.gamma_a, params.gamma_p, partial(_rate, params.k, params.l))
+    q = params.gamma_a.denominator * params.gamma_p.denominator
+    return MemoryShare(tuple(SharePoint(a, p, Fraction(w, q), r) for a, p, w, r in points), rate)
 
 
 def rate_with_sharing(params: SystemParams) -> Fraction:
     """Achievable rate, interpolating automatically for fractional gammas."""
     if params.integral:
         return achievable_rate(params)
-    return memory_share(params).rate
+    return _share(params.gamma_a, params.gamma_p, partial(_rate, params.k, params.l))[1]

@@ -34,7 +34,7 @@ from .delivery import (
     verify_decodability,
     worst_case_demand,
 )
-from .analysis import achievable_rate, cutset_bound, is_optimal, memory_share, rate_with_sharing
+from .analysis import _rate, _share, achievable_rate, cutset_bound, is_optimal, memory_share
 from .verify import check_enumeration_guard, count_vs_formula, man_crosscheck, sweep_grid
 
 # most rows one sweep builds; 20,000 rows take about 1 s, and 100 MB as JSON
@@ -72,11 +72,12 @@ def _demand_entry(text: str) -> int:
 
 
 def dec6(x: Fraction) -> str:
-    """Decimal rendering to 6 places via exact rounding (no floats)."""
-    scaled = round(x * 10**6)
-    sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    return f"{sign}{scaled // 10**6}.{scaled % 10**6:06d}"
+    """Decimal rendering to 6 places by exact rounding, ties to even (no floats)."""
+    scaled, rest = divmod(x.numerator * 10**6, x.denominator)
+    if 2 * rest > x.denominator or 2 * rest == x.denominator and scaled & 1:
+        scaled += 1
+    whole, part = divmod(abs(scaled), 10**6)
+    return f"{'-' if scaled < 0 else ''}{whole}.{part:06d}"
 
 
 def _params(args: argparse.Namespace) -> SystemParams:
@@ -189,27 +190,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _sweep_row(
-    k: int, l: int, n: int, ma: Fraction, mp: Fraction, with_bound: bool, with_optimal: bool
+    args: argparse.Namespace, ma: Fraction, mp: Fraction, corner_rate: Callable[[int, int], Fraction]
 ) -> tuple[str, ...]:
-    """The 15 field values of one sweep row, in :data:`CSV_HEADER` order;
-    fields a row cannot fill are empty and ``note`` holds the reason."""
-    base = (str(k), str(l), str(n), str(ma), str(mp))
+    """The 15 field values of the sweep's row at (ma, mp), in :data:`CSV_HEADER`
+    order; fields a row cannot fill are empty and ``note`` holds the reason."""
+    base = (str(args.K), str(args.L), str(args.N), str(ma), str(mp))
     try:
-        params = SystemParams(k=k, l=l, ma=ma, mp=mp, n=n)
+        params = SystemParams(k=args.K, l=args.L, ma=ma, mp=mp, n=args.N)
     except InvalidParameters as exc:
         return base + ("",) * 9 + (str(exc),)
     gammas = (str(params.gamma_a), str(params.gamma_p))
-    try:
-        rate = rate_with_sharing(params)
+    try:  # as rate_with_sharing, with the sweep's corner rates
+        share = None if params.integral else _share(params.gamma_a, params.gamma_p, corner_rate)
+        rate = corner_rate(params.ga, params.gp) if share is None else share[1]
     except RegimeError as exc:
         return base + gammas + ("",) * 7 + (str(exc),)
     cells = (str(rate.numerator), str(rate.denominator), dec6(rate))
-    if with_bound:
+    if args.bound:
         bound = cutset_bound(params)
         cells += (str(bound.numerator), str(bound.denominator), dec6(bound))
     else:
         cells += ("", "", "")
-    optimal = ("true" if is_optimal(params) else "false") if with_optimal else ""
+    optimal = ("true" if is_optimal(params) else "false") if args.optimal else ""
     return base + gammas + cells + (optimal, "")
 
 
@@ -244,11 +246,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f" {len(ma_list) * points} rows, over the budget of {SWEEP_ROW_BUDGET}"
         )
     mp_list = [start + i * step for i in range(points)]
-    rows = [
-        _sweep_row(args.K, args.L, args.N, ma, mp, args.bound, args.optimal)
-        for ma in ma_list
-        for mp in mp_list
-    ]
+    # each corner rate and its count-law cross-check once, in a cache that dies with this sweep
+    corner_rate = functools.cache(functools.partial(_rate, args.K, args.L))
+    rows = [_sweep_row(args, ma, mp, corner_rate) for ma in ma_list for mp in mp_list]
     if args.format == "json":
         keys = CSV_HEADER.split(",")
         payload = [dict(zip(keys, row)) for row in rows]

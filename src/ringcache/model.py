@@ -202,8 +202,9 @@ class SystemParams:
     n: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ma", Fraction(self.ma))
-        object.__setattr__(self, "mp", Fraction(self.mp))
+        for name in ("ma", "mp"):  # a Fraction is kept as given, not re-wrapped
+            if type(getattr(self, name)) is not Fraction:
+                object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.k < 1:
             raise InvalidParameters(f"need at least one user, got K={self.k}")
         if self.k > MAX_USERS:
@@ -222,11 +223,11 @@ class SystemParams:
     # hash and repr (which read the fields alone) unchanged
     @cached_property
     def gamma_a(self) -> Fraction:
-        return Fraction(self.k, self.n) * self.ma
+        return Fraction(self.k * self.ma.numerator, self.n * self.ma.denominator)
 
     @cached_property
     def gamma_p(self) -> Fraction:
-        return Fraction(self.k, self.n) * self.mp
+        return Fraction(self.k * self.mp.numerator, self.n * self.mp.denominator)
 
     @property
     def integral(self) -> bool:
@@ -253,14 +254,9 @@ class SystemParams:
         """gamma_a * L: how many consecutive subfile indices a user reaches."""
         return self.ga * self.l
 
-    def with_memory(self, ma: RationalLike, mp: RationalLike) -> "SystemParams":
-        return SystemParams(self.k, self.l, Fraction(ma), Fraction(mp), self.n)
-
 
 def params_from_gammas(k: int, l: int, ga: RationalLike, gp: RationalLike, n: int) -> SystemParams:
     """Build params from replication factors instead of cache sizes."""
     if k < 1:  # refused as SystemParams would, before the division by K
         raise InvalidParameters(f"need at least one user, got K={k}")
-    ga = Fraction(ga)
-    gp = Fraction(gp)
-    return SystemParams(k, l, Fraction(n) * ga / k, Fraction(n) * gp / k, n)
+    return SystemParams(k, l, Fraction(ga) * n / k, Fraction(gp) * n / k, n)

@@ -110,12 +110,6 @@ class CacheLayout:
         """Users in each S: span on the ring placement, gamma_a on the subset one."""
         return self.params.ga if self.placement == SUBSET else self.params.span
 
-    @property
-    def shared_sets(self) -> tuple[int, ...]:
-        """Every S a subfile can carry, in canonical order: ring windows by
-        end, or all gamma_a-subsets lexicographically."""
-        return tuple(s for s, _ in self.tails)
-
 
 def subpacketization(params: SystemParams) -> int:
     """Mini-subfiles per file on the ring placement: C(K, gamma_p) without a
@@ -148,7 +142,7 @@ def _cell(tails: Tails, u: int, *, held: bool) -> tuple[tuple[int, int], ...]:
 
 def demand_pairs(layout: CacheLayout, u: int) -> tuple[tuple[int, int], ...]:
     """User u's demand set: every (S, T) pair of the layout with u outside
-    S | T, ordered by S (as in :attr:`CacheLayout.shared_sets`) then T
+    S | T, ordered by S (as in :attr:`CacheLayout.tails`) then T
     lexicographically."""
     return _cell(layout.tails, u, held=False)
 

@@ -10,13 +10,17 @@ packets), the greedy delivery loop the orbit plan replaced, the decode
 check with the per-term prefix and suffix rule the two running masks
 replaced, the decode check with one set of (user, S, T) keys
 per verdict that the (S, T) ledgers replaced, delivery results with a
-transmission taken out, and the cut-set bound as a loop over Fractions."""
+transmission taken out, the cut-set bound, memory sharing and the
+six-place rendering as the Fraction code the integer forms replaced, and
+a layout's shared sets, read off its tails."""
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
+from ringcache.analysis import MemoryShare, SharePoint, _rate
 from ringcache.delivery import (
     GENERAL,
     SC1,
@@ -32,6 +36,7 @@ from ringcache.delivery import (
     format_packet,
 )
 from ringcache.model import (
+    RegimeError,
     SystemParams,
     bit,
     bits,
@@ -94,6 +99,12 @@ def t_sets_reference(params, s_mask: int, containing: int = 0):
         return
     for combo in itertools.combinations(pool, gp):
         yield sum(combo)
+
+
+def shared_sets(layout) -> tuple[int, ...]:
+    """Every S a subfile of the layout can carry, in canonical order: ring
+    windows by end, or all gamma_a-subsets lexicographically."""
+    return tuple(s for s, _ in layout.tails)
 
 
 def private_cache_reference(params, shared_sets, u: int) -> tuple[tuple[int, int], ...]:
@@ -413,7 +424,7 @@ class DecodeCheckSets:
         failures = []
         checked = 0
         for u in range(1, layout.params.k + 1):
-            pairs = demand_pairs_reference(layout.params, layout.shared_sets, u)
+            pairs = demand_pairs_reference(layout.params, shared_sets(layout), u)
             checked += len(pairs)
             for s, t in pairs:
                 key = (u, s, t)
@@ -450,3 +461,39 @@ def cutset_bound_reference(params) -> Fraction:
         if val > best:
             best = val
     return best
+
+
+def memory_share_reference(params) -> MemoryShare:
+    """Memory sharing as the Fraction loop the library's integer kernel
+    replaced: each axis's floor corner weighs ceil(gamma) - gamma and its
+    ceil corner 1 minus that, the first rejected corner (floor then ceil,
+    gamma_a outer) is named, and the rate is the weighted sum."""
+    ga, gp = params.gamma_a, params.gamma_p
+    fa, ca = math.floor(ga), math.ceil(ga)
+    fp, cp = math.floor(gp), math.ceil(gp)
+    alpha_a = Fraction(ca) - ga if ca != fa else Fraction(1)
+    alpha_p = Fraction(cp) - gp if cp != fp else Fraction(1)
+    axes_a = [(fa, alpha_a)] if fa == ca else [(fa, alpha_a), (ca, 1 - alpha_a)]
+    axes_p = [(fp, alpha_p)] if fp == cp else [(fp, alpha_p), (cp, 1 - alpha_p)]
+    points = []
+    for ga_c, wa in axes_a:
+        for gp_c, wp in axes_p:
+            try:
+                rate = _rate(params.k, params.l, ga_c, gp_c)
+            except RegimeError as exc:
+                raise RegimeError(
+                    f"memory-sharing corner (gamma_a={ga_c}, gamma_p={gp_c}) is"
+                    f" unsupported: {exc}"
+                ) from exc
+            points.append(SharePoint(ga_c, gp_c, wa * wp, rate))
+    total = sum((pt.weight * pt.rate for pt in points), start=Fraction(0))
+    return MemoryShare(tuple(points), total)
+
+
+def dec6_reference(x: Fraction) -> str:
+    """Six-place rendering through round(Fraction), which rounds half to
+    even: the form the CLI's integer dec6 replaced."""
+    scaled = round(x * 10**6)
+    sign = "-" if scaled < 0 else ""
+    scaled = abs(scaled)
+    return f"{sign}{scaled // 10**6}.{scaled % 10**6:06d}"

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from ringcache.analysis import (
 )
 from ringcache.verify import sweep_grid
 
-from helpers import cutset_bound_reference, cutset_terms
+from helpers import cutset_bound_reference, cutset_terms, memory_share_reference
 
 
 def test_counts_worked_instances():
@@ -255,7 +256,7 @@ def test_memory_share_corners_match_params_path():
         )
 
         def corner(ga_c, gp_c):
-            return params.with_memory(Fraction(n * ga_c, k), Fraction(n * gp_c, k))
+            return SystemParams(k, l, Fraction(n * ga_c, k), Fraction(n * gp_c, k), n)
 
         try:
             share = memory_share(params)
@@ -276,6 +277,51 @@ def test_memory_share_corners_match_params_path():
         for pt in share.points:
             assert pt.rate == achievable_rate(corner(pt.gamma_a, pt.gamma_p))
     assert shared > 100 and rejected > 10
+
+
+def test_integer_kernel_matches_the_fraction_reference():
+    # memory_share and rate_with_sharing against the Fraction loop they
+    # replaced, per kind of point: the same corners, weights, rates and
+    # rejection messages, at N = K and N != K
+    rng = random.Random(14)
+    seen = Counter()
+    for i in range(2400):
+        k = rng.randint(2, 24)
+        l = rng.randint(1, min(3, k)) if i % 8 < 6 else rng.randint(1, k)
+        n = rng.choice((k, k + 1, 2 * k + 1, 3 * k + 5))
+        kind = ("integral", "gamma_a", "gamma_p", "both")[i % 4]
+
+        def gamma(fractional):
+            if not fractional:
+                return Fraction(rng.randint(0, k))
+            den = rng.randint(2, 9)
+            return Fraction(den * rng.randrange(k) + rng.randint(1, den - 1), den)
+
+        ga, gp = gamma(kind in ("gamma_a", "both")), gamma(kind in ("gamma_p", "both"))
+        params = params_from_gammas(k, l, ga, gp, n)
+        assert (params.gamma_a, params.gamma_p) == (ga, gp)
+        try:
+            expected = memory_share_reference(params)
+        except RegimeError as exc:
+            with pytest.raises(RegimeError) as got:
+                memory_share(params)
+            assert str(got.value) == str(exc)
+            if not params.integral:
+                with pytest.raises(RegimeError) as got:
+                    rate_with_sharing(params)
+                assert str(got.value) == str(exc)
+            seen[kind, n == k, "rejected"] += 1
+            continue
+        share = memory_share(params)
+        assert share == expected
+        assert all(type(pt.weight) is Fraction for pt in share.points)
+        assert sum(pt.weight for pt in share.points) == 1
+        assert rate_with_sharing(params) == expected.rate
+        seen[kind, n == k, "shared"] += 1
+    for kind in ("integral", "gamma_a", "gamma_p", "both"):
+        for same_n in (True, False):
+            assert seen[kind, same_n, "shared"] >= 50, seen
+            assert seen[kind, same_n, "rejected"] >= 5, seen
 
 
 def test_count_law_cross_check_runs_on_every_rate(monkeypatch):

@@ -1,10 +1,12 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import csv
+import gc
 import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -14,13 +16,14 @@ import pytest
 
 from conftest import SRC
 import ringcache.cli
+from ringcache import analysis
 from ringcache.cli import build_parser, dec6, main
 from ringcache.delivery import deliver, format_report, verify_decodability
 from ringcache.model import SystemParams, params_from_gammas
 from ringcache.placement import build_layout, build_subset_layout
 from fractions import Fraction
 
-from helpers import drop_transmission, materialize
+from helpers import dec6_reference, drop_transmission, materialize
 
 
 def run_cli(*argv):
@@ -35,6 +38,26 @@ def test_dec6_exact_rendering():
     assert dec6(Fraction(1, 30)) == "0.033333"
     assert dec6(Fraction(8, 5)) == "1.600000"
     assert dec6(Fraction(0)) == "0.000000"
+
+
+def test_dec6_rounds_ties_to_even_as_round_did():
+    assert dec6(Fraction(1, 2_000_000)) == "0.000000"
+    assert dec6(Fraction(3, 2_000_000)) == "0.000002"
+    assert dec6(Fraction(-1, 2_000_000)) == "0.000000"
+    assert dec6(Fraction(-3, 2_000_000)) == "-0.000002"
+    # exact ties, small denominators and large ones, both signs
+    rng = random.Random(14)
+    negative = 0
+    for i in range(120_000):
+        if i % 3 == 0:
+            x = Fraction(2 * rng.randint(-10**8, 10**8) + 1, 2_000_000 * rng.choice((1, 3, 5)))
+        elif i % 3 == 1:
+            x = Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 64))
+        else:
+            x = Fraction(rng.randint(-10**15, 10**15), rng.randint(1, 10**12))
+        negative += x < 0
+        assert dec6(x) == dec6_reference(x), x
+    assert negative > 50_000
 
 
 def test_rate_command():
@@ -164,25 +187,31 @@ def test_a_refused_simulate_creates_no_file(tmp_path, extra):
 
 
 def test_simulate_streams_its_log(tmp_path):
-    # K=20 L=2 gamma_a=3 gamma_p=4 writes a 6.5 MB log; written line by line
+    # K=24 L=2 gamma_a=3 gamma_p=2 writes a 1.6 MB log; written line by line
     # as the packets stream, the run peaks no higher than the delivery and its
-    # check alone, where holding the lines and joining them took 14 MB more
-    params = params_from_gammas(20, 2, 3, 4, 20)
-    target = tmp_path / "k20.log"
+    # check alone, where holding the lines and joining them takes twice the
+    # log more. The parser is built first, as any earlier command builds it,
+    # and a full collection before each phase empties the free lists, so
+    # neither phase reuses objects the other (or an earlier test) freed.
+    params = params_from_gammas(24, 2, 3, 2, 24)
+    target = tmp_path / "k24.log"
+    build_parser()
+    gc.collect()
     tracemalloc.start()
     try:
         layout = build_layout(params)
         assert verify_decodability(layout, deliver(layout)).ok
         del layout
+        gc.collect()
         alone = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        code = main(["simulate", "-K", "20", "-L", "2", "--ma", "3", "--mp", "4", "-N", "20",
+        code = main(["simulate", "-K", "24", "-L", "2", "--ma", "3", "--mp", "2", "-N", "24",
                      "-o", str(target)])
         streamed = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     log = target.read_bytes()
-    assert code == 0 and log.endswith(b"\n# decodability PASS (200200 mini-subfiles)\n")
+    assert code == 0 and log.endswith(b"\n# decodability PASS (58752 mini-subfiles)\n")
     assert streamed - alone < len(log) / 4, (streamed, alone, len(log))
 
 
@@ -425,6 +454,16 @@ def test_sweep_determinism(tmp_path):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_no_corner_rate_outlives_its_sweep(monkeypatch):
+    # each sweep rates its corners afresh: once the closed form drifts from
+    # the count law, the same sweep run again must see the divergence
+    argv = ["sweep", "-K", "10", "-L", "3", "-N", "10", "--ma", "1,3/2", "--mp-range", "0:2:1/2"]
+    assert run_cli(*argv)[0] == 0
+    monkeypatch.setattr(analysis, "_closed_form", lambda k, w, gp: (1, 10**9))
+    with pytest.raises(AssertionError, match="diverge"):
+        run_cli(*argv)
 
 
 def test_sweep_json_format():

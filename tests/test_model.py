@@ -152,8 +152,12 @@ def test_gamma_accessors():
     p = SystemParams(k=5, l=2, ma=1, mp=1, n=5)
     assert p.gamma_a == 1 and p.gamma_p == 1 and p.integral
     assert p.span == 2
-    q = p.with_memory("3/2", 1)
+    q = SystemParams(k=5, l=2, ma="3/2", mp=1, n=5)
     assert not q.integral
+    # a Fraction is kept as given; gammas are K * M / N
+    half = Fraction(1, 2)
+    h = SystemParams(k=6, l=2, ma=half, mp=Fraction(5, 3), n=9)
+    assert h.ma is half and (h.gamma_a, h.gamma_p) == (Fraction(1, 3), Fraction(10, 9))
     with pytest.raises(RegimeError):
         _ = q.ga
     r = params_from_gammas(10, 3, 1, "3/2", 10)

@@ -37,6 +37,7 @@ from helpers import (
     popcount,
     private_cache_reference,
     reads,
+    shared_sets,
     window_end,
 )
 from golden import EX5, EX5_PRIVATE, EX5_SPLIT, EX5_WINDOWS, EX7, EX7_DEMAND_1, EX7_PRIVATE_2
@@ -66,7 +67,7 @@ def test_ex5_access_caches(layout5):
 
 def test_ex5_reindexing(layout5):
     for original, window in EX5_WINDOWS.items():
-        assert bits(layout5.shared_sets[original - 1]) == tuple(sorted(window))
+        assert bits(shared_sets(layout5)[original - 1]) == tuple(sorted(window))
 
 
 def test_ex5_mini_split(layout5):
@@ -141,7 +142,7 @@ def test_check_memory_rejects_a_cache_one_entry_short(system, side):
 
 def test_partition_of_subfiles_and_minis(layout5):
     params = layout5.params
-    windows = list(layout5.shared_sets)
+    windows = list(shared_sets(layout5))
     assert len(set(windows)) == 5
     for w in windows:
         tails = list(t_sets(params, w))
@@ -157,7 +158,7 @@ def test_has_mini_trichotomy():
     for system in (EX5, EX7, dict(k=8, l=1, ma=3, mp=1, n=8)):
         params = SystemParams(**system)
         layout = build_subset_layout(params) if params.l == 1 else build_layout(params)
-        pairs = [(s, t) for s in layout.shared_sets for t in t_sets(params, s)]
+        pairs = [(s, t) for s in shared_sets(layout) for t in t_sets(params, s)]
         assert len(pairs) == layout.f
         for u in range(1, params.k + 1):
             demanded = set(demand_pairs(layout, u))
@@ -294,7 +295,7 @@ def test_cells_match_the_per_user_enumeration():
                 except (InvalidParameters, RegimeError):
                     continue
     for _, layout in layouts:
-        params, sets = layout.params, layout.shared_sets
+        params, sets = layout.params, shared_sets(layout)
         for u in range(1, params.k + 1):
             assert layout.private[u - 1] == private_cache_reference(params, sets, u)
             assert demand_pairs(layout, u) == demand_pairs_reference(params, sets, u)
