@@ -17,6 +17,7 @@ at every L; the achievable rate at L = 1 is the subset placement's instead.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -183,15 +184,17 @@ def cutset_bound(params: SystemParams) -> Fraction:
     B = mp*D, the term for s is the pair
     (s*q*D - (p*A + s*B), q*D) at q = floor(N/s). The largest pair is kept
     by cross-multiplication (the denominators are positive, as q >= 1), and
-    only the maximum becomes a Fraction.
+    only the maximum becomes a Fraction. p is s + L - 1 below s = K - L + 1
+    and K from there on, so the cache counts are a range and then L copies
+    of K rather than a ``min`` per s.
     """
     k, l, n = params.k, params.l, params.n
     ma, mp = params.ma, params.mp
     d = ma.denominator * mp.denominator
     a, b = ma.numerator * mp.denominator, mp.numerator * ma.denominator
     best_num, best_den = 0, 1
-    for s in range(1, k + 1):
-        p = min(s + l - 1, k)
+    caches = itertools.chain(range(l, k), itertools.repeat(k, l))
+    for s, p in zip(range(1, k + 1), caches):
         q = n // s
         num = s * q * d - (p * a + s * b)
         den = q * d

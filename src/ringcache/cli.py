@@ -325,9 +325,11 @@ def cmd_man(args: argparse.Namespace) -> int:
 
 
 def cmd_layout_dump(args: argparse.Namespace) -> int:
-    params = _params(args)
-    layout = _layout(params)
-    _emit(layout_to_json(layout) + "\n", args.output)
+    layout = _layout(_params(args))
+    # written cache by cache; a refused run has opened no sink
+    with _sink(args.output) as write:
+        layout_to_json(layout, write)
+        write("\n")
     return 0
 
 

@@ -41,11 +41,13 @@ holds), and a cache holds that pattern of every file; the file index n
 is attached only in :func:`layout_to_json` and in the terms delivery
 sends.
 
-:func:`layout_to_json` returns the ``layout-dump`` JSON text, rendered
-directly rather than built as a dict for ``json.dumps``: the text is
-byte-identical to ``json.dumps(dump, indent=2)``, but with ``indent``
-set the json module walks every entry in pure Python, and a dump holds
-N times each cache's pattern.
+:func:`layout_to_json` writes the ``layout-dump`` JSON text through a
+write callable, cache by cache, rendered directly rather than built as a
+dict for ``json.dumps``: the text is byte-identical to
+``json.dumps(dump, indent=2)``, but with ``indent`` set the json module
+walks every entry in pure Python, and a dump holds N times each cache's
+pattern. Written cache by cache, no more than one cache's text is held at
+a time.
 
 The rate reported at L = 1 is the subset placement's; the census and
 :func:`ringcache.verify.count_vs_formula` still check the ring placement
@@ -60,7 +62,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .model import (
     InvalidParameters,
@@ -68,10 +70,8 @@ from .model import (
     SystemParams,
     binom,
     bit,
-    cyc,
     mask_str,
     subset_masks,
-    window_mask,
     window_masks,
 )
 
@@ -170,14 +170,14 @@ def build_layout(params: SystemParams) -> CacheLayout:
             f"gamma_p = {gp} exceeds the {k - span} users outside a window"
         )
 
+    windows = window_masks(k, span)
+    # the window ending at j, by j - 1; at span = K every window is the ring
+    by_end = windows * k if span == k else windows
     access = tuple(
-        tuple(
-            window_mask(end, span, k)
-            for end in sorted(cyc(cache + (j - 1) * params.l, k) for j in range(1, ga + 1))
-        )
-        for cache in range(1, k + 1)
+        tuple(by_end[i] for i in sorted((cache + j * params.l) % k for j in range(ga)))
+        for cache in range(k)
     )
-    tails = _tails(params, window_masks(k, span))
+    tails = _tails(params, windows)
     private = tuple(_cell(tails, u, held=True) for u in range(1, k + 1))
     layout = CacheLayout(params, subpacketization(params), access, private, RING, tails)
     _check_memory(layout)
@@ -222,9 +222,10 @@ def _check_memory(layout: CacheLayout) -> None:
             raise AssertionError("private cache holds a wrong mini-subfile count")
 
 
-def layout_to_json(layout: CacheLayout) -> str:
-    """The layout dump as JSON text: shared entries as ``n:S``, private as
-    ``n:S:T``, file-major (every entry of file 1, then of file 2, ...).
+def layout_to_json(layout: CacheLayout, write: Callable[[str], object]) -> None:
+    """Write the layout dump as JSON text through ``write``: shared entries
+    as ``n:S``, private as ``n:S:T``, file-major (every entry of file 1,
+    then of file 2, ...).
 
     The text is byte-identical to ``json.dumps(dump, indent=2)`` of the
     dump as a dict, but rendered directly: with ``indent`` set the json
@@ -232,32 +233,34 @@ def layout_to_json(layout: CacheLayout) -> str:
     strings in pure Python. Labels hold only digits, commas and colons, so
     nothing needs escaping; each cache's labels are rendered once and each
     file's run of entries is one ``str.join`` over a separator that carries
-    the file index.
+    the file index. The header and the braces are writes of their own, and
+    each cache is one write, so no more than one cache's text is held at
+    a time.
     """
     p = layout.params
     # (opening of the file's first entry, separator between its entries)
     files = [(f'"{n}:', f'",\n      "{n}:') for n in range(1, p.n + 1)]
 
-    def entries(labels: list[str]) -> str:
-        if not labels:
-            return "[]"
-        runs = ",\n      ".join(head + sep.join(labels) + '"' for head, sep in files)
-        return "[\n      " + runs + "\n    ]"
-
-    def caches(cells: list[list[str]]) -> str:
-        return ",\n".join(f'    "{c}": {entries(labels)}' for c, labels in enumerate(cells, 1))
+    def caches(cells: Iterable[list[str]]) -> None:
+        lead = "    "
+        for c, labels in enumerate(cells, 1):
+            if not labels:
+                write(f'{lead}"{c}": []')
+            else:
+                parts = [f'{lead}"{c}": [\n      ']
+                for head, sep in files:
+                    parts += (head, sep.join(labels), '",\n      ')
+                parts[-1] = '"\n    ]'  # N >= K >= 1: at least one file
+                write("".join(parts))
+            lead = ",\n    "
 
     header = (
         ("K", p.k), ("L", p.l), ("N", p.n), ("Ma", str(p.ma)), ("Mp", str(p.mp)), ("F", layout.f)
     )
-    access = caches([[mask_str(s) for s in cache] for cache in layout.access])
-    private = caches(
-        [[f"{mask_str(s)}:{mask_str(t)}" for s, t in cell] for cell in layout.private]
-    )
-    # one join: the private caches hold most of the text, and a chain of
-    # concatenations would copy it once per step
-    return "".join(
-        ["{\n"]
-        + [f'  "{key}": {json.dumps(value)},\n' for key, value in header]
-        + ['  "access": {\n', access, '\n  },\n  "private": {\n', private, "\n  }\n}"]
-    )
+    write("".join(
+        ["{\n"] + [f'  "{key}": {json.dumps(value)},\n' for key, value in header] + ['  "access": {\n']
+    ))
+    caches([mask_str(s) for s in cache] for cache in layout.access)
+    write('\n  },\n  "private": {\n')
+    caches([f"{mask_str(s)}:{mask_str(t)}" for s, t in cell] for cell in layout.private)
+    write("\n  }\n}")

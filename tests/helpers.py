@@ -11,8 +11,9 @@ check with the per-term prefix and suffix rule the two running masks
 replaced, the decode check with one set of (user, S, T) keys
 per verdict that the (S, T) ledgers replaced, delivery results with a
 transmission taken out, the cut-set bound, memory sharing and the
-six-place rendering as the Fraction code the integer forms replaced, and
-a layout's shared sets, read off its tails."""
+six-place rendering as the Fraction code the integer forms replaced, the
+cut-set bound's integer loop with a ``min`` per term that the split loop
+replaced, and a layout's shared sets, read off its tails."""
 
 import itertools
 import math
@@ -453,7 +454,7 @@ def cutset_terms(params) -> list[Fraction]:
     return terms
 
 
-def cutset_bound_reference(params) -> Fraction:
+def cutset_bound_fraction_reference(params) -> Fraction:
     """The cut-set bound as the Fraction loop the library's integer
     evaluation replaced: the largest term, floored at 0."""
     best = Fraction(0)
@@ -461,6 +462,25 @@ def cutset_bound_reference(params) -> Fraction:
         if val > best:
             best = val
     return best
+
+
+def cutset_bound_reference(params) -> Fraction:
+    """The cut-set bound as the integer loop with one ``min`` per s that the
+    library's split loop replaced: each term a pair (s*q*D - (p*A + s*B), q*D)
+    over D = den(ma) * den(mp), the largest kept by cross-multiplication."""
+    k, l, n = params.k, params.l, params.n
+    ma, mp = params.ma, params.mp
+    d = ma.denominator * mp.denominator
+    a, b = ma.numerator * mp.denominator, mp.numerator * ma.denominator
+    best_num, best_den = 0, 1
+    for s in range(1, k + 1):
+        p = min(s + l - 1, k)
+        q = n // s
+        num = s * q * d - (p * a + s * b)
+        den = q * d
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return Fraction(best_num, best_den)
 
 
 def memory_share_reference(params) -> MemoryShare:

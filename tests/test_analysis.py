@@ -21,7 +21,12 @@ from ringcache.analysis import (
 )
 from ringcache.verify import sweep_grid
 
-from helpers import cutset_bound_reference, cutset_terms, memory_share_reference
+from helpers import (
+    cutset_bound_fraction_reference,
+    cutset_bound_reference,
+    cutset_terms,
+    memory_share_reference,
+)
 
 
 def test_counts_worked_instances():
@@ -119,13 +124,33 @@ def test_cutset_bound_matches_fraction_reference():
             k, l, Fraction(rng.randint(0, top * da), da), Fraction(rng.randint(0, top * dp), dp), n
         )
         bound = cutset_bound(params)
-        assert bound == cutset_bound_reference(params), params
+        assert bound == cutset_bound_fraction_reference(params), params
         terms = cutset_terms(params)
         zero += bound == 0
         ties += bound > 0 and terms.count(bound) > 1
     # the grid reaches the floor at 0 and maxima shared by several s
     assert zero > 100
     assert ties > 5
+
+
+def test_cutset_bound_matches_the_min_per_term_loop():
+    # seeded grid: L = 1, L = K and L in between, N = K and N > K, integral
+    # and fractional Ma and Mp; the split loop gives the one-min-per-s bound
+    rng = random.Random(15)
+    cases = positive = 0
+    for k in range(1, 41):
+        for l in sorted({1, k, rng.randint(1, k)}):
+            for n in (k, k + rng.randint(1, 2 * k + 3)):
+                for _ in range(4):
+                    da, dp = rng.choice((1, 1, 2, 3, 7)), rng.choice((1, 1, 2, 5))
+                    ma = Fraction(rng.randint(0, n * da), da)
+                    mp = Fraction(rng.randint(0, (n * dp) // rng.randint(1, 4)), dp)
+                    params = SystemParams(k, l, ma, mp, n)
+                    bound = cutset_bound(params)
+                    assert bound == cutset_bound_reference(params), params
+                    cases += 1
+                    positive += bound > 0
+    assert cases == 880 and positive > 200
 
 
 def test_bound_sandwich_and_equality_region():

@@ -231,6 +231,67 @@ def test_a_closed_stdout_stops_simulate_quietly():
     proc.stderr.close()
 
 
+@pytest.mark.parametrize(
+    "system, reason",
+    [
+        # a fractional gamma_a: the placement needs memory sharing
+        (("-K", "5", "-L", "2", "--ma", "1/2", "--mp", "1", "-N", "5"), "; use memory sharing"),
+        # gamma_p = 4 beyond the K - span = 3 users outside a window
+        (("-K", "5", "-L", "2", "--ma", "1", "--mp", "4", "-N", "5"),
+         "gamma_p = 4 exceeds the 3 users outside a window"),
+    ],
+)
+def test_a_refused_layout_dump_creates_no_file(tmp_path, system, reason):
+    # the sink is opened once the layout is built, after every refusal
+    target = tmp_path / "layout.json"
+    code, out, err = run_cli("layout-dump", *system, "-o", str(target))
+    assert (code, out) == (1, "") and err.startswith("ringcache: ")
+    assert err.endswith(f"{reason}\n") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_layout_dump_streams(tmp_path):
+    # K=20 L=2 gamma_a=2 gamma_p=2 N=28 dumps 3.7 MB of JSON; written cache by
+    # cache, the run peaks less than a quarter of the dump above building
+    # the layout alone, where rendering the whole text first holds it several
+    # times over. The parser is built and the collector run first, as in
+    # test_simulate_streams_its_log.
+    params = params_from_gammas(20, 2, 2, 2, 28)
+    target = tmp_path / "k20.json"
+    build_parser()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        build_layout(params)
+        gc.collect()
+        alone = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        code = main(["layout-dump", "-K", "20", "-L", "2", "--ma", "14/5", "--mp", "14/5",
+                     "-N", "28", "-o", str(target)])
+        streamed = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dump = target.read_bytes()
+    assert code == 0 and dump.endswith(b"\n  }\n}\n") and len(dump) > 3_000_000
+    assert streamed - alone < len(dump) / 4, (streamed, alone, len(dump))
+
+
+def test_a_closed_stdout_stops_layout_dump_quietly():
+    # unbuffered, each cache is written as it is rendered, so the pipe that
+    # the reader closes after the first line fails a later write
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "ringcache", "layout-dump",
+         "-K", "14", "-L", "2", "--ma", "8", "--mp", "12", "-N", "56"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_simulate_rejects_bad_demand():
     code, _, err = run_cli(
         "simulate", "-K", "5", "-L", "2", "--ma", "1", "--mp", "1", "-N", "5",

@@ -15,6 +15,7 @@ from ringcache.model import (
     binom,
     bit,
     bits,
+    cyc,
     mask_of,
     window_mask,
 )
@@ -29,6 +30,7 @@ from ringcache.placement import (
     subpacketization,
     t_sets,
 )
+from ringcache.verify import sweep_grid
 
 from helpers import (
     accessible_subfile_windows,
@@ -232,7 +234,9 @@ def test_build_rejections():
 
 
 def test_layout_json_golden(layout5):
-    js = json.loads(layout_to_json(layout5))
+    parts = []
+    layout_to_json(layout5, parts.append)
+    js = json.loads("".join(parts))
     assert js["F"] == 15
     assert js["access"]["1"] == [f"{n}:1,5" for n in range(1, 6)]
     assert js["private"]["5"][:3] == ["1:1,2:5", "1:2,3:5", "1:3,4:5"]
@@ -267,7 +271,9 @@ def test_layout_json_matches_the_indenting_encoder():
     # of the dump as a dict, and parses back to that dict
     layouts = _dump_grid()
     for layout in layouts:
-        text = layout_to_json(layout)
+        parts = []
+        layout_to_json(layout, parts.append)
+        text = "".join(parts)
         reference = layout_reference_dict(layout)
         assert text == json.dumps(reference, indent=2)
         assert json.loads(text) == reference
@@ -279,6 +285,51 @@ def test_layout_json_matches_the_indenting_encoder():
     assert any(layout.params.n == 2 * layout.params.k + 1 for layout in layouts)
     assert Fraction(7, 3) in {layout.params.ma for layout in layouts}  # "Ma": "7/3"
     assert Fraction(14, 3) in {layout.params.mp for layout in layouts}
+
+
+def test_layout_json_writes_each_cache_once():
+    # the header with the access opening, K access caches, the private
+    # opening, K private caches and the closing brace: 2K + 3 writes
+    for system in (EX5, EX7, dict(k=8, l=1, ma=6, mp=2, n=16), dict(k=7, l=2, ma=0, mp=4, n=14)):
+        params = SystemParams(**system)
+        layout = build_subset_layout(params) if params.l == 1 else build_layout(params)
+        parts = []
+        layout_to_json(layout, parts.append)
+        assert len(parts) == 2 * params.k + 3
+        assert parts[0].endswith('  "access": {\n') and parts[-1] == "\n  }\n}"
+        assert parts[params.k + 1] == '\n  },\n  "private": {\n'
+        for c, block in enumerate(parts[1 : params.k + 1] + parts[params.k + 2 : -1]):
+            assert block.lstrip(",\n").startswith(f'    "{c % params.k + 1}": ')
+
+
+def _access_by_window_mask(params):
+    """Shared cache k's S masks built one ``window_mask`` per entry: the
+    windows ending at <k + (j-1)L>, j = 1..gamma_a, in ascending end order."""
+    k = params.k
+    return tuple(
+        tuple(
+            window_mask(end, params.span, k)
+            for end in sorted(cyc(cache + (j - 1) * params.l, k) for j in range(1, params.ga + 1))
+        )
+        for cache in range(1, k + 1)
+    )
+
+
+def test_access_caches_match_the_window_mask_construction():
+    # the access tuples read off the window masks by end are the ones built
+    # mask by mask, on the verify grid and where the span covers the ring
+    # (one full window, repeated gamma_a times in every cache)
+    full = [
+        SystemParams(k=k, l=l, ma=k // l, mp=0, n=k)
+        for k in range(1, 13) for l in range(1, k + 1) if k % l == 0
+    ]
+    grid = sweep_grid(1, 12)
+    assert len(grid) > 200 and any(p.l == 1 for p in grid)
+    for params in grid + full:
+        layout = build_layout(params)
+        assert layout.access == _access_by_window_mask(params), params
+    assert any(p.ga > 1 for p in full)
+    assert build_layout(SystemParams(k=6, l=2, ma=3, mp=0, n=6)).access == ((0b111111,) * 3,) * 6
 
 
 def test_cells_match_the_per_user_enumeration():
