@@ -23,6 +23,7 @@ from .placement import (
     build_layout,
     build_subset_layout,
     demand_pairs,
+    private_pairs,
 )
 from .delivery import (
     GENERAL,
@@ -70,6 +71,7 @@ __all__ = [
     "man_crosscheck",
     "memory_share",
     "params_from_gammas",
+    "private_pairs",
     "rate_with_sharing",
     "table1_counts",
     "verify_decodability",

@@ -294,10 +294,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for params in instances:  # refused before the first instance runs and prints
         check_enumeration_guard(params.k)
     failures = 0
-    reports = []
+    reports = []  # only the --json dicts: a report holds its census's records
     for params in instances:
         report = count_vs_formula(params)
-        reports.append(report)
+        if args.json:
+            reports.append(report.to_json())
         tag = "PASS" if report.passed else "FAIL"
         t = report.table
         line = (
@@ -309,7 +310,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             failures += 1
         print(line)
     if args.json:
-        print(json.dumps([r.to_json() for r in reports], indent=2))
+        print(json.dumps(reports, indent=2))
     print(f"# {len(instances) - failures}/{len(instances)} instances agree")
     return 2 if failures else 0
 

@@ -31,23 +31,14 @@ the single empty S and subpacketization C(K, gamma_p), and
 On both placements each S's list of T is enumerated once for all users, and
 a user u outside S splits it as Maddah-Ali--Niesen placement does: u
 privately holds the (S, T) with u in T and demands those with u outside T.
-The layout keeps those lists (:attr:`CacheLayout.tails`) and no demand set:
-:func:`demand_pairs` reads user u's off them when asked.
+The layout keeps those lists (:attr:`CacheLayout.tails`) as its only
+record of the (S, T) pairs: :func:`private_pairs` and :func:`demand_pairs`
+read user u's private cache and demand set off them when asked.
 
 Both placements are uncoded and file-symmetric: every file is split and
-cached the same way. A layout therefore stores each cache's pattern once
-(the S masks a shared cache holds, the (S, T) pairs a private cache
-holds), and a cache holds that pattern of every file; the file index n
-is attached only in :func:`layout_to_json` and in the terms delivery
-sends.
-
-:func:`layout_to_json` writes the ``layout-dump`` JSON text through a
-write callable, cache by cache, rendered directly rather than built as a
-dict for ``json.dumps``: the text is byte-identical to
-``json.dumps(dump, indent=2)``, but with ``indent`` set the json module
-walks every entry in pure Python, and a dump holds N times each cache's
-pattern. Written cache by cache, no more than one cache's text is held at
-a time.
+cached the same way, so a layout holds each pattern once and the file
+index n is attached only in :func:`layout_to_json` (which writes the
+``layout-dump`` JSON cache by cache) and in the terms delivery sends.
 
 The rate reported at L = 1 is the subset placement's; the census and
 :func:`ringcache.verify.count_vs_formula` still check the ring placement
@@ -61,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -70,6 +62,7 @@ from .model import (
     SystemParams,
     binom,
     bit,
+    bits,
     mask_str,
     subset_masks,
     window_masks,
@@ -88,12 +81,11 @@ class CacheLayout:
     files: the placement splits and caches every file the same way.
 
     ``access[k-1]`` holds the S masks of the subfiles shared cache k stores
-    of every file, ``private[u-1]`` the (S, T) pairs of the mini-subfiles
-    user u stores of every file; ``f`` is the subpacketization (mini-subfiles
-    per file) and ``placement`` is :data:`RING` or :data:`SUBSET`.
-    ``tails`` lists each S with its T lists, in order: the F (S, T) pairs
-    of a file, from which every private cache was cut and every demand set
-    is read (:func:`demand_pairs`). File indices are attached only where
+    of every file; ``f`` is the subpacketization (mini-subfiles per file)
+    and ``placement`` is :data:`RING` or :data:`SUBSET`. ``tails`` lists
+    each S with its T lists, in order: the F (S, T) pairs of a file, off
+    which every private cache (:func:`private_pairs`) and demand set
+    (:func:`demand_pairs`) is read. File indices are attached only where
     output needs them: in :func:`layout_to_json` and in the terms delivery
     sends.
     """
@@ -101,7 +93,6 @@ class CacheLayout:
     params: SystemParams
     f: int
     access: tuple[tuple[int, ...], ...]
-    private: tuple[tuple[tuple[int, int], ...], ...]
     placement: str
     tails: Tails
 
@@ -132,19 +123,19 @@ def _tails(params: SystemParams, shared_sets: tuple[int, ...]) -> Tails:
     return tuple((s, tuple(t_sets(params, s))) for s in shared_sets)
 
 
-def _cell(tails: Tails, u: int, *, held: bool) -> tuple[tuple[int, int], ...]:
-    """User u's private cache (``held``) or demand set: the (S, T) pairs with
-    u outside S, and inside T or outside it, in the order of ``tails``."""
+def private_pairs(layout: CacheLayout, u: int) -> tuple[tuple[int, int], ...]:
+    """User u's private cache: every (S, T) pair of the layout with u outside
+    S and inside T, in the order of :attr:`CacheLayout.tails`."""
     own = bit(u)
-    want = own if held else 0
-    return tuple((s, t) for s, ts in tails if not s & own for t in ts if (t & own) == want)
+    return tuple((s, t) for s, ts in layout.tails if not s & own for t in ts if t & own)
 
 
 def demand_pairs(layout: CacheLayout, u: int) -> tuple[tuple[int, int], ...]:
     """User u's demand set: every (S, T) pair of the layout with u outside
     S | T, ordered by S (as in :attr:`CacheLayout.tails`) then T
     lexicographically."""
-    return _cell(layout.tails, u, held=False)
+    own = bit(u)
+    return tuple((s, t) for s, ts in layout.tails if not s & own for t in ts if not t & own)
 
 
 def _check_integral(params: SystemParams) -> None:
@@ -177,9 +168,7 @@ def build_layout(params: SystemParams) -> CacheLayout:
         tuple(by_end[i] for i in sorted((cache + j * params.l) % k for j in range(ga)))
         for cache in range(k)
     )
-    tails = _tails(params, windows)
-    private = tuple(_cell(tails, u, held=True) for u in range(1, k + 1))
-    layout = CacheLayout(params, subpacketization(params), access, private, RING, tails)
+    layout = CacheLayout(params, subpacketization(params), access, RING, _tails(params, windows))
     _check_memory(layout)
     return layout
 
@@ -200,26 +189,29 @@ def build_subset_layout(params: SystemParams) -> CacheLayout:
         )
     sets = subset_masks(k, ga)
     access = tuple(tuple(s for s in sets if s & bit(cache)) for cache in range(1, k + 1))
-    tails = _tails(params, sets)
-    private = tuple(_cell(tails, u, held=True) for u in range(1, k + 1))
     f = binom(k, ga) * binom(k - ga, gp)
-    layout = CacheLayout(params, f, access, private, SUBSET, tails)
+    layout = CacheLayout(params, f, access, SUBSET, _tails(params, sets))
     _check_memory(layout)
     return layout
 
 
 def _check_memory(layout: CacheLayout) -> None:
     """Every cache must hit its size budget exactly: Ma * F mini-subfiles in
-    each shared cache and Mp * F in each private one, over all N files."""
+    each shared cache and Mp * F in each private one, over all N files. One
+    pass over the tails counts the private caches: each T adds one to each
+    of its users outside S."""
     p = layout.params
     per_subfile = binom(p.k - layout.width, p.gp)
     shared_budget, private_budget = p.ma * layout.f, p.mp * layout.f
     for cache in layout.access:
         if p.n * len(cache) * per_subfile != shared_budget:
             raise AssertionError("shared cache holds a wrong subfile count")
-    for cell in layout.private:
-        if p.n * len(cell) != private_budget:
-            raise AssertionError("private cache holds a wrong mini-subfile count")
+    held = [0] * p.k
+    for t, count in Counter(m & ~s for s, ts in layout.tails for m in ts).items():
+        for u in bits(t):
+            held[u - 1] += count
+    if any(p.n * size != private_budget for size in held):
+        raise AssertionError("private cache holds a wrong mini-subfile count")
 
 
 def layout_to_json(layout: CacheLayout, write: Callable[[str], object]) -> None:
@@ -262,5 +254,8 @@ def layout_to_json(layout: CacheLayout, write: Callable[[str], object]) -> None:
     ))
     caches([mask_str(s) for s in cache] for cache in layout.access)
     write('\n  },\n  "private": {\n')
-    caches([f"{mask_str(s)}:{mask_str(t)}" for s, t in cell] for cell in layout.private)
+    caches(
+        [f"{mask_str(s)}:{mask_str(t)}" for s, t in private_pairs(layout, u)]
+        for u in range(1, p.k + 1)
+    )
     write("\n  }\n}")

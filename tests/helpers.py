@@ -47,7 +47,7 @@ from ringcache.model import (
     window_mask,
     window_set,
 )
-from ringcache.placement import SUBSET, demand_pairs
+from ringcache.placement import SUBSET, demand_pairs, private_pairs
 
 
 def popcount(mask: int) -> int:
@@ -82,7 +82,7 @@ def reads(layout, u: int, s: int, t: int) -> bool:
     """True iff the layout's caches give user u the mini-subfile (S, T) of
     every file: one of its shared caches holds S, or its private cache
     holds (S, T)."""
-    return s in accessible_subfile_windows(layout, u) or (s, t) in layout.private[u - 1]
+    return s in accessible_subfile_windows(layout, u) or (s, t) in private_pairs(layout, u)
 
 
 def t_sets_reference(params, s_mask: int, containing: int = 0):
@@ -148,8 +148,8 @@ def layout_reference_dict(layout) -> dict:
             for k, cache in enumerate(layout.access)
         },
         "private": {
-            str(u + 1): per_file([f"{mask_str(s)}:{mask_str(t)}" for s, t in cell])
-            for u, cell in enumerate(layout.private)
+            str(u): per_file([f"{mask_str(s)}:{mask_str(t)}" for s, t in private_pairs(layout, u)])
+            for u in range(1, p.k + 1)
         },
     }
 

@@ -21,6 +21,7 @@ from ringcache.cli import build_parser, dec6, main
 from ringcache.delivery import deliver, format_report, verify_decodability
 from ringcache.model import SystemParams, params_from_gammas
 from ringcache.placement import build_layout, build_subset_layout
+from ringcache.verify import count_vs_formula, sweep_grid
 from fractions import Fraction
 
 from helpers import dec6_reference, drop_transmission, materialize
@@ -274,6 +275,29 @@ def test_layout_dump_streams(tmp_path):
     dump = target.read_bytes()
     assert code == 0 and dump.endswith(b"\n  }\n}\n") and len(dump) > 3_000_000
     assert streamed - alone < len(dump) / 4, (streamed, alone, len(dump))
+
+
+def test_verify_holds_no_report_past_its_instance():
+    # without --json, a grid run over K = 11 and 12 (121 instances) peaks
+    # near its largest single count_vs_formula; holding every report with
+    # its census's records peaked at about three times that
+    build_parser()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        single = 0
+        for params in sweep_grid(11, 12):
+            tracemalloc.reset_peak()
+            count_vs_formula(params)
+            single = max(single, tracemalloc.get_traced_memory()[1])
+        gc.collect()
+        tracemalloc.reset_peak()
+        code, out, _ = run_cli("verify", "--kmin", "11", "--kmax", "12")
+        run = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.endswith("# 121/121 instances agree\n")
+    assert run < 2 * single, (run, single)
 
 
 def test_a_closed_stdout_stops_layout_dump_quietly():

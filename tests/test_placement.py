@@ -1,8 +1,10 @@
 """Cache placement against the worked instances and its exact size budgets."""
 
+import gc
 import itertools
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -27,6 +29,7 @@ from ringcache.placement import (
     build_subset_layout,
     demand_pairs,
     layout_to_json,
+    private_pairs,
     subpacketization,
     t_sets,
 )
@@ -82,14 +85,14 @@ def test_ex5_mini_split(layout5):
 def test_ex5_private_caches(layout5):
     for u, pairs in EX5_PRIVATE.items():
         expected = {(mask_of(s), mask_of(t)) for s, t in pairs}
-        assert set(layout5.private[u - 1]) == expected
-        assert len(layout5.private[u - 1]) == len(expected)
+        assert set(private_pairs(layout5, u)) == expected
+        assert len(private_pairs(layout5, u)) == len(expected)
 
 
 def test_ex7_private_cache_2(layout7):
     expected = {(mask_of(s), mask_of(t)) for s, t in EX7_PRIVATE_2}
-    assert set(layout7.private[1]) == expected
-    assert len(layout7.private[1]) == len(expected)
+    assert set(private_pairs(layout7, 2)) == expected
+    assert len(private_pairs(layout7, 2)) == len(expected)
     assert layout7.f == 35
 
 
@@ -108,7 +111,7 @@ def test_no_overlap_between_private_and_access():
         params = SystemParams(k=k, l=l, ma=Fraction(k * ga, k), mp=Fraction(k * gp, k), n=k)
         layout = build_layout(params)
         for u in range(1, k + 1):
-            for s, t in layout.private[u - 1]:
+            for s, t in private_pairs(layout, u):
                 assert not s & bit(u)
                 assert t & bit(u)
 
@@ -125,8 +128,8 @@ def test_memory_budgets_exact():
         for cache in layout.access:
             held = n * len(cache) * minis_per_subfile
             assert Fraction(held, f) == params.ma
-        for cell in layout.private:
-            assert Fraction(n * len(cell), f) == params.mp
+        for u in range(1, k + 1):
+            assert Fraction(n * len(private_pairs(layout, u)), f) == params.mp
 
 
 @pytest.mark.parametrize("system", [EX5, EX7, dict(k=8, l=1, ma=6, mp=2, n=16)])
@@ -135,11 +138,41 @@ def test_check_memory_rejects_a_cache_one_entry_short(system, side):
     params = SystemParams(**system)
     layout = build_subset_layout(params) if params.l == 1 else build_layout(params)
     _check_memory(layout)
-    for i, cell in enumerate(getattr(layout, side)):
-        caches = list(getattr(layout, side))
-        caches[i] = cell[:-1]
-        with pytest.raises(AssertionError, match="wrong"):
-            _check_memory(replace(layout, **{side: tuple(caches)}))
+    if side == "access":
+        for i, cache in enumerate(layout.access):
+            access = layout.access[:i] + (cache[:-1],) + layout.access[i + 1 :]
+            with pytest.raises(AssertionError, match="wrong"):
+                _check_memory(replace(layout, access=access))
+        return
+    # private caches are read off the tails: dropping any one T from its S's
+    # list (the last one included) leaves each user of that T one entry
+    # short, and between them the dropped T reach every user's cache
+    reached = 0
+    for i, (s, ts) in enumerate(layout.tails):
+        for j, t in enumerate(ts):
+            tails = layout.tails[:i] + ((s, ts[:j] + ts[j + 1 :]),) + layout.tails[i + 1 :]
+            with pytest.raises(AssertionError, match="private cache"):
+                _check_memory(replace(layout, tails=tails))
+            reached |= t
+    assert reached == (1 << params.k) - 1
+
+
+def test_layout_grows_with_f_not_with_private_copies():
+    # K=20 L=2 gamma_a=3 gamma_p=4 (F = 20,020): the tails hold each (S, T)
+    # once, about 40 bytes per F traced; per-user private tuples, which
+    # hold gamma_p * F pairs, took about 295
+    params = SystemParams(k=20, l=2, ma=3, mp=4, n=20)
+    build_layout(SystemParams(**EX5))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        layout = build_layout(params)
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert layout.f == 20_020
+    assert size < 64 * layout.f, size / layout.f
 
 
 def test_partition_of_subfiles_and_minis(layout5):
@@ -206,10 +239,10 @@ def test_dedicated_mode_layout():
     assert layout.f == 10
     assert all(not cache for cache in layout.access)
     for u in range(1, 6):
-        for s, t in layout.private[u - 1]:
+        for s, t in private_pairs(layout, u):
             assert s == 0
             assert t & bit(u)
-    assert len(layout.private[0]) == 4  # C(K-1, gamma_p-1), held of every file
+    assert len(private_pairs(layout, 1)) == 4  # C(K-1, gamma_p-1), held of every file
 
 
 def test_zero_memory_layout():
@@ -217,7 +250,7 @@ def test_zero_memory_layout():
     layout = build_layout(params)
     assert layout.f == 1
     assert all(not cache for cache in layout.access)
-    assert all(not cell for cell in layout.private)
+    assert all(not private_pairs(layout, u) for u in range(1, 7))
 
 
 def test_build_rejections():
@@ -348,7 +381,7 @@ def test_cells_match_the_per_user_enumeration():
     for _, layout in layouts:
         params, sets = layout.params, shared_sets(layout)
         for u in range(1, params.k + 1):
-            assert layout.private[u - 1] == private_cache_reference(params, sets, u)
+            assert private_pairs(layout, u) == private_cache_reference(params, sets, u)
             assert demand_pairs(layout, u) == demand_pairs_reference(params, sets, u)
     # the grid reaches both placements, no shared layer and no private one
     placements = {layout.placement for _, layout in layouts if layout.params.ga}
@@ -376,7 +409,8 @@ def test_subset_layout_fills_budgets_exactly():
             assert Fraction(k * len(entries) * binom(k - ga, gp), f) == params.ma
             assert len(set(entries)) == len(entries)
             assert all(popcount(s) == ga and s & bit(cache) for s in entries)
-        for u, cell in enumerate(layout.private, start=1):
+        for u in range(1, k + 1):
+            cell = private_pairs(layout, u)
             assert Fraction(k * len(cell), f) == params.mp
             assert len(set(cell)) == len(cell)
             for s, t in cell:
