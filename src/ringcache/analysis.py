@@ -179,39 +179,42 @@ def cutset_bound(params: SystemParams) -> Fraction:
     Serving s users through their p = min(s+L-1, K) shared caches and
     floor(N/s) broadcast rounds forces
     rate >= s - (p*ma + s*mp) / floor(N/s); maximize over s, floor at 0.
-
-    Evaluated in integers: with D = den(ma) * den(mp), A = ma*D and
-    B = mp*D, the term for s is the pair
-    (s*q*D - (p*A + s*B), q*D) at q = floor(N/s). The largest pair is kept
-    by cross-multiplication (the denominators are positive, as q >= 1), and
-    only the maximum becomes a Fraction. p is s + L - 1 below s = K - L + 1
-    and K from there on, so the cache counts are a range and then L copies
-    of K rather than a ``min`` per s.
     """
-    k, l, n = params.k, params.l, params.n
-    ma, mp = params.ma, params.mp
-    d = ma.denominator * mp.denominator
-    a, b = ma.numerator * mp.denominator, mp.numerator * ma.denominator
-    best_num, best_den = 0, 1
+    at = _cutset(params.k, params.l, params.n, params.ma)
+    return Fraction(*at(*params.mp.as_integer_ratio()))
+
+
+def _cutset(k: int, l: int, n: int, ma: Fraction) -> Callable[[int, int], tuple[int, int]]:
+    """The cut-set bound at mp = u/v (v > 0), unreduced, from K lines built
+    once: over ma = a/d and q = floor(N/s), the term for s is (C - S*mp) / Q
+    with C = s*q*d - p*a, S = s*d, Q = q*d, and p = s + L - 1 below
+    s = K - L + 1, K from there on. At u/v the terms (C*v - S*u) / (Q*v)
+    share v, so the largest is kept by cross-multiplying over Q (q >= 1)."""
+    a, d = ma.numerator, ma.denominator
     caches = itertools.chain(range(l, k), itertools.repeat(k, l))
-    for s, p in zip(range(1, k + 1), caches):
-        q = n // s
-        num = s * q * d - (p * a + s * b)
-        den = q * d
-        if num * best_den > best_num * den:
-            best_num, best_den = num, den
-    return Fraction(best_num, best_den)
+    lines = [(s * q * d - p * a, s * d, q * d)
+             for s, p in zip(range(1, k + 1), caches) for q in (n // s,)]
+
+    def at(u: int, v: int) -> tuple[int, int]:
+        best_num, best_den = 0, 1
+        for c, s, q in lines:
+            num = c * v - s * u
+            if num * best_den > best_num * q:
+                best_num, best_den = num, q
+        return best_num, best_den * v
+
+    return at
 
 
 def is_optimal(params: SystemParams) -> bool:
     """True in the large-memory regime ma*L + mp >= N*(1 - 1/K), where the
     scheme meets the cut-set bound."""
-    ma, mp = params.ma, params.mp
-    # both sides times K * den(ma) * den(mp)
-    lhs = params.k * (
-        ma.numerator * mp.denominator * params.l + mp.numerator * ma.denominator
-    )
-    return lhs >= params.n * (params.k - 1) * ma.denominator * mp.denominator
+    return _is_optimal(params.k, params.l, params.n, params.ma, *params.mp.as_integer_ratio())
+
+
+def _is_optimal(k: int, l: int, n: int, ma: Fraction, u: int, v: int) -> bool:
+    """:func:`is_optimal` at mp = u/v (v > 0), both sides times K * den(ma) * v."""
+    return k * (ma.numerator * v * l + u * ma.denominator) >= n * (k - 1) * ma.denominator * v
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +238,15 @@ class MemoryShare:
 
 
 def _share(
-    gamma_a: Fraction, gamma_p: Fraction, corner_rate: Callable[[int, int], Fraction]
-) -> tuple[list[tuple[int, int, int, Fraction]], Fraction]:
-    """Memory sharing in integers: at gamma = lo + rest/q, corner lo weighs
-    (q - rest)/q and corner lo + 1 weighs rest/q. The corners, floor first
-    and gamma_a outer, as (gamma_a, gamma_p, weight * den(gamma_a) *
-    den(gamma_p), rate), and their weighted rate, reduced once."""
+    gamma_a: tuple[int, int], gamma_p: tuple[int, int], corner_rate: Callable[[int, int], Fraction]
+) -> tuple[list[tuple[int, int, int, Fraction]], int, int]:
+    """Memory sharing in integers, each gamma a (numerator, denominator) pair:
+    at gamma = lo + rest/q, corner lo weighs (q - rest)/q and corner lo + 1
+    weighs rest/q. The corners, floor first and gamma_a outer, as (gamma_a,
+    gamma_p, weight * q_a * q_p, rate), and their weighted rate, unreduced."""
     axes = []
-    for gamma in (gamma_a, gamma_p):
-        q = gamma.denominator
-        lo, rest = divmod(gamma.numerator, q)
+    for num, q in (gamma_a, gamma_p):
+        lo, rest = divmod(num, q)
         axes.append(((lo, q - rest), (lo + 1, rest)) if rest else ((lo, 1),))
     points, num, den = [], 0, 1
     for ga_c, wa in axes[0]:
@@ -260,20 +262,22 @@ def _share(
             points.append((ga_c, gp_c, wa * wp, rate))
             num = num * rate.denominator + wa * wp * rate.numerator * den
             den *= rate.denominator
-    return points, Fraction(num, den * gamma_a.denominator * gamma_p.denominator)
+    return points, num, den * gamma_a[1] * gamma_p[1]
 
 
 def memory_share(params: SystemParams) -> MemoryShare:
     """Realize fractional replication by splitting files between the integral
     corner schemes; the rate is the matching convex combination of corner
     rates. Integral inputs degenerate to a single unit-weight corner."""
-    points, rate = _share(params.gamma_a, params.gamma_p, partial(_rate, params.k, params.l))
-    q = params.gamma_a.denominator * params.gamma_p.denominator
-    return MemoryShare(tuple(SharePoint(a, p, Fraction(w, q), r) for a, p, w, r in points), rate)
+    ga, gp, corner_rate = params.gamma_a, params.gamma_p, partial(_rate, params.k, params.l)
+    points, num, den = _share(ga.as_integer_ratio(), gp.as_integer_ratio(), corner_rate)
+    q = ga.denominator * gp.denominator
+    shares = tuple(SharePoint(a, p, Fraction(w, q), r) for a, p, w, r in points)
+    return MemoryShare(shares, Fraction(num, den))
 
 
 def rate_with_sharing(params: SystemParams) -> Fraction:
     """Achievable rate, interpolating automatically for fractional gammas."""
     if params.integral:
         return achievable_rate(params)
-    return _share(params.gamma_a, params.gamma_p, partial(_rate, params.k, params.l))[1]
+    return memory_share(params).rate

@@ -17,12 +17,14 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .model import InvalidParameters, RegimeError, SystemParams, params_from_gammas
+from .model import RegimeError, SystemParams, network_refusal, params_from_gammas
+from .model import private_size_refusal
 from .placement import CacheLayout, build_layout, build_subset_layout, layout_to_json
 from .delivery import (
     UncharacterizedRegime,
@@ -35,9 +37,11 @@ from .delivery import (
     worst_case_demand,
 )
 from .analysis import _rate, _share, achievable_rate, cutset_bound, is_optimal, memory_share
+from .analysis import _cutset, _is_optimal
 from .verify import check_enumeration_guard, count_vs_formula, man_crosscheck, sweep_grid
 
-# most rows one sweep builds; 20,000 rows take about 1 s, and 100 MB as JSON
+# most rows one sweep writes; rows stream, so this bounds time, not memory:
+# 50,000 rows take about 1 s up to K = 64 (2-core x86-64 host, Python 3.11)
 SWEEP_ROW_BUDGET = 50_000
 
 CSV_HEADER = (
@@ -73,8 +77,13 @@ def _demand_entry(text: str) -> int:
 
 def dec6(x: Fraction) -> str:
     """Decimal rendering to 6 places by exact rounding, ties to even (no floats)."""
-    scaled, rest = divmod(x.numerator * 10**6, x.denominator)
-    if 2 * rest > x.denominator or 2 * rest == x.denominator and scaled & 1:
+    return _dec6(x.numerator, x.denominator)
+
+
+def _dec6(num: int, den: int) -> str:
+    """:func:`dec6` of num/den (den > 0, not necessarily reduced)."""
+    scaled, rest = divmod(num * 10**6, den)
+    if 2 * rest > den or 2 * rest == den and scaled & 1:
         scaled += 1
     whole, part = divmod(abs(scaled), 10**6)
     return f"{'-' if scaled < 0 else ''}{whole}.{part:06d}"
@@ -110,11 +119,6 @@ def _sink(path: str | None) -> Iterator[Callable[[str], object]]:
             yield fh.write
     except OSError as exc:
         raise ValueError(f"-o: {exc}") from None
-
-
-def _emit(text: str, path: str | None) -> None:
-    with _sink(path) as write:
-        write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -189,39 +193,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if report.ok else 2
 
 
-def _sweep_row(
-    args: argparse.Namespace, ma: Fraction, mp: Fraction, corner_rate: Callable[[int, int], Fraction]
-) -> tuple[str, ...]:
-    """The 15 field values of the sweep's row at (ma, mp), in :data:`CSV_HEADER`
-    order; fields a row cannot fill are empty and ``note`` holds the reason."""
-    base = (str(args.K), str(args.L), str(args.N), str(ma), str(mp))
-    try:
-        params = SystemParams(k=args.K, l=args.L, ma=ma, mp=mp, n=args.N)
-    except InvalidParameters as exc:
-        return base + ("",) * 9 + (str(exc),)
-    gammas = (str(params.gamma_a), str(params.gamma_p))
-    try:  # as rate_with_sharing, with the sweep's corner rates
-        share = None if params.integral else _share(params.gamma_a, params.gamma_p, corner_rate)
-        rate = corner_rate(params.ga, params.gp) if share is None else share[1]
-    except RegimeError as exc:
-        return base + gammas + ("",) * 7 + (str(exc),)
-    cells = (str(rate.numerator), str(rate.denominator), dec6(rate))
-    if args.bound:
-        bound = cutset_bound(params)
-        cells += (str(bound.numerator), str(bound.denominator), dec6(bound))
-    else:
-        cells += ("", "", "")
-    optimal = ("true" if is_optimal(params) else "false") if args.optimal else ""
-    return base + gammas + cells + (optimal, "")
-
-
-def _csv_line(row: tuple[str, ...]) -> str:
-    """One CSV line; a non-empty note is always quoted, the other fields
-    never need to be."""
-    *fields, note = row
-    return ",".join(fields + [f'"{note}"' if note else ""])
-
-
 def _parse_range(spec: str) -> tuple[Fraction, Fraction, int]:
     """'start:stop[:step]' inclusive, exact rational arithmetic: the start,
     the step and the number of points."""
@@ -235,26 +206,82 @@ def _parse_range(spec: str) -> tuple[Fraction, Fraction, int]:
     return start, step, ((stop - start) // step + 1 if stop >= start else 0)
 
 
+def _ratio(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for den > 0, without the Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
+def _cells(num: int, den: int) -> tuple[str, str, str]:
+    """num/den (den > 0) as a row's numerator, denominator and decimal cells."""
+    g = math.gcd(num, den)
+    return str(num // g), str(den // g), _dec6(num, den)
+
+
+def _sweep_column(
+    args: argparse.Namespace, ma: Fraction, mps: list[tuple[str, int, int, str]],
+    corner_rate: Callable[[int, int], Fraction],
+) -> Iterator[tuple[str, ...]]:
+    """One Ma column's rows, 15 fields each in :data:`CSV_HEADER` order, in
+    integers; fields a row cannot fill are empty and ``note`` holds the reason."""
+    k, l, n = args.K, args.L, args.N
+    head = (str(k), str(l), str(n), str(ma))
+    refused = network_refusal(k, l, n, ma)
+    if not refused:
+        a, qa = (k * ma / n).as_integer_ratio()
+        bound = _cutset(k, l, n, ma) if args.bound else None
+    for mp, u, v, note in mps:
+        if refused or note:
+            yield head + (mp,) + ("",) * 9 + (refused or note,)
+            continue
+        g = math.gcd(k * u, n * v)
+        p, qp = k * u // g, n * v // g
+        row = head + (mp, _ratio(a, qa), _ratio(p, qp))
+        try:  # as rate_with_sharing, with the sweep's corner rates
+            if qa == qp == 1:
+                row += _cells(*corner_rate(a, p).as_integer_ratio())
+            else:
+                row += _cells(*_share((a, qa), (p, qp), corner_rate)[1:])
+        except RegimeError as exc:
+            yield row + ("",) * 7 + (str(exc),)
+            continue
+        row += _cells(*bound(u, v)) if bound else ("", "", "")
+        optimal = ("false", "true")[_is_optimal(k, l, n, ma, u, v)] if args.optimal else ""
+        yield row + (optimal, "")
+
+
+# one row as json.dumps(rows, indent=2) lays out its dict; only the note may need escaping
+_JSON_RECORD = "  {{\n" + "".join(f'    "{key}": "{{}}",\n' for key in CSV_HEADER.split(",")[:-1])
+_JSON_RECORD += '    "note": {}\n  }}'
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     ma_list = [_rational(x, "--ma") for x in args.ma.split(",")]
     start, step, points = _parse_range(args.mp_range)
-    # counted before any row is built: a fine step over a wide range would
-    # otherwise hold every row in memory before the first is written
+    # counted before any row is built; rows stream, so this bounds the time
     if len(ma_list) * points > SWEEP_ROW_BUDGET:
         raise ValueError(
             f"--mp-range: {len(ma_list)} Ma x {points} Mp values make"
             f" {len(ma_list) * points} rows, over the budget of {SWEEP_ROW_BUDGET}"
         )
-    mp_list = [start + i * step for i in range(points)]
+    # Mp = u/v stepped in integers, rendered and range-checked once per sweep
+    (a, b), (c, d) = start.as_integer_ratio(), step.as_integer_ratio()
+    mps = [(_ratio(u, b * d), u, b * d, private_size_refusal(u, b * d, args.N))
+           for u in range(a * d, a * d + points * b * c, b * c)]
     # each corner rate and its count-law cross-check once, in a cache that dies with this sweep
     corner_rate = functools.cache(functools.partial(_rate, args.K, args.L))
-    rows = [_sweep_row(args, ma, mp, corner_rate) for ma in ma_list for mp in mp_list]
-    if args.format == "json":
-        keys = CSV_HEADER.split(",")
-        payload = [dict(zip(keys, row)) for row in rows]
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    else:
-        _emit("\n".join([CSV_HEADER] + [_csv_line(row) for row in rows]) + "\n", args.output)
+    rows = (row for ma in ma_list for row in _sweep_column(args, ma, mps, corner_rate))
+    with _sink(args.output) as write:  # row by row; a refused sweep opens no sink
+        if args.format == "csv":
+            write(CSV_HEADER + "\n")
+            for *fields, note in rows:  # a note is always quoted, no other field needs to be
+                write(",".join(fields) + (f',"{note}"\n' if note else ",\n"))
+        else:
+            lead, tail = "[\n", "[]\n"
+            for *fields, note in rows:
+                write(lead + _JSON_RECORD.format(*fields, json.dumps(note)))
+                lead, tail = ",\n", "\n]\n"
+            write(tail)
     return 0
 
 
@@ -316,6 +343,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_man(args: argparse.Namespace) -> int:
+    if args.K >= 1 and not 0 <= args.t <= args.K:  # K < 1 is refused for its own reason
+        raise ValueError(f"-t: replication t={args.t} outside [0, K={args.K}]")
     report = man_crosscheck(args.K, args.t, args.N or args.K)
     tag = "PASS" if report.passed else "FAIL"
     print(

@@ -185,6 +185,26 @@ def position_sets(u: int, s_mask: int, t_mask: int) -> PositionSets:
 # system parameters
 # ---------------------------------------------------------------------------
 
+def network_refusal(k: int, l: int, n: int, ma: Fraction) -> str:
+    """Why K, L, N or ma fall outside the model's domain, as SystemParams checks, or ''."""
+    if k < 1:
+        return f"need at least one user, got K={k}"
+    if k > MAX_USERS:
+        return f"K={k} exceeds the {MAX_USERS}-user bitmask cap"
+    if not 1 <= l <= k:
+        return f"access degree L={l} outside [1, K={k}]"
+    if n < k:
+        return f"library must cover distinct demands: N={n} < K={k}"
+    return "" if 0 <= ma <= n else f"shared-cache size ma={ma} outside [0, N={n}]"
+
+
+def private_size_refusal(num: int, den: int, n: int) -> str:
+    """Why the private-cache size mp = num/den (den > 0) falls outside [0, N], or ''."""
+    if 0 <= num <= n * den:
+        return ""
+    return f"private-cache size mp={Fraction(num, den)} outside [0, N={n}]"
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """The (K, L, M_a, M_p, N) network: K users and shared caches on a ring,
@@ -205,18 +225,9 @@ class SystemParams:
         for name in ("ma", "mp"):  # a Fraction is kept as given, not re-wrapped
             if type(getattr(self, name)) is not Fraction:
                 object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.k < 1:
-            raise InvalidParameters(f"need at least one user, got K={self.k}")
-        if self.k > MAX_USERS:
-            raise InvalidParameters(f"K={self.k} exceeds the {MAX_USERS}-user bitmask cap")
-        if not 1 <= self.l <= self.k:
-            raise InvalidParameters(f"access degree L={self.l} outside [1, K={self.k}]")
-        if self.n < self.k:
-            raise InvalidParameters(f"library must cover distinct demands: N={self.n} < K={self.k}")
-        if not 0 <= self.ma <= self.n:
-            raise InvalidParameters(f"shared-cache size ma={self.ma} outside [0, N={self.n}]")
-        if not 0 <= self.mp <= self.n:
-            raise InvalidParameters(f"private-cache size mp={self.mp} outside [0, N={self.n}]")
+        refused = network_refusal(self.k, self.l, self.n, self.ma)
+        if refused or (refused := private_size_refusal(*self.mp.as_integer_ratio(), self.n)):
+            raise InvalidParameters(refused)
 
     # computed once per instance; cached_property writes the instance
     # __dict__ directly, so it works on a frozen dataclass and leaves eq,
@@ -258,5 +269,5 @@ class SystemParams:
 def params_from_gammas(k: int, l: int, ga: RationalLike, gp: RationalLike, n: int) -> SystemParams:
     """Build params from replication factors instead of cache sizes."""
     if k < 1:  # refused as SystemParams would, before the division by K
-        raise InvalidParameters(f"need at least one user, got K={k}")
+        raise InvalidParameters(network_refusal(k, l, n, Fraction(0)))
     return SystemParams(k, l, Fraction(ga) * n / k, Fraction(gp) * n / k, n)

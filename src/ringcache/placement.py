@@ -197,9 +197,9 @@ def build_subset_layout(params: SystemParams) -> CacheLayout:
 
 def _check_memory(layout: CacheLayout) -> None:
     """Every cache must hit its size budget exactly: Ma * F mini-subfiles in
-    each shared cache and Mp * F in each private one, over all N files. One
-    pass over the tails counts the private caches: each T adds one to each
-    of its users outside S."""
+    each shared cache and Mp * F in each private one, over all N files, and
+    F (S, T) pairs in the tails. One pass over the tails counts the private
+    caches: each T adds one to each of its users outside S."""
     p = layout.params
     per_subfile = binom(p.k - layout.width, p.gp)
     shared_budget, private_budget = p.ma * layout.f, p.mp * layout.f
@@ -212,6 +212,10 @@ def _check_memory(layout: CacheLayout) -> None:
             held[u - 1] += count
     if any(p.n * size != private_budget for size in held):
         raise AssertionError("private cache holds a wrong mini-subfile count")
+    # at span = K every ring window is the whole ring, one S in the tails for K subfiles
+    copies = p.k if layout.placement == RING and layout.width == p.k else 1
+    if copies * sum(len(ts) for _, ts in layout.tails) != layout.f:
+        raise AssertionError("tails hold a wrong mini-subfile count")
 
 
 def layout_to_json(layout: CacheLayout, write: Callable[[str], object]) -> None:

@@ -13,15 +13,19 @@ per verdict that the (S, T) ledgers replaced, delivery results with a
 transmission taken out, the cut-set bound, memory sharing and the
 six-place rendering as the Fraction code the integer forms replaced, the
 cut-set bound's integer loop with a ``min`` per term that the split loop
-replaced, and a layout's shared sets, read off its tails."""
+replaced, a layout's shared sets, read off its tails, and the sweep built
+row by row through a SystemParams and Fractions, then rendered whole, as
+the column kernel and its streamed rows replaced."""
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
 from ringcache.analysis import MemoryShare, SharePoint, _rate
+from ringcache.cli import CSV_HEADER
 from ringcache.delivery import (
     GENERAL,
     SC1,
@@ -37,6 +41,7 @@ from ringcache.delivery import (
     format_packet,
 )
 from ringcache.model import (
+    InvalidParameters,
     RegimeError,
     SystemParams,
     bit,
@@ -517,3 +522,48 @@ def dec6_reference(x: Fraction) -> str:
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
     return f"{sign}{scaled // 10**6}.{scaled % 10**6:06d}"
+
+
+def sweep_row_reference(k, l, n, ma: Fraction, mp: Fraction, bound=True, optimal=True):
+    """The 15 field values of the sweep's row at (ma, mp), in CSV_HEADER
+    order, as the per-row path the column kernel replaced: a SystemParams
+    per row, the rate of the integral corner or of the Fraction memory
+    sharing, the Fraction cut-set bound, the paper's optimality condition
+    in Fractions and six places through round(). Fields a row cannot fill
+    are empty and ``note`` holds the reason."""
+    base = (str(k), str(l), str(n), str(ma), str(mp))
+    try:
+        params = SystemParams(k=k, l=l, ma=ma, mp=mp, n=n)
+    except InvalidParameters as exc:
+        return base + ("",) * 9 + (str(exc),)
+    gammas = (str(params.gamma_a), str(params.gamma_p))
+    try:
+        if params.integral:
+            rate = _rate(k, l, params.ga, params.gp)
+        else:
+            rate = memory_share_reference(params).rate
+    except RegimeError as exc:
+        return base + gammas + ("",) * 7 + (str(exc),)
+    cells = (str(rate.numerator), str(rate.denominator), dec6_reference(rate))
+    if bound:
+        b = cutset_bound_fraction_reference(params)
+        cells += (str(b.numerator), str(b.denominator), dec6_reference(b))
+    else:
+        cells += ("", "", "")
+    flag = ""
+    if optimal:
+        flag = "true" if ma * l + mp >= n * (1 - Fraction(1, k)) else "false"
+    return base + gammas + cells + (flag, "")
+
+
+def sweep_reference(k, l, n, ma_list, start, step, points, fmt="csv", bound=True, optimal=True):
+    """The whole sweep's text as the per-row path rendered it: every row
+    built first, then one CSV text or ``json.dumps(rows, indent=2)`` of a
+    dict per row."""
+    mps = [start + i * step for i in range(points)]
+    rows = [sweep_row_reference(k, l, n, ma, mp, bound, optimal) for ma in ma_list for mp in mps]
+    if fmt == "json":
+        keys = CSV_HEADER.split(",")
+        return json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
+    lines = [",".join(row[:-1] + ((f'"{row[-1]}"' if row[-1] else ""),)) for row in rows]
+    return "\n".join([CSV_HEADER] + lines) + "\n"

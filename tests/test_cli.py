@@ -24,7 +24,7 @@ from ringcache.placement import build_layout, build_subset_layout
 from ringcache.verify import count_vs_formula, sweep_grid
 from fractions import Fraction
 
-from helpers import dec6_reference, drop_transmission, materialize
+from helpers import dec6_reference, drop_transmission, materialize, sweep_reference
 
 
 def run_cli(*argv):
@@ -277,6 +277,56 @@ def test_layout_dump_streams(tmp_path):
     assert streamed - alone < len(dump) / 4, (streamed, alone, len(dump))
 
 
+SWEEP_48K = ("sweep", "-K", "12", "-L", "2", "-N", "12", "--ma", "1,3/2,2,5/2,3",
+             "--mp-range", "0:12:1/800", "--format", "json")
+
+
+def test_sweep_streams(tmp_path):
+    # 5 Ma x 9,601 Mp values write 48,005 JSON records, 17.3 MB; written row
+    # by row, the run lifts the peak RSS of a process that has already built
+    # the parser by less than a quarter of the file, where holding every row,
+    # a dict per row and the encoder's text lifted it by about 210 MB. The
+    # child reads its own ru_maxrss: tracemalloc, as in
+    # test_layout_dump_streams, would take seconds over the rows' small
+    # allocations.
+    target = tmp_path / "sweep.json"
+    probe = (
+        "import resource, sys\n"
+        "from ringcache.cli import build_parser, main\n"
+        "build_parser()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *SWEEP_48K, "-o", str(target)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert done.stderr == ""
+    code, before, after = map(int, done.stdout.split())
+    rise = (after - before) * (1 if sys.platform == "darwin" else 1024)  # ru_maxrss in KiB on Linux
+    text = target.read_bytes()
+    assert code == 0 and text.startswith(b"[\n  {\n") and text.endswith(b"\n  }\n]\n")
+    assert text.count(b'\n    "K": "12",\n') == 48_005 and len(text) > 17_000_000
+    assert rise < len(text) / 4, (rise, len(text))
+
+
+def test_a_closed_stdout_stops_sweep_quietly():
+    # unbuffered, each row is written as it is built, so the pipe that the
+    # reader closes after the header fails a later write
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "ringcache", "sweep",
+         "-K", "12", "-L", "2", "-N", "12", "--ma", "1,2", "--mp-range", "0:12:1/100"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.stdout.readline() == (ringcache.cli.CSV_HEADER + "\n").encode()
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_verify_holds_no_report_past_its_instance():
     # without --json, a grid run over K = 11 and 12 (121 instances) peaks
     # near its largest single count_vs_formula; holding every report with
@@ -447,6 +497,57 @@ def test_sweep_json_is_pinned():
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "2d02baf3d7cede7575e878da434942062191c010b4c112856ebce77d9d9bed15"
     )
+
+
+def _sweep_case(rng, i):
+    """One seeded sweep: (K, L, N, Ma list, start, step, points, flags)."""
+    k = rng.randint(1, 64)
+    l = rng.randint(1, k)
+    n = k if i % 5 == 0 else rng.randint(k, 3 * k + 5)  # N = K: integral gammas
+    bad = i % 10  # a tenth of the sweeps each: K, L, N or an Ma out of range
+    if bad == 1:
+        k = rng.choice((0, -1, 65, 70))
+    elif bad == 2:
+        l = rng.choice((0, k + 1))
+    elif bad == 3:
+        n = rng.randint(0, k - 1)
+    ma_list = []
+    for _ in range(rng.randint(1, 3)):
+        den = rng.choice((1, 1, 2, 3, 7))
+        ma_list.append(Fraction(rng.randint(0, den * max(n, 1) // rng.randint(1, 4)), den))
+    if bad == 4:
+        ma_list.append(rng.choice((Fraction(-1, 2), Fraction(n + 1))))
+    den = rng.choice((1, 2, 3, 5))
+    step = Fraction(rng.randint(1, 3 * den), den) * rng.choice((1, Fraction(1, 7)))
+    start = Fraction(rng.randint(0, max(n, 1) * den), den) if i % 3 else Fraction(0)
+    if bad == 5:
+        start = -step * rng.randint(1, 3)  # negative Mp first
+    points = rng.randint(0 if i % 50 == 0 else 1, 8)
+    if bad == 6:
+        start = n - step * (points // 2)  # running past N
+    flags = [("--no-bound",), ("--no-optimal",), (), ("--no-bound", "--no-optimal")][i % 4]
+    return k, l, n, ma_list, start, step, points, flags
+
+
+def test_sweep_matches_the_per_row_reference():
+    # 320 seeded sweeps, K <= 64, every L, K <= N <= 3K+5, fractional Ma and
+    # step, a K, L, N or Ma out of range, Mp below 0 and above N, each bound
+    # and optimality flag: every CSV and JSON text equals the per-row path
+    rng = random.Random(17)
+    seen = set()
+    for i in range(320):
+        k, l, n, ma_list, start, step, points, flags = _sweep_case(rng, i)
+        stop = start + step * (points - 1) + step / 2 if points else start - 1
+        argv = ["sweep", "-K", str(k), "-L", str(l), "-N", str(n),
+                f"--ma={','.join(map(str, ma_list))}", f"--mp-range={start}:{stop}:{step}", *flags]
+        bound, optimal = "--no-bound" not in flags, "--no-optimal" not in flags
+        for fmt in ("json", "csv"):
+            expected = sweep_reference(k, l, n, ma_list, start, step, points, fmt, bound, optimal)
+            assert run_cli(*argv, "--format", fmt) == (0, expected, ""), argv
+        for row in csv.DictReader(io.StringIO(expected)):
+            seen.add(row["note"].split(" ")[0] or "computed")
+    assert {"computed", "need", "K=65", "K=70", "access", "library", "shared-cache",
+            "private-cache", "rate", "memory-sharing"} <= seen, seen
 
 
 @pytest.mark.parametrize(
@@ -651,6 +752,16 @@ def test_man_check_command():
     code, out, _ = run_cli("man-check", "-K", "4", "-t", "2")
     assert code == 0
     assert "PASS" in out and "rate=2/3" in out
+
+
+@pytest.mark.parametrize("flags", [("-K", "4", "-t", "9"), ("-K", "4", "-t", "-1"),
+                                   ("-K", "4", "-t", "9", "-N", "7")])
+def test_man_check_refuses_t_outside_0_to_k(flags):
+    # named against -t and in t, whatever N is, not as a private-cache size
+    t = flags[3]
+    assert run_cli("man-check", *flags) == (
+        1, "", f"ringcache: -t: replication t={t} outside [0, K=4]\n"
+    )
 
 
 def test_man_check_library_size_zero_means_k():

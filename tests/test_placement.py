@@ -157,6 +157,17 @@ def test_check_memory_rejects_a_cache_one_entry_short(system, side):
     assert reached == (1 << params.k) - 1
 
 
+def test_check_memory_rejects_tails_short_of_f_pairs():
+    # at gamma_p = 0 no private cache counts the pairs: emptying the first
+    # S's T list leaves 5 pairs against F = 6, which only the F check sees
+    layout = build_layout(SystemParams(k=6, l=2, ma=1, mp=0, n=6))
+    _check_memory(layout)
+    s, ts = layout.tails[0]
+    assert layout.f == 6 and ts == (0,)
+    with pytest.raises(AssertionError, match="tails hold a wrong mini-subfile count"):
+        _check_memory(replace(layout, tails=((s, ()),) + layout.tails[1:]))
+
+
 def test_layout_grows_with_f_not_with_private_copies():
     # K=20 L=2 gamma_a=3 gamma_p=4 (F = 20,020): the tails hold each (S, T)
     # once, about 40 bytes per F traced; per-user private tuples, which
