@@ -5,7 +5,7 @@ The public surface: build a :class:`SystemParams`, place caches with
 stream the XOR packets with :func:`deliver`, check them with
 :func:`verify_decodability`, and evaluate the
 :func:`achievable_rate` / :func:`cutset_bound` closed forms. The
-:mod:`ringcache.verify` oracles cross-check the counting by brute force.
+:mod:`ringcache.verify` oracles cross-check the counting independently.
 """
 
 from .model import (

@@ -10,8 +10,8 @@ subset of [K] containing at least one window. A GENERAL subset yields
 The achievable rate is implemented twice, as the one-line closed form and
 as X/F from the per-case counts, and the two are cross-asserted on every
 call; within one sweep, where each distinct corner is rated once, that is
-once per corner. The brute-force census in :mod:`ringcache.verify` is the
-arbiter behind both. Counts and closed forms describe the ring placement
+once per corner. The census in :mod:`ringcache.verify` is the arbiter
+behind both. Counts and closed forms describe the ring placement
 at every L; the achievable rate at L = 1 is the subset placement's instead.
 """
 

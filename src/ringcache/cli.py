@@ -2,7 +2,7 @@
 
 Subcommands: ``rate`` (closed forms for one memory point), ``simulate``
 (run delivery for a demand vector and check decodability), ``sweep``
-(rate/bound grid as CSV or JSON), ``verify`` (brute-force oracle harness)
+(rate/bound grid as CSV or JSON), ``verify`` (census oracle harness)
 and ``layout-dump`` (cache contents as JSON). ``simulate`` and
 ``layout-dump`` use the subset placement at L = 1, the placement whose
 rate ``rate`` and ``sweep`` report there, and the ring placement otherwise.
@@ -38,7 +38,7 @@ from .delivery import (
 )
 from .analysis import _rate, _share, achievable_rate, cutset_bound, is_optimal, memory_share
 from .analysis import _cutset, _is_optimal
-from .verify import check_enumeration_guard, count_vs_formula, man_crosscheck, sweep_grid
+from .verify import check_work_budget, count_vs_formula, man_crosscheck, sweep_grid
 
 # most rows one sweep writes; rows stream, so this bounds time, not memory:
 # 50,000 rows take about 1 s up to K = 64 (2-core x86-64 host, Python 3.11)
@@ -303,6 +303,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.ga is None or args.gp is None:
             raise ValueError("explicit instances need --ga and --gp")
         l = 2 if args.L is None else args.L
+        # count_vs_formula refuses it over the budget before building anything
         instances = [params_from_gammas(args.K, l, args.ga, args.gp, args.N or args.K)]
     else:
         _refuse_flags(
@@ -311,15 +312,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         kmin = 4 if args.kmin is None else args.kmin
         kmax = 10 if args.kmax is None else args.kmax
-        for k in range(kmin, kmax + 1):  # the first K past the guard, before any grid
-            check_enumeration_guard(k)
-        instances = sweep_grid(kmin, kmax)
+        instances = []
+        for k in range(kmin, kmax + 1):  # no grid is built past the first K over the budget
+            grid = sweep_grid(k, k)
+            for params in grid:
+                check_work_budget(params)
+            instances += grid
         if not instances:
             raise ValueError(
                 f"--kmin/--kmax: no counting-regime instance with {kmin} <= K <= {kmax}"
             )
-    for params in instances:  # refused before the first instance runs and prints
-        check_enumeration_guard(params.k)
     failures = 0
     reports = []  # only the --json dicts: a report holds its census's records
     for params in instances:

@@ -37,7 +37,7 @@ class InvalidMiniSubfile(ValueError):
 
 
 class GuardExceeded(ValueError):
-    """Exhaustive enumeration refused above the desk-scale size guard."""
+    """Work refused up front because it is over a size budget."""
 
 
 def cyc(a: int, k: int) -> int:

@@ -83,9 +83,12 @@ class CacheLayout:
     ``access[k-1]`` holds the S masks of the subfiles shared cache k stores
     of every file; ``f`` is the subpacketization (mini-subfiles per file)
     and ``placement`` is :data:`RING` or :data:`SUBSET`. ``tails`` lists
-    each S with its T lists, in order: the F (S, T) pairs of a file, off
-    which every private cache (:func:`private_pairs`) and demand set
-    (:func:`demand_pairs`) is read. File indices are attached only where
+    each S with its T lists, in order: the distinct (S, T) pairs of a file,
+    off which every private cache (:func:`private_pairs`) and demand set
+    (:func:`demand_pairs`) is read. There are F of them, except on the ring
+    placement at span = K: every window is then the whole ring, so the
+    tails hold the one pair (whole ring, empty T), which stands for all
+    F = K subfiles. File indices are attached only where
     output needs them: in :func:`layout_to_json` and in the terms delivery
     sends.
     """

@@ -1,25 +1,48 @@
-"""Independent brute-force oracles.
+"""Independent oracles: a census of the transmission-subsets, and the
+three-way agreement harness.
 
-The census enumerates every (1 + span + gamma_p)-subset of [K], keeps the
-ones containing at least one window (the transmission-subsets) and
-classifies them by the same rule the delivery algorithm applies to its
-union sets. Totals are compared three ways: census, closed-form counts,
-and an actual delivery run. Disagreements report the first offending
-subset rather than raising.
+A transmission-subset is a (1 + span + gamma_p)-subset of [K] containing
+at least one window, classified by the same rule the delivery algorithm
+applies to its union sets. Turning the ring by one user maps windows onto
+windows, so the subsets fall into rotation classes whose members hold the
+same number of windows and share a case, and every class meets the slice
+of subsets that contain W_K, the window ending at K. The census enumerates
+only that slice, the C(K - span, gamma_p + 1) unions of W_K with
+gamma_p + 1 other users, and counts the whole ring by double counting:
+with nw windows on the ring, a class whose members hold w windows each has
+nw / w members per slice member.
+
+Totals are compared three ways: census, closed-form counts, and an actual
+delivery run, whose every packet's union is turned onto the slice and
+checked against its class. Disagreements report the first offending
+subset rather than raising. An instance whose delivery would stream more
+than :data:`WORK_BUDGET` packets is refused before anything is built.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import GuardExceeded, SystemParams, binom, bit, bits, params_from_gammas, window_set
+from .model import (
+    GuardExceeded,
+    SystemParams,
+    binom,
+    mask_of,
+    mask_str,
+    params_from_gammas,
+    window_masks,
+    window_set,
+)
 from .placement import build_layout
 from .delivery import GENERAL, SC1, SC2, deliver
 from .analysis import TransmissionCounts, table1_counts
 
-ENUMERATION_GUARD = 20
+# transmissions a verified delivery may stream, and subsets a census may
+# enumerate; K=24 L=2 gamma_a=3 gamma_p=4 streams 323,232
+WORK_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -29,12 +52,15 @@ class SubsetRecord:
     case: str
 
     def describe(self) -> str:
-        wins = "; ".join(str(bits(w)) for w in self.windows)
-        return f"I={bits(self.union)} windows[{wins}] case={self.case}"
+        wins = "; ".join(mask_str(w) for w in self.windows)
+        return f"I={mask_str(self.union)} windows[{wins}] case={self.case}"
 
 
 @dataclass(frozen=True)
 class SubsetCensus:
+    """``records`` holds the slice, the transmission-subsets that contain
+    the window ending at K; the counts are over the whole ring."""
+
     records: tuple[SubsetRecord, ...]
     subsets: int
     sc1: int
@@ -56,35 +82,51 @@ def classify_subset(windows: tuple[int, ...]) -> str:
     return GENERAL
 
 
-def check_enumeration_guard(k: int) -> None:
-    """Refuse the census above :data:`ENUMERATION_GUARD` users."""
-    if k > ENUMERATION_GUARD:
-        raise GuardExceeded(f"refusing exhaustive enumeration for K={k} > {ENUMERATION_GUARD}")
+def _instance(params: SystemParams) -> str:
+    return f"K={params.k} L={params.l} gamma_a={params.ga} gamma_p={params.gp}"
+
+
+def check_work_budget(params: SystemParams) -> TransmissionCounts:
+    """The closed-form counts of an instance, refusing one whose delivery
+    would stream more than :data:`WORK_BUDGET` transmissions."""
+    table = table1_counts(params)
+    if table.transmissions > WORK_BUDGET:
+        raise GuardExceeded(
+            f"refusing {_instance(params)}: X={table.transmissions} transmissions,"
+            f" over the budget of {WORK_BUDGET}"
+        )
+    return table
 
 
 def enumerate_transmission_subsets(params: SystemParams) -> SubsetCensus:
-    """Exhaustive census over all C(K, 1 + span + gamma_p) candidate subsets."""
-    k = params.k
-    check_enumeration_guard(k)
-    span = params.span
-    gp = params.gp
+    """Census through the C(K - span, gamma_p + 1) subsets that contain the
+    window ending at K, in lexicographic order, counted over the ring."""
+    k, span, gp = params.k, params.span, params.gp
     size = 1 + span + gp
     if size > k:
         raise GuardExceeded(f"union sets of size {size} do not fit in [1, {k}]")
+    members = binom(k - span, gp + 1)
+    if members > WORK_BUDGET:
+        raise GuardExceeded(
+            f"refusing the census of {_instance(params)}: {members} subsets,"
+            f" over the budget of {WORK_BUDGET}"
+        )
     wins = sorted(window_set(k, span))
+    last = window_masks(k, span)[-1]  # W_K: its users come after every other
     records = []
-    for combo in itertools.combinations(range(1, k + 1), size):
-        union = 0
-        for i in combo:
-            union |= bit(i)
+    tally: Counter[tuple[str, int]] = Counter()
+    for combo in itertools.combinations(range(1, k - span + 1), gp + 1):
+        union = last | mask_of(combo)
         inside = tuple(w for w in wins if w & union == w)
-        if not inside:
-            continue
-        records.append(SubsetRecord(union, inside, classify_subset(inside)))
-    sc1 = sum(1 for r in records if r.case == SC1)
-    sc2 = sum(1 for r in records if r.case == SC2)
-    total = len(records)
-    x = (1 + gp) * (total - sc1 - sc2) + sc1 + sc2
+        case = classify_subset(inside)
+        records.append(SubsetRecord(union, inside, case))
+        tally[case, len(inside)] += 1
+    # exact: each class with w windows per member adds nw * (its slice members) / w
+    counts = dict.fromkeys((GENERAL, SC1, SC2), 0)
+    for (case, w), n in tally.items():
+        counts[case] += len(wins) * n // w
+    total, sc1, sc2 = sum(counts.values()), counts[SC1], counts[SC2]
+    x = (1 + gp) * counts[GENERAL] + sc1 + sc2
     return SubsetCensus(tuple(records), total, sc1, sc2, x)
 
 
@@ -118,24 +160,44 @@ class AgreementReport:
 
 
 def count_vs_formula(params: SystemParams) -> AgreementReport:
-    """Compare closed-form counts, exhaustive census and a delivery run.
+    """Compare closed-form counts, the census and a delivery run.
 
-    Also checks, subset by subset, that delivery produced (1 + gamma_p)
-    transmissions per GENERAL subset and one per SC1/SC2 subset; the first
-    divergent subset is spelled out in the report.
+    Also checks, union by union, that delivery produced (1 + gamma_p)
+    transmissions per GENERAL subset and one per SC1/SC2 subset, of that
+    subset's case and over every transmission-subset: each packet's union
+    {u} | S | T is turned so that the end of its anchor's window S lands on
+    K and looked up in the census slice. The first divergent union is
+    spelled out in the report.
     """
-    table = table1_counts(params)
+    table = check_work_budget(params)
     census = enumerate_transmission_subsets(params)
     layout = build_layout(params)
-    gp = params.gp
-
-    # each packet's union set is its anchor's {u} | S | T
-    per_union: dict[int, list[str]] = {}
+    k, gp, full = params.k, params.gp, (1 << params.k) - 1
+    windows = window_masks(k, params.span)
+    end_of = {w: e for e, w in enumerate(windows, 1)}  # each window by its last member
+    slice_case = {rec.union: rec.case for rec in census.records}
+    # per union, 1 per GENERAL packet and 1 + gamma_p per SC1/SC2 packet:
+    # each transmission-subset must come to exactly 1 + gamma_p
+    weight = {GENERAL: 1, SC1: 1 + gp, SC2: 1 + gp}
+    tally: dict[int, int] = {}
+    stray = None
     total = 0
-    for case, keys in deliver(layout):
+    for total, (case, keys) in enumerate(deliver(layout), 1):
         u, s, t = keys[0]
-        per_union.setdefault(bit(u) | s | t, []).append(case)
-        total += 1
+        union = (1 << (u - 1)) | s | t
+        end = end_of.get(s)  # None when S is not a window
+        # the union turned so that the end of S lands on K
+        found = end and slice_case.get(((union << (k - end)) | (union >> end)) & full)
+        if found != case and stray is None:
+            anchor = (
+                f"union I={mask_str(union)} of packet {total}"
+                f" (anchor d{u}:{mask_str(s)}:{mask_str(t)})"
+            )
+            stray = (
+                f"{anchor} is in no transmission class" if not found
+                else f"{anchor} is sent as {case}, the census says {found}"
+            )
+        tally[union] = tally.get(union, 0) + weight[case]
 
     divergence = None
     if (census.subsets, census.sc1, census.sc2) != (table.subsets, table.sc1, table.sc2):
@@ -147,26 +209,30 @@ def count_vs_formula(params: SystemParams) -> AgreementReport:
         mismatched = _first_mismatched_record(census, table)
         if mismatched is not None:
             divergence += f"; first {mismatched.case} subset: {mismatched.describe()}"
-    if divergence is None and census.transmissions != table.transmissions:
+    elif census.transmissions != table.transmissions:
         divergence = (
             f"census X={census.transmissions} != formula X={table.transmissions}"
         )
-    if divergence is None and total != table.transmissions:
+    elif total != table.transmissions:
         divergence = f"delivery made {total} transmissions, formulas say {table.transmissions}"
-    if divergence is None:
-        for rec in census.records:
-            made = per_union.get(rec.union, [])
-            want = 1 + gp if rec.case == GENERAL else 1
-            if len(made) != want or any(c != rec.case for c in made):
+    elif stray is not None:
+        divergence = stray
+    else:
+        for union, got in tally.items():
+            if got != 1 + gp:
+                # every packet of the union had the census's case
+                case = classify_subset(tuple(w for w in windows if w & union == w))
+                want = 1 + gp if case == GENERAL else 1
                 divergence = (
-                    f"subset {rec.describe()} got {len(made)} transmissions"
-                    f" {made}, expected {want} of case {rec.case}"
+                    f"subset I={mask_str(union)} got {got // weight[case]} transmissions,"
+                    f" expected {want} of case {case}"
                 )
                 break
         else:
-            stray = set(per_union) - {rec.union for rec in census.records}
-            if stray:
-                divergence = f"delivery used union sets the census never saw: {sorted(stray)}"
+            if len(tally) != census.subsets:
+                divergence = (
+                    f"delivery used {len(tally)} union sets, the census counts {census.subsets}"
+                )
 
     rate = Fraction(total, layout.f)
     return AgreementReport(params, table, census, rate, divergence is None, divergence)

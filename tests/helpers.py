@@ -15,7 +15,9 @@ six-place rendering as the Fraction code the integer forms replaced, the
 cut-set bound's integer loop with a ``min`` per term that the split loop
 replaced, a layout's shared sets, read off its tails, and the sweep built
 row by row through a SystemParams and Fractions, then rendered whole, as
-the column kernel and its streamed rows replaced."""
+the column kernel and its streamed rows replaced, and the exhaustive
+census over every candidate subset that the census through one window's
+slice replaced."""
 
 import itertools
 import json
@@ -53,6 +55,7 @@ from ringcache.model import (
     window_set,
 )
 from ringcache.placement import SUBSET, demand_pairs, private_pairs
+from ringcache.verify import SubsetCensus, SubsetRecord, classify_subset
 
 
 def popcount(mask: int) -> int:
@@ -447,6 +450,30 @@ def drop_transmission(result: DeliveryResult, index: int) -> DeliveryResult:
     """Result with one transmission removed (for coverage experiments)."""
     kept = result.transmissions[:index] + result.transmissions[index + 1 :]
     return replace(result, transmissions=kept)
+
+
+def census_reference(params) -> SubsetCensus:
+    """The exhaustive census: every (1 + span + gamma_p)-subset of [K] tested
+    against every window, with a record per transmission-subset."""
+    k = params.k
+    size = 1 + params.span + params.gp
+    if size > k:
+        raise ValueError(f"union sets of size {size} do not fit in [1, {k}]")
+    wins = sorted(window_set(k, params.span))
+    records = []
+    for combo in itertools.combinations(range(1, k + 1), size):
+        union = 0
+        for i in combo:
+            union |= bit(i)
+        inside = tuple(w for w in wins if w & union == w)
+        if not inside:
+            continue
+        records.append(SubsetRecord(union, inside, classify_subset(inside)))
+    sc1 = sum(1 for r in records if r.case == SC1)
+    sc2 = sum(1 for r in records if r.case == SC2)
+    total = len(records)
+    x = (1 + params.gp) * (total - sc1 - sc2) + sc1 + sc2
+    return SubsetCensus(tuple(records), total, sc1, sc2, x)
 
 
 def cutset_terms(params) -> list[Fraction]:

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import SRC
 import ringcache.cli
+import ringcache.verify
 from ringcache import analysis
 from ringcache.cli import build_parser, dec6, main
 from ringcache.delivery import deliver, format_report, verify_decodability
@@ -700,7 +701,7 @@ def test_verify_command_grid():
         ),
         # an instance without both replication factors
         (("-K", "7", "-L", "2", "--ga", "1"), "explicit instances need --ga and --gp"),
-        # an empty grid past the census guard is still an empty grid
+        # an empty grid past the work budget is still an empty grid
         (
             ("--kmin", "25", "--kmax", "22"),
             "--kmin/--kmax: no counting-regime instance with 25 <= K <= 22",
@@ -712,34 +713,50 @@ def test_verify_refuses_what_it_would_not_check(argv, message):
     assert (code, out, err) == (1, "", f"ringcache: {message}\n")
 
 
+# the first instance over the budget at each K where a pinned refusal falls
+REFUSED_AT = {
+    23: "K=23 L=1 gamma_a=6 gamma_p=5: X=529414",
+    28: "K=28 L=2 gamma_a=3 gamma_p=5: X=3689742",
+    30: "K=30 L=1 gamma_a=4 gamma_p=3: X=561345",
+}
+
+
 @pytest.mark.parametrize(
     "argv,k",
     [
-        (("--kmin", "20", "--kmax", "21"), 21),
-        (("--kmin", "19", "--kmax", "23"), 21),
-        (("-K", "22", "--ga", "1", "--gp", "1"), 22),
-        # past the 64-user cap too: refused at the first K past the guard,
+        (("--kmin", "22", "--kmax", "23"), 23),
+        (("--kmin", "19", "--kmax", "23"), 23),
+        (("-K", "28", "--ga", "3", "--gp", "5"), 28),
+        # past the 64-user cap too: refused at the first K over the budget,
         # not by the cap once the grid is built
-        (("--kmax", "100000"), 21),
+        (("--kmax", "100000"), 23),
         (("--kmin", "30", "--kmax", "70"), 30),
     ],
 )
 def test_verify_refuses_an_oversized_census_before_any_instance(monkeypatch, argv, k):
-    # a grid that reaches past the census guard used to run every instance
-    # below it (minutes at K = 20) and print their lines before refusing;
-    # the range is checked against the guard before the grid is built
+    # a grid that reaches past the budget used to run every instance below
+    # it (minutes at K = 22) and print their lines before refusing; each K's
+    # grid is checked against the budget before any instance runs, and no
+    # grid is built past the first K with an instance over it
+    built = []
+
     def no_instance(params):
         raise AssertionError(f"ran K={params.k} before refusing")
 
-    def no_grid(kmin, kmax):
-        raise AssertionError(f"built the grid {kmin}..{kmax} before refusing")
+    def grid_by_k(kmin, kmax):
+        built.append((kmin, kmax))
+        return sweep_grid(kmin, kmax)
 
-    monkeypatch.setattr(ringcache.cli, "count_vs_formula", no_instance)
-    monkeypatch.setattr(ringcache.cli, "sweep_grid", no_grid)
+    # an instance that runs builds its census and layout after its own check
+    monkeypatch.setattr(ringcache.verify, "enumerate_transmission_subsets", no_instance)
+    monkeypatch.setattr(ringcache.verify, "build_layout", no_instance)
+    monkeypatch.setattr(ringcache.cli, "sweep_grid", grid_by_k)
     code, out, err = run_cli("verify", *argv)
     assert (code, out, err) == (
-        1, "", f"ringcache: refusing exhaustive enumeration for K={k} > 20\n"
+        1, "", f"ringcache: refusing {REFUSED_AT[k]} transmissions, over the budget of 500000\n"
     )
+    kmin = int(argv[argv.index("--kmin") + 1]) if "--kmin" in argv else 4
+    assert built == ([] if "-K" in argv else [(j, j) for j in range(kmin, k + 1)])
 
 
 def test_verify_library_size_zero_means_k():

@@ -168,6 +168,16 @@ def test_check_memory_rejects_tails_short_of_f_pairs():
         _check_memory(replace(layout, tails=((s, ()),) + layout.tails[1:]))
 
 
+def test_ring_tails_at_full_span_hold_one_pair_for_k_subfiles():
+    # K=2 L=2 Ma=1: each window is the whole ring, so the tails hold one
+    # (S, T) pair standing for F = K = 2 subfiles
+    layout = build_layout(SystemParams(k=2, l=2, ma=1, mp=0, n=2))
+    assert layout.placement == RING and layout.width == 2
+    assert layout.tails == ((0b11, (0,)),)
+    assert layout.f == 2
+    _check_memory(layout)
+
+
 def test_layout_grows_with_f_not_with_private_copies():
     # K=20 L=2 gamma_a=3 gamma_p=4 (F = 20,020): the tails hold each (S, T)
     # once, about 40 bytes per F traced; per-user private tuples, which

@@ -1,22 +1,36 @@
-"""Brute-force census oracles and the three-way agreement harness."""
+"""The census oracle, against its exhaustive reference, and the three-way
+agreement harness."""
 
 import itertools
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from ringcache.model import GuardExceeded, SystemParams, binom, params_from_gammas
+import ringcache.verify
+from ringcache.model import (
+    GuardExceeded,
+    SystemParams,
+    binom,
+    bit,
+    mask_of,
+    mask_str,
+    params_from_gammas,
+    window_masks,
+)
 from ringcache.placement import build_layout, demand_pairs
 from ringcache.delivery import GENERAL, SC1, SC2, worst_case_demand
 from ringcache.analysis import table1_counts
 from ringcache.verify import (
+    check_work_budget,
     count_vs_formula,
     enumerate_transmission_subsets,
     man_crosscheck,
     sweep_grid,
 )
 
-from helpers import classify, materialize
+from helpers import census_reference, classify, materialize
 
 
 def test_census_worked_instances():
@@ -36,17 +50,66 @@ def test_census_no_sc2_off_boundary():
 
 
 def test_census_guard():
-    with pytest.raises(GuardExceeded):
-        enumerate_transmission_subsets(
-            SystemParams(k=21, l=2, ma=1, mp=1, n=21)
-        )
+    # the census enumerates its slice, C(K - span, gamma_p + 1) subsets
+    params = params_from_gammas(64, 2, 10, 19, 64)
+    with pytest.raises(GuardExceeded) as refused:
+        enumerate_transmission_subsets(params)
+    assert str(refused.value) == (
+        f"refusing the census of K=64 L=2 gamma_a=10 gamma_p=19: {binom(44, 20)} subsets,"
+        " over the budget of 500000"
+    )
+
+
+def test_agreement_refuses_work_over_the_budget(monkeypatch):
+    # the closed-form transmission count is what a delivery run streams;
+    # an instance over the budget is refused before its layout is built
+    def no_layout(params):
+        raise AssertionError("built a layout before refusing")
+
+    monkeypatch.setattr(ringcache.verify, "build_layout", no_layout)
+    with pytest.raises(GuardExceeded) as refused:
+        count_vs_formula(params_from_gammas(28, 2, 3, 5, 28))
+    assert str(refused.value) == (
+        "refusing K=28 L=2 gamma_a=3 gamma_p=5: X=3689742 transmissions,"
+        " over the budget of 500000"
+    )
+    assert check_work_budget(params_from_gammas(24, 2, 3, 4, 24)).transmissions == 323_232
+
+
+def _census_instances():
+    """Every grid instance with K <= 14, three seeded ones of each K = 15..18,
+    and instances outside the counting regime: no shared layer, and
+    gamma_p >= span."""
+    rng = random.Random(18)
+    grid = sweep_grid(4, 14)
+    for k in range(15, 19):
+        grid += rng.sample(sweep_grid(k, k), 3)
+    grid += [
+        params_from_gammas(k, l, ga, gp, k)
+        for k, l, ga, gp in [(6, 1, 0, 2), (9, 2, 0, 3), (8, 1, 2, 3), (10, 2, 1, 4), (12, 3, 1, 5)]
+    ]
+    return grid
+
+
+def test_slice_census_matches_the_exhaustive_reference():
+    for params in _census_instances():
+        census = enumerate_transmission_subsets(params)
+        reference = census_reference(params)
+        key = (params.k, params.l, params.ga, params.gp)
+        assert (census.subsets, census.sc1, census.sc2, census.transmissions) == (
+            reference.subsets, reference.sc1, reference.sc2, reference.transmissions
+        ), key
+        last = window_masks(params.k, params.span)[-1]
+        assert census.records == tuple(
+            rec for rec in reference.records if rec.union & last == last
+        ), key
 
 
 def test_census_matches_anchor_classification():
     # every anchor mapping into a subset gets the census's case for it
     for k, l, ga, gp in [(7, 2, 1, 1), (8, 2, 1, 1), (9, 1, 2, 1), (10, 2, 2, 1)]:
         params = params_from_gammas(k, l, ga, gp, k)
-        census = enumerate_transmission_subsets(params)
+        census = census_reference(params)
         by_union = {rec.union: rec for rec in census.records}
         layout = build_layout(params)
         for u in range(1, k + 1):
@@ -60,7 +123,7 @@ def test_mini_subfile_accounting():
     # windows-in-subset counts add up to the total demanded mini-subfiles
     for k, l, ga, gp in [(7, 2, 1, 1), (9, 3, 1, 2), (10, 2, 2, 1)]:
         params = params_from_gammas(k, l, ga, gp, k)
-        census = enumerate_transmission_subsets(params)
+        census = census_reference(params)
         span = params.span
         total = sum(len(rec.windows) for rec in census.records) * (1 + gp)
         assert total == k * (k - span) * binom(k - span - 1, gp)
@@ -99,7 +162,7 @@ def test_per_subset_multiplicity():
     # GENERAL subsets carry 1 + gamma_p transmissions, special ones a single
     for k, l, ga, gp in [(7, 2, 1, 1), (9, 2, 2, 2), (8, 1, 3, 1)]:
         params = params_from_gammas(k, l, ga, gp, k)
-        census = enumerate_transmission_subsets(params)
+        census = census_reference(params)
         layout = build_layout(params)
         result = materialize(layout, worst_case_demand(k))
         per_union: dict[int, list[str]] = {}
@@ -155,3 +218,77 @@ def test_divergence_reporting_names_subset():
         assert rec.case in (GENERAL, SC1, SC2)
         assert rec.describe().startswith("I=")
         assert all(w & rec.union == w for w in rec.windows)
+
+
+def test_subset_records_describe_in_log_notation():
+    census = enumerate_transmission_subsets(SystemParams(k=6, l=2, ma=1, mp=1, n=6))
+    assert census.records[0].describe() == "I=1,2,5,6 windows[1,2; 1,6; 5,6] case=GENERAL"
+
+
+def _corrupted(monkeypatch, corrupt):
+    """Check K=8 L=2 gamma_a=1 gamma_p=1 with its packets passed through
+    ``corrupt`` (a list in, a list out) between delivery and the check."""
+    deliver = ringcache.verify.deliver
+    monkeypatch.setattr(
+        ringcache.verify, "deliver", lambda layout: iter(corrupt(list(deliver(layout))))
+    )
+    rep = count_vs_formula(SystemParams(k=8, l=2, ma=1, mp=1, n=8))
+    assert rep.passed is False
+    return rep.divergence
+
+
+def _union(packet):
+    u, s, t = packet[1][0]
+    return bit(u) | s | t
+
+
+def test_a_union_with_one_packet_too_many_and_another_one_short_fails(monkeypatch):
+    # the total still matches: only the per-union count tells
+    moved = []
+
+    def corrupt(packets):
+        general = [i for i, (case, _) in enumerate(packets) if case == GENERAL]
+        a = general[0]
+        b = next(i for i in general if _union(packets[i]) != _union(packets[a]))
+        moved.extend((_union(packets[a]), _union(packets[b])))
+        out = packets[:b] + packets[b + 1:]
+        return out[: a + 1] + [packets[a]] + out[a + 1:]
+
+    divergence = _corrupted(monkeypatch, corrupt)
+    named = re.fullmatch(
+        r"subset I=([\d,]+) got (\d+) transmissions, expected 2 of case GENERAL", divergence
+    )
+    assert named, divergence
+    union, got = mask_of(map(int, named[1].split(","))), int(named[2])
+    assert (union, got) in {(moved[0], 3), (moved[1], 1)}
+
+
+def test_a_relabelled_packet_fails(monkeypatch):
+    relabelled = []
+
+    def corrupt(packets):
+        i = next(i for i, (case, _) in enumerate(packets) if case == GENERAL)
+        relabelled.append((i + 1, _union(packets[i])))
+        packets[i] = (SC1, packets[i][1])
+        return packets
+
+    divergence = _corrupted(monkeypatch, corrupt)
+    n, union = relabelled[0]
+    assert re.fullmatch(
+        rf"union I={mask_str(union)} of packet {n} \(anchor [^)]*\) is sent as SC1,"
+        r" the census says GENERAL",
+        divergence,
+    ), divergence
+
+
+def test_a_union_outside_every_class_fails(monkeypatch):
+    # {1, 3, 5, 7} holds no two neighbours, so no window of span 2
+    def corrupt(packets):
+        case, keys = packets[0]
+        packets[0] = (case, [(1, mask_of((3, 5)), bit(7))] + keys[1:])
+        return packets
+
+    divergence = _corrupted(monkeypatch, corrupt)
+    assert divergence == (
+        "union I=1,3,5,7 of packet 1 (anchor d1:3,5:7) is in no transmission class"
+    )
