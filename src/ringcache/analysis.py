@@ -13,6 +13,8 @@ call; within one sweep, where each distinct corner is rated once, that is
 once per corner. The census in :mod:`ringcache.verify` is the arbiter
 behind both. Counts and closed forms describe the ring placement
 at every L; the achievable rate at L = 1 is the subset placement's instead.
+They hold for 0 <= gamma_p < span < K - gamma_p, the counting regime;
+:func:`table1_counts` and :func:`rate_closed_form` refuse other points.
 """
 
 from __future__ import annotations
@@ -43,20 +45,12 @@ class TransmissionCounts:
 
 
 def _counting_regime(k: int, l: int, ga: int, gp: int) -> tuple[int, int, int]:
-    """Validate the regime the counting formulas cover; return (K, span, gp)."""
+    """Refuse a point outside the counting regime; return (K, span, gp)."""
     span = ga * l
-    if ga < 1:
-        raise RegimeError("no shared-cache layer (gamma_a = 0): dedicated-cache regime")
-    if span >= k:
-        raise RegimeError(f"full shared coverage (span {span} >= K {k}): rate is 0")
-    if gp >= span:
+    if not 0 <= gp < span < k - gp:
         raise RegimeError(
-            f"gamma_p = {gp} >= span = {span}: rate uncharacterized in this regime"
-        )
-    if 1 + span + gp > k:
-        raise RegimeError(
-            f"union sets need 1 + span + gamma_p = {1 + span + gp} <= K = {k}:"
-            " full combined coverage"
+            f"K={k} L={l} gamma_a={ga} gamma_p={gp} (span {span}) is outside the"
+            " counting regime 0 <= gamma_p < span < K - gamma_p"
         )
     return k, span, gp
 
@@ -157,8 +151,7 @@ def _rate(k: int, l: int, ga: int, gp: int) -> Fraction:
     if gp < span:
         if l == 1:
             return _dedicated_rate(k, ga + gp)
-        # 1 <= gamma_a, span < K and gamma_p < span: _counting_regime would
-        # reject nothing here
+        # gamma_p < span < K - gamma_p: _counting_regime would reject nothing here
         counts = _counts(k, span, gp)
         rate = Fraction(counts.transmissions, counts.f)
         num, den = _closed_form(k, span, gp)

@@ -27,7 +27,6 @@ from .model import RegimeError, SystemParams, network_refusal, params_from_gamma
 from .model import private_size_refusal
 from .placement import CacheLayout, build_layout, build_subset_layout, layout_to_json
 from .delivery import (
-    UncharacterizedRegime,
     check_demand,
     deliver,
     format_log,
@@ -173,7 +172,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _params(args)
-    layout = _layout(params)
+    # a bad demand is refused before the layout, seconds of work at large K, is built
     if args.demands is not None:
         demand = tuple(_demand_entry(x) for x in args.demands.split(","))
     elif args.seed is not None:
@@ -181,10 +180,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         demand = worst_case_demand(params.k)
     demand = check_demand(params, demand)
+    layout = _layout(params)
     try:
         packets = deliver(layout, unchecked=args.unchecked)
-    except UncharacterizedRegime as exc:
-        raise RegimeError(f"{exc.reason}; pass --unchecked to run it anyway") from exc
+    except RegimeError as exc:
+        raise RegimeError(f"{exc}; pass --unchecked to run it anyway") from exc
     # one pass: each packet is written and checked as it streams past, never
     # kept; a refused run has opened no sink
     with _sink(args.output) as write:
@@ -304,11 +304,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError("explicit instances need --ga and --gp")
         l = 2 if args.L is None else args.L
         # count_vs_formula refuses it over the budget before building anything
-        instances = [params_from_gammas(args.K, l, args.ga, args.gp, args.N or args.K)]
+        instances = [params_from_gammas(args.K, l, args.ga, args.gp, args.K)]
     else:
         _refuse_flags(
             "describes one instance and needs -K",
-            ("-L", args.L), ("-N", args.N or None), ("--ga", args.ga), ("--gp", args.gp),
+            ("-L", args.L), ("--ga", args.ga), ("--gp", args.gp),
         )
         kmin = 4 if args.kmin is None else args.kmin
         kmax = 10 if args.kmax is None else args.kmax
@@ -347,7 +347,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_man(args: argparse.Namespace) -> int:
     if args.K >= 1 and not 0 <= args.t <= args.K:  # K < 1 is refused for its own reason
         raise ValueError(f"-t: replication t={args.t} outside [0, K={args.K}]")
-    report = man_crosscheck(args.K, args.t, args.N or args.K)
+    report = man_crosscheck(args.K, args.t)
     tag = "PASS" if report.passed else "FAIL"
     print(
         f"{tag} K={report.k} t={report.t} F={report.f} (expected {report.expected_f})"
@@ -415,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, help="largest K of the grid (defaults to 10)")
     p.add_argument("-K", type=int, help="check one explicit instance instead")
     p.add_argument("-L", type=int, help="access degree of the instance (defaults to 2)")
-    p.add_argument("-N", type=int, default=0, help="library size (defaults to K)")
     p.add_argument("--ga", type=int)
     p.add_argument("--gp", type=int)
     p.add_argument("--json", action="store_true")
@@ -424,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("man-check", help="dedicated-cache reduction cross-check")
     p.add_argument("-K", type=int, required=True)
     p.add_argument("-t", type=int, required=True)
-    p.add_argument("-N", type=int, default=0, help="library size (defaults to K)")
     p.set_defaults(func=cmd_man)
 
     p = sub.add_parser("layout-dump", help="cache contents as JSON")

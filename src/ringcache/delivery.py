@@ -51,6 +51,8 @@ packet's log line to its sink as the packet passes and
 :func:`verify_decodability` checks the stream (:class:`DecodeCheck`), so
 ``simulate`` keeps neither packets nor lines. The check files each key as
 a bit of its user under its pair's int S << 64 | T: nothing is per user.
+Unless ``unchecked``, :func:`deliver` refuses the band that
+:func:`ringcache.model.uncharacterized` names with a plain RegimeError.
 """
 
 from __future__ import annotations
@@ -163,19 +165,10 @@ def _subset_xor(u: int, s: int, t: int) -> Packet:
     return SC1, keys
 
 
-class UncharacterizedRegime(RegimeError):
-    """Delivery was asked for outside the regime it is characterized for;
-    ``reason`` says why, without the hint on how to override it."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(f"{reason}; pass unchecked=True to run it anyway")
-        self.reason = reason
-
-
 def _check_regime(params: SystemParams, unchecked: bool) -> None:
     span, gp = params.span, params.gp
     if uncharacterized(params.k, span, gp) and not unchecked:
-        raise UncharacterizedRegime(
+        raise RegimeError(
             f"delivery is uncharacterized for gamma_p={gp} >= span={span} below the"
             " large-memory regime"
         )

@@ -46,14 +46,23 @@ def test_counts_below_boundary_have_no_sc2():
 
 
 def test_counts_regime_rejections():
-    with pytest.raises(RegimeError):
-        table1_counts(SystemParams(k=5, l=2, ma=0, mp=1, n=5))  # no shared layer
-    with pytest.raises(RegimeError):
-        table1_counts(SystemParams(k=5, l=2, ma=1, mp=2, n=5))  # gamma_p >= span
-    with pytest.raises(RegimeError):
-        table1_counts(SystemParams(k=6, l=3, ma=2, mp=0, n=6))  # full shared coverage
-    with pytest.raises(RegimeError):
-        table1_counts(SystemParams(k=5, l=2, ma=2, mp=1, n=5))  # union set exceeds ring
+    # one rule, one message, whichever way the point misses it
+    for k, l, ga, gp in [
+        (5, 2, 0, 1),  # no shared layer
+        (5, 2, 1, 2),  # gamma_p >= span
+        (6, 3, 2, 0),  # full shared coverage
+        (5, 2, 2, 1),  # union set exceeds ring
+        (7, 2, 1, 4),  # whole ring: span + gamma_p = K - 1, where the rate is 1/K
+        (5, 2, 1, 3),  # covered: span + gamma_p = K, where the rate is 0
+    ]:
+        message = (
+            f"K={k} L={l} gamma_a={ga} gamma_p={gp} (span {ga * l}) is outside the"
+            " counting regime 0 <= gamma_p < span < K - gamma_p"
+        )
+        params = params_from_gammas(k, l, ga, gp, k)
+        for counted in (table1_counts, rate_closed_form):
+            with pytest.raises(RegimeError, match=f"^{re.escape(message)}$"):
+                counted(params)
 
 
 def test_rate_worked_instances():

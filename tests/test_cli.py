@@ -375,6 +375,28 @@ def test_simulate_rejects_bad_demand():
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "system,demands,message",
+    [
+        ((5, 1, 1), "1,2,3", "demand vector has 3 entries, need K=5"),
+        ((5, 1, 1), "1,x,2,3,4", "--demands: entry 'x' is not an integer"),
+        ((5, 1, 1), "1,2,3,4,6", "user 5 demands file 6 outside [1, N=5]"),
+        # the point is refused too, but only once the demand has passed
+        ((8, 1, 3), "1,2", "demand vector has 2 entries, need K=8"),
+    ],
+)
+def test_simulate_refuses_a_bad_demand_before_building_the_layout(
+    monkeypatch, system, demands, message
+):
+    def no_layout(params):
+        raise AssertionError("built a layout before refusing the demand")
+
+    monkeypatch.setattr(ringcache.cli, "_layout", no_layout)
+    k, ma, mp = map(str, system)
+    argv = ("simulate", "-K", k, "-L", "2", "--ma", ma, "--mp", mp, "-N", k, "--demands", demands)
+    assert run_cli(*argv) == (1, "", f"ringcache: {message}\n")
+
+
 def test_simulate_names_a_bad_demand_entry():
     # an empty --demands is parsed and refused, not taken as the worst case
     for demands, entry in (("1,x,2,3", "x"), ("", "")):
@@ -683,7 +705,12 @@ def test_verify_command_grid():
         (("--ga", "1", "--gp", "0"), "--ga describes one instance and needs -K"),
         (("--gp", "1"), "--gp describes one instance and needs -K"),
         (("-L", "3"), "-L describes one instance and needs -K"),
-        (("-N", "7"), "-N describes one instance and needs -K"),
+        # the counting regime refuses a point without a shared layer by its one rule
+        (
+            ("-K", "7", "--ga", "0", "--gp", "2"),
+            "K=7 L=2 gamma_a=0 gamma_p=2 (span 0) is outside the counting regime"
+            " 0 <= gamma_p < span < K - gamma_p",
+        ),
         # an empty grid used to report "# 0/0 instances agree" and pass
         (
             ("--kmin", "9", "--kmax", "4"),
@@ -760,9 +787,25 @@ def test_verify_refuses_an_oversized_census_before_any_instance(monkeypatch, arg
 
 
 def test_verify_library_size_zero_means_k():
+    # verify takes no -N any more: nothing it prints involves N, so it builds N = K
     system = ("-K", "7", "-L", "2", "--ga", "1", "--gp", "1")
-    assert run_cli("verify", *system, "-N", "0") == run_cli("verify", *system, "-N", "7")
-    assert run_cli("verify", *system, "-N", "0") == run_cli("verify", *system)
+    for n in ("0", "7"):
+        code, out, err = run_cli("verify", *system, "-N", n)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: unrecognized arguments: -N {n}\n")
+
+
+def test_verify_refuses_a_whole_ring_point_by_the_counting_rule():
+    # span + gamma_p = K - 1 has rate 1/K, but the census counts only below it
+    system = ("-K", "7", "-L", "2")
+    assert run_cli("verify", *system, "--ga", "1", "--gp", "4") == (
+        1,
+        "",
+        "ringcache: K=7 L=2 gamma_a=1 gamma_p=4 (span 2) is outside the counting regime"
+        " 0 <= gamma_p < span < K - gamma_p\n",
+    )
+    code, out, _ = run_cli("rate", *system, "--ma", "1", "--mp", "4", "-N", "7")
+    assert code == 0 and out.startswith("rate  = 1/7 (0.142857)\n")
 
 
 def test_man_check_command():
@@ -771,10 +814,9 @@ def test_man_check_command():
     assert "PASS" in out and "rate=2/3" in out
 
 
-@pytest.mark.parametrize("flags", [("-K", "4", "-t", "9"), ("-K", "4", "-t", "-1"),
-                                   ("-K", "4", "-t", "9", "-N", "7")])
+@pytest.mark.parametrize("flags", [("-K", "4", "-t", "9"), ("-K", "4", "-t", "-1")])
 def test_man_check_refuses_t_outside_0_to_k(flags):
-    # named against -t and in t, whatever N is, not as a private-cache size
+    # named against -t and in t, not as a private-cache size
     t = flags[3]
     assert run_cli("man-check", *flags) == (
         1, "", f"ringcache: -t: replication t={t} outside [0, K=4]\n"
@@ -782,9 +824,11 @@ def test_man_check_refuses_t_outside_0_to_k(flags):
 
 
 def test_man_check_library_size_zero_means_k():
-    expected = run_cli("man-check", "-K", "4", "-t", "2", "-N", "4")
-    assert run_cli("man-check", "-K", "4", "-t", "2", "-N", "0") == expected
-    assert run_cli("man-check", "-K", "4", "-t", "2") == expected
+    # man-check takes no -N any more: neither F nor the rate involves N, so it builds N = K
+    for n in ("0", "4"):
+        code, out, err = run_cli("man-check", "-K", "4", "-t", "2", "-N", n)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: unrecognized arguments: -N {n}\n")
 
 
 @pytest.mark.parametrize(

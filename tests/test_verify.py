@@ -1,6 +1,7 @@
 """The census oracle, against its exhaustive reference, and the three-way
 agreement harness."""
 
+import dataclasses
 import itertools
 import random
 import re
@@ -176,13 +177,13 @@ def test_per_subset_multiplicity():
 
 
 def test_man_crosscheck_examples():
-    rep = man_crosscheck(4, 2, 4)
+    rep = man_crosscheck(4, 2)
     assert rep.passed and rep.rate == Fraction(2, 3) and rep.f == 6
-    rep = man_crosscheck(5, 0, 5)
+    rep = man_crosscheck(5, 0)
     assert rep.passed and rep.rate == 5 and rep.f == 1
-    rep = man_crosscheck(5, 5, 5)
+    rep = man_crosscheck(5, 5)
     assert rep.passed and rep.rate == 0
-    rep = man_crosscheck(6, 3, 8)
+    rep = man_crosscheck(6, 3)
     assert rep.passed and rep.f == 20
 
 
@@ -292,3 +293,42 @@ def test_a_union_outside_every_class_fails(monkeypatch):
     assert divergence == (
         "union I=1,3,5,7 of packet 1 (anchor d1:3,5:7) is in no transmission class"
     )
+
+
+EX8 = SystemParams(k=8, l=2, ma=1, mp=1, n=8)  # C=68 SC1=24 SC2=12 X=100
+
+
+def _one_more_general_turned_sc1(counts):
+    """``counts`` with one GENERAL subset more and 1 + gamma_p = 2 of them
+    moved to SC1: C=69 SC1=26, and still X=100."""
+    return dataclasses.replace(counts, subsets=counts.subsets + 1, sc1=counts.sc1 + 2)
+
+
+def test_a_census_off_the_formulas_names_its_first_subset_of_that_case(monkeypatch):
+    table = _one_more_general_turned_sc1(check_work_budget(EX8))
+    monkeypatch.setattr(ringcache.verify, "check_work_budget", lambda params: table)
+    rep = count_vs_formula(EX8)
+    assert rep.passed is False
+    assert rep.divergence == (
+        "census (C=68, SC1=24, SC2=12) != formulas (C=69, SC1=26, SC2=12);"
+        " first subset: I=1,2,7,8 windows[1,2; 1,8; 7,8] case=GENERAL;"
+        " first SC1 subset: I=2,4,7,8 windows[7,8] case=SC1"
+    )
+
+
+def test_a_delivery_short_of_the_formulas_fails(monkeypatch):
+    assert _corrupted(monkeypatch, lambda packets: packets[:-1]) == (
+        "delivery made 99 transmissions, formulas say 100"
+    )
+
+
+def test_a_census_with_a_union_no_delivery_uses_fails(monkeypatch):
+    # census and formulas agree on one subset more than delivery reaches,
+    # and on the same X, so only the number of union sets tells
+    table = _one_more_general_turned_sc1(check_work_budget(EX8))
+    census = _one_more_general_turned_sc1(enumerate_transmission_subsets(EX8))
+    monkeypatch.setattr(ringcache.verify, "check_work_budget", lambda params: table)
+    monkeypatch.setattr(ringcache.verify, "enumerate_transmission_subsets", lambda params: census)
+    rep = count_vs_formula(EX8)
+    assert (table.transmissions, census.transmissions, rep.passed) == (100, 100, False)
+    assert rep.divergence == "delivery used 68 union sets, the census counts 69"
