@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable
 
-from .model import RegimeError, SystemParams, binom, uncharacterized
+from .model import RegimeError, SystemParams, binom
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def achievable_rate(params: SystemParams) -> Fraction:
 
     Covers the dedicated regime (gamma_a = 0), the counting regime
     (gamma_p < span), and the large-memory regimes span + gamma_p >= K - 1;
-    anything else is rejected as uncharacterized.
+    the band between them is rejected as uncharacterized, by this rule alone.
 
     At L = 1 each user reads one shared cache, so the network is a dedicated
     one with Ma + Mp of memory per user. There the rate is that of the
@@ -143,7 +143,7 @@ def _rate(k: int, l: int, ga: int, gp: int) -> Fraction:
     span = ga * l
     if span + gp >= k:
         return Fraction(0)
-    if uncharacterized(k, span, gp):
+    if span <= gp and span + gp < k - 1:  # the band: no rate is claimed
         raise RegimeError(
             f"rate uncharacterized for gamma_p = {gp} >= span = {span} below the"
             " large-memory regime"

@@ -180,11 +180,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         demand = worst_case_demand(params.k)
     demand = check_demand(params, demand)
+    if params.integral and not args.unchecked:
+        # the point is refused where `rate` refuses it, before any layout is built
+        try:
+            achievable_rate(params)
+        except RegimeError as exc:
+            raise RegimeError(f"{exc}; pass --unchecked to run it anyway") from exc
     layout = _layout(params)
-    try:
-        packets = deliver(layout, unchecked=args.unchecked)
-    except RegimeError as exc:
-        raise RegimeError(f"{exc}; pass --unchecked to run it anyway") from exc
+    packets = deliver(layout)
     # one pass: each packet is written and checked as it streams past, never
     # kept; a refused run has opened no sink
     with _sink(args.output) as write:

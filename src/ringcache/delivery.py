@@ -51,8 +51,7 @@ packet's log line to its sink as the packet passes and
 :func:`verify_decodability` checks the stream (:class:`DecodeCheck`), so
 ``simulate`` keeps neither packets nor lines. The check files each key as
 a bit of its user under its pair's int S << 64 | T: nothing is per user.
-Unless ``unchecked``, :func:`deliver` refuses the band that
-:func:`ringcache.model.uncharacterized` names with a plain RegimeError.
+:func:`deliver` delivers any layout, the band the rate refuses included.
 """
 
 from __future__ import annotations
@@ -67,12 +66,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import (
     InvalidParameters,
-    RegimeError,
     SystemParams,
     bit,
     bits,
     mask_str,
-    uncharacterized,
     window_masks,
 )
 from .placement import SUBSET, CacheLayout, demand_pairs
@@ -165,15 +162,6 @@ def _subset_xor(u: int, s: int, t: int) -> Packet:
     return SC1, keys
 
 
-def _check_regime(params: SystemParams, unchecked: bool) -> None:
-    span, gp = params.span, params.gp
-    if uncharacterized(params.k, span, gp) and not unchecked:
-        raise RegimeError(
-            f"delivery is uncharacterized for gamma_p={gp} >= span={span} below the"
-            " large-memory regime"
-        )
-
-
 def _representatives(layout: CacheLayout) -> Orbit:
     """For each demand pair (S, T) of user 1, the packet through (1, S, T)
     with its highest user, sorted by that user. Raises AssertionError if the
@@ -206,12 +194,11 @@ def _representatives(layout: CacheLayout) -> Orbit:
     return reps
 
 
-def deliver(layout: CacheLayout, *, unchecked: bool = False) -> Iterator[Packet]:
+def deliver(layout: CacheLayout) -> Iterator[Packet]:
     """Every packet of the layout's delivery in the greedy scan's order,
     rotated from the representatives as the iterator is consumed; the
-    regime and the coverage are checked before this returns. Every demand
-    pair lands in exactly one packet."""
-    _check_regime(layout.params, unchecked)
+    coverage is checked before this returns. Every demand pair lands in
+    exactly one packet."""
     return _scan(layout, _representatives(layout))
 
 

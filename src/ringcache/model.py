@@ -54,13 +54,6 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def uncharacterized(k: int, span: int, gp: int) -> bool:
-    """True in the band that neither the rate formulas nor delivery cover:
-    a shared layer (span >= 1) with gamma_p >= span, below the large-memory
-    regime span + gamma_p >= K - 1."""
-    return 1 <= span <= gp and span + gp < k - 1
-
-
 # ---------------------------------------------------------------------------
 # index-set bitmasks
 # ---------------------------------------------------------------------------
@@ -135,12 +128,6 @@ def window_masks(k: int, width: int) -> tuple[int, ...]:
 def subset_masks(k: int, width: int) -> tuple[int, ...]:
     """Masks of all C(k, width) subsets of [1, k], in lexicographic order."""
     return tuple(mask_of(combo) for combo in itertools.combinations(range(1, k + 1), width))
-
-
-@lru_cache(maxsize=None)
-def window_set(k: int, width: int) -> frozenset[int]:
-    """The window masks of :func:`window_masks` as a set, for membership tests."""
-    return frozenset(window_masks(k, width))
 
 
 # ---------------------------------------------------------------------------

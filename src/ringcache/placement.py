@@ -141,18 +141,9 @@ def demand_pairs(layout: CacheLayout, u: int) -> tuple[tuple[int, int], ...]:
     return tuple((s, t) for s, ts in layout.tails if not s & own for t in ts if not t & own)
 
 
-def _check_integral(params: SystemParams) -> None:
-    if not params.integral:
-        raise RegimeError(
-            f"placement needs integral replication, got gamma_a={params.gamma_a},"
-            f" gamma_p={params.gamma_p}; use memory sharing"
-        )
-
-
 def build_layout(params: SystemParams) -> CacheLayout:
     """Populate every cache with the ring placement, for integral replication
     factors. Without a shared layer that is the subset placement."""
-    _check_integral(params)
     if params.ga == 0:
         return build_subset_layout(params)
     k, ga, gp = params.k, params.ga, params.gp
@@ -179,7 +170,6 @@ def build_layout(params: SystemParams) -> CacheLayout:
 def build_subset_layout(params: SystemParams) -> CacheLayout:
     """Populate every cache with the subset placement, for integral
     replication factors at L = 1 (or at any L without a shared layer)."""
-    _check_integral(params)
     k, ga, gp = params.k, params.ga, params.gp
     if ga and params.l != 1:
         raise RegimeError(

@@ -34,7 +34,6 @@ from .model import (
     mask_str,
     params_from_gammas,
     window_masks,
-    window_set,
 )
 from .placement import build_layout
 from .delivery import GENERAL, SC1, SC2, deliver
@@ -111,7 +110,7 @@ def enumerate_transmission_subsets(params: SystemParams) -> SubsetCensus:
             f"refusing the census of {_instance(params)}: {members} subsets,"
             f" over the budget of {WORK_BUDGET}"
         )
-    wins = sorted(window_set(k, span))
+    wins = sorted(window_masks(k, span))
     last = window_masks(k, span)[-1]  # W_K: its users come after every other
     records = []
     tally: Counter[tuple[str, int]] = Counter()

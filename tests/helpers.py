@@ -1,7 +1,8 @@
-"""Helpers only the tests need: window labels and the window and popcount
-predicates, what a layout lets a user read, each user's private cache and
-demand set enumerated user by user as the placement did before it split one
-T list per shared set, the layout dump as the dict the direct JSON renderer
+"""Helpers only the tests need: window labels, the window masks as a set
+(the library only lists them), the window and popcount predicates, what a
+layout lets a user read, each user's private cache and demand set
+enumerated user by user as the placement did before it split one T list
+per shared set, the layout dump as the dict the direct JSON renderer
 replaced, position-set rotations, the delivery builders one anchor at a
 time, the relabelling ring builder and the per-user scan that the
 window-end builder and the scan by rotation replaced, packets materialized
@@ -24,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from ringcache.analysis import MemoryShare, SharePoint, _rate
@@ -35,7 +37,6 @@ from ringcache.delivery import (
     DecodabilityReport,
     DecodeCheck,
     Failure,
-    _check_regime,
     _subset_xor,
     _swap_group,
     check_demand,
@@ -52,7 +53,7 @@ from ringcache.model import (
     mask_str,
     position_sets,
     window_mask,
-    window_set,
+    window_masks,
 )
 from ringcache.placement import SUBSET, demand_pairs, private_pairs
 from ringcache.verify import SubsetCensus, SubsetRecord, classify_subset
@@ -60,6 +61,12 @@ from ringcache.verify import SubsetCensus, SubsetRecord, classify_subset
 
 def popcount(mask: int) -> int:
     return mask.bit_count()
+
+
+@lru_cache(maxsize=None)
+def window_set(k: int, width: int) -> frozenset[int]:
+    """The window masks of :func:`window_masks` as a set, for membership tests."""
+    return frozenset(window_masks(k, width))
 
 
 def is_window(mask: int, k: int, width: int) -> bool:
@@ -354,23 +361,22 @@ def build_subset_xor(params, demand, u: int, s: int, t: int) -> Transmission:
     return _transmission(*_subset_xor(u, s, t), demand)
 
 
-def materialize(layout, demand, *, unchecked: bool = False) -> DeliveryResult:
+def materialize(layout, demand) -> DeliveryResult:
     """The streamed delivery of :func:`deliver`, each packet's terms labelled
     with their users' files in ``demand``."""
     demand = check_demand(layout.params, demand)
-    packets = deliver(layout, unchecked=unchecked)
+    packets = deliver(layout)
     return DeliveryResult(
         layout.params, layout.f, tuple(_transmission(*packet, demand) for packet in packets)
     )
 
 
-def deliver_greedy_reference(layout, demand, *, unchecked: bool = False) -> DeliveryResult:
+def deliver_greedy_reference(layout, demand) -> DeliveryResult:
     """Delivery as one greedy loop: users ascending, each user's demand
     pairs in order, a transmission built through every pair no earlier
     transmission holds."""
     params = layout.params
     demand = check_demand(params, demand)
-    _check_regime(params, unchecked)
     build = build_subset_xor if layout.placement == SUBSET else build_transmission
     remaining = [dict.fromkeys(demand_pairs(layout, u)) for u in range(1, params.k + 1)]
     out = []

@@ -20,7 +20,7 @@ import ringcache.verify
 from ringcache import analysis
 from ringcache.cli import build_parser, dec6, main
 from ringcache.delivery import deliver, format_report, verify_decodability
-from ringcache.model import SystemParams, params_from_gammas
+from ringcache.model import RegimeError, SystemParams, params_from_gammas
 from ringcache.placement import build_layout, build_subset_layout
 from ringcache.verify import count_vs_formula, sweep_grid
 from fractions import Fraction
@@ -161,7 +161,7 @@ def test_simulate_explicit_and_seeded_demands():
         ("-K", "7", "-L", "2", "--ma", "1", "--mp", "1", "-N", "7"),
         ("-K", "8", "-L", "1", "--ma", "3", "--mp", "1", "-N", "8", "--seed", "5"),
         ("-K", "9", "-L", "3", "--ma", "1", "--mp", "2", "-N", "9", "--demands", "2,2,1,4,5,6,7,8,9"),
-        # outside the characterized regime, where the log ends in a FAIL report
+        # in the band where no rate is claimed: it still decodes (a PASS report)
         ("-K", "8", "-L", "2", "--ma", "1", "--mp", "3", "-N", "8", "--unchecked"),
     ],
 )
@@ -395,6 +395,70 @@ def test_simulate_refuses_a_bad_demand_before_building_the_layout(
     k, ma, mp = map(str, system)
     argv = ("simulate", "-K", k, "-L", "2", "--ma", ma, "--mp", mp, "-N", k, "--demands", demands)
     assert run_cli(*argv) == (1, "", f"ringcache: {message}\n")
+
+
+class _Built(Exception):
+    """Raised in place of building a layout."""
+
+
+def _no_layout(params):
+    raise _Built(params)
+
+
+_HINT = "; pass --unchecked to run it anyway"
+
+
+def test_simulate_refuses_the_band_before_building_the_layout(monkeypatch):
+    # F = 28 * C(26, 5) = 1,841,840 mini-subfiles per file if it built the layout
+    monkeypatch.setattr(ringcache.cli, "_layout", _no_layout)
+    argv = ("simulate", "-K", "28", "-L", "2", "--ma", "1", "--mp", "5", "-N", "28")
+    message = "rate uncharacterized for gamma_p = 5 >= span = 2 below the large-memory regime"
+    assert run_cli(*argv) == (1, "", f"ringcache: {message}{_HINT}\n")
+    with pytest.raises(_Built):
+        run_cli(*argv, "--unchecked")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("simulate", "--ma", "1/2", "--mp", "3"), "gamma_a = 1/2 is not integral"),
+        (("simulate", "--ma", "1/2", "--mp", "3", "--unchecked"), "gamma_a = 1/2 is not integral"),
+        (("simulate", "--ma", "1", "--mp", "3/2"), "gamma_p = 3/2 is not integral"),
+        (("simulate", "--ma", "1", "--mp", "3/2", "--unchecked"), "gamma_p = 3/2 is not integral"),
+        (("layout-dump", "--ma", "1/2", "--mp", "1"), "gamma_a = 1/2 is not integral"),
+    ],
+)
+def test_a_fractional_point_is_refused_without_the_unchecked_hint(argv, message):
+    argv = (*argv, "-K", "8", "-L", "2", "-N", "8")
+    assert run_cli(*argv) == (1, "", f"ringcache: {message}; use memory sharing\n")
+
+
+def test_simulate_refuses_exactly_where_rate_refuses(monkeypatch):
+    # every integral point a ring layout exists for: span + gamma_p <= K
+    monkeypatch.setattr(ringcache.cli, "_layout", _no_layout)
+    points, refused = 0, 0
+    for k in range(1, 25):
+        for l in range(1, k + 1):
+            for ga in range(k // l + 1):
+                for gp in range(k - ga * l + 1):
+                    try:
+                        analysis.achievable_rate(params_from_gammas(k, l, ga, gp, k))
+                        want = None
+                    except RegimeError as exc:
+                        want = (1, "", f"ringcache: {exc}{_HINT}\n")
+                    argv = (
+                        "simulate", "-K", str(k), "-L", str(l), "--ma", str(ga),
+                        "--mp", str(gp), "-N", str(k),
+                    )
+                    try:
+                        got = run_cli(*argv)
+                    except _Built:
+                        got = None
+                    assert got == want, argv
+                    points += 1
+                    refused += want is not None
+    assert points == 12344
+    assert refused > 0
 
 
 def test_simulate_names_a_bad_demand_entry():

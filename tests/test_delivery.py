@@ -13,7 +13,6 @@ import pytest
 from ringcache.model import (
     InvalidMiniSubfile,
     InvalidParameters,
-    RegimeError,
     SystemParams,
     binom,
     bit,
@@ -21,7 +20,6 @@ from ringcache.model import (
     params_from_gammas,
     position_sets,
     window_masks,
-    window_set,
 )
 from ringcache.placement import RING, SUBSET, build_layout, build_subset_layout, demand_pairs
 from ringcache import delivery
@@ -63,6 +61,7 @@ from helpers import (
     ring_xor_reference,
     scan_reference,
     shift_positions,
+    window_set,
 )
 from golden import EX5, EX5_TRANSMISSIONS, EX7, EX7_SC1, EX7_SC2, term_set
 from l1 import l1_instances
@@ -344,48 +343,11 @@ def test_large_memory_boundary_runs_unchecked_free():
 
 
 def test_uncharacterized_regime_gate():
-    # gamma_p >= span below the large-memory boundary needs the override
+    # gamma_p >= span below the large-memory boundary: the rate is refused,
+    # but delivery runs and decodes
     layout = build_layout(SystemParams(k=8, l=2, ma=1, mp=3, n=8))
-    with pytest.raises(RegimeError):
-        deliver(layout)
-    result = materialize(layout, worst_case_demand(8), unchecked=True)
+    result = materialize(layout, worst_case_demand(8))
     assert verify_decodability(layout, result.packets()).ok
-
-
-class _NothingDemanded:
-    """A layout that demands nothing: :func:`deliver` checks the regime
-    on the parameters alone before it builds a packet, so this shows its
-    refusals without building a layout."""
-
-    placement = SUBSET
-    tails = ()
-
-    def __init__(self, params):
-        self.params = params
-
-
-def _refuses(call, arg):
-    try:
-        call(arg)
-    except RegimeError:
-        return True
-    return False
-
-
-def test_rate_and_delivery_refuse_the_same_points():
-    # every integral point a ring layout exists for: span + gamma_p <= K
-    points, refused = 0, 0
-    for k in range(1, 25):
-        for l in range(1, k + 1):
-            for ga in range(k // l + 1):
-                for gp in range(k - ga * l + 1):
-                    params = params_from_gammas(k, l, ga, gp, k)
-                    by_rate = _refuses(achievable_rate, params)
-                    assert _refuses(deliver, _NothingDemanded(params)) == by_rate, params
-                    points += 1
-                    refused += by_rate
-    assert points == 12344
-    assert refused > 0
 
 
 def test_demand_validation():
@@ -494,11 +456,11 @@ def demands_with_a_repeat(params, seed):
     return out
 
 
-def assert_orbit_matches_greedy(layout_of, params, seed, unchecked=False):
+def assert_orbit_matches_greedy(layout_of, params, seed):
     for at_n, demand in demands_with_a_repeat(params, seed):
         layout = layout_of(at_n)
-        got = materialize(layout, demand, unchecked=unchecked)
-        want = deliver_greedy_reference(layout, demand, unchecked=unchecked)
+        got = materialize(layout, demand)
+        want = deliver_greedy_reference(layout, demand)
         # same case, terms (files included) and anchor, transmission for transmission
         assert got == want, (at_n, demand)
 
@@ -523,7 +485,7 @@ def test_orbit_plan_matches_greedy_loop_on_the_subset_placement():
 
 
 def uncharacterized_band():
-    """(K, L, gamma_a, gamma_p) of band points that run with ``unchecked``."""
+    """(K, L, gamma_a, gamma_p) of band points, where no rate is claimed."""
     band = [(12, 2, 1, 3)]
     band += [
         (k, l, ga, gp)
@@ -540,9 +502,7 @@ def test_orbit_plan_matches_greedy_loop_in_the_uncharacterized_band():
     assert (8, 2, 1, 2) in band and len(band) > 20
     for seed, (k, l, ga, gp) in enumerate(band):
         params = params_from_gammas(k, l, ga, gp, k)
-        with pytest.raises(RegimeError):
-            deliver(build_layout(params))
-        assert_orbit_matches_greedy(build_layout, params, seed, unchecked=True)
+        assert_orbit_matches_greedy(build_layout, params, seed)
 
 
 # ---------------------------------------------------------------------------
