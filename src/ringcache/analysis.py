@@ -235,8 +235,10 @@ def _share(
 ) -> tuple[list[tuple[int, int, int, Fraction]], int, int]:
     """Memory sharing in integers, each gamma a (numerator, denominator) pair:
     at gamma = lo + rest/q, corner lo weighs (q - rest)/q and corner lo + 1
-    weighs rest/q. The corners, floor first and gamma_a outer, as (gamma_a,
-    gamma_p, weight * q_a * q_p, rate), and their weighted rate, unreduced."""
+    weighs rest/q (an integral gamma is one corner at weight 1). The corners,
+    floor first and gamma_a outer, as (gamma_a, gamma_p, weight * q_a * q_p,
+    rate), and their weighted rate, unreduced; a refused corner's message is
+    passed through at an integral point and names the corner otherwise."""
     axes = []
     for num, q in (gamma_a, gamma_p):
         lo, rest = divmod(num, q)
@@ -248,6 +250,8 @@ def _share(
             try:
                 rate = corner_rate(ga_c, gp_c)
             except RegimeError as exc:
+                if len(axes[0]) * len(axes[1]) == 1:
+                    raise
                 raise RegimeError(
                     f"memory-sharing corner (gamma_a={ga_c}, gamma_p={gp_c}) is"
                     f" unsupported: {exc}"
@@ -261,7 +265,8 @@ def _share(
 def memory_share(params: SystemParams) -> MemoryShare:
     """Realize fractional replication by splitting files between the integral
     corner schemes; the rate is the matching convex combination of corner
-    rates. Integral inputs degenerate to a single unit-weight corner."""
+    rates. An integral point is a single unit-weight corner, with
+    :func:`achievable_rate`'s rate and refusal."""
     ga, gp, corner_rate = params.gamma_a, params.gamma_p, partial(_rate, params.k, params.l)
     points, num, den = _share(ga.as_integer_ratio(), gp.as_integer_ratio(), corner_rate)
     q = ga.denominator * gp.denominator
@@ -270,7 +275,5 @@ def memory_share(params: SystemParams) -> MemoryShare:
 
 
 def rate_with_sharing(params: SystemParams) -> Fraction:
-    """Achievable rate, interpolating automatically for fractional gammas."""
-    if params.integral:
-        return achievable_rate(params)
+    """Achievable rate at any memory point: :func:`memory_share`'s rate."""
     return memory_share(params).rate

@@ -49,16 +49,9 @@ CSV_HEADER = (
 )
 
 
-def fraction_arg(text: str) -> Fraction:
-    """Exact rational from '3/2', '1.5' or '2'."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
-
-
 def _rational(text: str, flag: str) -> Fraction:
-    """``Fraction(text)``, with malformed text reported against ``flag``."""
+    """Exact rational from '3/2', '1.5' or '2', the one reader of every
+    command's memory sizes; malformed text is reported against ``flag``."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -89,7 +82,8 @@ def _dec6(num: int, den: int) -> str:
 
 
 def _params(args: argparse.Namespace) -> SystemParams:
-    return SystemParams(k=args.K, l=args.L, ma=args.ma, mp=args.mp, n=args.N)
+    ma, mp = _rational(args.ma, "--ma"), _rational(args.mp, "--mp")
+    return SystemParams(k=args.K, l=args.L, ma=ma, mp=mp, n=args.N)
 
 
 def _layout(params: SystemParams) -> CacheLayout:
@@ -101,8 +95,8 @@ def _layout(params: SystemParams) -> CacheLayout:
 def _add_system_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("-K", type=int, required=True, help="users / shared caches on the ring")
     p.add_argument("-L", type=int, required=True, help="access degree")
-    p.add_argument("--ma", type=fraction_arg, required=True, help="shared-cache size in files")
-    p.add_argument("--mp", type=fraction_arg, required=True, help="private-cache size in files")
+    p.add_argument("--ma", required=True, help="shared-cache size in files")
+    p.add_argument("--mp", required=True, help="private-cache size in files")
     p.add_argument("-N", type=int, required=True, help="library size in files")
 
 
@@ -126,9 +120,9 @@ def _sink(path: str | None) -> Iterator[Callable[[str], object]]:
 
 def cmd_rate(args: argparse.Namespace) -> int:
     params = _params(args)
-    # one memory share serves the rate, the corner lines and the JSON list
-    share = None if params.integral else memory_share(params)
-    rate = achievable_rate(params) if share is None else share.rate
+    # one memory share serves every point; only a mix of corners is listed
+    share = memory_share(params)
+    rate, corners = share.rate, share.points if len(share.points) > 1 else ()
     bound = cutset_bound(params)
     optimal = is_optimal(params)
     if args.json:
@@ -146,7 +140,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
             "bound_decimal": dec6(bound),
             "optimal": optimal,
         }
-        if share is not None:
+        if corners:
             payload["memory_sharing"] = [
                 {
                     "gamma_a": pt.gamma_a,
@@ -154,19 +148,18 @@ def cmd_rate(args: argparse.Namespace) -> int:
                     "weight": str(pt.weight),
                     "rate": str(pt.rate),
                 }
-                for pt in share.points
+                for pt in corners
             ]
         print(json.dumps(payload, indent=2))
         return 0
     print(f"rate  = {rate} ({dec6(rate)})")
     print(f"bound = {bound} ({dec6(bound)})")
     print(f"optimal = {'yes' if optimal else 'no'}")
-    if share is not None:
-        for pt in share.points:
-            print(
-                f"  corner gamma_a={pt.gamma_a} gamma_p={pt.gamma_p}"
-                f" weight={pt.weight} rate={pt.rate}"
-            )
+    for pt in corners:
+        print(
+            f"  corner gamma_a={pt.gamma_a} gamma_p={pt.gamma_p}"
+            f" weight={pt.weight} rate={pt.rate}"
+        )
     return 0
 
 
@@ -232,7 +225,7 @@ def _sweep_column(
     refused = network_refusal(k, l, n, ma)
     if not refused:
         a, qa = (k * ma / n).as_integer_ratio()
-        bound = _cutset(k, l, n, ma) if args.bound else None
+        bound = _cutset(k, l, n, ma)
     for mp, u, v, note in mps:
         if refused or note:
             yield head + (mp,) + ("",) * 9 + (refused or note,)
@@ -240,17 +233,13 @@ def _sweep_column(
         g = math.gcd(k * u, n * v)
         p, qp = k * u // g, n * v // g
         row = head + (mp, _ratio(a, qa), _ratio(p, qp))
-        try:  # as rate_with_sharing, with the sweep's corner rates
-            if qa == qp == 1:
-                row += _cells(*corner_rate(a, p).as_integer_ratio())
-            else:
-                row += _cells(*_share((a, qa), (p, qp), corner_rate)[1:])
+        try:  # as memory_share, with the sweep's corner rates
+            row += _cells(*_share((a, qa), (p, qp), corner_rate)[1:])
         except RegimeError as exc:
             yield row + ("",) * 7 + (str(exc),)
             continue
-        row += _cells(*bound(u, v)) if bound else ("", "", "")
-        optimal = ("false", "true")[_is_optimal(k, l, n, ma, u, v)] if args.optimal else ""
-        yield row + (optimal, "")
+        optimal = ("false", "true")[_is_optimal(k, l, n, ma, u, v)]
+        yield row + _cells(*bound(u, v)) + (optimal, "")
 
 
 # one row as json.dumps(rows, indent=2) lays out its dict; only the note may need escaping
@@ -408,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ma", required=True, help="comma-separated Ma values")
     p.add_argument("--mp-range", required=True, help="Mp as start:stop[:step]")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--no-bound", dest="bound", action="store_false")
-    p.add_argument("--no-optimal", dest="optimal", action="store_false")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_sweep)
 

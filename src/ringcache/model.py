@@ -112,15 +112,12 @@ def window_mask(end: int, width: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def window_masks(k: int, width: int) -> tuple[int, ...]:
-    """All distinct window masks for (k, width), ordered by canonical end.
-
-    For 1 <= width <= k-1 there are exactly k of them (index [j-1] ends at
-    j); width 0 yields the single empty window and width k the full ring.
+    """The k window masks for (k, width), ordered by canonical end: index
+    [j-1] ends at j at every width from 1 to k, so at width k each is the
+    whole ring. Width 0 yields the single empty window.
     """
     if width == 0:
         return (0,)
-    if width == k:
-        return ((1 << k) - 1,)
     return tuple(window_mask(j, width, k) for j in range(1, k + 1))
 
 

@@ -83,14 +83,11 @@ class CacheLayout:
     ``access[k-1]`` holds the S masks of the subfiles shared cache k stores
     of every file; ``f`` is the subpacketization (mini-subfiles per file)
     and ``placement`` is :data:`RING` or :data:`SUBSET`. ``tails`` lists
-    each S with its T lists, in order: the distinct (S, T) pairs of a file,
-    off which every private cache (:func:`private_pairs`) and demand set
-    (:func:`demand_pairs`) is read. There are F of them, except on the ring
-    placement at span = K: every window is then the whole ring, so the
-    tails hold the one pair (whole ring, empty T), which stands for all
-    F = K subfiles. File indices are attached only where
-    output needs them: in :func:`layout_to_json` and in the terms delivery
-    sends.
+    each S with its T lists, in order: the F (S, T) pairs of a file, one per
+    mini-subfile, off which every private cache (:func:`private_pairs`) and
+    demand set (:func:`demand_pairs`) is read. File indices are attached
+    only where output needs them: in :func:`layout_to_json` and in the terms
+    delivery sends.
     """
 
     params: SystemParams
@@ -155,11 +152,9 @@ def build_layout(params: SystemParams) -> CacheLayout:
             f"gamma_p = {gp} exceeds the {k - span} users outside a window"
         )
 
-    windows = window_masks(k, span)
-    # the window ending at j, by j - 1; at span = K every window is the ring
-    by_end = windows * k if span == k else windows
+    windows = window_masks(k, span)  # the window ending at j, by j - 1
     access = tuple(
-        tuple(by_end[i] for i in sorted((cache + j * params.l) % k for j in range(ga)))
+        tuple(windows[i] for i in sorted((cache + j * params.l) % k for j in range(ga)))
         for cache in range(k)
     )
     layout = CacheLayout(params, subpacketization(params), access, RING, _tails(params, windows))
@@ -205,9 +200,7 @@ def _check_memory(layout: CacheLayout) -> None:
             held[u - 1] += count
     if any(p.n * size != private_budget for size in held):
         raise AssertionError("private cache holds a wrong mini-subfile count")
-    # at span = K every ring window is the whole ring, one S in the tails for K subfiles
-    copies = p.k if layout.placement == RING and layout.width == p.k else 1
-    if copies * sum(len(ts) for _, ts in layout.tails) != layout.f:
+    if sum(len(ts) for _, ts in layout.tails) != layout.f:
         raise AssertionError("tails hold a wrong mini-subfile count")
 
 

@@ -525,7 +525,8 @@ def memory_share_reference(params) -> MemoryShare:
     """Memory sharing as the Fraction loop the library's integer kernel
     replaced: each axis's floor corner weighs ceil(gamma) - gamma and its
     ceil corner 1 minus that, the first rejected corner (floor then ceil,
-    gamma_a outer) is named, and the rate is the weighted sum."""
+    gamma_a outer) is named when the point mixes corners, and the rate is
+    the weighted sum."""
     ga, gp = params.gamma_a, params.gamma_p
     fa, ca = math.floor(ga), math.ceil(ga)
     fp, cp = math.floor(gp), math.ceil(gp)
@@ -539,6 +540,8 @@ def memory_share_reference(params) -> MemoryShare:
             try:
                 rate = _rate(params.k, params.l, ga_c, gp_c)
             except RegimeError as exc:
+                if len(axes_a) * len(axes_p) == 1:
+                    raise
                 raise RegimeError(
                     f"memory-sharing corner (gamma_a={ga_c}, gamma_p={gp_c}) is"
                     f" unsupported: {exc}"
@@ -557,7 +560,7 @@ def dec6_reference(x: Fraction) -> str:
     return f"{sign}{scaled // 10**6}.{scaled % 10**6:06d}"
 
 
-def sweep_row_reference(k, l, n, ma: Fraction, mp: Fraction, bound=True, optimal=True):
+def sweep_row_reference(k, l, n, ma: Fraction, mp: Fraction):
     """The 15 field values of the sweep's row at (ma, mp), in CSV_HEADER
     order, as the per-row path the column kernel replaced: a SystemParams
     per row, the rate of the integral corner or of the Fraction memory
@@ -577,24 +580,19 @@ def sweep_row_reference(k, l, n, ma: Fraction, mp: Fraction, bound=True, optimal
             rate = memory_share_reference(params).rate
     except RegimeError as exc:
         return base + gammas + ("",) * 7 + (str(exc),)
+    b = cutset_bound_fraction_reference(params)
     cells = (str(rate.numerator), str(rate.denominator), dec6_reference(rate))
-    if bound:
-        b = cutset_bound_fraction_reference(params)
-        cells += (str(b.numerator), str(b.denominator), dec6_reference(b))
-    else:
-        cells += ("", "", "")
-    flag = ""
-    if optimal:
-        flag = "true" if ma * l + mp >= n * (1 - Fraction(1, k)) else "false"
+    cells += (str(b.numerator), str(b.denominator), dec6_reference(b))
+    flag = "true" if ma * l + mp >= n * (1 - Fraction(1, k)) else "false"
     return base + gammas + cells + (flag, "")
 
 
-def sweep_reference(k, l, n, ma_list, start, step, points, fmt="csv", bound=True, optimal=True):
+def sweep_reference(k, l, n, ma_list, start, step, points, fmt="csv"):
     """The whole sweep's text as the per-row path rendered it: every row
     built first, then one CSV text or ``json.dumps(rows, indent=2)`` of a
     dict per row."""
     mps = [start + i * step for i in range(points)]
-    rows = [sweep_row_reference(k, l, n, ma, mp, bound, optimal) for ma in ma_list for mp in mps]
+    rows = [sweep_row_reference(k, l, n, ma, mp) for ma in ma_list for mp in mps]
     if fmt == "json":
         keys = CSV_HEADER.split(",")
         return json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"

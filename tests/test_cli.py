@@ -587,7 +587,7 @@ def test_sweep_json_is_pinned():
 
 
 def _sweep_case(rng, i):
-    """One seeded sweep: (K, L, N, Ma list, start, step, points, flags)."""
+    """One seeded sweep: (K, L, N, Ma list, start, step, points)."""
     k = rng.randint(1, 64)
     l = rng.randint(1, k)
     n = k if i % 5 == 0 else rng.randint(k, 3 * k + 5)  # N = K: integral gammas
@@ -612,28 +612,68 @@ def _sweep_case(rng, i):
     points = rng.randint(0 if i % 50 == 0 else 1, 8)
     if bad == 6:
         start = n - step * (points // 2)  # running past N
-    flags = [("--no-bound",), ("--no-optimal",), (), ("--no-bound", "--no-optimal")][i % 4]
-    return k, l, n, ma_list, start, step, points, flags
+    return k, l, n, ma_list, start, step, points
 
 
 def test_sweep_matches_the_per_row_reference():
     # 320 seeded sweeps, K <= 64, every L, K <= N <= 3K+5, fractional Ma and
-    # step, a K, L, N or Ma out of range, Mp below 0 and above N, each bound
-    # and optimality flag: every CSV and JSON text equals the per-row path
+    # step, a K, L, N or Ma out of range, Mp below 0 and above N: every CSV
+    # and JSON text equals the per-row path
     rng = random.Random(17)
     seen = set()
     for i in range(320):
-        k, l, n, ma_list, start, step, points, flags = _sweep_case(rng, i)
+        k, l, n, ma_list, start, step, points = _sweep_case(rng, i)
         stop = start + step * (points - 1) + step / 2 if points else start - 1
         argv = ["sweep", "-K", str(k), "-L", str(l), "-N", str(n),
-                f"--ma={','.join(map(str, ma_list))}", f"--mp-range={start}:{stop}:{step}", *flags]
-        bound, optimal = "--no-bound" not in flags, "--no-optimal" not in flags
+                f"--ma={','.join(map(str, ma_list))}", f"--mp-range={start}:{stop}:{step}"]
         for fmt in ("json", "csv"):
-            expected = sweep_reference(k, l, n, ma_list, start, step, points, fmt, bound, optimal)
+            expected = sweep_reference(k, l, n, ma_list, start, step, points, fmt)
             assert run_cli(*argv, "--format", fmt) == (0, expected, ""), argv
         for row in csv.DictReader(io.StringIO(expected)):
             seen.add(row["note"].split(" ")[0] or "computed")
     assert {"computed", "need", "K=65", "K=70", "access", "library", "shared-cache",
+            "private-cache", "rate", "memory-sharing"} <= seen, seen
+
+
+def test_rate_matches_a_one_point_sweep():
+    # 1,200 seeded points, K from 1 to 20 plus K = 0 and K = 65, every L and
+    # some outside [1, K], N in {K-1, K, K+1, 2K+1}, integral, fractional
+    # and negative sizes, and integral band points: rate's three lines are
+    # the row's cells, and a refused point is the row's note on stderr
+    rng = random.Random(21)
+    points = [(12, 2, 12, Fraction(1), Fraction(3)), (9, 2, 9, Fraction(2), Fraction(4))]
+    for i in range(1200):
+        k = {0: 0, 1: 65}.get(i % 50, rng.randint(1, 20))
+        l = rng.randint(0, k + 1)
+        n = rng.choice((k - 1, k, k + 1, 2 * k + 1))
+        den_a, den_p = rng.choice((1, 1, 2, 3)), rng.choice((1, 1, 2, 5))
+        ma = Fraction(rng.randint(0, (n + 1) * den_a), den_a)
+        mp = Fraction(rng.randint(-1, (n + 1) * den_p), den_p)
+        points.append((k, l, n, ma, mp))
+
+    def shown(row, key):  # the row's cells as rate prints that value
+        num, den = row[f"{key}_num"], row[f"{key}_den"]
+        return f"{num if den == '1' else f'{num}/{den}'} ({row[key]})"
+
+    seen, computed = set(), 0
+    for k, l, n, ma, mp in points:
+        system = ("-K", str(k), "-L", str(l), f"--ma={ma}", "-N", str(n))
+        code, out, err = run_cli("sweep", *system, f"--mp-range={mp}:{mp}")
+        assert (code, err) == (0, ""), system
+        [row] = csv.DictReader(io.StringIO(out))
+        seen.add(row["note"].split(" ")[0] or "computed")
+        got = run_cli("rate", *system, f"--mp={mp}")
+        if row["note"]:
+            assert got == (1, "", f"ringcache: {row['note']}\n"), (system, mp)
+            continue
+        optimal = {"true": "yes", "false": "no"}[row["optimal"]]
+        assert got[0] == 0 and got[1].splitlines()[:3] == [
+            f"rate  = {shown(row, 'rate')}", f"bound = {shown(row, 'bound')}",
+            f"optimal = {optimal}",
+        ], (system, mp)
+        computed += 1
+    assert computed >= 500, computed
+    assert {"computed", "need", "K=65", "access", "library", "shared-cache",
             "private-cache", "rate", "memory-sharing"} <= seen, seen
 
 
@@ -679,9 +719,22 @@ def test_sweep_names_the_flag_of_a_malformed_value(flags, message):
     assert (code, out, err) == (1, "", message)
 
 
+@pytest.mark.parametrize("command", ["rate", "simulate", "layout-dump"])
+@pytest.mark.parametrize(
+    "sizes,message",
+    [
+        (("--ma", "1/0", "--mp", "0"), "ringcache: --ma: '1/0' has a zero denominator\n"),
+        (("--ma", "1", "--mp", "abc"), "ringcache: --mp: 'abc' is not a rational number\n"),
+    ],
+)
+def test_every_command_reads_a_malformed_size_as_sweep_does(command, sizes, message):
+    code, out, err = run_cli(command, "-K", "8", "-L", "2", *sizes, "-N", "8")
+    assert (code, out, err) == (1, "", message)
+
+
 def test_sweep_row_budget_counts_every_ma():
     budget = ringcache.cli.SWEEP_ROW_BUDGET
-    base = ("sweep", "-K", "8", "-L", "2", "-N", "8", "--no-bound", "--no-optimal")
+    base = ("sweep", "-K", "8", "-L", "2", "-N", "8")
     code, out, err = run_cli(*base, "--ma", "1,2", "--mp-range", f"1:{budget // 2}")
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 1 + budget
@@ -1070,16 +1123,6 @@ def test_unchecked_does_not_carry_over():
     code, out, err = run_cli(*system)
     assert (code, out) == (1, "")
     assert "--unchecked" in err
-
-
-def test_no_bound_does_not_carry_over():
-    sweep = ("sweep", "-K", "7", "-L", "2", "-N", "7", "--ma", "1", "--mp-range", "1:1")
-    code, out, _ = run_cli(*sweep, "--no-bound")
-    assert code == 0
-    assert out.splitlines()[1].split(",")[10:13] == ["", "", ""]
-    code, out, _ = run_cli(*sweep)
-    assert code == 0
-    assert out.splitlines()[1].split(",")[10:13] == ["4", "7", "0.571429"]
 
 
 def test_usage_error_then_command_matches_fresh_processes():

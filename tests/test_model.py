@@ -78,7 +78,7 @@ def test_window_end_roundtrip():
 
 def test_window_masks_degenerate_widths():
     assert window_masks(6, 0) == (0,)
-    assert window_masks(6, 6) == (0b111111,)
+    assert window_masks(6, 6) == (0b111111,) * 6
 
 
 @pytest.mark.parametrize(

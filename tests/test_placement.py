@@ -169,11 +169,11 @@ def test_check_memory_rejects_tails_short_of_f_pairs():
 
 
 def test_ring_tails_at_full_span_hold_one_pair_for_k_subfiles():
-    # K=2 L=2 Ma=1: each window is the whole ring, so the tails hold one
-    # (S, T) pair standing for F = K = 2 subfiles
+    # K=2 L=2 Ma=1: each window is the whole ring, and the tails hold one
+    # (S, T) pair for each of the F = K = 2 subfiles, one per window end
     layout = build_layout(SystemParams(k=2, l=2, ma=1, mp=0, n=2))
     assert layout.placement == RING and layout.width == 2
-    assert layout.tails == ((0b11, (0,)),)
+    assert layout.tails == ((0b11, (0,)),) * 2
     assert layout.f == 2
     _check_memory(layout)
 
