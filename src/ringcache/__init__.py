@@ -38,7 +38,6 @@ from .analysis import (
     TransmissionCounts,
     achievable_rate,
     cutset_bound,
-    is_optimal,
     memory_share,
     rate_with_sharing,
     table1_counts,
@@ -67,7 +66,6 @@ __all__ = [
     "deliver",
     "demand_pairs",
     "enumerate_transmission_subsets",
-    "is_optimal",
     "man_crosscheck",
     "memory_share",
     "params_from_gammas",

@@ -1,5 +1,7 @@
 """Closed-form evaluation: transmission counting, achievable rate, cut-set
-lower bound, large-memory optimality test and memory sharing.
+lower bound and memory sharing. A point is optimal exactly where its rate
+equals the cut-set bound, so the CLI answers ``optimal`` by comparing the
+two numbers it prints.
 
 Counting convention: a transmission-subset is a (1 + span + gamma_p)-sized
 subset of [K] containing at least one window. A GENERAL subset yields
@@ -197,17 +199,6 @@ def _cutset(k: int, l: int, n: int, ma: Fraction) -> Callable[[int, int], tuple[
         return best_num, best_den * v
 
     return at
-
-
-def is_optimal(params: SystemParams) -> bool:
-    """True in the large-memory regime ma*L + mp >= N*(1 - 1/K), where the
-    scheme meets the cut-set bound."""
-    return _is_optimal(params.k, params.l, params.n, params.ma, *params.mp.as_integer_ratio())
-
-
-def _is_optimal(k: int, l: int, n: int, ma: Fraction, u: int, v: int) -> bool:
-    """:func:`is_optimal` at mp = u/v (v > 0), both sides times K * den(ma) * v."""
-    return k * (ma.numerator * v * l + u * ma.denominator) >= n * (k - 1) * ma.denominator * v
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,7 @@ from .delivery import (
     verify_decodability,
     worst_case_demand,
 )
-from .analysis import _rate, _share, achievable_rate, cutset_bound, is_optimal, memory_share
-from .analysis import _cutset, _is_optimal
+from .analysis import _cutset, _rate, _share, achievable_rate, cutset_bound, memory_share
 from .verify import check_work_budget, count_vs_formula, man_crosscheck, sweep_grid
 
 # most rows one sweep writes; rows stream, so this bounds time, not memory:
@@ -124,7 +123,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
     share = memory_share(params)
     rate, corners = share.rate, share.points if len(share.points) > 1 else ()
     bound = cutset_bound(params)
-    optimal = is_optimal(params)
+    optimal = rate == bound
     if args.json:
         payload = {
             "K": params.k,
@@ -234,12 +233,13 @@ def _sweep_column(
         p, qp = k * u // g, n * v // g
         row = head + (mp, _ratio(a, qa), _ratio(p, qp))
         try:  # as memory_share, with the sweep's corner rates
-            row += _cells(*_share((a, qa), (p, qp), corner_rate)[1:])
+            _, num, den = _share((a, qa), (p, qp), corner_rate)
         except RegimeError as exc:
             yield row + ("",) * 7 + (str(exc),)
             continue
-        optimal = ("false", "true")[_is_optimal(k, l, n, ma, u, v)]
-        yield row + _cells(*bound(u, v)) + (optimal, "")
+        b_num, b_den = bound(u, v)
+        optimal = ("false", "true")[num * b_den == b_num * den]  # both dens > 0
+        yield row + _cells(num, den) + _cells(b_num, b_den) + (optimal, "")
 
 
 # one row as json.dumps(rows, indent=2) lays out its dict; only the note may need escaping

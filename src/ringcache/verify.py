@@ -262,14 +262,20 @@ class ManReport:
 
 
 def man_crosscheck(k: int, t: int) -> ManReport:
-    """The reduction at N = K: neither F nor the rate involves N."""
+    """The reduction at N = K: neither F nor the rate involves N. An instance
+    whose F = C(K, t) or packet count C(K, t+1) is over :data:`WORK_BUDGET`
+    is refused before anything is built."""
     params = params_from_gammas(k, 1, 0, t, k)
+    f, x = binom(k, t), binom(k, t + 1)
+    if max(f, x) > WORK_BUDGET:
+        raise GuardExceeded(
+            f"refusing K={k} t={t}: F={f}, X={x}, over the budget of {WORK_BUDGET}"
+        )
     layout = build_layout(params)
     rate = Fraction(sum(1 for _ in deliver(layout)), layout.f)
-    expected_f = binom(k, t)
-    expected_rate = Fraction(binom(k, t + 1), binom(k, t))
-    passed = layout.f == expected_f and rate == expected_rate
-    return ManReport(k, t, layout.f, expected_f, rate, expected_rate, passed)
+    expected_rate = Fraction(x, f)
+    passed = layout.f == f and rate == expected_rate
+    return ManReport(k, t, layout.f, f, rate, expected_rate, passed)
 
 
 def sweep_grid(kmin: int, kmax: int) -> list[SystemParams]:

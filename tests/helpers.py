@@ -16,9 +16,10 @@ six-place rendering as the Fraction code the integer forms replaced, the
 cut-set bound's integer loop with a ``min`` per term that the split loop
 replaced, a layout's shared sets, read off its tails, and the sweep built
 row by row through a SystemParams and Fractions, then rendered whole, as
-the column kernel and its streamed rows replaced, and the exhaustive
+the column kernel and its streamed rows replaced, the exhaustive
 census over every candidate subset that the census through one window's
-slice replaced."""
+slice replaced, and the paper's large-memory condition, under which its
+optimality theorem says the scheme meets the cut-set bound."""
 
 import itertools
 import json
@@ -492,6 +493,12 @@ def cutset_terms(params) -> list[Fraction]:
     return terms
 
 
+def large_memory(params) -> bool:
+    """The paper's large-memory condition ma*L + mp >= N*(1 - 1/K), in
+    Fractions: where its theorem says the scheme meets the cut-set bound."""
+    return params.ma * params.l + params.mp >= params.n * (1 - Fraction(1, params.k))
+
+
 def cutset_bound_fraction_reference(params) -> Fraction:
     """The cut-set bound as the Fraction loop the library's integer
     evaluation replaced: the largest term, floored at 0."""
@@ -564,9 +571,9 @@ def sweep_row_reference(k, l, n, ma: Fraction, mp: Fraction):
     """The 15 field values of the sweep's row at (ma, mp), in CSV_HEADER
     order, as the per-row path the column kernel replaced: a SystemParams
     per row, the rate of the integral corner or of the Fraction memory
-    sharing, the Fraction cut-set bound, the paper's optimality condition
-    in Fractions and six places through round(). Fields a row cannot fill
-    are empty and ``note`` holds the reason."""
+    sharing, the Fraction cut-set bound, the optimal flag as rate == bound
+    and six places through round(). Fields a row cannot fill are empty and
+    ``note`` holds the reason."""
     base = (str(k), str(l), str(n), str(ma), str(mp))
     try:
         params = SystemParams(k=k, l=l, ma=ma, mp=mp, n=n)
@@ -583,7 +590,7 @@ def sweep_row_reference(k, l, n, ma: Fraction, mp: Fraction):
     b = cutset_bound_fraction_reference(params)
     cells = (str(rate.numerator), str(rate.denominator), dec6_reference(rate))
     cells += (str(b.numerator), str(b.denominator), dec6_reference(b))
-    flag = "true" if ma * l + mp >= n * (1 - Fraction(1, k)) else "false"
+    flag = "true" if rate == b else "false"
     return base + gammas + cells + (flag, "")
 
 

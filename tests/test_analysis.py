@@ -13,7 +13,6 @@ from ringcache.model import RegimeError, SystemParams, binom, params_from_gammas
 from ringcache.analysis import (
     achievable_rate,
     cutset_bound,
-    is_optimal,
     memory_share,
     rate_closed_form,
     rate_with_sharing,
@@ -25,6 +24,7 @@ from helpers import (
     cutset_bound_fraction_reference,
     cutset_bound_reference,
     cutset_terms,
+    large_memory,
     memory_share_reference,
 )
 
@@ -204,9 +204,12 @@ def test_rate_monotone_in_shared_memory():
 
 
 def test_is_optimal_examples():
-    assert is_optimal(SystemParams(k=30, l=3, ma=6, mp=11, n=30))
-    assert is_optimal(SystemParams(k=30, l=3, ma=9, mp=2, n=30))
-    assert not is_optimal(SystemParams(k=30, l=3, ma=6, mp=1, n=30))
+    # at these integral points the rate meets the bound exactly where the
+    # paper's large-memory condition holds
+    for ma, mp, large in ((6, 11, True), (9, 2, True), (6, 1, False)):
+        params = SystemParams(k=30, l=3, ma=ma, mp=mp, n=30)
+        assert large_memory(params) is large
+        assert (achievable_rate(params) == cutset_bound(params)) is large
 
 
 def test_large_memory_integral_points_meet_the_bound():
@@ -219,7 +222,7 @@ def test_large_memory_integral_points_meet_the_bound():
                 for ga in range(k + 1):
                     for gp in range(k + 1):
                         params = params_from_gammas(k, l, ga, gp, n)
-                        if not is_optimal(params):
+                        if not large_memory(params):
                             continue
                         try:
                             rate = achievable_rate(params)

@@ -77,6 +77,33 @@ def test_rate_command_optimal_point():
     assert "optimal = yes" in out
 
 
+@pytest.mark.parametrize(
+    "ma,rate,bound,optimal",
+    [
+        # memory sharing halfway between gamma_a = 1 and 2: the paper's
+        # large-memory condition holds, but the shared rate is above the bound
+        ("3/2", "1/2", "1/4", False),
+        # no memory at all: every user needs its whole file, and so does the bound
+        ("0", "4", "4", True),
+    ],
+)
+def test_rate_optimal_is_the_rate_meeting_the_bound(ma, rate, bound, optimal):
+    system = ("rate", "-K", "4", "-L", "2", "--ma", ma, "--mp", "0", "-N", "4")
+    code, out, err = run_cli(*system)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:3] == [
+        f"rate  = {rate} ({dec6(Fraction(rate))})",
+        f"bound = {bound} ({dec6(Fraction(bound))})",
+        f"optimal = {('no', 'yes')[optimal]}",
+    ]
+    code, out, err = run_cli(*system, "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert Fraction(payload["rate"]) == Fraction(rate)
+    assert Fraction(payload["bound"]) == Fraction(bound)
+    assert payload["optimal"] is optimal
+
+
 def test_rate_command_worked_instance_7():
     code, out, _ = run_cli("rate", "-K", "7", "-L", "2", "--ma", "1", "--mp", "1", "-N", "7")
     assert code == 0
@@ -555,7 +582,7 @@ def test_sweep_csv_is_pinned():
     code, out, _ = run_cli(*SWEEP_MIXED)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "3d730c48e6c92ca768e10e8f0ce2a8662ebda1bce8cb6596f51b4356712539d5"
+        "f731f9304d51543f72cdb3836ab60551b470dcfc59e641d660d431550aa5bd49"
     )
 
 
@@ -582,7 +609,7 @@ def test_sweep_json_is_pinned():
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "2d02baf3d7cede7575e878da434942062191c010b4c112856ebce77d9d9bed15"
+        "7e3af833f21ac2a658f896ceb7762df46e198a99f7711c7f6b4d5c09de94b265"
     )
 
 
@@ -675,6 +702,36 @@ def test_rate_matches_a_one_point_sweep():
     assert computed >= 500, computed
     assert {"computed", "need", "K=65", "access", "library", "shared-cache",
             "private-cache", "rate", "memory-sharing"} <= seen, seen
+
+
+def test_sweep_optimal_is_the_rate_meeting_the_bound():
+    # 240 seeded sweeps: on every computed row, optimal is exactly the
+    # printed rate equal to the printed bound, at zero memory, at fractional
+    # replication and with N > K alike
+    rng = random.Random(22)
+    seen = set()
+    for i in range(240):
+        k, l, n, ma_list, start, step, points = _sweep_case(rng, i)
+        stop = start + step * (points - 1) + step / 2 if points else start - 1
+        code, out, _ = run_cli(
+            "sweep", "-K", str(k), "-L", str(l), "-N", str(n),
+            f"--ma={','.join(map(str, ma_list))}", f"--mp-range={start}:{stop}:{step}",
+        )
+        assert code == 0
+        for row in csv.DictReader(io.StringIO(out)):
+            if row["note"]:
+                continue
+            rate = int(row["rate_num"]) * int(row["bound_den"])
+            bound = int(row["bound_num"]) * int(row["rate_den"])
+            assert row["optimal"] == ("false", "true")[rate == bound], row
+            seen.add(row["optimal"])
+            if row["Ma"] == row["Mp"] == "0":
+                seen.add("zero memory")
+            if "/" in row["gamma_a"] + row["gamma_p"]:
+                seen.add("fractional")
+            if int(row["N"]) > int(row["K"]):
+                seen.add("N > K")
+    assert seen == {"true", "false", "zero memory", "fractional", "N > K"}, seen
 
 
 @pytest.mark.parametrize(
@@ -938,6 +995,30 @@ def test_man_check_refuses_t_outside_0_to_k(flags):
     assert run_cli("man-check", *flags) == (
         1, "", f"ringcache: -t: replication t={t} outside [0, K=4]\n"
     )
+
+
+@pytest.mark.parametrize(
+    "k,t,f,x",
+    [
+        (40, 20, 137846528820, 131282408400),
+        (64, 32, 1832624140942590534, 1777090076065542336),
+        (22, 11, 705432, 646646),
+    ],
+)
+def test_man_check_refuses_over_the_work_budget(monkeypatch, k, t, f, x):
+    # F = C(K, t) mini-subfiles or X = C(K, t+1) packets over verify's budget
+    # is refused before the layout is built; C(40, 20) used to run until killed
+    monkeypatch.setattr(ringcache.verify, "build_layout", _no_layout)
+    assert run_cli("man-check", "-K", str(k), "-t", str(t)) == (
+        1, "", f"ringcache: refusing K={k} t={t}: F={f}, X={x}, over the budget of 500000\n"
+    )
+
+
+def test_man_check_admits_the_largest_instance_under_the_budget(monkeypatch):
+    # K = 21, t = 10: F = X = 352,716, which runs in about 10 s
+    monkeypatch.setattr(ringcache.verify, "build_layout", _no_layout)
+    with pytest.raises(_Built):
+        run_cli("man-check", "-K", "21", "-t", "10")
 
 
 def test_man_check_library_size_zero_means_k():
