@@ -537,6 +537,17 @@ def test_simulate_determinism(tmp_path):
             "# total=4368 general=0 sc1=4368 sc2=0",
             "2daa295384704e9742f6d9116259bdb561fe3babbaf446031ae23f42de48a494",
         ),
+        # the two L = 3 instances of the simulate benchmark ladder
+        (
+            ("-K", "18", "-L", "3", "--ma", "1", "--mp", "2", "-N", "18"),
+            "# total=9261 general=4212 sc1=4950 sc2=99",
+            "a7ed26bfb428127578bc69d59b0a88f45f598d29a3800dd064f3ec956aaac177",
+        ),
+        (
+            ("-K", "14", "-L", "3", "--ma", "1", "--mp", "2", "-N", "14"),
+            "# total=2639 general=1512 sc1=1078 sc2=49",
+            "b82e6b43750cd2c31fc8115a0f3359fbb6f5175046160d3693ac8ee8c43224e7",
+        ),
     ],
 )
 def test_simulate_larger_logs_are_pinned(system, footer, digest):
