@@ -43,22 +43,33 @@ user 1 + j exactly when h <= K - j, and otherwise wraps past K and went
 out earlier. No term user wraps, so the rotation keeps the term order.
 Rotation j thus sends the representatives with h <= K - j, a prefix of
 them sorted by h, in the order of their turned anchors among the demand
-pairs of user 1 + j: one lookup of the anchor's place per packet.
+pairs of user 1 + j.
 
-:func:`deliver` streams the packets as (case, keys) pairs that carry no
-files: the demand only labels the terms. :func:`format_log` writes each
-packet's log line to its sink as the packet passes and
-:func:`verify_decodability` checks the stream (:class:`DecodeCheck`), so
-``simulate`` keeps neither packets nor lines. The check files each key as
-a bit of its user under its pair's int S << 64 | T: nothing is per user.
-:func:`deliver` delivers any layout, the band the rate refuses included.
+Places. A term names its (S, T) pair by its place: the pair's index among
+the layout's F pairs in the order of ``tails``, which is every demand
+set's order (:func:`pair_masks`). So rotation j's packets go out sorted by
+their anchors' places. Turning by one user permutes the pairs, and one
+table of F ints, ``turn[i]`` being the place of pair i turned on by one
+user, carries each representative's terms from one rotation to the next:
+one lookup per term, with no bit rotation. The representatives and the
+table are numbered through a dict of the F pairs, freed once they exist.
+
+:func:`deliver` streams the packets as (case, [(user, place), ...]) pairs
+that carry no files: the demand only labels the terms. :func:`format_log`
+writes each packet's log line to its sink as the packet passes, from
+per-place lists of each S and T label, and :func:`verify_decodability`
+checks the stream (:class:`DecodeCheck`), so ``simulate`` keeps neither
+packets nor lines. The check files each term as a bit of its user in one
+of two lists of F ints indexed by place, and reads each term's S | T from
+a third: nothing is per user. :func:`deliver` delivers any layout, the
+band the rate refuses included.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -78,12 +89,14 @@ GENERAL = "GENERAL"
 SC1 = "SC1"
 SC2 = "SC2"
 
-# (user, S mask, T mask): a packet's anchor or a term without its file
+# (user, S mask, T mask): a term without its file, as the packet builders make it
 Anchor = tuple[int, int, int]
-# a packet without files: its case and its terms' keys, the anchor first
-Packet = tuple[str, list[Anchor]]
+# (user, place): a term without its file, its (S, T) pair named by its place
+Term = tuple[int, int]
+# a packet without files: its case and its terms, the anchor first
+Packet = tuple[str, list[Term]]
 # the packets through user 1's demand pairs, each with its highest user, by that user
-Orbit = list[tuple[int, str, list[Anchor]]]
+Orbit = list[tuple[int, str, list[Term]]]
 
 
 def worst_case_demand(k: int) -> tuple[int, ...]:
@@ -105,6 +118,13 @@ def check_demand(params: SystemParams, demand: Sequence[int]) -> tuple[int, ...]
     return tuple(demand)
 
 
+def pair_masks(layout: CacheLayout) -> tuple[list[int], list[int]]:
+    """The S and the T mask of each (S, T) pair of the layout, by the pair's
+    place: its index among the pairs of :attr:`CacheLayout.tails`, read S by
+    S, which is every demand set's order."""
+    return [s for s, ts in layout.tails for _ in ts], [t for _, ts in layout.tails for t in ts]
+
+
 def _swap_group(u: int, s: int, t: int) -> list[Anchor]:
     """Anchor plus, for each v in T, the key with v swapped against u."""
     group = [(u, s, t)]
@@ -114,7 +134,7 @@ def _swap_group(u: int, s: int, t: int) -> list[Anchor]:
     return group
 
 
-def _ring_xor(windows: tuple[int, ...], u: int, s: int, t: int) -> Packet:
+def _ring_xor(windows: tuple[int, ...], u: int, s: int, t: int) -> tuple[str, list[Anchor]]:
     """Classify the anchor (u, S, T) by the windows inside its union set I,
     found by their ends, and build its packet; ``windows[x - 1]`` is the
     ring's window that ends at x."""
@@ -142,7 +162,7 @@ def _ring_xor(windows: tuple[int, ...], u: int, s: int, t: int) -> Packet:
     return GENERAL, [(u, s, t)] + images
 
 
-def _subset_xor(u: int, s: int, t: int) -> Packet:
+def _subset_xor(u: int, s: int, t: int) -> tuple[str, list[Anchor]]:
     """Subset-placement XOR through the anchor (u, S, T): for each other v
     in Q = {u} | S | T, S_v holds the elements of Q - {v} at the positions S
     takes in Q - {u}, and T_v the rest of Q - {v}."""
@@ -162,36 +182,50 @@ def _subset_xor(u: int, s: int, t: int) -> Packet:
     return SC1, keys
 
 
-def _representatives(layout: CacheLayout) -> Orbit:
+def _representatives(layout: CacheLayout) -> tuple[Orbit, list[int]]:
     """For each demand pair (S, T) of user 1, the packet through (1, S, T)
-    with its highest user, sorted by that user. Raises AssertionError if the
-    rotations that :func:`deliver` sends leave some user's demand pair
-    uncovered."""
+    with its highest user, sorted by that user, its terms as (user, place);
+    and the turn table, ``turn[i]`` being the place of pair i turned on by
+    one user. Raises AssertionError if a term's pair is not one of the
+    layout's, or if the rotations that :func:`deliver` sends leave some
+    user's demand pair uncovered."""
     params = layout.params
     k, full = params.k, (1 << params.k) - 1
     if layout.placement == SUBSET:
         build = _subset_xor
     else:
         build = partial(_ring_xor, window_masks(k, params.span))
+    place = {s << 64 | t: i for i, (s, t) in enumerate(zip(*pair_masks(layout)))}
+    turn = []
+    for s, ts in layout.tails:
+        head = (((s << 1) | (s >> (k - 1))) & full) << 64
+        turn += [place[head | (((t << 1) | (t >> (k - 1))) & full)] for t in ts]
+    sent = [0] * layout.f  # the users each pair is sent to, as a mask, by place
     reps = []
-    sent = {}  # users each demand pair of user 1 is sent to, as a mask
     for s, t in demand_pairs(layout, 1):
         case, keys = build(1, s, t)
-        reps.append((max(v for v, _, _ in keys), case, keys))
-        sent[s << 64 | t] = 0
-    # a representative with highest user h sends its term (v, S, T) to users
-    # v .. v + K - h, as that term turned back by v - 1 and on again
-    for h, _, keys in reps:
-        for v, s, t in keys:
+        h = max(keys)[0]
+        terms = []
+        # the term (v, S, T) goes to users v .. v + K - h, as that term turned
+        # back by v - 1 and on again
+        for v, a, b in keys:
+            p = place.get(a << 64 | b)
+            if p is None:
+                raise AssertionError(
+                    f"representative term d{v}:{mask_str(a)}:{mask_str(b)}"
+                    " is not a pair of the layout"
+                )
+            terms.append((v, p))
             j, back = v - 1, k - v + 1
-            pair = (((s >> j) | (s << back)) & full) << 64 | (((t >> j) | (t << back)) & full)
-            if pair in sent:
-                sent[pair] |= ((1 << (k - h + 1)) - 1) << j
-    leftovers = sum(k - users.bit_count() for users in sent.values())
+            first = (((a >> j) | (a << back)) & full) << 64 | (((b >> j) | (b << back)) & full)
+            sent[place[first]] |= ((1 << (k - h + 1)) - 1) << j
+        reps.append((h, case, terms))
+    # each demand pair of user 1 is the anchor of its representative
+    leftovers = sum(k - sent[terms[0][1]].bit_count() for _, _, terms in reps)
     if leftovers:
         raise AssertionError(f"{leftovers} demand pairs were never covered")
     reps.sort(key=lambda rep: rep[0])
-    return reps
+    return reps, turn
 
 
 def deliver(layout: CacheLayout) -> Iterator[Packet]:
@@ -199,28 +233,23 @@ def deliver(layout: CacheLayout) -> Iterator[Packet]:
     rotated from the representatives as the iterator is consumed; the
     coverage is checked before this returns. Every demand pair lands in
     exactly one packet."""
-    return _scan(layout, _representatives(layout))
+    return _scan(layout.params.k, *_representatives(layout))
 
 
-def _scan(layout: CacheLayout, reps: Orbit) -> Iterator[Packet]:
-    k = layout.params.k
-    full = (1 << k) - 1
-    pairs = (s << 64 | t for s, ts in layout.tails for t in ts)
-    place = {pair: i for i, pair in enumerate(pairs)}  # in every demand set's order
+def _scan(k: int, reps: Orbit, turn: list[int]) -> Iterator[Packet]:
     highs = [h for h, _, _ in reps]
+    cases = [case for _, case, _ in reps]
+    terms = [keys for _, _, keys in reps]  # each representative turned on by j
+    del reps
     for j in range(k):
-        back = k - j
-        batch = []  # the packets that go out at user 1 + j, by their anchor turned on by j
-        for _, case, keys in reps[: bisect_right(highs, back)]:
-            _, s, t = keys[0]
-            anchor = (((s << j) | (s >> back)) & full) << 64 | (((t << j) | (t >> back)) & full)
-            batch.append((place[anchor], case, keys))
-        batch.sort()
-        for _, case, keys in batch:
-            yield case, [
-                (v + j, ((a << j) | (a >> back)) & full, ((b << j) | (b >> back)) & full)
-                for v, a, b in keys
-            ]
+        live = bisect_right(highs, k - j)
+        if j:
+            for r in range(live):
+                terms[r] = [(v + 1, turn[p]) for v, p in terms[r]]
+        # the packets that go out at user 1 + j, by their anchors' places
+        anchors = [keys[0][1] for keys in terms[:live]]
+        for r in sorted(range(live), key=anchors.__getitem__):
+            yield cases[r], terms[r]
 
 
 # ---------------------------------------------------------------------------
@@ -246,46 +275,50 @@ class DecodabilityReport:
 
 
 class DecodeCheck:
-    """Decodability, one packet at a time. :meth:`add` takes a packet's
-    (user, S, T) keys. A user reads a term through a shared cache (user in
-    S) or its private cache (user in T). The user of a demand key is in
-    neither, so it peels its term when no second term is unreadable to it:
-    the running mask ``once`` holds the users some term leaves unreadable, and
-    ``twice`` those two terms do. A key is filed as its user's bit in
-    ``peeled[S << 64 | T]`` or ``blocked[S << 64 | T]``, one int per pair
-    (K <= 64). :meth:`report` checks every demand pair."""
+    """Decodability, one packet at a time, over pairs numbered by place:
+    ``unions[p]`` is S | T of the pair at place p. :meth:`add` takes a
+    packet's (user, place) terms. A user reads a term through a shared cache
+    (user in S) or its private cache (user in T). The user of a demand term
+    is in neither, so it peels its term when no second term is unreadable to
+    it: the running mask ``once`` holds the users some term leaves
+    unreadable, and ``twice`` those two terms do. A term is filed as its
+    user's bit in ``peeled[p]`` or ``blocked[p]``, two lists of one int per
+    place (K <= 64). :meth:`report` checks every demand pair of a layout
+    whose pairs hold places 0 .. F - 1, as :func:`pair_masks` numbers them."""
 
-    def __init__(self) -> None:
-        self.peeled: defaultdict[int, int] = defaultdict(int)
-        self.blocked: defaultdict[int, int] = defaultdict(int)
+    def __init__(self, unions: list[int]) -> None:
+        self.unions = unions
+        self.peeled = [0] * len(unions)
+        self.blocked = [0] * len(unions)
 
-    def add(self, keys: Sequence[Anchor]) -> None:
+    def add(self, terms: Sequence[Term]) -> None:
+        unions = self.unions
         once = twice = 0
-        for _, s, t in keys:
-            unread = ~(s | t)
+        for _, p in terms:
+            unread = ~unions[p]
             twice |= once & unread
             once |= unread
         peeled, blocked = self.peeled, self.blocked
-        for v, s, t in keys:
+        for v, p in terms:
             own = 1 << (v - 1)
             if twice & own:
-                blocked[s << 64 | t] |= own
+                blocked[p] |= own
             else:
-                peeled[s << 64 | t] |= own
+                peeled[p] |= own
 
     def report(self, layout: CacheLayout) -> DecodabilityReport:
         """One pass over the layout's (S, T) pairs, each demanded by the users
         outside S | T; misses by user, then in that user's demand-set order."""
         full = (1 << layout.params.k) - 1
+        peeled, blocked = self.peeled, self.blocked
         misses = []
         checked = 0
-        pairs = ((s, t) for s, ts in layout.tails for t in ts)
-        for i, (s, t) in enumerate(pairs):
+        for i, (s, t) in enumerate(zip(*pair_masks(layout))):
             want = full & ~(s | t)
             checked += want.bit_count()
-            for v in bits(want & ~self.peeled.get(s << 64 | t, 0)):
+            for v in bits(want & ~peeled[i]):
                 reason = "never transmitted"
-                if self.blocked.get(s << 64 | t, 0) >> (v - 1) & 1:
+                if blocked[i] >> (v - 1) & 1:
                     reason = "all carriers blocked by unreadable terms"
                 misses.append((v, i, Failure(v, s, t, reason)))
         misses.sort(key=lambda miss: miss[:2])
@@ -296,9 +329,9 @@ class DecodeCheck:
 def verify_decodability(layout: CacheLayout, packets: Iterable[Packet]) -> DecodabilityReport:
     """Check that every user can peel every demanded mini-subfile out of some
     packet of ``packets``. Returns the violation list instead of raising."""
-    check = DecodeCheck()
-    for _, keys in packets:
-        check.add(keys)
+    check = DecodeCheck([s | t for s, t in zip(*pair_masks(layout))])
+    for _, terms in packets:
+        check.add(terms)
     return check.report(layout)
 
 
@@ -306,25 +339,28 @@ def verify_decodability(layout: CacheLayout, packets: Iterable[Packet]) -> Decod
 # serialization
 # ---------------------------------------------------------------------------
 
-def format_packet(case: str, keys: Iterable[Anchor]) -> str:
-    """One log line: ``CASE d<u>:S:T ^ d<u'>:S':T' ...``."""
-    return case + " " + " ^ ".join([f"d{v}:{mask_str(s)}:{mask_str(t)}" for v, s, t in keys])
-
-
-def format_log(packets: Iterable[Packet], f: int, write: Callable[[str], object]) -> Iterator[Packet]:
-    """Pass ``packets`` through, writing each one's log line with ``write``
-    as it goes by and, once the stream ends, the count and rate lines over
-    subpacketization ``f``; every line ends in a newline."""
+def format_log(
+    packets: Iterable[Packet], layout: CacheLayout, write: Callable[[str], object]
+) -> Iterator[Packet]:
+    """Pass the layout's ``packets`` through, writing each one's log line,
+    ``CASE d<u>:S:T ^ d<u'>:S':T' ...``, with ``write`` as it goes by and,
+    once the stream ends, the count and rate lines; every line ends in a
+    newline. Each user's ``d<u>:`` and each place's S and T labels are
+    rendered once per run."""
+    user_label = [f"d{v}:" for v in range(layout.params.k + 1)]
+    s_label, t_label = ([mask_str(m) for m in masks] for masks in pair_masks(layout))
     counts: Counter[str] = Counter()
     for packet in packets:
-        write(format_packet(*packet) + "\n")
-        counts[packet[0]] += 1
+        case, terms = packet
+        line = " ^ ".join([f"{user_label[v]}{s_label[p]}:{t_label[p]}" for v, p in terms])
+        write(f"{case} {line}\n")
+        counts[case] += 1
         yield packet
     total = sum(counts.values())
-    rate = Fraction(total, f)
+    rate = Fraction(total, layout.f)
     write(
         f"# total={total} general={counts[GENERAL]} sc1={counts[SC1]} sc2={counts[SC2]}\n"
-        f"# F={f} rate={rate.numerator}/{rate.denominator}\n"
+        f"# F={layout.f} rate={rate.numerator}/{rate.denominator}\n"
     )
 
 

@@ -36,7 +36,7 @@ from .model import (
     window_masks,
 )
 from .placement import build_layout
-from .delivery import GENERAL, SC1, SC2, deliver
+from .delivery import GENERAL, SC1, SC2, deliver, pair_masks
 from .analysis import TransmissionCounts, table1_counts
 
 # transmissions a verified delivery may stream, and subsets a census may
@@ -181,8 +181,10 @@ def count_vs_formula(params: SystemParams) -> AgreementReport:
     tally: dict[int, int] = {}
     stray = None
     total = 0
-    for total, (case, keys) in enumerate(deliver(layout), 1):
-        u, s, t = keys[0]
+    s_of, t_of = pair_masks(layout)
+    for total, (case, terms) in enumerate(deliver(layout), 1):
+        u, p = terms[0]
+        s, t = s_of[p], t_of[p]
         union = (1 << (u - 1)) | s | t
         end = end_of.get(s)  # None when S is not a window
         # the union turned so that the end of S lands on K

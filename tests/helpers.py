@@ -7,10 +7,14 @@ replaced, position-set rotations, the delivery builders one anchor at a
 time, the relabelling ring builder and the per-user scan that the
 window-end builder and the scan by rotation replaced, packets materialized
 as transmissions whose terms carry files (the library streams file-free
-packets), the greedy delivery loop the orbit plan replaced, the decode
+packets), the places of (S, T) pairs as delivery numbers them, with the
+pairs a layout lacks past F, to turn (user, S, T) keys into (user, place)
+terms and back, a packet's log line from its keys through ``mask_str``, as
+it was written before the log read per-place labels, the greedy delivery
+loop the orbit plan replaced, the decode
 check with the per-term prefix and suffix rule the two running masks
 replaced, the decode check with one set of (user, S, T) keys
-per verdict that the (S, T) ledgers replaced, delivery results with a
+per verdict that the place ledgers replaced, delivery results with a
 transmission taken out, the cut-set bound, memory sharing and the
 six-place rendering as the Fraction code the integer forms replaced, the
 cut-set bound's integer loop with a ``min`` per term that the split loop
@@ -42,7 +46,6 @@ from ringcache.delivery import (
     _swap_group,
     check_demand,
     deliver,
-    format_packet,
 )
 from ringcache.model import (
     InvalidParameters,
@@ -216,8 +219,51 @@ class Transmission:
 
     @property
     def packet(self):
-        """The file-free packet the library streams: (case, keys)."""
+        """The file-free packet, its keys as (user, S, T): (case, keys)."""
         return self.case, [(v, s, t) for v, _, s, t in self.terms]
+
+
+class Places:
+    """Places of (S, T) pairs as delivery numbers them: the layout's pairs by
+    their place, then every other pair met, past F, in the order met; turns
+    (user, S, T) keys into (user, place) terms and back."""
+
+    def __init__(self, layout=None):
+        self.pairs = [] if layout is None else [(s, t) for s, ts in layout.tails for t in ts]
+        self.index = {pair: i for i, pair in enumerate(self.pairs)}
+
+    def terms(self, keys):
+        out = []
+        for v, s, t in keys:
+            if (s, t) not in self.index:
+                self.index[s, t] = len(self.pairs)
+                self.pairs.append((s, t))
+            out.append((v, self.index[s, t]))
+        return out
+
+    def keys(self, terms):
+        return [(v, *self.pairs[p]) for v, p in terms]
+
+    def unions(self):
+        """S | T of each pair met so far, by place: a :class:`DecodeCheck`'s table."""
+        return [s | t for s, t in self.pairs]
+
+
+def decode_keys(layout, streams) -> DecodabilityReport:
+    """:func:`verify_decodability` of packets given as lists of (user, S, T)
+    keys, which may name pairs that are not the layout's."""
+    places = Places(layout)
+    streams = [places.terms(keys) for keys in streams]
+    check = DecodeCheck(places.unions())
+    for terms in streams:
+        check.add(terms)
+    return check.report(layout)
+
+
+def format_packet(case, keys) -> str:
+    """One log line, ``CASE d<u>:S:T ^ d<u'>:S':T' ...``, of a packet of
+    (user, S, T) keys, as ``format_log`` writes it."""
+    return case + " " + " ^ ".join(f"d{v}:{mask_str(s)}:{mask_str(t)}" for v, s, t in keys)
 
 
 @dataclass(frozen=True)
@@ -225,6 +271,7 @@ class DeliveryResult:
     params: SystemParams
     f: int
     transmissions: tuple[Transmission, ...]
+    layout: object
 
     @property
     def total(self) -> int:
@@ -238,7 +285,9 @@ class DeliveryResult:
         return Fraction(self.total, self.f)
 
     def packets(self):
-        return [tx.packet for tx in self.transmissions]
+        """The file-free packets as the library streams them, terms by place."""
+        places = Places(self.layout)
+        return [(tx.case, places.terms(tx.packet[1])) for tx in self.transmissions]
 
 
 def format_transmission(tx: Transmission) -> str:
@@ -314,7 +363,8 @@ def scan_reference(layout, reps):
     by rotation: users ascending, each user's demand pairs in order, every
     pair turned back to user 1's frame and its packet sent when its highest
     user does not wrap."""
-    by_pair = {keys[0][1:]: (case, keys, h) for h, case, keys in reps}
+    places = Places(layout)
+    by_pair = {places.pairs[terms[0][1]]: (case, places.keys(terms), h) for h, case, terms in reps}
     k = layout.params.k
     full = (1 << k) - 1
     for u in range(1, k + 1):
@@ -322,10 +372,10 @@ def scan_reference(layout, reps):
         for s, t in demand_pairs(layout, u):
             case, keys, h = by_pair[((s >> j) | (s << back)) & full, ((t >> j) | (t << back)) & full]
             if h <= back:
-                yield case, [
+                yield case, places.terms([
                     (v + j, ((a << j) | (a >> back)) & full, ((b << j) | (b >> back)) & full)
                     for v, a, b in keys
-                ]
+                ])
 
 
 def _windows(params):
@@ -366,9 +416,12 @@ def materialize(layout, demand) -> DeliveryResult:
     """The streamed delivery of :func:`deliver`, each packet's terms labelled
     with their users' files in ``demand``."""
     demand = check_demand(layout.params, demand)
-    packets = deliver(layout)
+    places = Places(layout)
     return DeliveryResult(
-        layout.params, layout.f, tuple(_transmission(*packet, demand) for packet in packets)
+        layout.params,
+        layout.f,
+        tuple(_transmission(case, places.keys(terms), demand) for case, terms in deliver(layout)),
+        layout,
     )
 
 
@@ -393,26 +446,26 @@ def deliver_greedy_reference(layout, demand) -> DeliveryResult:
     leftovers = sum(len(d) for d in remaining)
     if leftovers:
         raise AssertionError(f"{leftovers} demand pairs were never covered")
-    return DeliveryResult(params, layout.f, tuple(out))
+    return DeliveryResult(params, layout.f, tuple(out), layout)
 
 
 class DecodeCheckReference(DecodeCheck):
-    """:class:`DecodeCheck` with the rule spelled out term by term: a key
+    """:class:`DecodeCheck` with the rule spelled out term by term: a term
     peels when its user reads every other term of the packet."""
 
-    def add(self, keys) -> None:
+    def add(self, terms) -> None:
+        unions = self.unions
         # before & after[i + 1]: the users reading every term but the i-th
-        after = [-1] * (len(keys) + 1)
-        for i in range(len(keys) - 1, 0, -1):
-            after[i] = after[i + 1] & (keys[i][1] | keys[i][2])
+        after = [-1] * (len(terms) + 1)
+        for i in range(len(terms) - 1, 0, -1):
+            after[i] = after[i + 1] & unions[terms[i][1]]
         before = -1
-        for i, key in enumerate(keys):
-            v, s, t = key
+        for i, (v, p) in enumerate(terms):
             if (before & after[i + 1]) >> (v - 1) & 1:
-                self.peeled[s << 64 | t] |= bit(v)
+                self.peeled[p] |= bit(v)
             else:
-                self.blocked[s << 64 | t] |= bit(v)
-            before &= s | t
+                self.blocked[p] |= bit(v)
+            before &= unions[p]
 
 
 class DecodeCheckSets:

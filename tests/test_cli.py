@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -18,7 +19,7 @@ from conftest import SRC
 import ringcache.cli
 import ringcache.verify
 from ringcache import analysis
-from ringcache.cli import build_parser, dec6, main
+from ringcache.cli import OUTPUT_BUDGET, build_parser, dec6, main
 from ringcache.delivery import deliver, format_report, verify_decodability
 from ringcache.model import RegimeError, SystemParams, params_from_gammas
 from ringcache.placement import build_layout, build_subset_layout
@@ -460,17 +461,34 @@ def test_a_fractional_point_is_refused_without_the_unchecked_hint(argv, message)
     assert run_cli(*argv) == (1, "", f"ringcache: {message}; use memory sharing\n")
 
 
+def _subpacketization(k, l, ga, gp):
+    """F of the placement simulate and layout-dump build: the subset one at
+    L = 1 or without a shared layer, the ring one otherwise."""
+    if l == 1 or ga == 0:
+        return math.comb(k, ga) * math.comb(k - ga, gp)
+    return k * math.comb(k - ga * l, gp)
+
+
 def test_simulate_refuses_exactly_where_rate_refuses(monkeypatch):
-    # every integral point a ring layout exists for: span + gamma_p <= K
+    # every integral point a ring layout exists for: span + gamma_p <= K; a
+    # point with a rate is refused only when its packets are over the budget
     monkeypatch.setattr(ringcache.cli, "_layout", _no_layout)
-    points, refused = 0, 0
+    points, refused, oversized = 0, 0, 0
     for k in range(1, 25):
         for l in range(1, k + 1):
             for ga in range(k // l + 1):
                 for gp in range(k - ga * l + 1):
                     try:
-                        analysis.achievable_rate(params_from_gammas(k, l, ga, gp, k))
+                        rate = analysis.achievable_rate(params_from_gammas(k, l, ga, gp, k))
                         want = None
+                        packets = rate * _subpacketization(k, l, ga, gp)
+                        if packets > OUTPUT_BUDGET:
+                            oversized += 1
+                            want = (1, "", (
+                                f"ringcache: refusing simulate at K={k} L={l} N={k} gamma_a={ga}"
+                                f" gamma_p={gp}: {packets} packets, over the budget of"
+                                f" {OUTPUT_BUDGET}\n"
+                            ))
                     except RegimeError as exc:
                         want = (1, "", f"ringcache: {exc}{_HINT}\n")
                     argv = (
@@ -485,7 +503,86 @@ def test_simulate_refuses_exactly_where_rate_refuses(monkeypatch):
                     points += 1
                     refused += want is not None
     assert points == 12344
-    assert refused > 0
+    assert refused > 0 and oversized > 0
+
+
+def _only_built(monkeypatch):
+    """Patch both layout builders to raise :class:`_Built`."""
+    monkeypatch.setattr(ringcache.cli, "build_layout", _no_layout)
+    monkeypatch.setattr(ringcache.cli, "build_subset_layout", _no_layout)
+
+
+@pytest.mark.parametrize(
+    "argv,size",
+    [
+        # the band, which claims no rate: F = 40 * C(38, 8) pairs per file
+        (("simulate", "-K", "40", "-L", "2", "--ma", "1", "--mp", "8", "-N", "40", "--unchecked"),
+         "1956139680 mini-subfiles per file, with no rate"),
+        # the dedicated scheme at t = 13: C(26, 14) packets
+        (("simulate", "-K", "26", "-L", "1", "--ma", "0", "--mp", "13", "-N", "26"),
+         "9657700 packets"),
+        (("layout-dump", "-K", "40", "-L", "2", "--ma", "1", "--mp", "8", "-N", "40"),
+         "625964699200 cache entries"),
+        (("layout-dump", "-K", "20", "-L", "1", "--ma", "5", "--mp", "5", "-N", "20"),
+         "4657401600 cache entries"),
+    ],
+)
+def test_an_oversized_run_is_refused_before_its_layout_is_built(monkeypatch, argv, size):
+    _only_built(monkeypatch)
+    command, k, l, ma, mp = argv[0], argv[2], argv[4], argv[6], argv[8]
+    message = (
+        f"ringcache: refusing {command} at K={k} L={l} N={k} gamma_a={ma} gamma_p={mp}:"
+        f" {size}, over the budget of 4000000\n"
+    )
+    assert OUTPUT_BUDGET == 4_000_000
+    assert run_cli(*argv) == (1, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the CI's K = 24 simulate, X = 323,232, and K = 28, X = 3,689,742
+        ("simulate", "-K", "24", "-L", "2", "--ma", "3", "--mp", "4", "-N", "24"),
+        ("simulate", "-K", "28", "-L", "2", "--ma", "3", "--mp", "5", "-N", "28"),
+        # the band at F = 28 * C(26, 5) = 1,841,840
+        ("simulate", "-K", "28", "-L", "2", "--ma", "1", "--mp", "5", "-N", "28", "--unchecked"),
+        ("layout-dump", "-K", "14", "-L", "2", "--ma", "8", "--mp", "12", "-N", "56"),
+    ],
+)
+def test_a_run_within_the_output_budget_builds_its_layout(monkeypatch, argv):
+    _only_built(monkeypatch)
+    with pytest.raises(_Built):
+        run_cli(*argv)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        ("-K", "7", "-L", "2", "--ma", "2", "--mp", "2", "-N", "14"),  # ring
+        ("-K", "6", "-L", "1", "--ma", "2", "--mp", "1", "-N", "6"),  # subset
+        ("-K", "6", "-L", "3", "--ma", "0", "--mp", "2", "-N", "12"),  # no shared layer
+        ("-K", "8", "-L", "2", "--ma", "1", "--mp", "3", "-N", "8", "--unchecked"),  # the band
+    ],
+)
+def test_the_predicted_output_size_is_the_size_written(monkeypatch, system):
+    # with the budget one below what a run writes (packets, or F in the
+    # band, and a dump's entries), the run is refused naming that size; at
+    # that size it runs
+    code, log, _ = run_cli("simulate", *system)
+    total, f = (int(line.split("=")[1].split()[0]) for line in log.splitlines()[-4:-2])
+    banded = "--unchecked" in system
+    code, dump, _ = run_cli("layout-dump", *system[:10])
+    cells = json.loads(dump)
+    entries = sum(len(cell) for part in ("access", "private") for cell in cells[part].values())
+    for command, size in (("simulate", f if banded else total), ("layout-dump", entries)):
+        argv = (command, *system) if command == "simulate" else (command, *system[:10])
+        monkeypatch.setattr(ringcache.cli, "OUTPUT_BUDGET", size)
+        assert run_cli(*argv)[0] == 0
+        monkeypatch.setattr(ringcache.cli, "OUTPUT_BUDGET", size - 1)
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "") and f": {size} " in err and err.endswith(
+            f"over the budget of {size - 1}\n"
+        ), err
 
 
 def test_simulate_names_a_bad_demand_entry():

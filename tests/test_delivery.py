@@ -45,6 +45,7 @@ from ringcache.verify import sweep_grid
 from helpers import (
     DecodeCheckReference,
     DecodeCheckSets,
+    Places,
     _relabel,
     build_general,
     build_sc1,
@@ -52,6 +53,7 @@ from helpers import (
     build_subset_xor,
     build_transmission,
     classify,
+    decode_keys,
     deliver_greedy_reference,
     drop_transmission,
     elements_at,
@@ -291,7 +293,7 @@ def test_blocked_carrier_is_reported(run5):
     foreign = tx.terms[0]._replace(user=3, s=mask_of((5,)), t=0)  # read by 3 and 5 only
     blocked = replace(tx, terms=tx.terms + (foreign,))
     txs = (blocked,) + result.transmissions[1:]
-    report = verify_decodability(layout, [tx.packet for tx in txs])
+    report = decode_keys(layout, [tx.packet[1] for tx in txs])
     assert [(f.user, f.reason) for f in report.failures] == [
         (v, "all carriers blocked by unreadable terms") for v in (1, 2, 4)
     ]
@@ -377,7 +379,7 @@ def test_log_format(run5):
     assert line == "GENERAL d1:2,3:4 ^ d2:3,4:1 ^ d4:1,2:3"
     chunks = []
     # the packets pass through unchanged, their lines and the footer are written
-    assert list(format_log(deliver(layout), layout.f, chunks.append)) == result.packets()
+    assert list(format_log(deliver(layout), layout, chunks.append)) == result.packets()
     assert all(chunk.endswith("\n") for chunk in chunks)
     log = "".join(chunks).splitlines()
     assert log[:-2] == [format_transmission(tx) for tx in result.transmissions]
@@ -543,9 +545,10 @@ def test_scan_by_rotation_matches_the_per_user_scan():
     ]
     assert {layout.placement for layout in layouts if layout.params.ga} == {RING, SUBSET}
     for layout in layouts:
-        reps = _representatives(layout)
+        reps, turn = _representatives(layout)
         assert [h for h, _, _ in reps] == sorted(h for h, _, _ in reps)
-        assert list(_scan(layout, reps)) == list(scan_reference(layout, reps)), layout.params
+        got = list(_scan(layout.params.k, reps, turn))
+        assert got == list(scan_reference(layout, reps)), layout.params
 
 
 def test_an_uncovered_demand_pair_is_an_error(monkeypatch):
@@ -564,6 +567,23 @@ def test_an_uncovered_demand_pair_is_an_error(monkeypatch):
         deliver(layout)
 
 
+def test_a_representative_term_off_the_layout_is_named(monkeypatch):
+    # S = {1, 3} is no window of EX7: the term has no place, and the plan
+    # refuses to start with the term in log notation
+    build = delivery._ring_xor
+
+    def with_a_stray_term(windows, u, s, t):
+        case, keys = build(windows, u, s, t)
+        return case, keys + [(5, mask_of((1, 3)), bit(7))]
+
+    monkeypatch.setattr(delivery, "_ring_xor", with_a_stray_term)
+    layout = build_layout(SystemParams(**EX7))
+    with pytest.raises(
+        AssertionError, match="^representative term d5:1,3:7 is not a pair of the layout$"
+    ):
+        deliver(layout)
+
+
 # ---------------------------------------------------------------------------
 # the two-mask decode check against the term-by-term rule
 # ---------------------------------------------------------------------------
@@ -573,13 +593,12 @@ def is_demand_key(key):
     return not bit(v) & (s | t)
 
 
-def filed(check, keys):
-    """Where ``check`` filed each demand key of ``keys``: the only keys
-    :meth:`DecodeCheck.report` looks up."""
+def filed(check, keys, terms):
+    """Where ``check`` filed each demand key of ``keys``, given to it as
+    ``terms``: the only keys :meth:`DecodeCheck.report` looks up."""
     return [
-        (key, bool(check.peeled.get(key[1] << 64 | key[2], 0) & bit(key[0])),
-         bool(check.blocked.get(key[1] << 64 | key[2], 0) & bit(key[0])))
-        for key in keys
+        (key, bool(check.peeled[p] & bit(v)), bool(check.blocked[p] & bit(v)))
+        for key, (v, p) in zip(keys, terms)
         if is_demand_key(key)
     ]
 
@@ -605,14 +624,16 @@ def test_two_mask_rule_matches_the_term_by_term_rule_on_random_packets():
     seen = Counter()
     for _ in range(20_000):
         keys = random_packet(rng, rng.randint(2, 8))
-        got, want = DecodeCheck(), DecodeCheckReference()
-        got.add(keys)
-        want.add(keys)
-        assert filed(got, keys) == filed(want, keys), keys
+        places = Places()
+        terms = places.terms(keys)
+        got, want = DecodeCheck(places.unions()), DecodeCheckReference(places.unions())
+        got.add(terms)
+        want.add(terms)
+        assert filed(got, keys, terms) == filed(want, keys, terms), keys
         seen["repeated key"] += len(set(keys)) < len(keys)
         seen["user twice"] += len({v for v, _, _ in keys}) < len(keys)
         seen["user in own S or T"] += not all(map(is_demand_key, keys))
-        for _, peeled, _ in filed(want, keys):
+        for _, peeled, _ in filed(want, keys, terms):
             seen["peeled" if peeled else "blocked"] += 1
     assert min(seen.values()) > 1000, seen
 
@@ -624,11 +645,12 @@ def test_two_mask_rule_matches_the_term_by_term_rule_on_delivered_streams():
         for k, ga, gp in l1_instances(3, 10)
     ]
     for layout in layouts:
-        got, want = DecodeCheck(), DecodeCheckReference()
-        for _, keys in deliver(layout):
-            assert all(map(is_demand_key, keys))
-            got.add(keys)
-            want.add(keys)
+        places = Places(layout)
+        got, want = DecodeCheck(places.unions()), DecodeCheckReference(places.unions())
+        for _, terms in deliver(layout):
+            assert all(map(is_demand_key, places.keys(terms)))
+            got.add(terms)
+            want.add(terms)
         assert (got.peeled, got.blocked) == (want.peeled, want.blocked), layout.params
         assert got.report(layout) == want.report(layout)
 
@@ -638,10 +660,10 @@ def test_two_mask_rule_matches_the_term_by_term_rule_on_delivered_streams():
 # ---------------------------------------------------------------------------
 
 def mutated_stream(rng, layout, packets):
-    """``packets`` with one to three seeded faults: a packet dropped,
-    duplicated or cut short, or a key added whose user is in its own S or T
-    or whose pair is not one of the placement's."""
-    k, packets = layout.params.k, [list(keys) for _, keys in packets]
+    """The (user, S, T) keys of ``packets`` with one to three seeded faults: a
+    packet dropped, duplicated or cut short, or a key added whose user is in
+    its own S or T or whose pair is not one of the placement's."""
+    k, packets = layout.params.k, [list(keys) for keys in packets]
     placed = {(s, t) for s, ts in layout.tails for t in ts}
     for _ in range(rng.randint(1, 3)):
         if not packets:
@@ -676,14 +698,14 @@ def test_ledgers_report_what_the_key_sets_reported_on_mutated_streams():
     assert {layout.placement for layout in layouts if layout.params.ga} == {RING, SUBSET}
     seen = Counter()
     for layout in layouts:
-        packets = list(deliver(layout))
+        places = Places(layout)
+        packets = [places.keys(terms) for _, terms in deliver(layout)]
         for copy in range(8):
-            stream = mutated_stream(rng, layout, packets) if copy else [k for _, k in packets]
-            got, want = DecodeCheck(), DecodeCheckSets()
+            stream = mutated_stream(rng, layout, packets) if copy else packets
+            want = DecodeCheckSets()
             for keys in stream:
-                got.add(keys)
                 want.add(keys)
-            report = got.report(layout)
+            report = decode_keys(layout, stream)
             assert report == want.report(layout), (layout.params, copy)
             seen["stream"] += 1
             seen["failing"] += not report.ok
@@ -704,7 +726,7 @@ def test_decode_check_memory_is_per_pair_not_per_key():
         tracemalloc.stop()
     assert report.ok and report.checked == 11_760
     assert peak < 1_500_000, peak
-    check = DecodeCheck()
-    for _, keys in deliver(layout):
-        check.add(keys)
-    assert len(check.peeled) <= layout.f and len(check.blocked) <= layout.f
+    check = DecodeCheck(Places(layout).unions())
+    for _, terms in deliver(layout):
+        check.add(terms)
+    assert len(check.peeled) == len(check.blocked) == layout.f

@@ -21,7 +21,7 @@ from ringcache.model import (
     window_masks,
 )
 from ringcache.placement import build_layout, demand_pairs
-from ringcache.delivery import GENERAL, SC1, SC2, worst_case_demand
+from ringcache.delivery import GENERAL, SC1, SC2, pair_masks, worst_case_demand
 from ringcache.analysis import table1_counts
 from ringcache.verify import (
     check_work_budget,
@@ -239,8 +239,10 @@ def _corrupted(monkeypatch, corrupt):
 
 
 def _union(packet):
-    u, s, t = packet[1][0]
-    return bit(u) | s | t
+    """The union set of a packet of K=8 L=2 gamma_a=1 gamma_p=1."""
+    u, p = packet[1][0]
+    s_of, t_of = pair_masks(build_layout(SystemParams(k=8, l=2, ma=1, mp=1, n=8)))
+    return bit(u) | s_of[p] | t_of[p]
 
 
 def test_a_union_with_one_packet_too_many_and_another_one_short_fails(monkeypatch):
@@ -283,15 +285,16 @@ def test_a_relabelled_packet_fails(monkeypatch):
 
 
 def test_a_union_outside_every_class_fails(monkeypatch):
-    # {1, 3, 5, 7} holds no two neighbours, so no window of span 2
+    # the anchor of packet 1, d1:2,3:4, goes to user 2 of its own S: the
+    # union {2, 3, 4} is too small for any transmission-subset
     def corrupt(packets):
-        case, keys = packets[0]
-        packets[0] = (case, [(1, mask_of((3, 5)), bit(7))] + keys[1:])
+        case, terms = packets[0]
+        packets[0] = (case, [(2, terms[0][1])] + terms[1:])
         return packets
 
     divergence = _corrupted(monkeypatch, corrupt)
     assert divergence == (
-        "union I=1,3,5,7 of packet 1 (anchor d1:3,5:7) is in no transmission class"
+        "union I=2,3,4 of packet 1 (anchor d2:2,3:4) is in no transmission class"
     )
 
 
