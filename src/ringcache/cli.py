@@ -23,10 +23,10 @@ import sys
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .model import GuardExceeded, RegimeError, SystemParams, binom, network_refusal
+from .model import RegimeError, SystemParams, network_refusal
 from .model import params_from_gammas, private_size_refusal
 from .placement import CacheLayout, build_layout, build_subset_layout, layout_to_json
-from .placement import subpacketization
+from .placement import preflight
 from .delivery import (
     check_demand,
     deliver,
@@ -37,19 +37,12 @@ from .delivery import (
     worst_case_demand,
 )
 from .analysis import _cutset, _rate, _share, achievable_rate, cutset_bound, memory_share
-from .verify import check_work_budget, count_vs_formula, man_crosscheck, sweep_grid
+from .verify import count_vs_formula, man_crosscheck, sweep_grid
 
 # most rows one sweep writes; rows stream, so this bounds time, not memory:
-# 50,000 rows take about 1 s up to K = 64 (2-core x86-64 host, Python 3.11)
+# 50,000 rows take about 1 s up to K = 64 (2-core x86-64 host, Python 3.11).
+# The commands that build a layout are bounded by placement.preflight instead.
 SWEEP_ROW_BUDGET = 50_000
-
-# most packets a simulate may stream, or cache entries a layout-dump may
-# write, predicted before any layout is built. K=24 L=2 gamma_a=3 gamma_p=4
-# streams 323,232 packets in about 3 s at 53 MB peak RSS, and K=28 L=2
-# gamma_a=3 gamma_p=5 3,689,742 in about 33 s at 395 MB (2-core x86-64
-# host, Python 3.11); K=40 L=2 gamma_a=1 gamma_p=8 would build F of about
-# 1.96e9 (S, T) pairs.
-OUTPUT_BUDGET = 4_000_000
 
 CSV_HEADER = (
     "K,L,N,Ma,Mp,gamma_a,gamma_p,rate_num,rate_den,rate,"
@@ -95,33 +88,9 @@ def _params(args: argparse.Namespace) -> SystemParams:
 
 
 def _layout(params: SystemParams) -> CacheLayout:
-    """The placement the reported rate belongs to: subset placement at L = 1,
-    ring placement otherwise."""
+    """The placement the reported rate belongs to, and whose F :func:`preflight`
+    predicts: subset placement at L = 1, ring placement otherwise."""
     return build_subset_layout(params) if params.l == 1 else build_layout(params)
-
-
-def _check_output_size(params: SystemParams, command: str) -> None:
-    """Refuse a ``simulate`` or ``layout-dump`` over :data:`OUTPUT_BUDGET`
-    before its layout is built, by binomials: simulate's packets are the rate
-    times F, or F alone in the band that claims no rate, and layout-dump
-    writes N times one file's shared and private cache entries."""
-    k, ga, gp = params.k, params.ga, params.gp
-    if params.l == 1:  # the subset placement, as in _layout
-        f, shared = binom(k, ga) * binom(k - ga, gp), ga * binom(k, ga)
-    else:
-        f, shared = subpacketization(params), k * ga
-    if command == "layout-dump":
-        size, what = params.n * (shared + gp * f), "cache entries"
-    else:
-        try:
-            size, what = achievable_rate(params) * f, "packets"
-        except RegimeError:
-            size, what = f, "mini-subfiles per file, with no rate"
-    if size > OUTPUT_BUDGET:
-        raise GuardExceeded(
-            f"refusing {command} at K={k} L={params.l} N={params.n} gamma_a={ga}"
-            f" gamma_p={gp}: {size} {what}, over the budget of {OUTPUT_BUDGET}"
-        )
 
 
 def _add_system_args(p: argparse.ArgumentParser) -> None:
@@ -211,7 +180,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             achievable_rate(params)
         except RegimeError as exc:
             raise RegimeError(f"{exc}; pass --unchecked to run it anyway") from exc
-    _check_output_size(params, "simulate")
+    preflight("simulate", params)
     layout = _layout(params)
     packets = deliver(layout)
     # one pass: each packet is written and checked as it streams past, never
@@ -329,7 +298,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.ga is None or args.gp is None:
             raise ValueError("explicit instances need --ga and --gp")
         l = 2 if args.L is None else args.L
-        # count_vs_formula refuses it over the budget before building anything
+        # count_vs_formula checks it by the size rule before building anything
         instances = [params_from_gammas(args.K, l, args.ga, args.gp, args.K)]
     else:
         _refuse_flags(
@@ -339,10 +308,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         kmin = 4 if args.kmin is None else args.kmin
         kmax = 10 if args.kmax is None else args.kmax
         instances = []
-        for k in range(kmin, kmax + 1):  # no grid is built past the first K over the budget
+        for k in range(kmin, kmax + 1):  # no grid is built past the first K over a budget
             grid = sweep_grid(k, k)
             for params in grid:
-                check_work_budget(params)
+                preflight("verify", params)
             instances += grid
         if not instances:
             raise ValueError(
@@ -384,7 +353,7 @@ def cmd_man(args: argparse.Namespace) -> int:
 
 def cmd_layout_dump(args: argparse.Namespace) -> int:
     params = _params(args)
-    _check_output_size(params, "layout-dump")
+    preflight("layout-dump", params)
     layout = _layout(params)
     # written cache by cache; a refused run has opened no sink
     with _sink(args.output) as write:

@@ -45,7 +45,8 @@ The rate reported at L = 1 is the subset placement's; the census and
 at every L.
 
 Mini-subfile payloads are virtual: the package reasons about identities,
-sizes and decodability, never file bytes.
+sizes and decodability, never file bytes. A layout's size is predicted from
+binomials first: every command that builds one passes :func:`preflight`.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .model import (
+    GuardExceeded,
     InvalidParameters,
     RegimeError,
     SystemParams,
@@ -67,9 +69,16 @@ from .model import (
     subset_masks,
     window_masks,
 )
+from .analysis import achievable_rate, table1_counts
 
 RING = "ring"
 SUBSET = "subset"
+
+# the one size rule (:func:`preflight`): the (S, T) pairs of a layout bound
+# its memory, which peaked at about 370-900 bytes per pair, and what
+# a command streams bounds its time and output (README, "Size budgets")
+LAYOUT_BUDGET = 750_000
+OUTPUT_BUDGET = 4_000_000
 
 # each S of a placement with its gamma_p-subsets T of the users outside S
 Tails = tuple[tuple[int, tuple[int, ...]], ...]
@@ -102,12 +111,50 @@ class CacheLayout:
         return self.params.ga if self.placement == SUBSET else self.params.span
 
 
-def subpacketization(params: SystemParams) -> int:
-    """Mini-subfiles per file on the ring placement: C(K, gamma_p) without a
-    shared layer, K * C(K - span, gamma_p) with one."""
-    if params.ga == 0:
-        return binom(params.k, params.gp)
-    return params.k * binom(params.k - params.span, params.gp)
+def subpacketization(params: SystemParams, placement: str = RING) -> int:
+    """Mini-subfiles per file: C(K, gamma_a) * C(K - gamma_a, gamma_p) on the
+    subset placement, and on the ring placement K * C(K - span, gamma_p) with
+    a shared layer, C(K, gamma_p) without one."""
+    k, ga, gp = params.k, params.ga, params.gp
+    if placement == SUBSET or ga == 0:
+        return binom(k, ga) * binom(k - ga, gp)
+    return k * binom(k - params.span, gp)
+
+
+def preflight(command: str, params: SystemParams) -> None:
+    """Refuse ``command`` with :class:`GuardExceeded` before it builds a
+    layout, by two numbers predicted from binomials: what it streams, over
+    :data:`OUTPUT_BUDGET`, then the F of its layout, over :data:`LAYOUT_BUDGET`.
+
+    ``simulate`` and ``layout-dump`` build the subset placement at L = 1, the
+    others the ring placement. ``simulate`` and ``man-check`` stream rate * F
+    packets (F where no rate is claimed), ``verify`` the count law's X,
+    ``layout-dump`` N times one file's cache entries, and ``census`` its slice
+    of C(K - span, gamma_p + 1) subsets, at most F."""
+    k, ga, gp = params.k, params.ga, params.gp
+    placement = SUBSET if params.l == 1 and command in ("simulate", "layout-dump") else RING
+    f = subpacketization(params, placement)
+    if command == "layout-dump":
+        shared = ga * binom(k, ga) if placement == SUBSET else k * ga
+        stream, what = params.n * (shared + gp * f), "cache entries"
+    elif command == "verify":
+        stream, what = table1_counts(params).transmissions, "packets"
+    elif command == "census":
+        stream, what = binom(k - params.span, gp + 1), "subsets"
+    else:
+        try:
+            stream, what = achievable_rate(params) * f, "packets"
+        except RegimeError:
+            stream, what = f, "mini-subfiles per file, with no rate"
+    for size, budget, told in (
+        (stream, OUTPUT_BUDGET, f"{stream} {what}"),
+        (f, LAYOUT_BUDGET, f"F={f} mini-subfiles per file"),
+    ):
+        if size > budget:
+            raise GuardExceeded(
+                f"refusing {command} at K={k} L={params.l} gamma_a={ga} gamma_p={gp}:"
+                f" {told}, over the budget of {budget}"
+            )
 
 
 def t_sets(params: SystemParams, s_mask: int) -> Iterator[int]:
@@ -177,7 +224,7 @@ def build_subset_layout(params: SystemParams) -> CacheLayout:
         )
     sets = subset_masks(k, ga)
     access = tuple(tuple(s for s in sets if s & bit(cache)) for cache in range(1, k + 1))
-    f = binom(k, ga) * binom(k - ga, gp)
+    f = subpacketization(params, SUBSET)
     layout = CacheLayout(params, f, access, SUBSET, _tails(params, sets))
     _check_memory(layout)
     return layout
@@ -220,8 +267,9 @@ def layout_to_json(layout: CacheLayout, write: Callable[[str], object]) -> None:
     a time.
     """
     p = layout.params
-    # (opening of the file's first entry, separator between its entries)
-    files = [(f'"{n}:', f'",\n      "{n}:') for n in range(1, p.n + 1)]
+    # (opening of the file's first entry, separator between its entries),
+    # built when the first non-empty cache needs them: an empty dump holds none
+    files: list[tuple[str, str]] = []
 
     def caches(cells: Iterable[list[str]]) -> None:
         lead = "    "
@@ -229,6 +277,8 @@ def layout_to_json(layout: CacheLayout, write: Callable[[str], object]) -> None:
             if not labels:
                 write(f'{lead}"{c}": []')
             else:
+                if not files:
+                    files.extend((f'"{n}:', f'",\n      "{n}:') for n in range(1, p.n + 1))
                 parts = [f'{lead}"{c}": [\n      ']
                 for head, sep in files:
                     parts += (head, sep.join(labels), '",\n      ')

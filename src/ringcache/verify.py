@@ -15,8 +15,9 @@ nw / w members per slice member.
 Totals are compared three ways: census, closed-form counts, and an actual
 delivery run, whose every packet's union is turned onto the slice and
 checked against its class. Disagreements report the first offending
-subset rather than raising. An instance whose delivery would stream more
-than :data:`WORK_BUDGET` packets is refused before anything is built.
+subset rather than raising. An instance, a census or a dedicated-cache
+cross-check over a size budget is refused before anything is built, by
+:func:`ringcache.placement.preflight`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
-    GuardExceeded,
+    RegimeError,
     SystemParams,
     binom,
     mask_of,
@@ -35,13 +36,9 @@ from .model import (
     params_from_gammas,
     window_masks,
 )
-from .placement import build_layout
+from .placement import build_layout, preflight
 from .delivery import GENERAL, SC1, SC2, deliver, pair_masks
 from .analysis import TransmissionCounts, table1_counts
-
-# transmissions a verified delivery may stream, and subsets a census may
-# enumerate; K=24 L=2 gamma_a=3 gamma_p=4 streams 323,232
-WORK_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -81,35 +78,14 @@ def classify_subset(windows: tuple[int, ...]) -> str:
     return GENERAL
 
 
-def _instance(params: SystemParams) -> str:
-    return f"K={params.k} L={params.l} gamma_a={params.ga} gamma_p={params.gp}"
-
-
-def check_work_budget(params: SystemParams) -> TransmissionCounts:
-    """The closed-form counts of an instance, refusing one whose delivery
-    would stream more than :data:`WORK_BUDGET` transmissions."""
-    table = table1_counts(params)
-    if table.transmissions > WORK_BUDGET:
-        raise GuardExceeded(
-            f"refusing {_instance(params)}: X={table.transmissions} transmissions,"
-            f" over the budget of {WORK_BUDGET}"
-        )
-    return table
-
-
 def enumerate_transmission_subsets(params: SystemParams) -> SubsetCensus:
     """Census through the C(K - span, gamma_p + 1) subsets that contain the
     window ending at K, in lexicographic order, counted over the ring."""
     k, span, gp = params.k, params.span, params.gp
     size = 1 + span + gp
     if size > k:
-        raise GuardExceeded(f"union sets of size {size} do not fit in [1, {k}]")
-    members = binom(k - span, gp + 1)
-    if members > WORK_BUDGET:
-        raise GuardExceeded(
-            f"refusing the census of {_instance(params)}: {members} subsets,"
-            f" over the budget of {WORK_BUDGET}"
-        )
+        raise RegimeError(f"union sets of size {size} do not fit in [1, {k}]")
+    preflight("census", params)
     wins = sorted(window_masks(k, span))
     last = window_masks(k, span)[-1]  # W_K: its users come after every other
     records = []
@@ -168,7 +144,8 @@ def count_vs_formula(params: SystemParams) -> AgreementReport:
     K and looked up in the census slice. The first divergent union is
     spelled out in the report.
     """
-    table = check_work_budget(params)
+    preflight("verify", params)
+    table = table1_counts(params)
     census = enumerate_transmission_subsets(params)
     layout = build_layout(params)
     k, gp, full = params.k, params.gp, (1 << params.k) - 1
@@ -264,18 +241,15 @@ class ManReport:
 
 
 def man_crosscheck(k: int, t: int) -> ManReport:
-    """The reduction at N = K: neither F nor the rate involves N. An instance
-    whose F = C(K, t) or packet count C(K, t+1) is over :data:`WORK_BUDGET`
-    is refused before anything is built."""
+    """The reduction at N = K: neither F nor the rate involves N. The size
+    rule (:func:`ringcache.placement.preflight`) is checked before anything
+    is built."""
     params = params_from_gammas(k, 1, 0, t, k)
-    f, x = binom(k, t), binom(k, t + 1)
-    if max(f, x) > WORK_BUDGET:
-        raise GuardExceeded(
-            f"refusing K={k} t={t}: F={f}, X={x}, over the budget of {WORK_BUDGET}"
-        )
+    preflight("man-check", params)
+    f = binom(k, t)
     layout = build_layout(params)
     rate = Fraction(sum(1 for _ in deliver(layout)), layout.f)
-    expected_rate = Fraction(x, f)
+    expected_rate = Fraction(binom(k, t + 1), f)
     passed = layout.f == f and rate == expected_rate
     return ManReport(k, t, layout.f, f, rate, expected_rate, passed)
 

@@ -11,18 +11,20 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from conftest import SRC
 import ringcache.cli
+import ringcache.placement
 import ringcache.verify
 from ringcache import analysis
-from ringcache.cli import OUTPUT_BUDGET, build_parser, dec6, main
+from ringcache.cli import build_parser, dec6, main
 from ringcache.delivery import deliver, format_report, verify_decodability
 from ringcache.model import RegimeError, SystemParams, params_from_gammas
-from ringcache.placement import build_layout, build_subset_layout
+from ringcache.placement import LAYOUT_BUDGET, OUTPUT_BUDGET, build_layout, build_subset_layout
 from ringcache.verify import count_vs_formula, sweep_grid
 from fractions import Fraction
 
@@ -306,6 +308,26 @@ def test_layout_dump_streams(tmp_path):
     assert streamed - alone < len(dump) / 4, (streamed, alone, len(dump))
 
 
+def test_an_empty_dump_holds_nothing_per_file(tmp_path):
+    # at gamma_a = gamma_p = 0 every cache is empty and the dump is a few
+    # hundred bytes at any N; building two labels per file before the first
+    # cache peaked at 636 MB RSS at N = 3,000,000
+    target = tmp_path / "empty.json"
+    build_parser()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(["layout-dump", "-K", "4", "-L", "1", "--ma", "0", "--mp", "0",
+                     "-N", str(10**7), "-o", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dump = json.loads(target.read_text())
+    assert code == 0 and dump["F"] == 1 and dump["N"] == 10**7
+    assert all(cell == [] for part in ("access", "private") for cell in dump[part].values())
+    assert peak < 2_000_000, peak
+
+
 SWEEP_48K = ("sweep", "-K", "12", "-L", "2", "-N", "12", "--ma", "1,3/2,2,5/2,3",
              "--mp-range", "0:12:1/800", "--format", "json")
 
@@ -442,8 +464,11 @@ def test_simulate_refuses_the_band_before_building_the_layout(monkeypatch):
     argv = ("simulate", "-K", "28", "-L", "2", "--ma", "1", "--mp", "5", "-N", "28")
     message = "rate uncharacterized for gamma_p = 5 >= span = 2 below the large-memory regime"
     assert run_cli(*argv) == (1, "", f"ringcache: {message}{_HINT}\n")
-    with pytest.raises(_Built):
-        run_cli(*argv, "--unchecked")
+    # run anyway, it is over the layout budget, and still nothing is built
+    assert run_cli(*argv, "--unchecked") == (1, "", (
+        "ringcache: refusing simulate at K=28 L=2 gamma_a=1 gamma_p=5:"
+        " F=1841840 mini-subfiles per file, over the budget of 750000\n"
+    ))
 
 
 @pytest.mark.parametrize(
@@ -471,9 +496,10 @@ def _subpacketization(k, l, ga, gp):
 
 def test_simulate_refuses_exactly_where_rate_refuses(monkeypatch):
     # every integral point a ring layout exists for: span + gamma_p <= K; a
-    # point with a rate is refused only when its packets are over the budget
+    # point with a rate is refused only when its packets, or else its F, are
+    # over their budget
     monkeypatch.setattr(ringcache.cli, "_layout", _no_layout)
-    points, refused, oversized = 0, 0, 0
+    points, refused, oversized = 0, 0, Counter()
     for k in range(1, 25):
         for l in range(1, k + 1):
             for ga in range(k // l + 1):
@@ -481,14 +507,18 @@ def test_simulate_refuses_exactly_where_rate_refuses(monkeypatch):
                     try:
                         rate = analysis.achievable_rate(params_from_gammas(k, l, ga, gp, k))
                         want = None
-                        packets = rate * _subpacketization(k, l, ga, gp)
-                        if packets > OUTPUT_BUDGET:
-                            oversized += 1
-                            want = (1, "", (
-                                f"ringcache: refusing simulate at K={k} L={l} N={k} gamma_a={ga}"
-                                f" gamma_p={gp}: {packets} packets, over the budget of"
-                                f" {OUTPUT_BUDGET}\n"
-                            ))
+                        f = _subpacketization(k, l, ga, gp)
+                        for size, budget, told in (
+                            (rate * f, OUTPUT_BUDGET, f"{rate * f} packets"),
+                            (f, LAYOUT_BUDGET, f"F={f} mini-subfiles per file"),
+                        ):
+                            if size > budget:
+                                oversized[budget] += 1
+                                want = (1, "", (
+                                    f"ringcache: refusing simulate at K={k} L={l} gamma_a={ga}"
+                                    f" gamma_p={gp}: {told}, over the budget of {budget}\n"
+                                ))
+                                break
                     except RegimeError as exc:
                         want = (1, "", f"ringcache: {exc}{_HINT}\n")
                     argv = (
@@ -503,13 +533,15 @@ def test_simulate_refuses_exactly_where_rate_refuses(monkeypatch):
                     points += 1
                     refused += want is not None
     assert points == 12344
-    assert refused > 0 and oversized > 0
+    assert refused > 0 and oversized[OUTPUT_BUDGET] > 0 and oversized[LAYOUT_BUDGET] > 0
 
 
 def _only_built(monkeypatch):
-    """Patch both layout builders to raise :class:`_Built`."""
+    """Patch both layout builders to raise :class:`_Built`, where the CLI and
+    the ``verify`` oracles call them."""
     monkeypatch.setattr(ringcache.cli, "build_layout", _no_layout)
     monkeypatch.setattr(ringcache.cli, "build_subset_layout", _no_layout)
+    monkeypatch.setattr(ringcache.verify, "build_layout", _no_layout)
 
 
 @pytest.mark.parametrize(
@@ -525,17 +557,44 @@ def _only_built(monkeypatch):
          "625964699200 cache entries"),
         (("layout-dump", "-K", "20", "-L", "1", "--ma", "5", "--mp", "5", "-N", "20"),
          "4657401600 cache entries"),
+        # 875,160 packets, but F = C(20, 10) * C(10, 8) pairs per file
+        (("simulate", "-K", "20", "-L", "1", "--ma", "10", "--mp", "8", "-N", "20"),
+         "F=8314020 mini-subfiles per file"),
+        (("simulate", "-K", "24", "-L", "1", "--ma", "0", "--mp", "12", "-N", "24"),
+         "F=2704156 mini-subfiles per file"),
+        # F = 22 * C(18, 4) = 67,320 pairs per file, each private one cached 4 times
+        (("layout-dump", "-K", "22", "-L", "2", "--ma", "2", "--mp", "4", "-N", "22"),
+         "5925128 cache entries"),
+        # the count law's X at F = 34 * C(28, 4) = 696,150
+        (("verify", "-K", "34", "-L", "2", "--ga", "3", "--gp", "4"), "4778020 packets"),
+        # the verify grid's first refusal: X = 2,714,023 at F = 26 * C(18, 7)
+        (("verify", "-K", "26", "-L", "1", "--ga", "8", "--gp", "7"),
+         "F=827424 mini-subfiles per file"),
     ],
 )
 def test_an_oversized_run_is_refused_before_its_layout_is_built(monkeypatch, argv, size):
+    # what a run streams is checked first, then the F of its layout
     _only_built(monkeypatch)
     command, k, l, ma, mp = argv[0], argv[2], argv[4], argv[6], argv[8]
+    budget = LAYOUT_BUDGET if size.startswith("F=") else OUTPUT_BUDGET
     message = (
-        f"ringcache: refusing {command} at K={k} L={l} N={k} gamma_a={ma} gamma_p={mp}:"
-        f" {size}, over the budget of 4000000\n"
+        f"ringcache: refusing {command} at K={k} L={l} gamma_a={ma} gamma_p={mp}:"
+        f" {size}, over the budget of {budget}\n"
     )
-    assert OUTPUT_BUDGET == 4_000_000
+    assert (LAYOUT_BUDGET, OUTPUT_BUDGET) == (750_000, 4_000_000)
     assert run_cli(*argv) == (1, "", message)
+
+
+def test_a_layout_dump_over_the_layout_budget_is_refused(monkeypatch):
+    # a dump writes at least K entries per mini-subfile, so any F over the
+    # layout budget puts its entries over the output budget, which is checked
+    # first; with that budget lifted the F is what refuses it
+    _only_built(monkeypatch)
+    monkeypatch.setattr(ringcache.placement, "OUTPUT_BUDGET", 10**12)
+    assert run_cli("layout-dump", "-K", "24", "-L", "1", "--ma", "0", "--mp", "12", "-N", "24") == (
+        1, "", "ringcache: refusing layout-dump at K=24 L=1 gamma_a=0 gamma_p=12:"
+        " F=2704156 mini-subfiles per file, over the budget of 750000\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -544,9 +603,11 @@ def test_an_oversized_run_is_refused_before_its_layout_is_built(monkeypatch, arg
         # the CI's K = 24 simulate, X = 323,232, and K = 28, X = 3,689,742
         ("simulate", "-K", "24", "-L", "2", "--ma", "3", "--mp", "4", "-N", "24"),
         ("simulate", "-K", "28", "-L", "2", "--ma", "3", "--mp", "5", "-N", "28"),
-        # the band at F = 28 * C(26, 5) = 1,841,840
-        ("simulate", "-K", "28", "-L", "2", "--ma", "1", "--mp", "5", "-N", "28", "--unchecked"),
+        # the band at F = 30 * C(28, 4) = 614,250
+        ("simulate", "-K", "30", "-L", "2", "--ma", "1", "--mp", "4", "-N", "30", "--unchecked"),
         ("layout-dump", "-K", "14", "-L", "2", "--ma", "8", "--mp", "12", "-N", "56"),
+        # F = 28 * C(22, 5) = 737,352 under the layout budget
+        ("verify", "-K", "28", "-L", "2", "--ga", "3", "--gp", "5"),
     ],
 )
 def test_a_run_within_the_output_budget_builds_its_layout(monkeypatch, argv):
@@ -565,24 +626,82 @@ def test_a_run_within_the_output_budget_builds_its_layout(monkeypatch, argv):
     ],
 )
 def test_the_predicted_output_size_is_the_size_written(monkeypatch, system):
-    # with the budget one below what a run writes (packets, or F in the
-    # band, and a dump's entries), the run is refused naming that size; at
-    # that size it runs
+    # with a budget one below what a run writes (packets, or F in the band,
+    # and a dump's entries) or the F it builds, the run is refused naming
+    # that size; at that size it runs
     code, log, _ = run_cli("simulate", *system)
     total, f = (int(line.split("=")[1].split()[0]) for line in log.splitlines()[-4:-2])
     banded = "--unchecked" in system
     code, dump, _ = run_cli("layout-dump", *system[:10])
     cells = json.loads(dump)
     entries = sum(len(cell) for part in ("access", "private") for cell in cells[part].values())
-    for command, size in (("simulate", f if banded else total), ("layout-dump", entries)):
+    for command, budget, size in (
+        ("simulate", "OUTPUT_BUDGET", f if banded else total),
+        ("simulate", "LAYOUT_BUDGET", f),
+        ("layout-dump", "OUTPUT_BUDGET", entries),
+        ("layout-dump", "LAYOUT_BUDGET", cells["F"]),
+    ):
         argv = (command, *system) if command == "simulate" else (command, *system[:10])
-        monkeypatch.setattr(ringcache.cli, "OUTPUT_BUDGET", size)
-        assert run_cli(*argv)[0] == 0
-        monkeypatch.setattr(ringcache.cli, "OUTPUT_BUDGET", size - 1)
-        code, out, err = run_cli(*argv)
-        assert (code, out) == (1, "") and f": {size} " in err and err.endswith(
-            f"over the budget of {size - 1}\n"
-        ), err
+        with monkeypatch.context() as patch:
+            patch.setattr(ringcache.placement, budget, size)
+            assert run_cli(*argv)[0] == 0
+            patch.setattr(ringcache.placement, budget, size - 1)
+            code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "") and f": {'F=' * (budget == 'LAYOUT_BUDGET')}{size} " in err
+        assert err.endswith(f"over the budget of {size - 1}\n"), err
+
+
+def _predicted(monkeypatch, argv):
+    """The stream and the F the size rule predicts for ``argv``, read off its
+    refusals with each budget set below any size in turn."""
+    sizes = []
+    for budget, other in (("OUTPUT_BUDGET", "LAYOUT_BUDGET"), ("LAYOUT_BUDGET", "OUTPUT_BUDGET")):
+        with monkeypatch.context() as patch:
+            patch.setattr(ringcache.placement, budget, -1)
+            patch.setattr(ringcache.placement, other, 10**30)
+            code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "") and err.endswith(", over the budget of -1\n"), err
+        sizes.append(int(err.split(": ")[-1].split()[0].removeprefix("F=")))
+    return sizes
+
+
+def test_the_predicted_sizes_are_the_logged_sizes_on_a_seeded_grid(monkeypatch):
+    # K <= 10: the ring placement, the subset placement at L = 1, no shared
+    # layer, span = K, and the band with --unchecked; the predicted F is the
+    # log's F, and the predicted packets its total (F in the band) and the
+    # dump's entries
+    families = {name: [] for name in ("ring", "subset", "no shared layer", "span = K", "band")}
+    for k in range(1, 11):
+        for l in range(1, k + 1):
+            for ga in range(k // l + 1):
+                for gp in range(k - ga * l + 1):
+                    params = params_from_gammas(k, l, ga, gp, k)
+                    try:
+                        analysis.achievable_rate(params)
+                        name = ("no shared layer" if ga == 0 else "span = K" if ga * l == k
+                                else "subset" if l == 1 else "ring")
+                    except RegimeError:
+                        name = "band"
+                    families[name].append((k, l, ga, gp))
+    rng = random.Random(24)
+    checked = 0
+    for name, points in families.items():
+        for k, l, ga, gp in rng.sample(points, 6):
+            system = ("-K", str(k), "-L", str(l), "--ma", str(ga), "--mp", str(gp), "-N", str(k))
+            extra = ("--unchecked",) * (name == "band")
+            code, log, _ = run_cli("simulate", *system, *extra)
+            total, f = (int(line.split("=")[1].split()[0]) for line in log.splitlines()[-4:-2])
+            assert code == 0 and _predicted(monkeypatch, ("simulate", *system, *extra)) == [
+                f if name == "band" else total, f
+            ], (name, system)
+            code, dump, _ = run_cli("layout-dump", *system)
+            cells = json.loads(dump)
+            entries = sum(len(c) for part in ("access", "private") for c in cells[part].values())
+            assert code == 0 and _predicted(monkeypatch, ("layout-dump", *system)) == [
+                entries, f
+            ], (name, system)
+            checked += 1
+    assert checked == 30
 
 
 def test_simulate_names_a_bad_demand_entry():
@@ -1010,7 +1129,7 @@ def test_verify_command_grid():
         ),
         # an instance without both replication factors
         (("-K", "7", "-L", "2", "--ga", "1"), "explicit instances need --ga and --gp"),
-        # an empty grid past the work budget is still an empty grid
+        # an empty grid past the budgets is still an empty grid
         (
             ("--kmin", "25", "--kmax", "22"),
             "--kmin/--kmax: no counting-regime instance with 25 <= K <= 22",
@@ -1022,31 +1141,31 @@ def test_verify_refuses_what_it_would_not_check(argv, message):
     assert (code, out, err) == (1, "", f"ringcache: {message}\n")
 
 
-# the first instance over the budget at each K where a pinned refusal falls
+# the first instance over a budget at each K where a pinned refusal falls
 REFUSED_AT = {
-    23: "K=23 L=1 gamma_a=6 gamma_p=5: X=529414",
-    28: "K=28 L=2 gamma_a=3 gamma_p=5: X=3689742",
-    30: "K=30 L=1 gamma_a=4 gamma_p=3: X=561345",
+    26: "K=26 L=1 gamma_a=8 gamma_p=7: F=827424 mini-subfiles per file, over the budget of 750000",
+    28: "K=28 L=2 gamma_a=4 gamma_p=6: 4529616 packets, over the budget of 4000000",
+    30: "K=30 L=1 gamma_a=6 gamma_p=5: 6978255 packets, over the budget of 4000000",
 }
 
 
 @pytest.mark.parametrize(
     "argv,k",
     [
-        (("--kmin", "22", "--kmax", "23"), 23),
-        (("--kmin", "19", "--kmax", "23"), 23),
-        (("-K", "28", "--ga", "3", "--gp", "5"), 28),
-        # past the 64-user cap too: refused at the first K over the budget,
+        (("--kmin", "25", "--kmax", "26"), 26),
+        (("--kmin", "19", "--kmax", "26"), 26),
+        (("-K", "28", "--ga", "4", "--gp", "6"), 28),
+        # past the 64-user cap too: refused at the first K over a budget,
         # not by the cap once the grid is built
-        (("--kmax", "100000"), 23),
+        (("--kmax", "100000"), 26),
         (("--kmin", "30", "--kmax", "70"), 30),
     ],
 )
 def test_verify_refuses_an_oversized_census_before_any_instance(monkeypatch, argv, k):
-    # a grid that reaches past the budget used to run every instance below
-    # it (minutes at K = 22) and print their lines before refusing; each K's
-    # grid is checked against the budget before any instance runs, and no
-    # grid is built past the first K with an instance over it
+    # a grid that reaches past the budgets used to run every instance below
+    # them (minutes at K = 22) and print their lines before refusing; each
+    # K's grid is checked by the size rule before any instance runs, and no
+    # grid is built past the first K with an instance over a budget
     built = []
 
     def no_instance(params):
@@ -1061,9 +1180,7 @@ def test_verify_refuses_an_oversized_census_before_any_instance(monkeypatch, arg
     monkeypatch.setattr(ringcache.verify, "build_layout", no_instance)
     monkeypatch.setattr(ringcache.cli, "sweep_grid", grid_by_k)
     code, out, err = run_cli("verify", *argv)
-    assert (code, out, err) == (
-        1, "", f"ringcache: refusing {REFUSED_AT[k]} transmissions, over the budget of 500000\n"
-    )
+    assert (code, out, err) == (1, "", f"ringcache: refusing verify at {REFUSED_AT[k]}\n")
     kmin = int(argv[argv.index("--kmin") + 1]) if "--kmin" in argv else 4
     assert built == ([] if "-K" in argv else [(j, j) for j in range(kmin, k + 1)])
 
@@ -1110,23 +1227,28 @@ def test_man_check_refuses_t_outside_0_to_k(flags):
     [
         (40, 20, 137846528820, 131282408400),
         (64, 32, 1832624140942590534, 1777090076065542336),
-        (22, 11, 705432, 646646),
+        (23, 11, 1352078, 1352078),
+        (64, 4, 635376, 7624512),
     ],
 )
 def test_man_check_refuses_over_the_work_budget(monkeypatch, k, t, f, x):
-    # F = C(K, t) mini-subfiles or X = C(K, t+1) packets over verify's budget
-    # is refused before the layout is built; C(40, 20) used to run until killed
-    monkeypatch.setattr(ringcache.verify, "build_layout", _no_layout)
+    # X = C(K, t+1) packets over the output budget, or else F = C(K, t)
+    # mini-subfiles over the layout budget, is refused before the layout is
+    # built; C(40, 20) used to run until killed
+    _only_built(monkeypatch)
+    size = f"{x} packets, over the budget of 4000000" if x > 4_000_000 else (
+        f"F={f} mini-subfiles per file, over the budget of 750000"
+    )
     assert run_cli("man-check", "-K", str(k), "-t", str(t)) == (
-        1, "", f"ringcache: refusing K={k} t={t}: F={f}, X={x}, over the budget of 500000\n"
+        1, "", f"ringcache: refusing man-check at K={k} L=1 gamma_a=0 gamma_p={t}: {size}\n"
     )
 
 
 def test_man_check_admits_the_largest_instance_under_the_budget(monkeypatch):
-    # K = 21, t = 10: F = X = 352,716, which runs in about 10 s
-    monkeypatch.setattr(ringcache.verify, "build_layout", _no_layout)
+    # K = 22, t = 11: F = C(22, 11) = 705,432 under the layout budget
+    _only_built(monkeypatch)
     with pytest.raises(_Built):
-        run_cli("man-check", "-K", "21", "-t", "10")
+        run_cli("man-check", "-K", "22", "-t", "11")
 
 
 def test_man_check_library_size_zero_means_k():

@@ -12,6 +12,7 @@ import pytest
 import ringcache.verify
 from ringcache.model import (
     GuardExceeded,
+    RegimeError,
     SystemParams,
     binom,
     bit,
@@ -20,11 +21,10 @@ from ringcache.model import (
     params_from_gammas,
     window_masks,
 )
-from ringcache.placement import build_layout, demand_pairs
+from ringcache.placement import build_layout, demand_pairs, preflight
 from ringcache.delivery import GENERAL, SC1, SC2, pair_masks, worst_case_demand
 from ringcache.analysis import table1_counts
 from ringcache.verify import (
-    check_work_budget,
     count_vs_formula,
     enumerate_transmission_subsets,
     man_crosscheck,
@@ -51,30 +51,44 @@ def test_census_no_sc2_off_boundary():
 
 
 def test_census_guard():
-    # the census enumerates its slice, C(K - span, gamma_p + 1) subsets
-    params = params_from_gammas(64, 2, 10, 19, 64)
-    with pytest.raises(GuardExceeded) as refused:
-        enumerate_transmission_subsets(params)
-    assert str(refused.value) == (
-        f"refusing the census of K=64 L=2 gamma_a=10 gamma_p=19: {binom(44, 20)} subsets,"
-        " over the budget of 500000"
-    )
+    for k, l, ga, gp, size in (
+        # the census enumerates its slice, C(K - span, gamma_p + 1) subsets
+        (64, 2, 10, 19, f"{binom(44, 20)} subsets, over the budget of 4000000"),
+        # a slice of C(18, 8) = 43,758 subsets, at most F
+        (26, 1, 8, 7, "F=827424 mini-subfiles per file, over the budget of 750000"),
+    ):
+        with pytest.raises(GuardExceeded) as refused:
+            enumerate_transmission_subsets(params_from_gammas(k, l, ga, gp, k))
+        assert str(refused.value) == (
+            f"refusing census at K={k} L={l} gamma_a={ga} gamma_p={gp}: {size}"
+        )
+
+
+def test_census_refuses_unions_larger_than_the_ring_by_regime():
+    # a regime refusal, not a size one: nothing is over a budget
+    with pytest.raises(RegimeError) as refused:
+        enumerate_transmission_subsets(params_from_gammas(4, 2, 2, 0, 4))
+    assert not isinstance(refused.value, GuardExceeded)
+    assert str(refused.value) == "union sets of size 5 do not fit in [1, 4]"
 
 
 def test_agreement_refuses_work_over_the_budget(monkeypatch):
     # the closed-form transmission count is what a delivery run streams;
-    # an instance over the budget is refused before its layout is built
-    def no_layout(params):
-        raise AssertionError("built a layout before refusing")
+    # an instance over a budget is refused before its census or layout is built
+    def nothing_built(params):
+        raise AssertionError("built something before refusing")
 
-    monkeypatch.setattr(ringcache.verify, "build_layout", no_layout)
-    with pytest.raises(GuardExceeded) as refused:
-        count_vs_formula(params_from_gammas(28, 2, 3, 5, 28))
-    assert str(refused.value) == (
-        "refusing K=28 L=2 gamma_a=3 gamma_p=5: X=3689742 transmissions,"
-        " over the budget of 500000"
-    )
-    assert check_work_budget(params_from_gammas(24, 2, 3, 4, 24)).transmissions == 323_232
+    monkeypatch.setattr(ringcache.verify, "build_layout", nothing_built)
+    monkeypatch.setattr(ringcache.verify, "enumerate_transmission_subsets", nothing_built)
+    for k, l, ga, gp, size in (
+        (34, 2, 3, 4, "4778020 packets, over the budget of 4000000"),
+        (26, 1, 8, 7, "F=827424 mini-subfiles per file, over the budget of 750000"),
+    ):
+        with pytest.raises(GuardExceeded) as refused:
+            count_vs_formula(params_from_gammas(k, l, ga, gp, k))
+        assert str(refused.value) == f"refusing verify at K={k} L={l} gamma_a={ga} gamma_p={gp}: {size}"
+    # X = 3,689,742 at F = 737,352: under both budgets
+    assert preflight("verify", params_from_gammas(28, 2, 3, 5, 28)) is None
 
 
 def _census_instances():
@@ -308,8 +322,8 @@ def _one_more_general_turned_sc1(counts):
 
 
 def test_a_census_off_the_formulas_names_its_first_subset_of_that_case(monkeypatch):
-    table = _one_more_general_turned_sc1(check_work_budget(EX8))
-    monkeypatch.setattr(ringcache.verify, "check_work_budget", lambda params: table)
+    table = _one_more_general_turned_sc1(table1_counts(EX8))
+    monkeypatch.setattr(ringcache.verify, "table1_counts", lambda params: table)
     rep = count_vs_formula(EX8)
     assert rep.passed is False
     assert rep.divergence == (
@@ -328,9 +342,9 @@ def test_a_delivery_short_of_the_formulas_fails(monkeypatch):
 def test_a_census_with_a_union_no_delivery_uses_fails(monkeypatch):
     # census and formulas agree on one subset more than delivery reaches,
     # and on the same X, so only the number of union sets tells
-    table = _one_more_general_turned_sc1(check_work_budget(EX8))
+    table = _one_more_general_turned_sc1(table1_counts(EX8))
     census = _one_more_general_turned_sc1(enumerate_transmission_subsets(EX8))
-    monkeypatch.setattr(ringcache.verify, "check_work_budget", lambda params: table)
+    monkeypatch.setattr(ringcache.verify, "table1_counts", lambda params: table)
     monkeypatch.setattr(ringcache.verify, "enumerate_transmission_subsets", lambda params: census)
     rep = count_vs_formula(EX8)
     assert (table.transmissions, census.transmissions, rep.passed) == (100, 100, False)
