@@ -182,11 +182,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise RegimeError(f"{exc}; pass --unchecked to run it anyway") from exc
     preflight("simulate", params)
     layout = _layout(params)
-    packets = deliver(layout)
-    # one pass: each packet is written and checked as it streams past, never
-    # kept; a refused run has opened no sink
+    delivery = deliver(layout)
+    # one pass, a rotation at a time: each is written and checked as it
+    # streams past, never kept; a refused run has opened no sink
     with _sink(args.output) as write:
-        report = verify_decodability(layout, format_log(packets, layout, write))
+        rotations = format_log(delivery.rotations(), layout, write)
+        report = verify_decodability(layout, rotations=rotations)
         write(f"# demand={','.join(str(d) for d in demand)}\n{format_report(report)}\n")
     return 0 if report.ok else 2
 

@@ -50,19 +50,26 @@ the layout's F pairs in the order of ``tails``, which is every demand
 set's order (:func:`pair_masks`). So rotation j's packets go out sorted by
 their anchors' places. Turning by one user permutes the pairs, and one
 table of F ints, ``turn[i]`` being the place of pair i turned on by one
-user, carries each representative's terms from one rotation to the next:
-one lookup per term, with no bit rotation. The representatives and the
-table are numbered through a dict of the F pairs, freed once they exist.
+user, carries the terms from one rotation to the next with no bit
+rotation. The representatives sit in flat lists, their users in one and
+their places in another, each representative a run of both from its
+offset in ``starts`` (:class:`Delivery`). Sorted by h, the live ones are
+a prefix, so one ``map`` over the turn table turns every live term of a
+rotation at once. The representatives and the table are numbered through
+a dict of the F pairs, freed once they exist.
 
-:func:`deliver` streams the packets as (case, [(user, place), ...]) pairs
-that carry no files: the demand only labels the terms. :func:`format_log`
-writes each packet's log line to its sink as the packet passes, from
-per-place lists of each S and T label, and :func:`verify_decodability`
-checks the stream (:class:`DecodeCheck`), so ``simulate`` keeps neither
-packets nor lines. The check files each term as a bit of its user in one
-of two lists of F ints indexed by place, and reads each term's S | T from
-a third: nothing is per user. :func:`deliver` delivers any layout, the
-band the rate refuses included.
+:func:`deliver` returns the representatives. Iterated, they stream the
+packets as (case, [(user, place), ...]) pairs that carry no files: the
+demand only labels the terms. :meth:`Delivery.rotations` streams the same
+packets a rotation at a time (:class:`Rotation`), in the flat lists, and
+``simulate`` reads that stream: :func:`format_log` writes each rotation's
+lines to its sink from one ``S:T`` label per place, a block of
+:data:`LOG_BLOCK` lines per write, and :func:`verify_decodability` files
+each rotation whole (:class:`DecodeCheck`), so ``simulate`` keeps no
+rotation it has passed. The check files each term as a bit of its user in
+one of two lists of F ints indexed by place, and reads the users each
+term is unreadable to from a third: nothing is per user. :func:`deliver`
+delivers any layout, the band the rate refuses included.
 """
 
 from __future__ import annotations
@@ -73,7 +80,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import accumulate, chain, islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .model import (
     InvalidParameters,
@@ -89,14 +97,16 @@ GENERAL = "GENERAL"
 SC1 = "SC1"
 SC2 = "SC2"
 
+# log lines per write: a rotation's lines are written in blocks, so that no
+# more than one block's terms and lines are held however large the rotation
+LOG_BLOCK = 64
+
 # (user, S mask, T mask): a term without its file, as the packet builders make it
 Anchor = tuple[int, int, int]
 # (user, place): a term without its file, its (S, T) pair named by its place
 Term = tuple[int, int]
 # a packet without files: its case and its terms, the anchor first
 Packet = tuple[str, list[Term]]
-# the packets through user 1's demand pairs, each with its highest user, by that user
-Orbit = list[tuple[int, str, list[Term]]]
 
 
 def worst_case_demand(k: int) -> tuple[int, ...]:
@@ -147,13 +157,17 @@ def _ring_xor(windows: tuple[int, ...], u: int, s: int, t: int) -> tuple[str, li
     if ends.bit_count() == 1:
         return SC1, _swap_group(u, s, t)
     end = s & ~((s >> 1) | (s << (k - 1)))  # the member of S whose successor is not
-    members, p_end = bits(union), (union & (end - 1)).bit_count()
-    p_u, others = members.index(u) - p_end, ends ^ end
+    members = bits(union)
+    p_u = (union & (bit(u) - 1)).bit_count() - (union & (end - 1)).bit_count()
+    others = ends ^ end
     images = []
-    for x in bits(others & -end) + bits(others & (end - 1)):  # by ascending shift
-        w = windows[x - 1]
-        v = members[(p_u + (union & (bit(x) - 1)).bit_count()) % len(members)]
-        images.append((v, w, union ^ w ^ bit(v)))
+    for part in (others & -end, others & (end - 1)):  # by ascending shift
+        while part:
+            low = part & -part  # the end of a window inside I
+            part ^= low
+            w = windows[low.bit_length() - 1]
+            v = members[(p_u + (union & (low - 1)).bit_count()) % len(members)]
+            images.append((v, w, union ^ w ^ bit(v)))
     if len(images) == 1 and images[0][1] == bit(u) | t:
         # S and {u} | T alone: the half turn carries one onto the other, and u into S
         if not bit(images[0][0]) & s:
@@ -169,87 +183,141 @@ def _subset_xor(u: int, s: int, t: int) -> tuple[str, list[Anchor]]:
     own = bit(u)
     union = own | s | t
     lifted = [1 << (x - 1) for x in bits(union)]
-    positions = [p for p, b in enumerate(x for x in lifted if x != own) if s & b]
+    i_u = lifted.index(own)
+    positions = [i - (i > i_u) for i, b in enumerate(lifted) if s & b]  # in Q - {u}
     keys = [(u, s, t)]
-    for vb in lifted:
+    for i_v, vb in enumerate(lifted):
         if vb == own:
             continue
-        rest = [x for x in lifted if x != vb]
         s_v = 0
-        for p in positions:
-            s_v |= rest[p]
+        for i in positions:  # position i of Q - {v} holds Q's i-th element, or the next past v
+            s_v |= lifted[i + (i >= i_v)]
         keys.append((vb.bit_length(), s_v, union ^ vb ^ s_v))
     return SC1, keys
 
 
-def _representatives(layout: CacheLayout) -> tuple[Orbit, list[int]]:
-    """For each demand pair (S, T) of user 1, the packet through (1, S, T)
-    with its highest user, sorted by that user, its terms as (user, place);
-    and the turn table, ``turn[i]`` being the place of pair i turned on by
-    one user. Raises AssertionError if a term's pair is not one of the
-    layout's, or if the rotations that :func:`deliver` sends leave some
-    user's demand pair uncovered."""
+class Rotation(NamedTuple):
+    """The packets that go out at user 1 + j, in flat lists: packet r, for
+    r < len(order), has the case ``cases[r]`` and the terms (users[i] + j,
+    places[i]) for starts[r] <= i < starts[r + 1], the anchor first, and
+    ``members[r]`` is the mask of users[starts[r]:starts[r + 1]]. ``places``
+    holds exactly the packets' terms, and they go out in ``order``."""
+
+    j: int
+    order: list[int]
+    cases: Sequence[str]
+    starts: Sequence[int]
+    users: Sequence[int]
+    members: Sequence[int]
+    places: Sequence[int]
+
+    def packets(self) -> Iterator[Packet]:
+        """The rotation's packets, as (case, [(user, place), ...]), in ``order``."""
+        j, order, cases, starts, users, _, places = self
+        for r in order:
+            lo, hi = starts[r], starts[r + 1]
+            yield cases[r], [(v + j, p) for v, p in zip(users[lo:hi], places[lo:hi])]
+
+    def anchors(self) -> Iterator[tuple[str, int, int]]:
+        """Each packet's case and its anchor's user and place, in ``order``."""
+        j, order, cases, starts, users, _, places = self
+        for r in order:
+            yield cases[r], users[starts[r]] + j, places[starts[r]]
+
+
+class Delivery:
+    """A layout's delivery as its orbit: for each demand pair (S, T) of user
+    1, the packet through (1, S, T), sorted by its highest user (``highs``)
+    and laid out in flat lists as a :class:`Rotation`'s at j = 0; and the
+    turn table, ``turn[i]`` being the place of pair i turned on by one user.
+    Iterating it streams the packets; :meth:`rotations` streams them a
+    rotation at a time."""
+
+    def __init__(self, k: int, highs: list[int], cases: list[str], starts: list[int],
+                 users: list[int], members: list[int], places: list[int], turn: list[int]) -> None:
+        self.k, self.highs, self.cases, self.starts = k, highs, cases, starts
+        self.users, self.members, self.places, self.turn = users, members, places, turn
+
+    def rotations(self) -> Iterator[Rotation]:
+        """Rotation j sends the representatives with h <= K - j, a prefix,
+        every live term turned on by one user at once from rotation j - 1."""
+        k, highs, starts, turn = self.k, self.highs, self.starts, self.turn
+        places = self.places
+        for j in range(k):
+            live = bisect_right(highs, k - j)
+            if not live:  # and no later rotation sends any
+                return
+            if j:
+                places = list(map(turn.__getitem__, islice(places, starts[live])))
+            # the packets that go out at user 1 + j, by their anchors' places
+            anchors = list(map(places.__getitem__, islice(starts, live)))
+            order = sorted(range(live), key=anchors.__getitem__)
+            yield Rotation(j, order, self.cases, starts, self.users, self.members, places)
+
+    def __iter__(self) -> Iterator[Packet]:
+        for rotation in self.rotations():
+            yield from rotation.packets()
+
+
+def deliver(layout: CacheLayout) -> Delivery:
+    """The layout's delivery: every packet in the greedy scan's order, each
+    demand pair in exactly one, rotated from the representatives as the
+    stream is consumed. Raises AssertionError, before anything streams, if
+    a representative's term is not a pair of the layout, or if the
+    rotations sent leave some user's demand pair uncovered."""
     params = layout.params
     k, full = params.k, (1 << params.k) - 1
     if layout.placement == SUBSET:
         build = _subset_xor
     else:
         build = partial(_ring_xor, window_masks(k, params.span))
-    place = {s << 64 | t: i for i, (s, t) in enumerate(zip(*pair_masks(layout)))}
+    # each pair numbered through its S and T as one int
+    place = {s << k | t: i for i, (s, t) in enumerate(zip(*pair_masks(layout)))}
     turn = []
     for s, ts in layout.tails:
-        head = (((s << 1) | (s >> (k - 1))) & full) << 64
+        head = (((s << 1) | (s >> (k - 1))) & full) << k
         turn += [place[head | (((t << 1) | (t >> (k - 1))) & full)] for t in ts]
     sent = [0] * layout.f  # the users each pair is sent to, as a mask, by place
-    reps = []
+    # each representative's case, members, size, users and places, by its highest user
+    by_high: list[tuple[list, ...]] = [([], [], [], [], []) for _ in range(k + 1)]
     for s, t in demand_pairs(layout, 1):
         case, keys = build(1, s, t)
         h = max(keys)[0]
-        terms = []
-        # the term (v, S, T) goes to users v .. v + K - h, as that term turned
-        # back by v - 1 and on again
+        cases, members, sizes, users, places = by_high[h]
+        reach = (1 << (k - h + 1)) - 1
+        mask = 0
         for v, a, b in keys:
-            p = place.get(a << 64 | b)
+            p = place.get(a << k | b)
             if p is None:
                 raise AssertionError(
                     f"representative term d{v}:{mask_str(a)}:{mask_str(b)}"
                     " is not a pair of the layout"
                 )
-            terms.append((v, p))
-            j, back = v - 1, k - v + 1
-            first = (((a >> j) | (a << back)) & full) << 64 | (((b >> j) | (b << back)) & full)
-            sent[place[first]] |= ((1 << (k - h + 1)) - 1) << j
-        reps.append((h, case, terms))
+            users.append(v)
+            places.append(p)
+            j = v - 1
+            mask |= 1 << j
+            # the term goes to users v .. v + K - h, as the pair turned back
+            # by j goes to users 1 + j .. 1 + j + K - h
+            if j:
+                back = k - j
+                a, b = ((a >> j) | (a << back)) & full, ((b >> j) | (b << back)) & full
+                p = place[a << k | b]
+            sent[p] |= reach << j
+        cases.append(case)
+        members.append(mask)
+        sizes.append(len(keys))
+    del place
+    highs = [h for h, group in enumerate(by_high) for _ in group[0]]
+    cases, members, sizes, users, places = (
+        list(chain.from_iterable(group[i] for group in by_high)) for i in range(5)
+    )
+    starts = list(accumulate(sizes, initial=0))
     # each demand pair of user 1 is the anchor of its representative
-    leftovers = sum(k - sent[terms[0][1]].bit_count() for _, _, terms in reps)
+    leftovers = sum(k - sent[places[a]].bit_count() for a in starts[:-1])
     if leftovers:
         raise AssertionError(f"{leftovers} demand pairs were never covered")
-    reps.sort(key=lambda rep: rep[0])
-    return reps, turn
-
-
-def deliver(layout: CacheLayout) -> Iterator[Packet]:
-    """Every packet of the layout's delivery in the greedy scan's order,
-    rotated from the representatives as the iterator is consumed; the
-    coverage is checked before this returns. Every demand pair lands in
-    exactly one packet."""
-    return _scan(layout.params.k, *_representatives(layout))
-
-
-def _scan(k: int, reps: Orbit, turn: list[int]) -> Iterator[Packet]:
-    highs = [h for h, _, _ in reps]
-    cases = [case for _, case, _ in reps]
-    terms = [keys for _, _, keys in reps]  # each representative turned on by j
-    del reps
-    for j in range(k):
-        live = bisect_right(highs, k - j)
-        if j:
-            for r in range(live):
-                terms[r] = [(v + 1, turn[p]) for v, p in terms[r]]
-        # the packets that go out at user 1 + j, by their anchors' places
-        anchors = [keys[0][1] for keys in terms[:live]]
-        for r in sorted(range(live), key=anchors.__getitem__):
-            yield cases[r], terms[r]
+    return Delivery(k, highs, cases, starts, users, members, places, turn)
 
 
 # ---------------------------------------------------------------------------
@@ -274,37 +342,61 @@ class DecodabilityReport:
         return tuple(sorted({f.user for f in self.failures}))
 
 
+# user v's bit at index v, for a user turned on by j < K <= 64
+_USER_BITS = [0] + [1 << i for i in range(127)]
+
+
 class DecodeCheck:
-    """Decodability, one packet at a time, over pairs numbered by place:
-    ``unions[p]`` is S | T of the pair at place p. :meth:`add` takes a
-    packet's (user, place) terms. A user reads a term through a shared cache
-    (user in S) or its private cache (user in T). The user of a demand term
-    is in neither, so it peels its term when no second term is unreadable to
-    it: the running mask ``once`` holds the users some term leaves
-    unreadable, and ``twice`` those two terms do. A term is filed as its
-    user's bit in ``peeled[p]`` or ``blocked[p]``, two lists of one int per
-    place (K <= 64). :meth:`report` checks every demand pair of a layout
+    """Decodability over pairs numbered by place: ``unions[p]`` is S | T of
+    the pair at place p. A user reads a term through a shared cache (user in
+    S) or its private cache (user in T). The user of a demand term is in
+    neither, so it peels its term when no second term of the packet is
+    unreadable to it: with ``once`` the users some term leaves unreadable
+    and ``twice`` those two terms do, a term peels when its user is not in
+    ``twice``. A term is filed as its user's bit in ``peeled[p]`` or
+    ``blocked[p]``, two lists of one int per place (K <= 64).
+    :meth:`add_rotation` files a whole rotation, :meth:`add` one packet's
+    (user, place) terms. :meth:`report` checks every demand pair of a layout
     whose pairs hold places 0 .. F - 1, as :func:`pair_masks` numbers them."""
 
     def __init__(self, unions: list[int]) -> None:
-        self.unions = unions
+        self.unread = [~union for union in unions]  # the users a pair's term is unreadable to
         self.peeled = [0] * len(unions)
         self.blocked = [0] * len(unions)
 
     def add(self, terms: Sequence[Term]) -> None:
-        unions = self.unions
+        """File one packet's (user, place) terms."""
+        unread, peeled, blocked = self.unread, self.peeled, self.blocked
         once = twice = 0
         for _, p in terms:
-            unread = ~unions[p]
-            twice |= once & unread
-            once |= unread
-        peeled, blocked = self.peeled, self.blocked
+            x = unread[p]
+            twice |= once & x
+            once |= x
         for v, p in terms:
             own = 1 << (v - 1)
             if twice & own:
                 blocked[p] |= own
             else:
                 peeled[p] |= own
+
+    def add_rotation(self, rotation: Rotation) -> None:
+        """File a whole rotation: every term peels unless some packet's
+        ``twice`` meets the packet's own users, and then the rotation goes
+        through :meth:`add` packet by packet."""
+        j, order, _, starts, users, members, places = rotation
+        unread = list(map(self.unread.__getitem__, places))
+        for lo, hi, mask in zip(starts, islice(starts, 1, len(order) + 1), members):
+            once = twice = 0
+            for x in unread[lo:hi]:
+                twice |= once & x
+                once |= x
+            if twice >> j & mask:
+                for _, terms in rotation.packets():
+                    self.add(terms)
+                return
+        own, peeled = _USER_BITS[j:], self.peeled  # own[v] is the bit of user v + j
+        for v, p in zip(users, places):
+            peeled[p] |= own[v]
 
     def report(self, layout: CacheLayout) -> DecodabilityReport:
         """One pass over the layout's (S, T) pairs, each demanded by the users
@@ -326,12 +418,17 @@ class DecodeCheck:
         return DecodabilityReport(not failures, checked, failures)
 
 
-def verify_decodability(layout: CacheLayout, packets: Iterable[Packet]) -> DecodabilityReport:
+def verify_decodability(
+    layout: CacheLayout, packets: Iterable[Packet] = (), *, rotations: Iterable[Rotation] = ()
+) -> DecodabilityReport:
     """Check that every user can peel every demanded mini-subfile out of some
-    packet of ``packets``. Returns the violation list instead of raising."""
+    packet of ``packets``, or of the whole ``rotations``. Returns the
+    violation list instead of raising."""
     check = DecodeCheck([s | t for s, t in zip(*pair_masks(layout))])
     for _, terms in packets:
         check.add(terms)
+    for rotation in rotations:
+        check.add_rotation(rotation)
     return check.report(layout)
 
 
@@ -340,22 +437,27 @@ def verify_decodability(layout: CacheLayout, packets: Iterable[Packet]) -> Decod
 # ---------------------------------------------------------------------------
 
 def format_log(
-    packets: Iterable[Packet], layout: CacheLayout, write: Callable[[str], object]
-) -> Iterator[Packet]:
-    """Pass the layout's ``packets`` through, writing each one's log line,
-    ``CASE d<u>:S:T ^ d<u'>:S':T' ...``, with ``write`` as it goes by and,
-    once the stream ends, the count and rate lines; every line ends in a
-    newline. Each user's ``d<u>:`` and each place's S and T labels are
-    rendered once per run."""
+    rotations: Iterable[Rotation], layout: CacheLayout, write: Callable[[str], object]
+) -> Iterator[Rotation]:
+    """Pass the layout's ``rotations`` through, writing each one's log lines,
+    ``CASE d<u>:S:T ^ d<u'>:S':T' ...``, with ``write`` as it goes by, one
+    write per :data:`LOG_BLOCK` lines, and, once the stream ends, the count
+    and rate lines; every line ends in a newline. Each user's ``d<u>:`` and
+    each place's ``S:T`` label are rendered once per run."""
     user_label = [f"d{v}:" for v in range(layout.params.k + 1)]
-    s_label, t_label = ([mask_str(m) for m in masks] for masks in pair_masks(layout))
+    label = [f"{mask_str(s)}:{mask_str(t)}" for s, t in zip(*pair_masks(layout))]
     counts: Counter[str] = Counter()
-    for packet in packets:
-        case, terms = packet
-        line = " ^ ".join([f"{user_label[v]}{s_label[p]}:{t_label[p]}" for v, p in terms])
-        write(f"{case} {line}\n")
-        counts[case] += 1
-        yield packet
+    for rotation in rotations:
+        j, order, cases, starts, users, _, places = rotation
+        ulj = user_label[j:]  # ulj[v] labels user v + j
+        for b in range(0, len(order), LOG_BLOCK):
+            lines = []
+            for r in order[b:b + LOG_BLOCK]:
+                terms = [ulj[users[x]] + label[places[x]] for x in range(starts[r], starts[r + 1])]
+                lines.append(f"{cases[r]} {' ^ '.join(terms)}\n")
+            write("".join(lines))
+        counts.update(map(cases.__getitem__, order))
+        yield rotation
     total = sum(counts.values())
     rate = Fraction(total, layout.f)
     write(

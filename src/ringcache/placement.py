@@ -51,6 +51,7 @@ binomials first: every command that builds one passes :func:`preflight`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from collections import Counter
@@ -79,6 +80,10 @@ SUBSET = "subset"
 # a command streams bounds its time and output (README, "Size budgets")
 LAYOUT_BUDGET = 750_000
 OUTPUT_BUDGET = 4_000_000
+
+# files per write of a layout dump: a cache with N files is written in
+# chunks, each held whole while it is rendered; N <= 1024 is one chunk
+DUMP_CHUNK_FILES = 1024
 
 # each S of a placement with its gamma_p-subsets T of the users outside S
 Tails = tuple[tuple[int, tuple[int, ...]], ...]
@@ -263,13 +268,18 @@ def layout_to_json(layout: CacheLayout, write: Callable[[str], object]) -> None:
     nothing needs escaping; each cache's labels are rendered once and each
     file's run of entries is one ``str.join`` over a separator that carries
     the file index. The header and the braces are writes of their own, and
-    each cache is one write, so no more than one cache's text is held at
-    a time.
+    each cache is written in chunks of :data:`DUMP_CHUNK_FILES` files, one
+    write per chunk, so no more than one chunk's text and file labels are
+    held at a time, whatever N is.
     """
     p = layout.params
-    # (opening of the file's first entry, separator between its entries),
-    # built when the first non-empty cache needs them: an empty dump holds none
-    files: list[tuple[str, str]] = []
+
+    @functools.lru_cache(maxsize=1)  # every cache reuses the labels when N fits one chunk
+    def files(first: int) -> list[tuple[str, str]]:
+        """From file ``first`` on, one chunk of files: (opening of the file's
+        first entry, separator between its entries)."""
+        last = min(first + DUMP_CHUNK_FILES, p.n + 1)
+        return [(f'"{n}:', f'",\n      "{n}:') for n in range(first, last)]
 
     def caches(cells: Iterable[list[str]]) -> None:
         lead = "    "
@@ -277,13 +287,14 @@ def layout_to_json(layout: CacheLayout, write: Callable[[str], object]) -> None:
             if not labels:
                 write(f'{lead}"{c}": []')
             else:
-                if not files:
-                    files.extend((f'"{n}:', f'",\n      "{n}:') for n in range(1, p.n + 1))
                 parts = [f'{lead}"{c}": [\n      ']
-                for head, sep in files:
-                    parts += (head, sep.join(labels), '",\n      ')
-                parts[-1] = '"\n    ]'  # N >= K >= 1: at least one file
-                write("".join(parts))
+                for first in range(1, p.n + 1, DUMP_CHUNK_FILES):
+                    for head, sep in files(first):
+                        parts += (head, sep.join(labels), '",\n      ')
+                    if first + DUMP_CHUNK_FILES > p.n:
+                        parts[-1] = '"\n    ]'  # N >= K >= 1: at least one file
+                    write("".join(parts))
+                    parts = []
             lead = ",\n    "
 
     header = (

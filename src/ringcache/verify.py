@@ -159,8 +159,9 @@ def count_vs_formula(params: SystemParams) -> AgreementReport:
     stray = None
     total = 0
     s_of, t_of = pair_masks(layout)
-    for total, (case, terms) in enumerate(deliver(layout), 1):
-        u, p = terms[0]
+    rotations = deliver(layout).rotations()
+    anchors = itertools.chain.from_iterable(rotation.anchors() for rotation in rotations)
+    for total, (case, u, p) in enumerate(anchors, 1):
         s, t = s_of[p], t_of[p]
         union = (1 << (u - 1)) | s | t
         end = end_of.get(s)  # None when S is not a window
@@ -248,7 +249,8 @@ def man_crosscheck(k: int, t: int) -> ManReport:
     preflight("man-check", params)
     f = binom(k, t)
     layout = build_layout(params)
-    rate = Fraction(sum(1 for _ in deliver(layout)), layout.f)
+    packets = sum(len(rotation.order) for rotation in deliver(layout).rotations())
+    rate = Fraction(packets, layout.f)
     expected_rate = Fraction(binom(k, t + 1), f)
     passed = layout.f == f and rate == expected_rate
     return ManReport(k, t, layout.f, f, rate, expected_rate, passed)

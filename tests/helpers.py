@@ -11,7 +11,9 @@ packets), the places of (S, T) pairs as delivery numbers them, with the
 pairs a layout lacks past F, to turn (user, S, T) keys into (user, place)
 terms and back, a packet's log line from its keys through ``mask_str``, as
 it was written before the log read per-place labels, the greedy delivery
-loop the orbit plan replaced, the decode
+loop the orbit plan replaced, rotations built from packets and a
+delivery that streams its packets as rotations of one packet each, the
+decode
 check with the per-term prefix and suffix rule the two running masks
 replaced, the decode check with one set of (user, S, T) keys
 per verdict that the place ledgers replaced, delivery results with a
@@ -42,6 +44,7 @@ from ringcache.delivery import (
     DecodabilityReport,
     DecodeCheck,
     Failure,
+    Rotation,
     _subset_xor,
     _swap_group,
     check_demand,
@@ -54,6 +57,7 @@ from ringcache.model import (
     bit,
     bits,
     cyc,
+    mask_of,
     mask_str,
     position_sets,
     window_mask,
@@ -357,14 +361,18 @@ def ring_xor_reference(windows, u: int, s: int, t: int):
     return GENERAL, _general(windows, images)
 
 
-def scan_reference(layout, reps):
-    """The packets of ``reps`` (as ``delivery._representatives`` returns
-    them) in the greedy scan's order, found as the scan did before it went
-    by rotation: users ascending, each user's demand pairs in order, every
-    pair turned back to user 1's frame and its packet sent when its highest
-    user does not wrap."""
+def scan_reference(layout, delivery):
+    """The packets of ``delivery``'s representatives (as :func:`deliver`
+    lays them out) in the greedy scan's order, found as the scan did before
+    it went by rotation: users ascending, each user's demand pairs in order,
+    every pair turned back to user 1's frame and its packet sent when its
+    highest user does not wrap."""
     places = Places(layout)
-    by_pair = {places.pairs[terms[0][1]]: (case, places.keys(terms), h) for h, case, terms in reps}
+    by_pair = {}
+    for r, (case, h) in enumerate(zip(delivery.cases, delivery.highs)):
+        lo, hi = delivery.starts[r], delivery.starts[r + 1]
+        terms = list(zip(delivery.users[lo:hi], delivery.places[lo:hi]))
+        by_pair[places.pairs[terms[0][1]]] = (case, places.keys(terms), h)
     k = layout.params.k
     full = (1 << k) - 1
     for u in range(1, k + 1):
@@ -376,6 +384,29 @@ def scan_reference(layout, reps):
                     (v + j, ((a << j) | (a >> back)) & full, ((b << j) | (b >> back)) & full)
                     for v, a, b in keys
                 ])
+
+
+def as_rotation(j, packets):
+    """A :class:`Rotation` at ``j`` holding ``packets``, each (case, [(user,
+    place), ...]) with every user past j, sent in the order given."""
+    starts = list(itertools.accumulate((len(terms) for _, terms in packets), initial=0))
+    users = [v - j for _, terms in packets for v, _ in terms]
+    members = [mask_of(v - j for v, _ in terms) for _, terms in packets]
+    places = [p for _, terms in packets for _, p in terms]
+    cases = [case for case, _ in packets]
+    return Rotation(j, list(range(len(packets))), cases, starts, users, members, places)
+
+
+class PacketStream:
+    """A delivery given as its packets, whose :meth:`rotations` streams
+    each as a rotation of its own, as
+    :meth:`ringcache.delivery.Delivery.rotations` streams whole ones."""
+
+    def __init__(self, packets):
+        self.packets = list(packets)
+
+    def rotations(self):
+        return (as_rotation(0, [packet]) for packet in self.packets)
 
 
 def _windows(params):
@@ -454,18 +485,18 @@ class DecodeCheckReference(DecodeCheck):
     peels when its user reads every other term of the packet."""
 
     def add(self, terms) -> None:
-        unions = self.unions
+        unread = self.unread
         # before & after[i + 1]: the users reading every term but the i-th
         after = [-1] * (len(terms) + 1)
         for i in range(len(terms) - 1, 0, -1):
-            after[i] = after[i + 1] & unions[terms[i][1]]
+            after[i] = after[i + 1] & ~unread[terms[i][1]]
         before = -1
         for i, (v, p) in enumerate(terms):
             if (before & after[i + 1]) >> (v - 1) & 1:
                 self.peeled[p] |= bit(v)
             else:
                 self.blocked[p] |= bit(v)
-            before &= unions[p]
+            before &= ~unread[p]
 
 
 class DecodeCheckSets:

@@ -28,7 +28,7 @@ from ringcache.placement import LAYOUT_BUDGET, OUTPUT_BUDGET, build_layout, buil
 from ringcache.verify import count_vs_formula, sweep_grid
 from fractions import Fraction
 
-from helpers import dec6_reference, drop_transmission, materialize, sweep_reference
+from helpers import PacketStream, dec6_reference, drop_transmission, materialize, sweep_reference
 
 
 def run_cli(*argv):
@@ -325,6 +325,28 @@ def test_an_empty_dump_holds_nothing_per_file(tmp_path):
     dump = json.loads(target.read_text())
     assert code == 0 and dump["F"] == 1 and dump["N"] == 10**7
     assert all(cell == [] for part in ("access", "private") for cell in dump[part].values())
+    assert peak < 2_000_000, peak
+
+
+def test_a_dump_holds_one_chunk_of_files_at_a_time(tmp_path):
+    # K=1 gamma_p=1 at N = 200,000: one private entry per file, a 3.7 MB
+    # dump. Two labels per file built for all N files, and the cache's
+    # whole text held twice, peaked at 50 MB; chunks of DUMP_CHUNK_FILES
+    # files hold a few hundred kB
+    target = tmp_path / "files.json"
+    build_parser()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(["layout-dump", "-K", "1", "-L", "1", "--ma", "0", "--mp", "200000",
+                     "-N", "200000", "-o", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dump = json.loads(target.read_text())
+    assert code == 0 and dump["F"] == 1 and dump["access"] == {"1": []}
+    assert dump["private"]["1"][::99_999] == ["1::1", "100000::1", "199999::1"]
+    assert len(dump["private"]["1"]) == 200_000
     assert peak < 2_000_000, peak
 
 
@@ -1359,10 +1381,8 @@ def test_simulate_reports_a_dropped_packet(monkeypatch, system, dropped, miss):
     # simulate reports what verify_decodability finds in the stream without that packet
     k, l, ma, mp = system
 
-    def deliver_without_one(layout, **kwargs):
-        for index, packet in enumerate(deliver(layout, **kwargs)):
-            if index != dropped:
-                yield packet
+    def deliver_without_one(layout):
+        return PacketStream(packet for index, packet in enumerate(deliver(layout)) if index != dropped)
 
     monkeypatch.setattr(ringcache.cli, "deliver", deliver_without_one)
     argv = ("-K", str(k), "-L", str(l), "--ma", str(ma), "--mp", str(mp), "-N", str(k))

@@ -28,9 +28,7 @@ from ringcache.delivery import (
     SC1,
     SC2,
     DecodeCheck,
-    _representatives,
     _ring_xor,
-    _scan,
     check_demand,
     deliver,
     format_log,
@@ -47,6 +45,7 @@ from helpers import (
     DecodeCheckSets,
     Places,
     _relabel,
+    as_rotation,
     build_general,
     build_sc1,
     build_sc2,
@@ -378,8 +377,12 @@ def test_log_format(run5):
     line = format_transmission(result.transmissions[0])
     assert line == "GENERAL d1:2,3:4 ^ d2:3,4:1 ^ d4:1,2:3"
     chunks = []
-    # the packets pass through unchanged, their lines and the footer are written
-    assert list(format_log(deliver(layout), layout, chunks.append)) == result.packets()
+    # the rotations pass through unchanged, each one's lines in one write,
+    # then the footer
+    rotations = list(deliver(layout).rotations())
+    assert list(format_log(rotations, layout, chunks.append)) == rotations
+    assert [pk for rotation in rotations for pk in rotation.packets()] == result.packets()
+    assert len(chunks) == len(rotations) + 1
     assert all(chunk.endswith("\n") for chunk in chunks)
     log = "".join(chunks).splitlines()
     assert log[:-2] == [format_transmission(tx) for tx in result.transmissions]
@@ -545,10 +548,9 @@ def test_scan_by_rotation_matches_the_per_user_scan():
     ]
     assert {layout.placement for layout in layouts if layout.params.ga} == {RING, SUBSET}
     for layout in layouts:
-        reps, turn = _representatives(layout)
-        assert [h for h, _, _ in reps] == sorted(h for h, _, _ in reps)
-        got = list(_scan(layout.params.k, reps, turn))
-        assert got == list(scan_reference(layout, reps)), layout.params
+        delivery = deliver(layout)
+        assert delivery.highs == sorted(delivery.highs)
+        assert list(delivery) == list(scan_reference(layout, delivery)), layout.params
 
 
 def test_an_uncovered_demand_pair_is_an_error(monkeypatch):
@@ -653,6 +655,72 @@ def test_two_mask_rule_matches_the_term_by_term_rule_on_delivered_streams():
             want.add(terms)
         assert (got.peeled, got.blocked) == (want.peeled, want.blocked), layout.params
         assert got.report(layout) == want.report(layout)
+
+
+def mutated_rotation(rng, rotation, unread):
+    """The packets of ``rotation`` with one seeded fault in one of them: a
+    term dropped, a term duplicated, or a demand term added for one of the
+    packet's users whose pair another of its users cannot read either, so
+    that user has a second unreadable term. Returns (fault, packets)."""
+    packets = list(rotation.packets())
+    i = rng.randrange(len(packets))
+    case, terms = packets[i]
+    terms = list(terms)
+    unreadable = []
+    if len(terms) > 1:
+        w, v = rng.sample([user for user, _ in terms], 2)
+        unreadable = [p for p, x in enumerate(unread) if x & bit(v) and x & bit(w)]
+    fault = rng.choice(("drop", "duplicate", "block") if unreadable else ("drop", "duplicate"))
+    if fault == "drop":
+        del terms[rng.randrange(len(terms))]
+    elif fault == "duplicate":
+        terms.insert(rng.randrange(len(terms) + 1), rng.choice(terms))
+    else:
+        terms.insert(rng.randrange(len(terms) + 1), (w, rng.choice(unreadable)))
+    packets[i] = case, terms
+    rng.shuffle(packets)
+    return fault, packets
+
+
+def test_rotation_check_matches_the_term_by_term_rule_on_mutated_rotations():
+    # each rotation of each stream, and the same rotation with one fault,
+    # filed whole, packet by packet, and by the term-by-term rule
+    layouts = [build_layout(params) for params in sweep_grid(3, 8)]
+    layouts += [
+        build_subset_layout(SystemParams(k=k, l=1, ma=ga, mp=gp, n=k))
+        for k, ga, gp in l1_instances(3, 8)
+    ]
+    rng = random.Random(20261020)
+    seen = Counter()
+    for layout in layouts:
+        unions = Places(layout).unions()
+        unread = [~union for union in unions]
+        full = (1 << layout.params.k) - 1
+
+        def demand(check):
+            return [
+                (peeled & full & ~union, blocked & full & ~union)
+                for peeled, blocked, union in zip(check.peeled, check.blocked, unions)
+            ]
+
+        for rotation in deliver(layout).rotations():
+            for fault, packets in [("none", list(rotation.packets()))] + [
+                mutated_rotation(rng, rotation, unread) for _ in range(3)
+            ]:
+                whole, single, want = (DecodeCheck(unions), DecodeCheck(unions),
+                                       DecodeCheckReference(unions))
+                whole.add_rotation(as_rotation(rotation.j, packets))
+                for _, terms in packets:
+                    single.add(terms)
+                    want.add(terms)
+                # the demand keys, the only ones a report looks up
+                filed = [demand(check) for check in (whole, single, want)]
+                assert filed[0] == filed[1] == filed[2], (layout.params, fault)
+                assert whole.report(layout) == single.report(layout) == want.report(layout)
+                seen[fault] += 1
+                seen["blocked"] += any(want.blocked)
+    assert min(seen[fault] for fault in ("drop", "duplicate", "block")) > 300, seen
+    assert seen["blocked"] > 300 and seen["none"] > 500, seen
 
 
 # ---------------------------------------------------------------------------

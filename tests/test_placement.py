@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 
+import ringcache.placement
+
 from ringcache.model import (
     InvalidParameters,
     RegimeError,
@@ -339,6 +341,22 @@ def test_layout_json_matches_the_indenting_encoder():
     assert any(layout.params.n == 2 * layout.params.k + 1 for layout in layouts)
     assert Fraction(7, 3) in {layout.params.ma for layout in layouts}  # "Ma": "7/3"
     assert Fraction(14, 3) in {layout.params.mp for layout in layouts}
+
+
+def test_layout_json_in_chunks_of_files_matches_the_indenting_encoder(monkeypatch):
+    # chunks of 1 and 3 files split the caches of the dump grid at every
+    # N, where one chunk per cache holds N <= DUMP_CHUNK_FILES files
+    layouts = _dump_grid()
+    for chunk in (1, 3):
+        monkeypatch.setattr(ringcache.placement, "DUMP_CHUNK_FILES", chunk)
+        for layout in layouts:
+            parts = []
+            layout_to_json(layout, parts.append)
+            assert "".join(parts) == json.dumps(layout_reference_dict(layout), indent=2)
+            p = layout.params
+            filled = sum(1 for cache in layout.access if cache)
+            filled += sum(1 for u in range(1, p.k + 1) if private_pairs(layout, u))
+            assert len(parts) == 2 * p.k + 3 + filled * (-(-p.n // chunk) - 1)
 
 
 def test_layout_json_writes_each_cache_once():

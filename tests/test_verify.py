@@ -31,7 +31,7 @@ from ringcache.verify import (
     sweep_grid,
 )
 
-from helpers import census_reference, classify, materialize
+from helpers import PacketStream, census_reference, classify, materialize
 
 
 def test_census_worked_instances():
@@ -245,7 +245,7 @@ def _corrupted(monkeypatch, corrupt):
     ``corrupt`` (a list in, a list out) between delivery and the check."""
     deliver = ringcache.verify.deliver
     monkeypatch.setattr(
-        ringcache.verify, "deliver", lambda layout: iter(corrupt(list(deliver(layout))))
+        ringcache.verify, "deliver", lambda layout: PacketStream(corrupt(list(deliver(layout))))
     )
     rep = count_vs_formula(SystemParams(k=8, l=2, ma=1, mp=1, n=8))
     assert rep.passed is False
