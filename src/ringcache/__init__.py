@@ -3,8 +3,8 @@
 The public surface: build a :class:`SystemParams`, place caches with
 :func:`build_layout` (ring placement) or :func:`build_subset_layout` (L = 1),
 stream the XOR packets with :func:`deliver` (each term's (S, T) pair named
-by its place, whose masks :func:`pair_masks` gives), check them with
-:func:`verify_decodability`, and evaluate the
+by its place p, whose masks are the layout's ``s_of[p]`` and ``t_of[p]``),
+check them with :func:`verify_decodability`, and evaluate the
 :func:`achievable_rate` / :func:`cutset_bound` closed forms. The
 :mod:`ringcache.verify` oracles cross-check the counting independently.
 """
@@ -31,7 +31,6 @@ from .delivery import (
     SC1,
     SC2,
     deliver,
-    pair_masks,
     verify_decodability,
     worst_case_demand,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "enumerate_transmission_subsets",
     "man_crosscheck",
     "memory_share",
-    "pair_masks",
     "params_from_gammas",
     "private_pairs",
     "rate_with_sharing",

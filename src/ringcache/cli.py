@@ -2,10 +2,11 @@
 
 Subcommands: ``rate`` (closed forms for one memory point), ``simulate``
 (run delivery for a demand vector and check decodability), ``sweep``
-(rate/bound grid as CSV or JSON), ``verify`` (census oracle harness)
-and ``layout-dump`` (cache contents as JSON). ``simulate`` and
-``layout-dump`` use the subset placement at L = 1, the placement whose
-rate ``rate`` and ``sweep`` report there, and the ring placement otherwise.
+(rate/bound grid as CSV or JSON), ``verify`` (census oracle harness),
+``man-check`` (dedicated-cache reduction cross-check) and ``layout-dump``
+(cache contents as JSON). ``simulate`` and ``layout-dump`` use the subset
+placement at L = 1, the placement whose rate ``rate`` and ``sweep`` report
+there, and the ring placement otherwise.
 
 Exit codes: 0 success, 1 usage or validation error, 2 decodability or
 oracle failure.

@@ -45,18 +45,18 @@ Rotation j thus sends the representatives with h <= K - j, a prefix of
 them sorted by h, in the order of their turned anchors among the demand
 pairs of user 1 + j.
 
-Places. A term names its (S, T) pair by its place: the pair's index among
-the layout's F pairs in the order of ``tails``, which is every demand
-set's order (:func:`pair_masks`). So rotation j's packets go out sorted by
-their anchors' places. Turning by one user permutes the pairs, and one
-table of F ints, ``turn[i]`` being the place of pair i turned on by one
-user, carries the terms from one rotation to the next with no bit
-rotation. The representatives sit in flat lists, their users in one and
-their places in another, each representative a run of both from its
-offset in ``starts`` (:class:`Delivery`). Sorted by h, the live ones are
-a prefix, so one ``map`` over the turn table turns every live term of a
-rotation at once. The representatives and the table are numbered through
-a dict of the F pairs, freed once they exist.
+Places. A term names its (S, T) pair by its place p: the pair's index
+among the layout's F pairs, ``layout.s_of[p]`` and ``layout.t_of[p]``, in
+every demand set's order. So rotation j's packets go out sorted by their
+anchors' places. Turning by one user permutes the pairs, and one table of
+F ints, ``turn[i]`` being the place of pair i turned on by one user,
+carries the terms from one rotation to the next with no bit rotation. The
+representatives sit in flat lists, their users in one and their places in
+another, each representative a run of both from its offset in ``starts``
+(:class:`Delivery`). Sorted by h, the live ones are a prefix, so one
+``map`` over the turn table turns every live term of a rotation at once.
+The representatives and the table are numbered through a dict of the F
+pairs, freed once they exist.
 
 :func:`deliver` returns the representatives. Iterated, they stream the
 packets as (case, [(user, place), ...]) pairs that carry no files: the
@@ -126,13 +126,6 @@ def check_demand(params: SystemParams, demand: Sequence[int]) -> tuple[int, ...]
         if not 1 <= d <= params.n:
             raise InvalidParameters(f"user {u} demands file {d} outside [1, N={params.n}]")
     return tuple(demand)
-
-
-def pair_masks(layout: CacheLayout) -> tuple[list[int], list[int]]:
-    """The S and the T mask of each (S, T) pair of the layout, by the pair's
-    place: its index among the pairs of :attr:`CacheLayout.tails`, read S by
-    S, which is every demand set's order."""
-    return [s for s, ts in layout.tails for _ in ts], [t for _, ts in layout.tails for t in ts]
 
 
 def _swap_group(u: int, s: int, t: int) -> list[Anchor]:
@@ -272,11 +265,11 @@ def deliver(layout: CacheLayout) -> Delivery:
     else:
         build = partial(_ring_xor, window_masks(k, params.span))
     # each pair numbered through its S and T as one int
-    place = {s << k | t: i for i, (s, t) in enumerate(zip(*pair_masks(layout)))}
-    turn = []
-    for s, ts in layout.tails:
-        head = (((s << 1) | (s >> (k - 1))) & full) << k
-        turn += [place[head | (((t << 1) | (t >> (k - 1))) & full)] for t in ts]
+    place = {s << k | t: i for i, (s, t) in enumerate(zip(layout.s_of, layout.t_of))}
+    turn = [
+        place[(((s << 1) | (s >> (k - 1))) & full) << k | (((t << 1) | (t >> (k - 1))) & full)]
+        for s, t in zip(layout.s_of, layout.t_of)
+    ]
     sent = [0] * layout.f  # the users each pair is sent to, as a mask, by place
     # each representative's case, members, size, users and places, by its highest user
     by_high: list[tuple[list, ...]] = [([], [], [], [], []) for _ in range(k + 1)]
@@ -357,7 +350,7 @@ class DecodeCheck:
     ``blocked[p]``, two lists of one int per place (K <= 64).
     :meth:`add_rotation` files a whole rotation, :meth:`add` one packet's
     (user, place) terms. :meth:`report` checks every demand pair of a layout
-    whose pairs hold places 0 .. F - 1, as :func:`pair_masks` numbers them."""
+    whose pairs hold places 0 .. F - 1, as its ``s_of`` and ``t_of`` do."""
 
     def __init__(self, unions: list[int]) -> None:
         self.unread = [~union for union in unions]  # the users a pair's term is unreadable to
@@ -405,7 +398,7 @@ class DecodeCheck:
         peeled, blocked = self.peeled, self.blocked
         misses = []
         checked = 0
-        for i, (s, t) in enumerate(zip(*pair_masks(layout))):
+        for i, (s, t) in enumerate(zip(layout.s_of, layout.t_of)):
             want = full & ~(s | t)
             checked += want.bit_count()
             for v in bits(want & ~peeled[i]):
@@ -424,7 +417,7 @@ def verify_decodability(
     """Check that every user can peel every demanded mini-subfile out of some
     packet of ``packets``, or of the whole ``rotations``. Returns the
     violation list instead of raising."""
-    check = DecodeCheck([s | t for s, t in zip(*pair_masks(layout))])
+    check = DecodeCheck([s | t for s, t in zip(layout.s_of, layout.t_of)])
     for _, terms in packets:
         check.add(terms)
     for rotation in rotations:
@@ -445,7 +438,7 @@ def format_log(
     and rate lines; every line ends in a newline. Each user's ``d<u>:`` and
     each place's ``S:T`` label are rendered once per run."""
     user_label = [f"d{v}:" for v in range(layout.params.k + 1)]
-    label = [f"{mask_str(s)}:{mask_str(t)}" for s, t in zip(*pair_masks(layout))]
+    label = [f"{mask_str(s)}:{mask_str(t)}" for s, t in zip(layout.s_of, layout.t_of)]
     counts: Counter[str] = Counter()
     for rotation in rotations:
         j, order, cases, starts, users, _, places = rotation

@@ -28,12 +28,13 @@ With no shared-cache layer (gamma_a = 0) the two coincide: each file has
 the single empty S and subpacketization C(K, gamma_p), and
 :func:`build_layout` returns the subset layout.
 
-On both placements each S's list of T is enumerated once for all users, and
-a user u outside S splits it as Maddah-Ali--Niesen placement does: u
-privately holds the (S, T) with u in T and demands those with u outside T.
-The layout keeps those lists (:attr:`CacheLayout.tails`) as its only
-record of the (S, T) pairs: :func:`private_pairs` and :func:`demand_pairs`
-read user u's private cache and demand set off them when asked.
+On both placements the (S, T) pairs are enumerated once for all users, S
+by S and each S's T lexicographically, and every stage names a pair by its
+place, its index in that order. The S and the T of each place
+(:attr:`CacheLayout.s_of`, :attr:`CacheLayout.t_of`) are the layout's only
+record of the pairs. A user u outside S splits them as Maddah-Ali--Niesen
+placement does, holding the (S, T) with u in T privately and demanding
+those with u outside T: :func:`private_pairs` and :func:`demand_pairs`.
 
 Both placements are uncoded and file-symmetric: every file is split and
 cached the same way, so a layout holds each pattern once and the file
@@ -85,9 +86,6 @@ OUTPUT_BUDGET = 4_000_000
 # chunks, each held whole while it is rendered; N <= 1024 is one chunk
 DUMP_CHUNK_FILES = 1024
 
-# each S of a placement with its gamma_p-subsets T of the users outside S
-Tails = tuple[tuple[int, tuple[int, ...]], ...]
-
 
 @dataclass(frozen=True)
 class CacheLayout:
@@ -95,20 +93,25 @@ class CacheLayout:
     files: the placement splits and caches every file the same way.
 
     ``access[k-1]`` holds the S masks of the subfiles shared cache k stores
-    of every file; ``f`` is the subpacketization (mini-subfiles per file)
-    and ``placement`` is :data:`RING` or :data:`SUBSET`. ``tails`` lists
-    each S with its T lists, in order: the F (S, T) pairs of a file, one per
-    mini-subfile, off which every private cache (:func:`private_pairs`) and
-    demand set (:func:`demand_pairs`) is read. File indices are attached
-    only where output needs them: in :func:`layout_to_json` and in the terms
-    delivery sends.
+    of every file, and ``placement`` is :data:`RING` or :data:`SUBSET`.
+    ``s_of[p]`` and ``t_of[p]`` are the S and the T mask of the pair at
+    place p: the F (S, T) pairs of a file, one per mini-subfile, S by S and
+    each S's T lexicographically, off which every private cache
+    (:func:`private_pairs`) and demand set (:func:`demand_pairs`) is read.
+    File indices are attached only where output needs them: in
+    :func:`layout_to_json` and in the terms delivery sends.
     """
 
     params: SystemParams
-    f: int
     access: tuple[tuple[int, ...], ...]
     placement: str
-    tails: Tails
+    s_of: tuple[int, ...]
+    t_of: tuple[int, ...]
+
+    @property
+    def f(self) -> int:
+        """The subpacketization: mini-subfiles, and (S, T) pairs, per file."""
+        return len(self.s_of)
 
     @property
     def width(self) -> int:
@@ -170,24 +173,29 @@ def t_sets(params: SystemParams, s_mask: int) -> Iterator[int]:
         yield sum(combo)
 
 
-def _tails(params: SystemParams, shared_sets: tuple[int, ...]) -> Tails:
-    """Each S with its T list: every (S, T) of the placement, in order."""
-    return tuple((s, tuple(t_sets(params, s))) for s in shared_sets)
+def _build(params: SystemParams, access: tuple, placement: str, shared_sets: tuple) -> CacheLayout:
+    """The layout whose pairs are each S of ``shared_sets`` with its T, by
+    place, once every cache is checked against its budget."""
+    t_lists = [tuple(t_sets(params, s)) for s in shared_sets]
+    s_of = tuple(s for s, ts in zip(shared_sets, t_lists) for _ in ts)
+    t_of = tuple(itertools.chain.from_iterable(t_lists))
+    layout = CacheLayout(params, access, placement, s_of, t_of)
+    _check_memory(layout)
+    return layout
 
 
 def private_pairs(layout: CacheLayout, u: int) -> tuple[tuple[int, int], ...]:
     """User u's private cache: every (S, T) pair of the layout with u outside
-    S and inside T, in the order of :attr:`CacheLayout.tails`."""
+    S and inside T, by place."""
     own = bit(u)
-    return tuple((s, t) for s, ts in layout.tails if not s & own for t in ts if t & own)
+    return tuple((s, t) for s, t in zip(layout.s_of, layout.t_of) if t & own and not s & own)
 
 
 def demand_pairs(layout: CacheLayout, u: int) -> tuple[tuple[int, int], ...]:
     """User u's demand set: every (S, T) pair of the layout with u outside
-    S | T, ordered by S (as in :attr:`CacheLayout.tails`) then T
-    lexicographically."""
+    S | T, by place: ordered by S, then T lexicographically."""
     own = bit(u)
-    return tuple((s, t) for s, ts in layout.tails if not s & own for t in ts if not t & own)
+    return tuple((s, t) for s, t in zip(layout.s_of, layout.t_of) if not (s | t) & own)
 
 
 def build_layout(params: SystemParams) -> CacheLayout:
@@ -209,9 +217,7 @@ def build_layout(params: SystemParams) -> CacheLayout:
         tuple(windows[i] for i in sorted((cache + j * params.l) % k for j in range(ga)))
         for cache in range(k)
     )
-    layout = CacheLayout(params, subpacketization(params), access, RING, _tails(params, windows))
-    _check_memory(layout)
-    return layout
+    return _build(params, access, RING, windows)
 
 
 def build_subset_layout(params: SystemParams) -> CacheLayout:
@@ -229,31 +235,30 @@ def build_subset_layout(params: SystemParams) -> CacheLayout:
         )
     sets = subset_masks(k, ga)
     access = tuple(tuple(s for s in sets if s & bit(cache)) for cache in range(1, k + 1))
-    f = subpacketization(params, SUBSET)
-    layout = CacheLayout(params, f, access, SUBSET, _tails(params, sets))
-    _check_memory(layout)
-    return layout
+    return _build(params, access, SUBSET, sets)
 
 
 def _check_memory(layout: CacheLayout) -> None:
     """Every cache must hit its size budget exactly: Ma * F mini-subfiles in
-    each shared cache and Mp * F in each private one, over all N files, and
-    F (S, T) pairs in the tails. One pass over the tails counts the private
-    caches: each T adds one to each of its users outside S."""
+    each shared cache and Mp * F in each private one, over all N files, with
+    F the placement's subpacketization, and ``s_of`` and ``t_of`` must each
+    hold F places. One pass over the places counts the private caches: each
+    T adds one to each of its users outside S."""
     p = layout.params
+    f = subpacketization(p, layout.placement)
     per_subfile = binom(p.k - layout.width, p.gp)
-    shared_budget, private_budget = p.ma * layout.f, p.mp * layout.f
+    shared_budget, private_budget = p.ma * f, p.mp * f
     for cache in layout.access:
         if p.n * len(cache) * per_subfile != shared_budget:
             raise AssertionError("shared cache holds a wrong subfile count")
     held = [0] * p.k
-    for t, count in Counter(m & ~s for s, ts in layout.tails for m in ts).items():
-        for u in bits(t):
+    for held_by, count in Counter(t & ~s for s, t in zip(layout.s_of, layout.t_of)).items():
+        for u in bits(held_by):
             held[u - 1] += count
     if any(p.n * size != private_budget for size in held):
         raise AssertionError("private cache holds a wrong mini-subfile count")
-    if sum(len(ts) for _, ts in layout.tails) != layout.f:
-        raise AssertionError("tails hold a wrong mini-subfile count")
+    if not len(layout.s_of) == len(layout.t_of) == f:
+        raise AssertionError("the record holds a wrong mini-subfile count")
 
 
 def layout_to_json(layout: CacheLayout, write: Callable[[str], object]) -> None:

@@ -37,7 +37,7 @@ from .model import (
     window_masks,
 )
 from .placement import build_layout, preflight
-from .delivery import GENERAL, SC1, SC2, deliver, pair_masks
+from .delivery import GENERAL, SC1, SC2, deliver
 from .analysis import TransmissionCounts, table1_counts
 
 
@@ -158,7 +158,7 @@ def count_vs_formula(params: SystemParams) -> AgreementReport:
     tally: dict[int, int] = {}
     stray = None
     total = 0
-    s_of, t_of = pair_masks(layout)
+    s_of, t_of = layout.s_of, layout.t_of
     rotations = deliver(layout).rotations()
     anchors = itertools.chain.from_iterable(rotation.anchors() for rotation in rotations)
     for total, (case, u, p) in enumerate(anchors, 1):

@@ -20,7 +20,8 @@ per verdict that the place ledgers replaced, delivery results with a
 transmission taken out, the cut-set bound, memory sharing and the
 six-place rendering as the Fraction code the integer forms replaced, the
 cut-set bound's integer loop with a ``min`` per term that the split loop
-replaced, a layout's shared sets, read off its tails, and the sweep built
+replaced, a layout's shared sets and the S and T of each of its places
+rebuilt from the shared-set masks and T lists, and the sweep built
 row by row through a SystemParams and Fractions, then rendered whole, as
 the column kernel and its streamed rows replaced, the exhaustive
 census over every candidate subset that the census through one window's
@@ -60,6 +61,7 @@ from ringcache.model import (
     mask_of,
     mask_str,
     position_sets,
+    subset_masks,
     window_mask,
     window_masks,
 )
@@ -125,10 +127,28 @@ def t_sets_reference(params, s_mask: int, containing: int = 0):
         yield sum(combo)
 
 
+def _shared_sets(params, placement: str) -> tuple[int, ...]:
+    """Every S a subfile of the placement can carry, in canonical order: ring
+    windows by end (K equal whole-ring masks at span = K), or all
+    gamma_a-subsets lexicographically, the single empty set at gamma_a = 0."""
+    if placement == SUBSET or params.ga == 0:
+        return subset_masks(params.k, params.ga)
+    return window_masks(params.k, params.span)
+
+
 def shared_sets(layout) -> tuple[int, ...]:
-    """Every S a subfile of the layout can carry, in canonical order: ring
-    windows by end, or all gamma_a-subsets lexicographically."""
-    return tuple(s for s, _ in layout.tails)
+    """Every S a subfile of the layout can carry, in canonical order."""
+    return _shared_sets(layout.params, layout.placement)
+
+
+def places_reference(params, placement: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The S and the T of each place of the placement's layout: its shared
+    sets in canonical order, each with its T lexicographically, as the layout
+    once held them nested, one T list per S."""
+    pairs = [
+        (s, t) for s in _shared_sets(params, placement) for t in t_sets_reference(params, s)
+    ]
+    return tuple(s for s, _ in pairs), tuple(t for _, t in pairs)
 
 
 def private_cache_reference(params, shared_sets, u: int) -> tuple[tuple[int, int], ...]:
@@ -233,7 +253,7 @@ class Places:
     (user, S, T) keys into (user, place) terms and back."""
 
     def __init__(self, layout=None):
-        self.pairs = [] if layout is None else [(s, t) for s, ts in layout.tails for t in ts]
+        self.pairs = [] if layout is None else list(zip(layout.s_of, layout.t_of))
         self.index = {pair: i for i, pair in enumerate(self.pairs)}
 
     def terms(self, keys):

@@ -786,6 +786,18 @@ def test_simulate_determinism(tmp_path):
             "# total=2639 general=1512 sc1=1078 sc2=49",
             "b82e6b43750cd2c31fc8115a0f3359fbb6f5175046160d3693ac8ee8c43224e7",
         ),
+        # span + gamma_p = K - 1: every union is the whole ring, 3 GENERAL packets
+        (
+            ("-K", "6", "-L", "3", "--ma", "1", "--mp", "2", "-N", "6"),
+            "# total=3 general=3 sc1=0 sc2=0",
+            "2574d679301dfb15fce064a336da373f1b635f64d510fc7301cc498da422f7cb",
+        ),
+        # span = K: every user reads every pair, and nothing is sent
+        (
+            ("-K", "5", "-L", "5", "--ma", "1", "--mp", "0", "-N", "5"),
+            "# total=0 general=0 sc1=0 sc2=0",
+            "d5de48fa3f0f45103386c57d6d0080e029a80e7d2faea6220162ae052deb4624",
+        ),
     ],
 )
 def test_simulate_larger_logs_are_pinned(system, footer, digest):
@@ -813,6 +825,11 @@ def test_simulate_larger_logs_are_pinned(system, footer, digest):
         (
             ("-K", "7", "-L", "2", "--ma", "0", "--mp", "4", "-N", "14"),
             "b0bfcfc55145389877dc51aa4f827c9095ef4f0f56a0fa6f4e375887ec39c65c",
+        ),
+        # span = K, N = 2K: K equal whole-ring windows, each cache holding two
+        (
+            ("-K", "4", "-L", "2", "--ma", "2", "--mp", "0", "-N", "8"),
+            "dbe9d878cc5647dc4343949ced120b48652522da9f2d815430bb5c63ab2a34c3",
         ),
     ],
 )
@@ -1119,6 +1136,20 @@ def test_verify_command_grid():
     assert code == 0
     assert "FAIL" not in out
     assert out.strip().splitlines()[-1].endswith("instances agree")
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (("--kmax", "12"), "9d08fd1458954ec4a523712c1c74d589080051d644137f3a34ab11d24d442516"),
+        (("--kmax", "8", "--json"), "f46d517e15499e3a43aba145334fa9de1a986b3467ff382b6b3bc4a47d0789c7"),
+    ],
+)
+def test_verify_grids_are_pinned(argv, digest):
+    # whole grid reports, byte for byte: every instance's line and the tally
+    code, out, err = run_cli("verify", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -732,7 +732,7 @@ def mutated_stream(rng, layout, packets):
     packet dropped, duplicated or cut short, or a key added whose user is in
     its own S or T or whose pair is not one of the placement's."""
     k, packets = layout.params.k, [list(keys) for keys in packets]
-    placed = {(s, t) for s, ts in layout.tails for t in ts}
+    placed = set(zip(layout.s_of, layout.t_of))
     for _ in range(rng.randint(1, 3)):
         if not packets:
             break

@@ -41,6 +41,7 @@ from helpers import (
     accessible_subfile_windows,
     demand_pairs_reference,
     layout_reference_dict,
+    places_reference,
     popcount,
     private_cache_reference,
     reads,
@@ -146,44 +147,70 @@ def test_check_memory_rejects_a_cache_one_entry_short(system, side):
             with pytest.raises(AssertionError, match="wrong"):
                 _check_memory(replace(layout, access=access))
         return
-    # private caches are read off the tails: dropping any one T from its S's
-    # list (the last one included) leaves each user of that T one entry
-    # short, and between them the dropped T reach every user's cache
+    # private caches are read off the record: dropping any one place (the
+    # last one included) from both s_of and t_of leaves each user of its T
+    # one entry short, and between them the dropped T reach every user's cache
     reached = 0
-    for i, (s, ts) in enumerate(layout.tails):
-        for j, t in enumerate(ts):
-            tails = layout.tails[:i] + ((s, ts[:j] + ts[j + 1 :]),) + layout.tails[i + 1 :]
-            with pytest.raises(AssertionError, match="private cache"):
-                _check_memory(replace(layout, tails=tails))
-            reached |= t
+    s_of, t_of = layout.s_of, layout.t_of
+    for p, t in enumerate(t_of):
+        short = replace(layout, s_of=s_of[:p] + s_of[p + 1 :], t_of=t_of[:p] + t_of[p + 1 :])
+        with pytest.raises(AssertionError, match="private cache"):
+            _check_memory(short)
+        reached |= t
     assert reached == (1 << params.k) - 1
 
 
-def test_check_memory_rejects_tails_short_of_f_pairs():
-    # at gamma_p = 0 no private cache counts the pairs: emptying the first
-    # S's T list leaves 5 pairs against F = 6, which only the F check sees
+def test_check_memory_rejects_a_record_short_of_f_pairs():
+    # at gamma_p = 0 no private cache counts the pairs: dropping the first
+    # place leaves 5 pairs against F = 6, which only the F check sees, as it
+    # sees a place dropped from s_of or from t_of alone
     layout = build_layout(SystemParams(k=6, l=2, ma=1, mp=0, n=6))
     _check_memory(layout)
-    s, ts = layout.tails[0]
-    assert layout.f == 6 and ts == (0,)
-    with pytest.raises(AssertionError, match="tails hold a wrong mini-subfile count"):
-        _check_memory(replace(layout, tails=((s, ()),) + layout.tails[1:]))
+    assert layout.f == 6 and layout.t_of[0] == 0
+    s_of, t_of = layout.s_of, layout.t_of
+    for short in (dict(s_of=s_of[1:], t_of=t_of[1:]), dict(s_of=s_of[1:]), dict(t_of=t_of[1:])):
+        with pytest.raises(AssertionError, match="the record holds a wrong mini-subfile count"):
+            _check_memory(replace(layout, **short))
 
 
-def test_ring_tails_at_full_span_hold_one_pair_for_k_subfiles():
-    # K=2 L=2 Ma=1: each window is the whole ring, and the tails hold one
+def test_ring_record_at_full_span_holds_one_pair_for_k_subfiles():
+    # K=2 L=2 Ma=1: each window is the whole ring, and the record holds one
     # (S, T) pair for each of the F = K = 2 subfiles, one per window end
     layout = build_layout(SystemParams(k=2, l=2, ma=1, mp=0, n=2))
     assert layout.placement == RING and layout.width == 2
-    assert layout.tails == ((0b11, (0,)),) * 2
+    assert (layout.s_of, layout.t_of) == ((0b11,) * 2, (0,) * 2)
     assert layout.f == 2
     _check_memory(layout)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_record_holds_the_pairs_s_by_s_and_each_t_lexicographically(seed):
+    # the record against the order rebuilt from the shared sets and T lists,
+    # over seeded points of both placements, with the edge shapes always in
+    rng = random.Random(seed)
+    points = [(4, 2, 2, 0), (6, 3, 2, 0), (7, 2, 0, 4), (8, 1, 0, 3), (6, 2, 1, 0), (8, 1, 3, 0)]
+    while len(points) < 16:
+        k = rng.randint(1, 9)
+        l = rng.randint(1, k)
+        ga = rng.randint(0, k // l)
+        gp = rng.randint(0, k - (ga if l == 1 else ga * l))
+        points.append((k, l, ga, gp))
+    for k, l, ga, gp in points:
+        params = SystemParams(k=k, l=l, ma=ga, mp=gp, n=k)
+        placements = [(RING, build_layout)] + [(SUBSET, build_subset_layout)] * (l == 1 or ga == 0)
+        for placement, build in placements:
+            layout = build(params)
+            assert (layout.s_of, layout.t_of) == places_reference(params, placement), (
+                k, l, ga, gp, placement
+            )
+            assert layout.f == len(layout.t_of) == subpacketization(params, placement)
+
+
 def test_layout_grows_with_f_not_with_private_copies():
-    # K=20 L=2 gamma_a=3 gamma_p=4 (F = 20,020): the tails hold each (S, T)
-    # once, about 40 bytes per F traced; per-user private tuples, which
-    # hold gamma_p * F pairs, took about 295
+    # K=20 L=2 gamma_a=3 gamma_p=4 (F = 20,020): the record holds each (S, T)
+    # once, about 47 bytes per F traced (a T int and a pointer in each of
+    # s_of and t_of); per-user private tuples, which hold gamma_p * F pairs,
+    # took about 295
     params = SystemParams(k=20, l=2, ma=3, mp=4, n=20)
     build_layout(SystemParams(**EX5))
     gc.collect()

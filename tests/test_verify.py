@@ -1,11 +1,13 @@
 """The census oracle, against its exhaustive reference, and the three-way
 agreement harness."""
 
+import ast
 import dataclasses
 import itertools
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +24,7 @@ from ringcache.model import (
     window_masks,
 )
 from ringcache.placement import build_layout, demand_pairs, preflight
-from ringcache.delivery import GENERAL, SC1, SC2, pair_masks, worst_case_demand
+from ringcache.delivery import GENERAL, SC1, SC2, worst_case_demand
 from ringcache.analysis import table1_counts
 from ringcache.verify import (
     count_vs_formula,
@@ -255,8 +257,8 @@ def _corrupted(monkeypatch, corrupt):
 def _union(packet):
     """The union set of a packet of K=8 L=2 gamma_a=1 gamma_p=1."""
     u, p = packet[1][0]
-    s_of, t_of = pair_masks(build_layout(SystemParams(k=8, l=2, ma=1, mp=1, n=8)))
-    return bit(u) | s_of[p] | t_of[p]
+    layout = build_layout(SystemParams(k=8, l=2, ma=1, mp=1, n=8))
+    return bit(u) | layout.s_of[p] | layout.t_of[p]
 
 
 def test_a_union_with_one_packet_too_many_and_another_one_short_fails(monkeypatch):
@@ -349,3 +351,19 @@ def test_a_census_with_a_union_no_delivery_uses_fails(monkeypatch):
     rep = count_vs_formula(EX8)
     assert (table.transmissions, census.transmissions, rep.passed) == (100, 100, False)
     assert rep.divergence == "delivery used 68 union sets, the census counts 69"
+
+
+def test_the_oracle_takes_only_the_case_tags_and_deliver_from_delivery():
+    # the oracle checks what delivery sends against its own census, so it
+    # may call deliver and name the three cases, and read nothing else of it
+    tree = ast.parse(Path(ringcache.verify.__file__).read_text(encoding="utf-8"))
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all("delivery" not in alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if (node.level, node.module) in ((1, "delivery"), (0, "ringcache.delivery")):
+                taken |= {alias.name for alias in node.names}
+            else:
+                assert all(alias.name != "delivery" for alias in node.names), node.module
+    assert taken and taken <= {"GENERAL", "SC1", "SC2", "deliver"}, taken
