@@ -256,8 +256,9 @@ def deliver(layout: CacheLayout) -> Delivery:
     """The layout's delivery: every packet in the greedy scan's order, each
     demand pair in exactly one, rotated from the representatives as the
     stream is consumed. Raises AssertionError, before anything streams, if
-    a representative's term is not a pair of the layout, or if the
-    rotations sent leave some user's demand pair uncovered."""
+    a representative's term is not a pair of the layout, if the rotations
+    sent leave some user's demand pair uncovered, or if they send some
+    demand pair twice: more terms than there are demand pairs."""
     params = layout.params
     k, full = params.k, (1 << params.k) - 1
     if layout.placement == SUBSET:
@@ -273,7 +274,8 @@ def deliver(layout: CacheLayout) -> Delivery:
     sent = [0] * layout.f  # the users each pair is sent to, as a mask, by place
     # each representative's case, members, size, users and places, by its highest user
     by_high: list[tuple[list, ...]] = [([], [], [], [], []) for _ in range(k + 1)]
-    for s, t in demand_pairs(layout, 1):
+    demand = demand_pairs(layout, 1)
+    for s, t in demand:
         case, keys = build(1, s, t)
         h = max(keys)[0]
         cases, members, sizes, users, places = by_high[h]
@@ -310,6 +312,13 @@ def deliver(layout: CacheLayout) -> Delivery:
     leftovers = sum(k - sent[places[a]].bit_count() for a in starts[:-1])
     if leftovers:
         raise AssertionError(f"{leftovers} demand pairs were never covered")
+    # every demand pair is covered, so each goes out exactly once when the
+    # terms sent number the pairs: a representative with highest user h goes
+    # out in K - h + 1 rotations, and each of the K users has as many demand
+    # pairs as user 1
+    terms = sum((k + 1 - h) * sum(group[2]) for h, group in enumerate(by_high))
+    if terms != k * len(demand):
+        raise AssertionError(f"{terms} demand terms sent for {k * len(demand)} demand pairs")
     return Delivery(k, highs, cases, starts, users, members, places, turn)
 
 

@@ -35,6 +35,11 @@ place, its index in that order. The S and the T of each place
 record of the pairs. A user u outside S splits them as Maddah-Ali--Niesen
 placement does, holding the (S, T) with u in T privately and demanding
 those with u outside T: :func:`private_pairs` and :func:`demand_pairs`.
+Every S owns a run of R = C(K - width, gamma_p) places whose T's are the
+gamma_p-subsets of the users outside S in lexicographic order, so the
+places of a run whose T holds u sit at offsets fixed by u's rank among
+those users; a private cache is read off the runs through one table of
+those offsets per (K - width, gamma_p), without a scan of the F places.
 
 Both placements are uncoded and file-symmetric: every file is split and
 cached the same way, so a layout holds each pattern once and the file
@@ -184,11 +189,44 @@ def _build(params: SystemParams, access: tuple, placement: str, shared_sets: tup
     return layout
 
 
+@functools.cache
+def _rank_offsets(outside: int, gp: int) -> tuple[tuple[int, ...], ...]:
+    """By rank r, the offsets into a run of C(outside, gamma_p) places whose
+    T holds the r-th user outside the run's S: the gamma_p-combinations of
+    the ``outside`` users, lexicographically, that hold r."""
+    table: list[list[int]] = [[] for _ in range(outside)]
+    for i, combo in enumerate(itertools.combinations(range(outside), gp)):
+        for r in combo:
+            table[r].append(i)
+    return tuple(map(tuple, table))
+
+
+def _private_runs(layout: CacheLayout, u: int) -> Iterator[tuple[int, Iterator[int]]]:
+    """User u's private cache, run by run: each S without u, with the T's
+    of its run that hold u, by place."""
+    p = layout.params
+    outside = p.k - layout.width
+    offsets = _rank_offsets(outside, p.gp)
+    own = bit(u)
+    s_of, t_of = layout.s_of, layout.t_of
+    for head in range(0, layout.f, binom(outside, p.gp)):
+        s = s_of[head]
+        if not s & own:
+            # u's rank among the users outside S
+            at = offsets[u - 1 - (s & (own - 1)).bit_count()]
+            yield s, map(t_of.__getitem__, map(head.__add__, at))
+
+
 def private_pairs(layout: CacheLayout, u: int) -> tuple[tuple[int, int], ...]:
     """User u's private cache: every (S, T) pair of the layout with u outside
-    S and inside T, by place."""
-    own = bit(u)
-    return tuple((s, t) for s, t in zip(layout.s_of, layout.t_of) if t & own and not s & own)
+    S and inside T, by place.
+
+    Read off the record run by run, not by a scan of its F places: the run
+    of each S is C(K - width, gamma_p) places whose T's are the
+    gamma_p-subsets of the users outside S, lexicographically, so the
+    places whose T holds u are the offsets :func:`_rank_offsets` gives for
+    u's rank among those users. Runs whose S holds u are skipped."""
+    return tuple((s, t) for s, ts in _private_runs(layout, u) for t in ts)
 
 
 def demand_pairs(layout: CacheLayout, u: int) -> tuple[tuple[int, int], ...]:
@@ -261,6 +299,15 @@ def _check_memory(layout: CacheLayout) -> None:
         raise AssertionError("the record holds a wrong mini-subfile count")
 
 
+def _private_labels(layout: CacheLayout, u: int) -> list[str]:
+    """User u's private cache as ``S:T`` labels, each S rendered once per run."""
+    labels: list[str] = []
+    for s, ts in _private_runs(layout, u):
+        head = mask_str(s) + ":"
+        labels += [head + mask_str(t) for t in ts]
+    return labels
+
+
 def layout_to_json(layout: CacheLayout, write: Callable[[str], object]) -> None:
     """Write the layout dump as JSON text through ``write``: shared entries
     as ``n:S``, private as ``n:S:T``, file-major (every entry of file 1,
@@ -270,7 +317,8 @@ def layout_to_json(layout: CacheLayout, write: Callable[[str], object]) -> None:
     dump as a dict, but rendered directly: with ``indent`` set the json
     module skips its C encoder and walks every one of the N * (entries)
     strings in pure Python. Labels hold only digits, commas and colons, so
-    nothing needs escaping; each cache's labels are rendered once and each
+    nothing needs escaping; each cache's labels are rendered once (a private
+    cache's off the record's runs, each S once per run) and each
     file's run of entries is one ``str.join`` over a separator that carries
     the file index. The header and the braces are writes of their own, and
     each cache is written in chunks of :data:`DUMP_CHUNK_FILES` files, one
@@ -310,8 +358,5 @@ def layout_to_json(layout: CacheLayout, write: Callable[[str], object]) -> None:
     ))
     caches([mask_str(s) for s in cache] for cache in layout.access)
     write('\n  },\n  "private": {\n')
-    caches(
-        [f"{mask_str(s)}:{mask_str(t)}" for s, t in private_pairs(layout, u)]
-        for u in range(1, p.k + 1)
-    )
+    caches(_private_labels(layout, u) for u in range(1, p.k + 1))
     write("\n  }\n}")

@@ -175,6 +175,7 @@ def layout_reference_dict(layout) -> dict:
     rendered the text itself."""
     p = layout.params
     files = range(1, p.n + 1)
+    sets = shared_sets(layout)
 
     def per_file(labels: list[str]) -> list[str]:
         return [f"{n}:{label}" for n in files for label in labels]
@@ -191,7 +192,9 @@ def layout_reference_dict(layout) -> dict:
             for k, cache in enumerate(layout.access)
         },
         "private": {
-            str(u): per_file([f"{mask_str(s)}:{mask_str(t)}" for s, t in private_pairs(layout, u)])
+            str(u): per_file(
+                [f"{mask_str(s)}:{mask_str(t)}" for s, t in private_cache_reference(p, sets, u)]
+            )
             for u in range(1, p.k + 1)
         },
     }

@@ -831,6 +831,37 @@ def test_simulate_larger_logs_are_pinned(system, footer, digest):
             ("-K", "4", "-L", "2", "--ma", "2", "--mp", "0", "-N", "8"),
             "dbe9d878cc5647dc4343949ced120b48652522da9f2d815430bb5c63ab2a34c3",
         ),
+        # the benchmark's five layout-dump systems, N = 4K
+        (
+            ("-K", "8", "-L", "2", "--ma", "4", "--mp", "4", "-N", "32"),
+            "0f04d3cb65f7e350524a574d454e536fd31fde57cd5587e7e920eb916199ab3e",
+        ),
+        (
+            ("-K", "10", "-L", "3", "--ma", "4", "--mp", "8", "-N", "40"),
+            "f23633a3ec8dba3c5044c704795634b84fa0ab78994447a45b3536b78eaa4c89",
+        ),
+        (
+            ("-K", "12", "-L", "2", "--ma", "8", "--mp", "8", "-N", "48"),
+            "e34ca9b540dd785a25bba68df543c4c8ac2acb7517d913860e8d845a320a9380",
+        ),
+        (
+            ("-K", "16", "-L", "2", "--ma", "8", "--mp", "8", "-N", "64"),
+            "36e20826a67e3971ffd82307a8f51464c01aa1e9d15d6a92dcadbbfd5ad491e4",
+        ),
+        (
+            ("-K", "14", "-L", "2", "--ma", "8", "--mp", "12", "-N", "56"),
+            "dbad3bdd4defd3ce5b839af9c88388c0be47af98f5c5dca2e918234bb4e9e703",
+        ),
+        # N = 2,100 > DUMP_CHUNK_FILES: each cache in three chunks, on the
+        # subset placement (12.9 MB) and the ring placement (11.1 MB)
+        (
+            ("-K", "9", "-L", "1", "--ma", "4200/9", "--mp", "2100/9", "-N", "2100"),
+            "add9487b2090636b7347f335316f67962bc4cdfb9745d91c4be12c189313009e",
+        ),
+        (
+            ("-K", "8", "-L", "2", "--ma", "525/2", "--mp", "525", "-N", "2100"),
+            "3519396c986f128c1e5e5a75504c0fc700eecfd819acabdc703bc90bff3de925",
+        ),
     ],
 )
 def test_layout_dumps_are_pinned(system, digest):

@@ -586,6 +586,36 @@ def test_a_representative_term_off_the_layout_is_named(monkeypatch):
         deliver(layout)
 
 
+@pytest.mark.parametrize(
+    "kernel,params",
+    [
+        ("_ring_xor", SystemParams(**EX7)),
+        ("_subset_xor", SystemParams(k=6, l=1, ma=2, mp=1, n=6)),
+    ],
+)
+def test_a_demand_pair_sent_twice_is_an_error(monkeypatch, kernel, params):
+    # the first representative repeats its first term: every pair is still
+    # covered, but one goes out twice in each of the representative's
+    # K - h + 1 rotations, and the plan refuses to start
+    build = getattr(delivery, kernel)
+    first = []
+
+    def with_a_repeated_term(*args):
+        case, keys = build(*args)
+        if not first:
+            first.append(max(keys)[0])
+            keys = keys + keys[:1]
+        return case, keys
+
+    monkeypatch.setattr(delivery, kernel, with_a_repeated_term)
+    layout = build_subset_layout(params) if params.l == 1 else build_layout(params)
+    with pytest.raises(AssertionError) as raised:
+        deliver(layout)
+    pairs = params.k * len(demand_pairs(layout, 1))
+    terms = pairs + params.k + 1 - first[0]
+    assert str(raised.value) == f"{terms} demand terms sent for {pairs} demand pairs"
+
+
 # ---------------------------------------------------------------------------
 # the two-mask decode check against the term-by-term rule
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from ringcache.placement import (
     RING,
     SUBSET,
     _check_memory,
+    _rank_offsets,
     build_layout,
     build_subset_layout,
     demand_pairs,
@@ -431,10 +432,72 @@ def test_access_caches_match_the_window_mask_construction():
     assert build_layout(SystemParams(k=6, l=2, ma=3, mp=0, n=6)).access == ((0b111111,) * 3,) * 6
 
 
+def test_rank_offsets_match_brute_force():
+    # by rank r, the offsets of the lexicographic gamma_p-subsets of
+    # `outside` users that hold the r-th, read off every subset's mask; each
+    # subset holds gamma_p ranks, so the table holds gamma_p * R offsets
+    for outside in range(13):
+        for gp in range(outside + 1):
+            subsets = sorted(
+                bits(mask) for mask in range(1 << outside) if popcount(mask) == gp
+            )
+            table = _rank_offsets(outside, gp)
+            assert table == tuple(
+                tuple(i for i, subset in enumerate(subsets) if r + 1 in subset)
+                for r in range(outside)
+            ), (outside, gp)
+            assert sum(map(len, table)) == gp * binom(outside, gp)
+
+
+class _CountedReads(tuple):
+    """A tuple that counts its item reads and refuses to be iterated whole."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        type(self).reads += 1
+        return tuple.__getitem__(self, i)
+
+    def __iter__(self):
+        raise AssertionError("the record was scanned")
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        dict(k=10, l=3, ma=4, mp=8, n=40),  # ring placement
+        dict(k=8, l=1, ma=6, mp=2, n=16),  # subset placement at L = 1
+        dict(k=7, l=2, ma=0, mp=4, n=14),  # no shared layer
+        dict(k=4, l=2, ma=4, mp=0, n=8),  # span = K: every S holds every user
+    ],
+)
+def test_a_dump_reads_each_private_entry_once(system):
+    # over the K private caches of a dump, t_of is read once per private
+    # entry of a file, gamma_p * F in all, and s_of once per (user, run
+    # head), where a run is the C(K - width, gamma_p) places of one S
+    params = SystemParams(**system)
+    layout = build_subset_layout(params) if params.l == 1 else build_layout(params)
+    run = binom(params.k - layout.width, params.gp)
+
+    class SOf(_CountedReads):
+        reads = 0
+
+    class TOf(_CountedReads):
+        reads = 0
+
+    counted = replace(layout, s_of=SOf(layout.s_of), t_of=TOf(layout.t_of))
+    parts = []
+    layout_to_json(counted, parts.append)
+    assert "".join(parts) == json.dumps(layout_reference_dict(layout), indent=2)
+    assert TOf.reads == params.gp * layout.f
+    assert SOf.reads == params.k * layout.f // run
+
+
 def test_cells_match_the_per_user_enumeration():
-    # private caches and demand sets, read off one T list per shared set,
-    # are tuple for tuple and in order what enumerating each (user, S)
-    # pair on its own gives, on every valid (K <= 9, L, gamma_a, gamma_p)
+    # private caches and demand sets, read off the record, are tuple for
+    # tuple and in order what enumerating each (user, S) pair on its own
+    # gives, on every valid (K <= 9, L, gamma_a, gamma_p) and on a seeded
+    # sample at K 10-16
     layouts = []
     for k in range(1, 10):
         for l, ga, gp in itertools.product(range(1, k + 1), range(k + 1), range(k + 1)):
@@ -444,6 +507,18 @@ def test_cells_match_the_per_user_enumeration():
                     layouts.append((build, build(params)))
                 except (InvalidParameters, RegimeError):
                     continue
+    rng, sampled = random.Random(27), []
+    while len(sampled) < 24:
+        k = rng.randint(10, 16)
+        l = rng.choice((1, 1, 2, 3))
+        build = build_subset_layout if l == 1 and rng.random() < 0.5 else build_layout
+        ga = rng.randint(0, k // l)
+        width = ga if build is build_subset_layout else ga * l
+        params = SystemParams(k=k, l=l, ma=ga, mp=rng.randint(0, k - width), n=k)
+        if subpacketization(params, SUBSET if build is build_subset_layout else RING) <= 20_000:
+            sampled.append((build, build(params)))
+    assert {layout.placement for _, layout in sampled if layout.params.ga} == {RING, SUBSET}
+    layouts += sampled
     for _, layout in layouts:
         params, sets = layout.params, shared_sets(layout)
         for u in range(1, params.k + 1):
