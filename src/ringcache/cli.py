@@ -4,9 +4,9 @@ Subcommands: ``rate`` (closed forms for one memory point), ``simulate``
 (run delivery for a demand vector and check decodability), ``sweep``
 (rate/bound grid as CSV or JSON), ``verify`` (census oracle harness),
 ``man-check`` (dedicated-cache reduction cross-check) and ``layout-dump``
-(cache contents as JSON). ``simulate`` and ``layout-dump`` use the subset
-placement at L = 1, the placement whose rate ``rate`` and ``sweep`` report
-there, and the ring placement otherwise.
+(cache contents as JSON). ``simulate`` and ``layout-dump`` get the subset
+placement at L = 1 from :func:`ringcache.placement.build`, the placement
+whose rate ``rate`` and ``sweep`` report there, and the ring one otherwise.
 
 Exit codes: 0 success, 1 usage or validation error, 2 decodability or
 oracle failure.
@@ -20,14 +20,14 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, Iterator
 
 from .model import RegimeError, SystemParams, network_refusal
 from .model import params_from_gammas, private_size_refusal
-from .placement import CacheLayout, build_layout, build_subset_layout, layout_to_json
-from .placement import preflight
+from .placement import build, layout_to_json, preflight
 from .delivery import (
     check_demand,
     deliver,
@@ -45,6 +45,10 @@ from .verify import count_vs_formula, man_crosscheck, sweep_grid
 # The commands that build a layout are bounded by placement.preflight instead.
 SWEEP_ROW_BUDGET = 50_000
 
+# most digits, and largest exponent, of a memory size: the numbers it makes a
+# command print stay under the 4,300 digits Python turns into text (~3,000 at most)
+SIZE_DIGITS = 500
+
 CSV_HEADER = (
     "K,L,N,Ma,Mp,gamma_a,gamma_p,rate_num,rate_den,rate,"
     "bound_num,bound_den,bound,optimal,note"
@@ -53,7 +57,12 @@ CSV_HEADER = (
 
 def _rational(text: str, flag: str) -> Fraction:
     """Exact rational from '3/2', '1.5' or '2', the one reader of every
-    command's memory sizes; malformed text is reported against ``flag``."""
+    command's memory sizes; malformed or overlong text is reported against ``flag``."""
+    exponent = re.search(r"[eE][-+]?(\d+(?:_\d+)*)", text)
+    if sum(map(str.isdigit, text)) > SIZE_DIGITS or exponent and int(exponent[1]) > SIZE_DIGITS:
+        raise ValueError(
+            f"{flag}: {text!r} has over {SIZE_DIGITS} digits or an exponent over {SIZE_DIGITS}"
+        )
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -86,12 +95,6 @@ def _dec6(num: int, den: int) -> str:
 def _params(args: argparse.Namespace) -> SystemParams:
     ma, mp = _rational(args.ma, "--ma"), _rational(args.mp, "--mp")
     return SystemParams(k=args.K, l=args.L, ma=ma, mp=mp, n=args.N)
-
-
-def _layout(params: SystemParams) -> CacheLayout:
-    """The placement the reported rate belongs to, and whose F :func:`preflight`
-    predicts: subset placement at L = 1, ring placement otherwise."""
-    return build_subset_layout(params) if params.l == 1 else build_layout(params)
 
 
 def _add_system_args(p: argparse.ArgumentParser) -> None:
@@ -181,8 +184,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             achievable_rate(params)
         except RegimeError as exc:
             raise RegimeError(f"{exc}; pass --unchecked to run it anyway") from exc
-    preflight("simulate", params)
-    layout = _layout(params)
+    layout = build("simulate", params)
     delivery = deliver(layout)
     # one pass, a rotation at a time: each is written and checked as it
     # streams past, never kept; a refused run has opened no sink
@@ -355,8 +357,7 @@ def cmd_man(args: argparse.Namespace) -> int:
 
 def cmd_layout_dump(args: argparse.Namespace) -> int:
     params = _params(args)
-    preflight("layout-dump", params)
-    layout = _layout(params)
+    layout = build("layout-dump", params)
     # written cache by cache; a refused run has opened no sink
     with _sink(args.output) as write:
         layout_to_json(layout, write)

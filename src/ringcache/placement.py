@@ -46,13 +46,9 @@ cached the same way, so a layout holds each pattern once and the file
 index n is attached only in :func:`layout_to_json` (which writes the
 ``layout-dump`` JSON cache by cache) and in the terms delivery sends.
 
-The rate reported at L = 1 is the subset placement's; the census and
-:func:`ringcache.verify.count_vs_formula` still check the ring placement
-at every L.
-
 Mini-subfile payloads are virtual: the package reasons about identities,
-sizes and decodability, never file bytes. A layout's size is predicted from
-binomials first: every command that builds one passes :func:`preflight`.
+sizes and decodability, never file bytes. Every command builds its layout
+through :func:`build`, which predicts its size from binomials first.
 """
 
 from __future__ import annotations
@@ -134,18 +130,19 @@ def subpacketization(params: SystemParams, placement: str = RING) -> int:
     return k * binom(k - params.span, gp)
 
 
-def preflight(command: str, params: SystemParams) -> None:
-    """Refuse ``command`` with :class:`GuardExceeded` before it builds a
-    layout, by two numbers predicted from binomials: what it streams, over
-    :data:`OUTPUT_BUDGET`, then the F of its layout, over :data:`LAYOUT_BUDGET`.
-
-    ``simulate`` and ``layout-dump`` build the subset placement at L = 1, the
-    others the ring placement. ``simulate`` and ``man-check`` stream rate * F
+def preflight(command: str, params: SystemParams) -> str:
+    """The placement ``command`` builds, :data:`RING` or :data:`SUBSET`, once
+    sized: refused with :class:`GuardExceeded` by two numbers predicted from
+    binomials, what it streams, over :data:`OUTPUT_BUDGET`, then its F, over
+    :data:`LAYOUT_BUDGET`. The subset placement is built without a shared
+    layer and for ``simulate`` and ``layout-dump`` at L = 1, the ring placement
+    otherwise. ``simulate`` and ``man-check`` stream rate * F
     packets (F where no rate is claimed), ``verify`` the count law's X,
     ``layout-dump`` N times one file's cache entries, and ``census`` its slice
     of C(K - span, gamma_p + 1) subsets, at most F."""
     k, ga, gp = params.k, params.ga, params.gp
-    placement = SUBSET if params.l == 1 and command in ("simulate", "layout-dump") else RING
+    subset = ga == 0 or params.l == 1 and command in ("simulate", "layout-dump")
+    placement = SUBSET if subset else RING
     f = subpacketization(params, placement)
     if command == "layout-dump":
         shared = ga * binom(k, ga) if placement == SUBSET else k * ga
@@ -168,23 +165,25 @@ def preflight(command: str, params: SystemParams) -> None:
                 f"refusing {command} at K={k} L={params.l} gamma_a={ga} gamma_p={gp}:"
                 f" {told}, over the budget of {budget}"
             )
+    return placement
 
 
-def t_sets(params: SystemParams, s_mask: int) -> Iterator[int]:
-    """gamma_p-subsets of the users outside ``s_mask``, lexicographically
-    ascending."""
-    pool = [b for b in map(bit, range(1, params.k + 1)) if not s_mask & b]
-    for combo in itertools.combinations(pool, params.gp):
-        yield sum(combo)
+def build(command: str, params: SystemParams) -> CacheLayout:
+    """The layout ``command`` runs on, of the placement :func:`preflight` sized."""
+    subset = preflight(command, params) == SUBSET
+    return build_subset_layout(params) if subset else build_layout(params)
 
 
 def _build(params: SystemParams, access: tuple, placement: str, shared_sets: tuple) -> CacheLayout:
     """The layout whose pairs are each S of ``shared_sets`` with its T, by
     place, once every cache is checked against its budget."""
-    t_lists = [tuple(t_sets(params, s)) for s in shared_sets]
-    s_of = tuple(s for s, ts in zip(shared_sets, t_lists) for _ in ts)
-    t_of = tuple(itertools.chain.from_iterable(t_lists))
-    layout = CacheLayout(params, access, placement, s_of, t_of)
+    users = [bit(u) for u in range(1, params.k + 1)]
+    s_of: list[int] = []
+    t_of: list[int] = []
+    for s in shared_sets:
+        t_of += map(sum, itertools.combinations([b for b in users if not s & b], params.gp))
+        s_of += [s] * (len(t_of) - len(s_of))
+    layout = CacheLayout(params, access, placement, tuple(s_of), tuple(t_of))
     _check_memory(layout)
     return layout
 

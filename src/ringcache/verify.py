@@ -17,7 +17,8 @@ delivery run, whose every packet's union is turned onto the slice and
 checked against its class. Disagreements report the first offending
 subset rather than raising. An instance, a census or a dedicated-cache
 cross-check over a size budget is refused before anything is built, by
-:func:`ringcache.placement.preflight`.
+:func:`ringcache.placement.build`, which gives an instance the ring
+placement, the one the census counts, at every L.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .model import (
     params_from_gammas,
     window_masks,
 )
-from .placement import build_layout, preflight
+from .placement import build, preflight
 from .delivery import GENERAL, SC1, SC2, deliver
 from .analysis import TransmissionCounts, table1_counts
 
@@ -144,10 +145,9 @@ def count_vs_formula(params: SystemParams) -> AgreementReport:
     K and looked up in the census slice. The first divergent union is
     spelled out in the report.
     """
-    preflight("verify", params)
+    layout = build("verify", params)
     table = table1_counts(params)
     census = enumerate_transmission_subsets(params)
-    layout = build_layout(params)
     k, gp, full = params.k, params.gp, (1 << params.k) - 1
     windows = window_masks(k, params.span)
     end_of = {w: e for e, w in enumerate(windows, 1)}  # each window by its last member
@@ -246,9 +246,8 @@ def man_crosscheck(k: int, t: int) -> ManReport:
     rule (:func:`ringcache.placement.preflight`) is checked before anything
     is built."""
     params = params_from_gammas(k, 1, 0, t, k)
-    preflight("man-check", params)
+    layout = build("man-check", params)
     f = binom(k, t)
-    layout = build_layout(params)
     packets = sum(len(rotation.order) for rotation in deliver(layout).rotations())
     rate = Fraction(packets, layout.f)
     expected_rate = Fraction(binom(k, t + 1), f)

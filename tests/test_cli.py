@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -24,7 +25,8 @@ from ringcache import analysis
 from ringcache.cli import build_parser, dec6, main
 from ringcache.delivery import deliver, format_report, verify_decodability
 from ringcache.model import RegimeError, SystemParams, params_from_gammas
-from ringcache.placement import LAYOUT_BUDGET, OUTPUT_BUDGET, build_layout, build_subset_layout
+from ringcache.placement import LAYOUT_BUDGET, OUTPUT_BUDGET, RING, SUBSET, build, build_layout
+from ringcache.placement import build_subset_layout, preflight
 from ringcache.verify import count_vs_formula, sweep_grid
 from fractions import Fraction
 
@@ -463,7 +465,8 @@ def test_simulate_refuses_a_bad_demand_before_building_the_layout(
     def no_layout(params):
         raise AssertionError("built a layout before refusing the demand")
 
-    monkeypatch.setattr(ringcache.cli, "_layout", no_layout)
+    monkeypatch.setattr(ringcache.placement, "build_layout", no_layout)
+    monkeypatch.setattr(ringcache.placement, "build_subset_layout", no_layout)
     k, ma, mp = map(str, system)
     argv = ("simulate", "-K", k, "-L", "2", "--ma", ma, "--mp", mp, "-N", k, "--demands", demands)
     assert run_cli(*argv) == (1, "", f"ringcache: {message}\n")
@@ -482,7 +485,7 @@ _HINT = "; pass --unchecked to run it anyway"
 
 def test_simulate_refuses_the_band_before_building_the_layout(monkeypatch):
     # F = 28 * C(26, 5) = 1,841,840 mini-subfiles per file if it built the layout
-    monkeypatch.setattr(ringcache.cli, "_layout", _no_layout)
+    _only_built(monkeypatch)
     argv = ("simulate", "-K", "28", "-L", "2", "--ma", "1", "--mp", "5", "-N", "28")
     message = "rate uncharacterized for gamma_p = 5 >= span = 2 below the large-memory regime"
     assert run_cli(*argv) == (1, "", f"ringcache: {message}{_HINT}\n")
@@ -520,7 +523,7 @@ def test_simulate_refuses_exactly_where_rate_refuses(monkeypatch):
     # every integral point a ring layout exists for: span + gamma_p <= K; a
     # point with a rate is refused only when its packets, or else its F, are
     # over their budget
-    monkeypatch.setattr(ringcache.cli, "_layout", _no_layout)
+    _only_built(monkeypatch)
     points, refused, oversized = 0, 0, Counter()
     for k in range(1, 25):
         for l in range(1, k + 1):
@@ -559,11 +562,11 @@ def test_simulate_refuses_exactly_where_rate_refuses(monkeypatch):
 
 
 def _only_built(monkeypatch):
-    """Patch both layout builders to raise :class:`_Built`, where the CLI and
-    the ``verify`` oracles call them."""
-    monkeypatch.setattr(ringcache.cli, "build_layout", _no_layout)
-    monkeypatch.setattr(ringcache.cli, "build_subset_layout", _no_layout)
-    monkeypatch.setattr(ringcache.verify, "build_layout", _no_layout)
+    """Patch both layout builders to raise :class:`_Built`, where
+    :func:`ringcache.placement.build` calls them for the CLI and the
+    ``verify`` oracles."""
+    monkeypatch.setattr(ringcache.placement, "build_layout", _no_layout)
+    monkeypatch.setattr(ringcache.placement, "build_subset_layout", _no_layout)
 
 
 @pytest.mark.parametrize(
@@ -691,7 +694,10 @@ def test_the_predicted_sizes_are_the_logged_sizes_on_a_seeded_grid(monkeypatch):
     # K <= 10: the ring placement, the subset placement at L = 1, no shared
     # layer, span = K, and the band with --unchecked; the predicted F is the
     # log's F, and the predicted packets its total (F in the band) and the
-    # dump's entries
+    # dump's entries. Each command's layout, verify's in the counting regime
+    # and man-check's without a shared layer included, is built by
+    # placement.build as the placement the size rule sized, at the F it
+    # predicted
     families = {name: [] for name in ("ring", "subset", "no shared layer", "span = K", "band")}
     for k in range(1, 11):
         for l in range(1, k + 1):
@@ -706,7 +712,7 @@ def test_the_predicted_sizes_are_the_logged_sizes_on_a_seeded_grid(monkeypatch):
                         name = "band"
                     families[name].append((k, l, ga, gp))
     rng = random.Random(24)
-    checked = 0
+    checked, built = 0, Counter()
     for name, points in families.items():
         for k, l, ga, gp in rng.sample(points, 6):
             system = ("-K", str(k), "-L", str(l), "--ma", str(ga), "--mp", str(gp), "-N", str(k))
@@ -722,8 +728,29 @@ def test_the_predicted_sizes_are_the_logged_sizes_on_a_seeded_grid(monkeypatch):
             assert code == 0 and _predicted(monkeypatch, ("layout-dump", *system)) == [
                 entries, f
             ], (name, system)
+            params = params_from_gammas(k, l, ga, gp, k)
+            runs = [("simulate", params, f), ("layout-dump", params, f)]
+            if ga and gp < ga * l < k - gp:
+                argv = ("verify", "-K", str(k), "-L", str(l), "--ga", str(ga), "--gp", str(gp))
+                runs.append(("verify", params, _predicted(monkeypatch, argv)[1]))
+            if ga == 0:
+                argv = ("man-check", "-K", str(k), "-t", str(gp))
+                runs.append(("man-check", params_from_gammas(k, 1, 0, gp, k),
+                             _predicted(monkeypatch, argv)[1]))
+            for command, point, predicted in runs:
+                layout = build(command, point)
+                assert layout.placement == preflight(command, point), (command, name, system)
+                assert layout.f == predicted, (command, name, system)
+                built[command, layout.placement, point.l == 1] += 1
             checked += 1
     assert checked == 30
+    # by (command, placement, L = 1): verify keeps the ring placement at
+    # L = 1, and a point with no shared layer is built on the subset one
+    assert set(built) == {
+        (command, placement, l1)
+        for command in ("simulate", "layout-dump")
+        for placement, l1 in ((RING, False), (SUBSET, False), (SUBSET, True))
+    } | {("verify", RING, False), ("verify", RING, True), ("man-check", SUBSET, True)}
 
 
 def test_simulate_names_a_bad_demand_entry():
@@ -1086,6 +1113,58 @@ def test_every_command_reads_a_malformed_size_as_sweep_does(command, sizes, mess
     assert (code, out, err) == (1, "", message)
 
 
+_LONG = "1" * 501
+
+
+@pytest.mark.parametrize(
+    "argv,flag,text",
+    [
+        (("rate", "--ma", "1e20000000", "--mp", "1"), "--ma", "1e20000000"),
+        (("rate", "--ma", "1", "--mp", "1e-5000"), "--mp", "1e-5000"),
+        (("simulate", "--ma", "1e-5000", "--mp", "1"), "--ma", "1e-5000"),
+        (("simulate", "--ma", "1", "--mp", _LONG), "--mp", _LONG),
+        (("layout-dump", "--ma", "1E+9_999_999", "--mp", "1"), "--ma", "1E+9_999_999"),
+        (("layout-dump", "--ma", "1", "--mp", f"1/{_LONG}"), "--mp", f"1/{_LONG}"),
+        (("sweep", "--ma", "1e-5000", "--mp-range", "0:1"), "--ma", "1e-5000"),
+        (("sweep", "--ma", "1,1e20000000", "--mp-range", "0:1"), "--ma", "1e20000000"),
+        (("sweep", "--ma", "1", "--mp-range", "1e-5000:1"), "--mp-range", "1e-5000"),
+        (("sweep", "--ma", "1", "--mp-range", "0:1e20000000"), "--mp-range", "1e20000000"),
+        (("sweep", "--ma", "1", "--mp-range", "0:1:1e-5000"), "--mp-range", "1e-5000"),
+    ],
+)
+def test_a_memory_size_too_long_to_read_is_refused_at_once(argv, flag, text):
+    # Fraction would build 10**20000000 for the first, for minutes; the
+    # second used to fail printing a 5,000-digit number, a sweep after its
+    # header
+    start = time.perf_counter()
+    got = run_cli(*argv, "-K", "5", "-L", "2", "-N", "5")
+    assert time.perf_counter() - start < 1
+    message = f"{flag}: {text!r} has over 500 digits or an exponent over 500"
+    assert got == (1, "", f"ringcache: {message}\n")
+
+
+def test_memory_sizes_at_the_digit_limit_are_read_and_printed():
+    # 500 digits with an exponent of 500: a denominator of 10^996, and a
+    # sweep's Mp over the denominators of its start and step; every number
+    # printed stays under the 4,300 digits Python turns into text
+    assert ringcache.cli.SIZE_DIGITS == 500
+    rng = random.Random(5)
+    ma, mp = (
+        "0." + "".join(rng.choice("123456789") for _ in range(496)) + "e-500" for _ in range(2)
+    )
+    for argv in (
+        ("rate", "-K", "64", "-L", "3", "-N", "64", "--ma", ma, "--mp", mp, "--json"),
+        # three steps of 3^-1040 past a start of denominator 10^996
+        ("sweep", "-K", "64", "-L", "3", "-N", "64", "--ma", f"{ma},1",
+         "--mp-range", f"{mp}:1/{3 ** 1039}:1/{3 ** 1040}"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, ""), err[:200]
+        longest = max(map(len, out.replace(",", " ").replace("/", " ").split()))
+        assert 1_900 < longest < 4_300, longest
+    assert run_cli(*argv[:-3], "1" + ma, "--mp-range", "0:1")[:2] == (1, "")
+
+
 def test_sweep_row_budget_counts_every_ma():
     budget = ringcache.cli.SWEEP_ROW_BUDGET
     base = ("sweep", "-K", "8", "-L", "2", "-N", "8")
@@ -1261,7 +1340,8 @@ def test_verify_refuses_an_oversized_census_before_any_instance(monkeypatch, arg
 
     # an instance that runs builds its census and layout after its own check
     monkeypatch.setattr(ringcache.verify, "enumerate_transmission_subsets", no_instance)
-    monkeypatch.setattr(ringcache.verify, "build_layout", no_instance)
+    monkeypatch.setattr(ringcache.placement, "build_layout", no_instance)
+    monkeypatch.setattr(ringcache.placement, "build_subset_layout", no_instance)
     monkeypatch.setattr(ringcache.cli, "sweep_grid", grid_by_k)
     code, out, err = run_cli("verify", *argv)
     assert (code, out, err) == (1, "", f"ringcache: refusing verify at {REFUSED_AT[k]}\n")

@@ -34,7 +34,6 @@ from ringcache.placement import (
     layout_to_json,
     private_pairs,
     subpacketization,
-    t_sets,
 )
 from ringcache.verify import sweep_grid
 
@@ -80,9 +79,8 @@ def test_ex5_reindexing(layout5):
 
 
 def test_ex5_mini_split(layout5):
-    params = layout5.params
     for window, tails in EX5_SPLIT.items():
-        got = list(t_sets(params, mask_of(window)))
+        got = [t for s, t in zip(layout5.s_of, layout5.t_of) if s == mask_of(window)]
         assert got == [mask_of(t) for t in tails]
 
 
@@ -227,11 +225,10 @@ def test_layout_grows_with_f_not_with_private_copies():
 
 
 def test_partition_of_subfiles_and_minis(layout5):
-    params = layout5.params
     windows = list(shared_sets(layout5))
     assert len(set(windows)) == 5
     for w in windows:
-        tails = list(t_sets(params, w))
+        tails = [t for s, t in zip(layout5.s_of, layout5.t_of) if s == w]
         assert len(tails) == 3
         assert len(set(tails)) == 3
         for t in tails:
@@ -244,8 +241,8 @@ def test_has_mini_trichotomy():
     for system in (EX5, EX7, dict(k=8, l=1, ma=3, mp=1, n=8)):
         params = SystemParams(**system)
         layout = build_subset_layout(params) if params.l == 1 else build_layout(params)
-        pairs = [(s, t) for s in shared_sets(layout) for t in t_sets(params, s)]
-        assert len(pairs) == layout.f
+        pairs = list(zip(layout.s_of, layout.t_of))
+        assert len(set(pairs)) == layout.f
         for u in range(1, params.k + 1):
             demanded = set(demand_pairs(layout, u))
             readable = {(s, t) for s, t in pairs if reads(layout, u, s, t)}

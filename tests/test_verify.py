@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import ringcache.placement
 import ringcache.verify
 from ringcache.model import (
     GuardExceeded,
@@ -23,7 +24,7 @@ from ringcache.model import (
     params_from_gammas,
     window_masks,
 )
-from ringcache.placement import build_layout, demand_pairs, preflight
+from ringcache.placement import RING, build_layout, demand_pairs, preflight
 from ringcache.delivery import GENERAL, SC1, SC2, worst_case_demand
 from ringcache.analysis import table1_counts
 from ringcache.verify import (
@@ -80,7 +81,8 @@ def test_agreement_refuses_work_over_the_budget(monkeypatch):
     def nothing_built(params):
         raise AssertionError("built something before refusing")
 
-    monkeypatch.setattr(ringcache.verify, "build_layout", nothing_built)
+    monkeypatch.setattr(ringcache.placement, "build_layout", nothing_built)
+    monkeypatch.setattr(ringcache.placement, "build_subset_layout", nothing_built)
     monkeypatch.setattr(ringcache.verify, "enumerate_transmission_subsets", nothing_built)
     for k, l, ga, gp, size in (
         (34, 2, 3, 4, "4778020 packets, over the budget of 4000000"),
@@ -90,7 +92,7 @@ def test_agreement_refuses_work_over_the_budget(monkeypatch):
             count_vs_formula(params_from_gammas(k, l, ga, gp, k))
         assert str(refused.value) == f"refusing verify at K={k} L={l} gamma_a={ga} gamma_p={gp}: {size}"
     # X = 3,689,742 at F = 737,352: under both budgets
-    assert preflight("verify", params_from_gammas(28, 2, 3, 5, 28)) is None
+    assert preflight("verify", params_from_gammas(28, 2, 3, 5, 28)) == RING
 
 
 def _census_instances():
