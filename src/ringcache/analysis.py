@@ -174,21 +174,39 @@ def cutset_bound(params: SystemParams) -> Fraction:
     Serving s users through their p = min(s+L-1, K) shared caches and
     floor(N/s) broadcast rounds forces
     rate >= s - (p*ma + s*mp) / floor(N/s); maximize over s, floor at 0.
+    Only the lines :func:`_cutset_lines` keeps are evaluated: the others
+    lie at or below a kept line at every mp >= 0, so the maximum is exact.
     """
     at = _cutset(params.k, params.l, params.n, params.ma)
     return Fraction(*at(*params.mp.as_integer_ratio()))
 
 
-def _cutset(k: int, l: int, n: int, ma: Fraction) -> Callable[[int, int], tuple[int, int]]:
-    """The cut-set bound at mp = u/v (v > 0), unreduced, from K lines built
-    once: over ma = a/d and q = floor(N/s), the term for s is (C - S*mp) / Q
-    with C = s*q*d - p*a, S = s*d, Q = q*d, and p = s + L - 1 below
-    s = K - L + 1, K from there on. At u/v the terms (C*v - S*u) / (Q*v)
-    share v, so the largest is kept by cross-multiplying over Q (q >= 1)."""
+def _cutset_lines(k: int, l: int, n: int, ma: Fraction) -> list[tuple[int, int, int]]:
+    """The cut-set lines that can be the largest term at some mp >= 0: over
+    ma = a/d and q = floor(N/s), the term for s is (C - S*mp) / Q with
+    C = s*q*d - p*a, S = s*d, Q = q*d, and p = s + L - 1 below s = K - L + 1,
+    K from there on. The slope s/q grows strictly with s (N >= K keeps
+    q >= 1), so a line whose intercept C/Q does not beat an earlier line's,
+    or 0, lies at or below that line, or the floor, at every mp >= 0. The
+    walk keeps a line only when its intercept beats the last kept one's,
+    compared by cross-multiplying over q (d is common)."""
     a, d = ma.numerator, ma.denominator
     caches = itertools.chain(range(l, k), itertools.repeat(k, l))
-    lines = [(s * q * d - p * a, s * d, q * d)
-             for s, p in zip(range(1, k + 1), caches) for q in (n // s,)]
+    lines, top_c, top_q = [], 0, 1
+    for s, p in zip(range(1, k + 1), caches):
+        q = n // s
+        c = s * q * d - p * a
+        if c * top_q > top_c * q:
+            lines.append((c, s * d, q * d))
+            top_c, top_q = c, q
+    return lines
+
+
+def _cutset(k: int, l: int, n: int, ma: Fraction) -> Callable[[int, int], tuple[int, int]]:
+    """The cut-set bound at mp = u/v (v > 0), unreduced, over the lines of
+    :func:`_cutset_lines`, built once: at u/v the terms (C*v - S*u) / (Q*v)
+    share v, so the largest is kept by cross-multiplying over Q (Q > 0)."""
+    lines = _cutset_lines(k, l, n, ma)
 
     def at(u: int, v: int) -> tuple[int, int]:
         best_num, best_den = 0, 1

@@ -41,12 +41,14 @@ from .analysis import _cutset, _rate, _share, achievable_rate, cutset_bound, mem
 from .verify import count_vs_formula, man_crosscheck, sweep_grid
 
 # most rows one sweep writes; rows stream, so this bounds time, not memory:
-# 50,000 rows take about 1 s up to K = 64 (2-core x86-64 host, Python 3.11).
+# 50,000 rows take 0.4 to 0.9 s up to K = 64, the most at Ma = 0, where every
+# cut-set line is kept (2-core x86-64 host, Python 3.11).
 # The commands that build a layout are bounded by placement.preflight instead.
 SWEEP_ROW_BUDGET = 50_000
 
-# most digits, and largest exponent, of a memory size: the numbers it makes a
-# command print stay under the 4,300 digits Python turns into text (~3,000 at most)
+# most digits, and largest exponent, of a memory size, and most digits of a
+# library size: the numbers they make a command print stay under the 4,300
+# digits Python turns into text (~3,000 at most)
 SIZE_DIGITS = 500
 
 CSV_HEADER = (
@@ -69,6 +71,18 @@ def _rational(text: str, flag: str) -> Fraction:
         raise ValueError(f"{flag}: {text!r} has a zero denominator") from None
     except ValueError:
         raise ValueError(f"{flag}: {text!r} is not a rational number") from None
+
+
+def _library_size(text: str) -> int:
+    """``-N`` as an integer, read as ``int`` reads it; overlong text is
+    refused by its digit count, before any number is built from it."""
+    digits = sum(map(str.isdigit, text))
+    if digits > SIZE_DIGITS:
+        raise ValueError(f"-N: {digits} digits, over the limit of {SIZE_DIGITS}")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"-N: {text!r} is not an integer") from None
 
 
 def _demand_entry(text: str) -> int:
@@ -102,7 +116,7 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("-L", type=int, required=True, help="access degree")
     p.add_argument("--ma", required=True, help="shared-cache size in files")
     p.add_argument("--mp", required=True, help="private-cache size in files")
-    p.add_argument("-N", type=int, required=True, help="library size in files")
+    p.add_argument("-N", required=True, help="library size in files")
 
 
 @contextlib.contextmanager
@@ -231,14 +245,14 @@ def _sweep_column(
     refused = network_refusal(k, l, n, ma)
     if not refused:
         a, qa = (k * ma / n).as_integer_ratio()
-        bound = _cutset(k, l, n, ma)
+        gamma_a, bound = _ratio(a, qa), _cutset(k, l, n, ma)
     for mp, u, v, note in mps:
         if refused or note:
             yield head + (mp,) + ("",) * 9 + (refused or note,)
             continue
         g = math.gcd(k * u, n * v)
         p, qp = k * u // g, n * v // g
-        row = head + (mp, _ratio(a, qa), _ratio(p, qp))
+        row = head + (mp, gamma_a, _ratio(p, qp))
         try:  # as memory_share, with the sweep's corner rates
             _, num, den = _share((a, qa), (p, qp), corner_rate)
         except RegimeError as exc:
@@ -401,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="rate/bound grid over Mp for each Ma")
     p.add_argument("-K", type=int, required=True)
     p.add_argument("-L", type=int, required=True)
-    p.add_argument("-N", type=int, required=True)
+    p.add_argument("-N", required=True)
     p.add_argument("--ma", required=True, help="comma-separated Ma values")
     p.add_argument("--mp-range", required=True, help="Mp as start:stop[:step]")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -438,6 +452,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
+        if "N" in args:  # rate, simulate, sweep and layout-dump: read once, before any work
+            args.N = _library_size(args.N)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code

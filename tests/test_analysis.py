@@ -162,6 +162,52 @@ def test_cutset_bound_matches_the_min_per_term_loop():
     assert cases == 880 and positive > 200
 
 
+def test_cutset_keeps_the_lines_whose_intercept_beats_every_earlier_one():
+    # seeded grid: K 1-64, L in {1, K, random}, N = K and N up to 3K + 5,
+    # Ma in {0, N, fractional}, Mp in {0, N, denominators up to 10^6}; the
+    # kept lines are those whose intercept s - p*ma/q beats 0 and every
+    # earlier line's, and the bound over them is the bound over all K lines
+    rng = random.Random(29)
+    cases = positive = dropped = 0
+    for k in range(1, 65):
+        for l in sorted({1, k, rng.randint(1, k)}):
+            for n in (k, rng.randint(k, 3 * k + 5)):
+                den = rng.randint(1, 10**6)
+                for ma in (Fraction(0), Fraction(n), Fraction(rng.randint(0, n * den // 4), den)):
+                    lines = analysis._cutset_lines(k, l, n, ma)
+                    kept, top = [], Fraction(0)
+                    for s in range(1, k + 1):
+                        q = n // s
+                        intercept = s - min(s + l - 1, k) * ma / q
+                        if intercept > top:
+                            kept.append(s)
+                            top = intercept
+                    assert [size // ma.denominator for _, size, _ in lines] == kept
+                    dropped += k - len(kept)
+                    v = rng.randint(1, 10**6)
+                    for mp in (0, n, Fraction(rng.randint(0, n * v // rng.choice((1, 4, 16))), v)):
+                        params = SystemParams(k, l, ma, mp, n)
+                        bound = cutset_bound(params)
+                        assert bound == cutset_bound_reference(params), params
+                        cases += 1
+                        positive += bound > 0
+    assert cases == 3222 and positive > 900 and dropped > 20_000, (cases, positive, dropped)
+
+
+def test_the_rate_sweep_columns_keep_about_four_lines():
+    # the columns of the rate-sweep benchmark (N = K, Ma in halves up to K/2):
+    # a row evaluates a handful of lines, not K; with no shared layer every
+    # intercept s grows with s, so all K are kept
+    for k in (16, 24, 32, 40):
+        counts = [
+            len(analysis._cutset_lines(k, l, k, Fraction(twice_ma, 2)))
+            for l in (1, 2, 3) for twice_ma in range(k + 1)
+        ]
+        assert sum(counts) / len(counts) <= 5, (k, sum(counts) / len(counts))
+        for l in (1, 2, 3):
+            assert len(analysis._cutset_lines(k, l, k, Fraction(0))) == k
+
+
 def test_bound_sandwich_and_equality_region():
     for params in sweep_grid(4, 12):
         rate = achievable_rate(params)

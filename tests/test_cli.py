@@ -30,7 +30,8 @@ from ringcache.placement import build_subset_layout, preflight
 from ringcache.verify import count_vs_formula, sweep_grid
 from fractions import Fraction
 
-from helpers import PacketStream, dec6_reference, drop_transmission, materialize, sweep_reference
+from helpers import PacketStream, cutset_bound_reference, dec6_reference, drop_transmission
+from helpers import materialize, sweep_reference
 
 
 def run_cli(*argv):
@@ -910,6 +911,65 @@ def test_sweep_csv_is_pinned():
     )
 
 
+# sha256 of `sweep -K 40 -L l -N 40 --ma m --mp-range 0:20:1/2`, the largest
+# columns of the rate-sweep benchmark, taken before its cut-set lines were pruned
+RATE_SWEEP_PINS = {
+    (1, "0"): "0d43f13e672e93e6f148fd65522293d3e0b028d5d9dc9a4d10f5f53e210954ca",
+    (1, "1/2"): "5ed4d9c67b3ca11620b891b274a9889bcec295c272fc83fea6211d53cfdac681",
+    (1, "13/2"): "1c98518c8cdce2f03655c92a2e90574022c35819282f5c8c852096fea7ff7454",
+    (1, "20"): "0cbb7361650e526eecd1c58031ae77a010225451b91dc7dda41897ba66149aae",
+    (2, "0"): "63ffc8443936c77057706fe062429614c8e2c8cfeb2ec09dde4d08dba43ea661",
+    (2, "1/2"): "0900cb3ca073b02b082e014c5f334a18921d926cb4288ca465feb9cf552c1b6a",
+    (2, "13/2"): "bb6288d2c25f9cd51fcc5e2104925443b29f6e34fad3fbccaea5ed04f9330e75",
+    (2, "20"): "55c20740f47e590bb533d34f50b87632d7959fd9ba96040b5f60e17d7588d2f8",
+    (3, "0"): "eda819f4a2be3e80c02e3979c0dbf8144dbfc393bb5ff26773a8738dda320022",
+    (3, "1/2"): "254a569b907d0a694a47594577a49eecce291f3188aa21fccf4efdcf5f4ac778",
+    (3, "13/2"): "138d3e7c5be62d21dc404806ff42d59bf3696086e93cab9c7602ed49cf10da55",
+    (3, "20"): "c996dba92c955c4bb621ae6e6413436abdf73b96614591592c35bf3e6c66be6b",
+}
+
+
+@pytest.mark.parametrize("l,ma", sorted(RATE_SWEEP_PINS))
+def test_rate_sweep_columns_are_pinned(l, ma):
+    code, out, _ = run_cli(
+        "sweep", "-K", "40", "-L", str(l), "-N", "40", "--ma", ma, "--mp-range", "0:20:1/2"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RATE_SWEEP_PINS[l, ma]
+
+
+def test_sweep_bound_cells_are_the_bound_over_every_line():
+    # seeded grid: K 1-64, L in {1, K, random}, N = K and N up to 3K + 5,
+    # Ma in {0, N, fractional}, Mp in {0, N} and a stepped range whose start
+    # and step have denominators up to 10^6; every bound cell is the largest
+    # of all K cut-set lines, as is cutset_bound at that point
+    rng = random.Random(31)
+    rows = positive = 0
+    for k in range(1, 65):
+        for l in sorted({1, k, rng.randint(1, k)}):
+            for n in (k, rng.randint(k, 3 * k + 5)):
+                den = rng.randint(1, 10**6)
+                mas = f"0,{n},{Fraction(rng.randint(0, n * den // 4), den)}"
+                b, d = rng.randint(1, 10**6), rng.randint(1, 10**6)
+                start = Fraction(rng.randint(0, n * b // 8), b)
+                step = Fraction(rng.randint(d, 2 * d), d) * n / 5
+                for mp_range in (f"0:{n}:{n}", f"{start}:{n}:{step}"):
+                    code, out, err = run_cli(
+                        "sweep", "-K", str(k), "-L", str(l), "-N", str(n), "--ma", mas,
+                        "--mp-range", mp_range,
+                    )
+                    assert (code, err) == (0, "")
+                    for row in list(csv.reader(io.StringIO(out)))[1:]:
+                        params = SystemParams(k, l, Fraction(row[3]), Fraction(row[4]), n)
+                        bound = analysis.cutset_bound(params)
+                        assert bound == cutset_bound_reference(params), params
+                        if row[10]:
+                            assert Fraction(int(row[10]), int(row[11])) == bound, row
+                            rows += 1
+                            positive += bound > 0
+    assert rows > 5000 and positive > 1500, (rows, positive)
+
+
 def test_sweep_csv_and_json_carry_the_same_rows():
     code, out, _ = run_cli(*SWEEP_MIXED)
     assert code == 0
@@ -1143,25 +1203,53 @@ def test_a_memory_size_too_long_to_read_is_refused_at_once(argv, flag, text):
     assert got == (1, "", f"ringcache: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rate", "--ma", "1/7", "--mp", "1"),
+        ("simulate", "--ma", "1", "--mp", "1"),
+        ("layout-dump", "--ma", "1", "--mp", "1"),
+        ("sweep", "--ma", "1/7", "--mp-range", "0:1"),
+    ],
+)
+@pytest.mark.parametrize("digits", [501, 3_000, 5_000])
+def test_an_overlong_library_size_is_refused_before_any_output(argv, digits):
+    # 3,000 nines used to make a sweep write 18 kB of rows and then fail
+    # printing a gamma_a of over 4,300 digits; 5,000 failed in argparse,
+    # echoing the number; the refusal names the digit count instead
+    got = run_cli(*argv, "-K", "5", "-L", "2", "-N", "9" * digits)
+    assert got == (1, "", f"ringcache: -N: {digits} digits, over the limit of 500\n")
+
+
+@pytest.mark.parametrize("command", ["rate", "simulate", "layout-dump", "sweep"])
+def test_a_malformed_library_size_is_named(command):
+    sizes = ("--mp-range", "0:1") if command == "sweep" else ("--mp", "1")
+    got = run_cli(command, "-K", "5", "-L", "2", "--ma", "1", *sizes, "-N", "5.0")
+    assert got == (1, "", "ringcache: -N: '5.0' is not an integer\n")
+
+
 def test_memory_sizes_at_the_digit_limit_are_read_and_printed():
     # 500 digits with an exponent of 500: a denominator of 10^996, and a
-    # sweep's Mp over the denominators of its start and step; every number
-    # printed stays under the 4,300 digits Python turns into text
+    # sweep's Mp over the denominators of its start and step, at N = 64 and
+    # at the 500-digit N = 10^500 - 1 that multiplies the gamma denominators;
+    # every number printed stays under the 4,300 digits Python turns into text
     assert ringcache.cli.SIZE_DIGITS == 500
     rng = random.Random(5)
     ma, mp = (
         "0." + "".join(rng.choice("123456789") for _ in range(496)) + "e-500" for _ in range(2)
     )
-    for argv in (
-        ("rate", "-K", "64", "-L", "3", "-N", "64", "--ma", ma, "--mp", mp, "--json"),
-        # three steps of 3^-1040 past a start of denominator 10^996
-        ("sweep", "-K", "64", "-L", "3", "-N", "64", "--ma", f"{ma},1",
-         "--mp-range", f"{mp}:1/{3 ** 1039}:1/{3 ** 1040}"),
-    ):
-        code, out, err = run_cli(*argv)
-        assert (code, err) == (0, ""), err[:200]
-        longest = max(map(len, out.replace(",", " ").replace("/", " ").split()))
-        assert 1_900 < longest < 4_300, longest
+    for n, shortest in (("64", 1_900), (str(10**500 - 1), 3_400)):
+        for argv in (
+            ("rate", "-K", "64", "-L", "3", "-N", n, "--ma", ma, "--mp", mp, "--json"),
+            # three steps of 3^-1040 past a start of denominator 10^996
+            ("sweep", "-K", "64", "-L", "3", "-N", n, "--ma", f"{ma},1",
+             "--mp-range", f"{mp}:1/{3 ** 1039}:1/{3 ** 1040}"),
+        ):
+            code, out, err = run_cli(*argv)
+            assert (code, err) == (0, ""), err[:200]
+            longest = max(map(len, out.replace(",", " ").replace("/", " ").split()))
+            assert 1_900 < longest < 4_300, longest
+        assert longest > shortest, longest
     assert run_cli(*argv[:-3], "1" + ma, "--mp-range", "0:1")[:2] == (1, "")
 
 
