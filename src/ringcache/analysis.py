@@ -22,16 +22,14 @@ They hold for 0 <= gamma_p < span < K - gamma_p, the counting regime;
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .model import RegimeError, SystemParams, binom
 
 
-@dataclass(frozen=True)
-class TransmissionCounts:
+class TransmissionCounts(NamedTuple):
     """Totals of transmission-subsets per case plus the transmission count and
     subpacketization they imply."""
 
@@ -223,8 +221,7 @@ def _cutset(k: int, l: int, n: int, ma: Fraction) -> Callable[[int, int], tuple[
 # memory sharing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SharePoint:
+class SharePoint(NamedTuple):
     """One integral corner of the interpolation with its convex weight."""
 
     gamma_a: int
@@ -233,8 +230,7 @@ class SharePoint:
     rate: Fraction
 
 
-@dataclass(frozen=True)
-class MemoryShare:
+class MemoryShare(NamedTuple):
     points: tuple[SharePoint, ...]
     rate: Fraction
 

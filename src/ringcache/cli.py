@@ -46,10 +46,17 @@ from .verify import count_vs_formula, man_crosscheck, sweep_grid
 # The commands that build a layout are bounded by placement.preflight instead.
 SWEEP_ROW_BUDGET = 50_000
 
-# most digits, and largest exponent, of a memory size, and most digits of a
-# library size: the numbers they make a command print stay under the 4,300
+# most digits, and largest exponent, of a memory size, and most digits of an
+# integer flag: the numbers they make a command print stay under the 4,300
 # digits Python turns into text (~3,000 at most)
 SIZE_DIGITS = 500
+
+# the integer flags, by argparse dest: argparse keeps them as text, and
+# main reads each one given through _integer, before any work
+INTEGER_FLAGS = {
+    "K": "-K", "L": "-L", "N": "-N", "kmin": "--kmin", "kmax": "--kmax",
+    "ga": "--ga", "gp": "--gp", "t": "-t",
+}
 
 CSV_HEADER = (
     "K,L,N,Ma,Mp,gamma_a,gamma_p,rate_num,rate_den,rate,"
@@ -73,16 +80,16 @@ def _rational(text: str, flag: str) -> Fraction:
         raise ValueError(f"{flag}: {text!r} is not a rational number") from None
 
 
-def _library_size(text: str) -> int:
-    """``-N`` as an integer, read as ``int`` reads it; overlong text is
-    refused by its digit count, before any number is built from it."""
+def _integer(text: str, flag: str) -> int:
+    """An integer flag, read as ``int`` reads it; overlong text is refused
+    by its digit count, before any number is built from it."""
     digits = sum(map(str.isdigit, text))
     if digits > SIZE_DIGITS:
-        raise ValueError(f"-N: {digits} digits, over the limit of {SIZE_DIGITS}")
+        raise ValueError(f"{flag}: {digits} digits, over the limit of {SIZE_DIGITS}")
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"-N: {text!r} is not an integer") from None
+        raise ValueError(f"{flag}: {text!r} is not an integer") from None
 
 
 def _demand_entry(text: str) -> int:
@@ -112,8 +119,8 @@ def _params(args: argparse.Namespace) -> SystemParams:
 
 
 def _add_system_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-K", type=int, required=True, help="users / shared caches on the ring")
-    p.add_argument("-L", type=int, required=True, help="access degree")
+    p.add_argument("-K", required=True, help="users / shared caches on the ring")
+    p.add_argument("-L", required=True, help="access degree")
     p.add_argument("--ma", required=True, help="shared-cache size in files")
     p.add_argument("--mp", required=True, help="private-cache size in files")
     p.add_argument("-N", required=True, help="library size in files")
@@ -413,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="rate/bound grid over Mp for each Ma")
-    p.add_argument("-K", type=int, required=True)
-    p.add_argument("-L", type=int, required=True)
+    p.add_argument("-K", required=True)
+    p.add_argument("-L", required=True)
     p.add_argument("-N", required=True)
     p.add_argument("--ma", required=True, help="comma-separated Ma values")
     p.add_argument("--mp-range", required=True, help="Mp as start:stop[:step]")
@@ -423,18 +430,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="three-way count agreement harness")
-    p.add_argument("--kmin", type=int, help="smallest K of the grid (defaults to 4)")
-    p.add_argument("--kmax", type=int, help="largest K of the grid (defaults to 10)")
-    p.add_argument("-K", type=int, help="check one explicit instance instead")
-    p.add_argument("-L", type=int, help="access degree of the instance (defaults to 2)")
-    p.add_argument("--ga", type=int)
-    p.add_argument("--gp", type=int)
+    p.add_argument("--kmin", help="smallest K of the grid (defaults to 4)")
+    p.add_argument("--kmax", help="largest K of the grid (defaults to 10)")
+    p.add_argument("-K", help="check one explicit instance instead")
+    p.add_argument("-L", help="access degree of the instance (defaults to 2)")
+    p.add_argument("--ga")
+    p.add_argument("--gp")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("man-check", help="dedicated-cache reduction cross-check")
-    p.add_argument("-K", type=int, required=True)
-    p.add_argument("-t", type=int, required=True)
+    p.add_argument("-K", required=True)
+    p.add_argument("-t", required=True)
     p.set_defaults(func=cmd_man)
 
     p = sub.add_parser("layout-dump", help="cache contents as JSON")
@@ -452,8 +459,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        if "N" in args:  # rate, simulate, sweep and layout-dump: read once, before any work
-            args.N = _library_size(args.N)
+        for dest, flag in INTEGER_FLAGS.items():
+            if getattr(args, dest, None) is not None:
+                setattr(args, dest, _integer(getattr(args, dest), flag))
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code

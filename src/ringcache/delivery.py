@@ -77,7 +77,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, chain, islice
@@ -326,16 +325,14 @@ def deliver(layout: CacheLayout) -> Delivery:
 # decodability
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     user: int
     s: int
     t: int
     reason: str
 
 
-@dataclass(frozen=True)
-class DecodabilityReport:
+class DecodabilityReport(NamedTuple):
     ok: bool
     checked: int
     failures: tuple[Failure, ...]

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 MAX_USERS = 64
 
@@ -131,8 +130,7 @@ def subset_masks(k: int, width: int) -> tuple[int, ...]:
 # position sets inside a sorted union, through which a shift relabels an anchor
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PositionSets:
+class PositionSets(NamedTuple):
     """Positions of u, S and T inside the ascending union {u} | S | T.
 
     ``union`` is the ascending tuple of member indices. ``p_u``, ``p_s`` and
@@ -189,8 +187,17 @@ def private_size_refusal(num: int, den: int, n: int) -> str:
     return f"private-cache size mp={Fraction(num, den)} outside [0, N={n}]"
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class _Network(NamedTuple):
+    """The five fields of :class:`SystemParams`, unchecked."""
+
+    k: int
+    l: int
+    ma: Fraction
+    mp: Fraction
+    n: int
+
+
+class SystemParams(_Network):
     """The (K, L, M_a, M_p, N) network: K users and shared caches on a ring,
     access degree L, shared-cache size ma, private-cache size mp, N files.
 
@@ -199,22 +206,22 @@ class SystemParams:
     reject otherwise.
     """
 
-    k: int
-    l: int
-    ma: Fraction
-    mp: Fraction
-    n: int
-
-    def __post_init__(self) -> None:
-        for name in ("ma", "mp"):  # a Fraction is kept as given, not re-wrapped
-            if type(getattr(self, name)) is not Fraction:
-                object.__setattr__(self, name, Fraction(getattr(self, name)))
-        refused = network_refusal(self.k, self.l, self.n, self.ma)
-        if refused or (refused := private_size_refusal(*self.mp.as_integer_ratio(), self.n)):
+    def __new__(cls, k: int, l: int, ma: RationalLike, mp: RationalLike, n: int) -> SystemParams:
+        # a Fraction is kept as given, not re-wrapped
+        ma = ma if type(ma) is Fraction else Fraction(ma)
+        mp = mp if type(mp) is Fraction else Fraction(mp)
+        refused = network_refusal(k, l, n, ma)
+        if refused or (refused := private_size_refusal(*mp.as_integer_ratio(), n)):
             raise InvalidParameters(refused)
+        return super().__new__(cls, k, l, ma, mp, n)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> SystemParams:
+        """Checked as the constructor checks, so ``_replace`` is too."""
+        return cls(*iterable)
 
     # computed once per instance; cached_property writes the instance
-    # __dict__ directly, so it works on a frozen dataclass and leaves eq,
+    # __dict__, which this subclass of the field tuple keeps, and leaves eq,
     # hash and repr (which read the fields alone) unchanged
     @cached_property
     def gamma_a(self) -> Fraction:

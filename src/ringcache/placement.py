@@ -57,8 +57,7 @@ import functools
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .model import (
     GuardExceeded,
@@ -88,8 +87,7 @@ OUTPUT_BUDGET = 4_000_000
 DUMP_CHUNK_FILES = 1024
 
 
-@dataclass(frozen=True)
-class CacheLayout:
+class CacheLayout(NamedTuple):
     """Immutable contents of every shared and private cache, once for all
     files: the placement splits and caches every file the same way.
 

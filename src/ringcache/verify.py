@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import (
     RegimeError,
@@ -42,8 +42,7 @@ from .delivery import GENERAL, SC1, SC2, deliver
 from .analysis import TransmissionCounts, table1_counts
 
 
-@dataclass(frozen=True)
-class SubsetRecord:
+class SubsetRecord(NamedTuple):
     union: int
     windows: tuple[int, ...]
     case: str
@@ -53,8 +52,7 @@ class SubsetRecord:
         return f"I={mask_str(self.union)} windows[{wins}] case={self.case}"
 
 
-@dataclass(frozen=True)
-class SubsetCensus:
+class SubsetCensus(NamedTuple):
     """``records`` holds the slice, the transmission-subsets that contain
     the window ending at K; the counts are over the whole ring."""
 
@@ -106,8 +104,7 @@ def enumerate_transmission_subsets(params: SystemParams) -> SubsetCensus:
     return SubsetCensus(tuple(records), total, sc1, sc2, x)
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     """Three-way comparison of the counting: formulas, census, delivery."""
 
     params: SystemParams
@@ -227,8 +224,7 @@ def _first_mismatched_record(census: SubsetCensus, table: TransmissionCounts) ->
     return None
 
 
-@dataclass(frozen=True)
-class ManReport:
+class ManReport(NamedTuple):
     """Dedicated-cache cross-check: with no shared layer the scheme must
     reproduce subpacketization C(K, t) and rate C(K, t+1)/C(K, t)."""
 

@@ -1228,6 +1228,52 @@ def test_a_malformed_library_size_is_named(command):
     assert got == (1, "", "ringcache: -N: '5.0' is not an integer\n")
 
 
+# an otherwise good command line of each command, and its integer flags but -N
+INTEGER_FLAG_COMMANDS = {
+    "rate": (("rate", "-K", "5", "-L", "2", "--ma", "1", "--mp", "1", "-N", "5"), ("-K", "-L")),
+    "simulate": (("simulate", "-K", "5", "-L", "2", "--ma", "1", "--mp", "1", "-N", "5"), ("-K", "-L")),
+    "layout-dump": (("layout-dump", "-K", "5", "-L", "2", "--ma", "1", "--mp", "1", "-N", "5"),
+                    ("-K", "-L")),
+    "sweep": (("sweep", "-K", "5", "-L", "2", "-N", "5", "--ma", "1", "--mp-range", "0:1"), ("-K", "-L")),
+    "verify": (("verify", "-K", "5", "-L", "2", "--ga", "1", "--gp", "0"), ("-K", "-L", "--ga", "--gp")),
+    "verify-grid": (("verify", "--kmin", "4", "--kmax", "5"), ("--kmin", "--kmax")),
+    "man-check": (("man-check", "-K", "5", "-t", "2"), ("-K", "-t")),
+}
+
+
+def _with_flag(argv, flag, value):
+    at = argv.index(flag) + 1
+    return argv[:at] + (value,) + argv[at + 1 :]
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(command, flag) for command, (_, flags) in INTEGER_FLAG_COMMANDS.items() for flag in flags],
+)
+@pytest.mark.parametrize("digits", [501, 3_000, 5_000])
+def test_an_overlong_integer_flag_is_refused_before_any_output(command, flag, digits):
+    # 5,000 nines used to fail in argparse, echoing the number, and a
+    # 3,000-digit -L made a sweep write it twice into every row
+    argv, _ = INTEGER_FLAG_COMMANDS[command]
+    assert run_cli(*argv)[0] == 0
+    got = run_cli(*_with_flag(argv, flag, "9" * digits))
+    assert got == (1, "", f"ringcache: {flag}: {digits} digits, over the limit of 500\n")
+
+
+@pytest.mark.parametrize("flag", ["-K", "-L"])
+def test_a_malformed_integer_flag_is_named(flag):
+    argv, _ = INTEGER_FLAG_COMMANDS["rate"]
+    got = run_cli(*_with_flag(argv, flag, "5.0"))
+    assert got == (1, "", f"ringcache: {flag}: '5.0' is not an integer\n")
+
+
+def test_an_integer_flag_at_the_digit_limit_is_read():
+    # 500 digits are read, and the command refuses the value for its own reason
+    nines = "9" * 500
+    got = run_cli("man-check", "-K", "5", "-t", nines)
+    assert got == (1, "", f"ringcache: -t: replication t={nines} outside [0, K=5]\n")
+
+
 def test_memory_sizes_at_the_digit_limit_are_read_and_printed():
     # 500 digits with an exponent of 500: a denominator of 10^996, and a
     # sweep's Mp over the denominators of its start and step, at N = 64 and

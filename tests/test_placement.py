@@ -5,7 +5,6 @@ import itertools
 import json
 import random
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -144,7 +143,7 @@ def test_check_memory_rejects_a_cache_one_entry_short(system, side):
         for i, cache in enumerate(layout.access):
             access = layout.access[:i] + (cache[:-1],) + layout.access[i + 1 :]
             with pytest.raises(AssertionError, match="wrong"):
-                _check_memory(replace(layout, access=access))
+                _check_memory(layout._replace(access=access))
         return
     # private caches are read off the record: dropping any one place (the
     # last one included) from both s_of and t_of leaves each user of its T
@@ -152,7 +151,7 @@ def test_check_memory_rejects_a_cache_one_entry_short(system, side):
     reached = 0
     s_of, t_of = layout.s_of, layout.t_of
     for p, t in enumerate(t_of):
-        short = replace(layout, s_of=s_of[:p] + s_of[p + 1 :], t_of=t_of[:p] + t_of[p + 1 :])
+        short = layout._replace(s_of=s_of[:p] + s_of[p + 1 :], t_of=t_of[:p] + t_of[p + 1 :])
         with pytest.raises(AssertionError, match="private cache"):
             _check_memory(short)
         reached |= t
@@ -169,7 +168,7 @@ def test_check_memory_rejects_a_record_short_of_f_pairs():
     s_of, t_of = layout.s_of, layout.t_of
     for short in (dict(s_of=s_of[1:], t_of=t_of[1:]), dict(s_of=s_of[1:]), dict(t_of=t_of[1:])):
         with pytest.raises(AssertionError, match="the record holds a wrong mini-subfile count"):
-            _check_memory(replace(layout, **short))
+            _check_memory(layout._replace(**short))
 
 
 def test_ring_record_at_full_span_holds_one_pair_for_k_subfiles():
@@ -482,7 +481,7 @@ def test_a_dump_reads_each_private_entry_once(system):
     class TOf(_CountedReads):
         reads = 0
 
-    counted = replace(layout, s_of=SOf(layout.s_of), t_of=TOf(layout.t_of))
+    counted = layout._replace(s_of=SOf(layout.s_of), t_of=TOf(layout.t_of))
     parts = []
     layout_to_json(counted, parts.append)
     assert "".join(parts) == json.dumps(layout_reference_dict(layout), indent=2)

@@ -2,7 +2,6 @@
 agreement harness."""
 
 import ast
-import dataclasses
 import itertools
 import random
 import re
@@ -322,7 +321,7 @@ EX8 = SystemParams(k=8, l=2, ma=1, mp=1, n=8)  # C=68 SC1=24 SC2=12 X=100
 def _one_more_general_turned_sc1(counts):
     """``counts`` with one GENERAL subset more and 1 + gamma_p = 2 of them
     moved to SC1: C=69 SC1=26, and still X=100."""
-    return dataclasses.replace(counts, subsets=counts.subsets + 1, sc1=counts.sc1 + 2)
+    return counts._replace(subsets=counts.subsets + 1, sc1=counts.sc1 + 2)
 
 
 def test_a_census_off_the_formulas_names_its_first_subset_of_that_case(monkeypatch):
