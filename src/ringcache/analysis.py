@@ -1,7 +1,9 @@
 """Closed-form evaluation: transmission counting, achievable rate, cut-set
-lower bound and memory sharing. A point is optimal exactly where its rate
-equals the cut-set bound, so the CLI answers ``optimal`` by comparing the
-two numbers it prints.
+lower bound and memory sharing. :func:`sweep` is the one kernel that rates
+memory points: a plain tuple of integers per (Ma, Mp) point with its rate,
+bound and memory-sharing corners. :func:`memory_share` and the CLI's
+``rate`` are one-point sweeps, and the CLI only renders the tuples. A point
+is optimal exactly where its rate equals the cut-set bound.
 
 Counting convention: a transmission-subset is a (1 + span + gamma_p)-sized
 subset of [K] containing at least one window. A GENERAL subset yields
@@ -22,11 +24,12 @@ They hold for 0 <= gamma_p < span < K - gamma_p, the counting regime;
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
-from functools import partial
-from typing import Callable, NamedTuple
+from functools import cache, partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .model import RegimeError, SystemParams, binom
+from .model import RegimeError, SystemParams, binom, network_refusal, private_size_refusal
 
 
 class TransmissionCounts(NamedTuple):
@@ -235,48 +238,70 @@ class MemoryShare(NamedTuple):
     rate: Fraction
 
 
-def _share(
-    gamma_a: tuple[int, int], gamma_p: tuple[int, int], corner_rate: Callable[[int, int], Fraction]
-) -> tuple[list[tuple[int, int, int, Fraction]], int, int]:
-    """Memory sharing in integers, each gamma a (numerator, denominator) pair:
-    at gamma = lo + rest/q, corner lo weighs (q - rest)/q and corner lo + 1
-    weighs rest/q (an integral gamma is one corner at weight 1). The corners,
-    floor first and gamma_a outer, as (gamma_a, gamma_p, weight * q_a * q_p,
-    rate), and their weighted rate, unreduced; a refused corner's message is
-    passed through at an integral point and names the corner otherwise."""
-    axes = []
-    for num, q in (gamma_a, gamma_p):
-        lo, rest = divmod(num, q)
-        axes.append(((lo, q - rest), (lo + 1, rest)) if rest else ((lo, 1),))
-    points, num, den = [], 0, 1
-    for ga_c, wa in axes[0]:
-        for gp_c, wp in axes[1]:
-            # 0 <= gamma <= K, so every corner is a valid network of its own
-            try:
-                rate = corner_rate(ga_c, gp_c)
+def sweep(
+    k: int, l: int, n: int, mas: Iterable[Fraction], mps: Sequence[tuple[int, int]]
+) -> Iterator[tuple]:
+    """Rate and cut-set bound of the network (K, L, N) at every memory point,
+    ``mas`` outer and mp = u/v (v > 0) of ``mps`` inner: one tuple
+    (gamma_a, gamma_p, rate, bound, corners, note) per point, in integers.
+    Each gamma is a reduced (numerator, denominator) pair, rate and bound
+    unreduced ones (denominator > 0), and the memory-sharing corners, floor
+    first and gamma_a outer, are (gamma_a, gamma_p, weight * q_a * q_p, rate)
+    over the gammas' denominators q: at gamma = lo + rest/q, corner lo weighs
+    (q - rest)/q and corner lo + 1 weighs rest/q, and the rate is their
+    weighted sum. A refused point has its reason in ``note`` ("" otherwise),
+    its gammas if the network and mp are valid, and None and () elsewhere; a
+    refused corner's message names the corner where corners mix. Each corner
+    is rated once per call, each Ma column's cut-set lines built once."""
+    corner_rate = cache(partial(_rate, k, l))
+    notes = [private_size_refusal(u, v, n) for u, v in mps]
+    for ma in mas:
+        refused = network_refusal(k, l, n, ma)
+        if not refused:
+            gamma_a = (k * ma / n).as_integer_ratio()
+            a, qa = gamma_a
+            lo, rest = divmod(a, qa)
+            axis_a = ((lo, qa - rest), (lo + 1, rest)) if rest else ((lo, 1),)
+            bound = _cutset(k, l, n, ma)
+        for (u, v), note in zip(mps, notes):
+            if refused or note:
+                yield None, None, None, None, (), refused or note
+                continue
+            g = math.gcd(k * u, n * v)
+            p, qp = k * u // g, n * v // g
+            lo, rest = divmod(p, qp)
+            axis_p = ((lo, qp - rest), (lo + 1, rest)) if rest else ((lo, 1),)
+            corners, num, den = [], 0, 1
+            try:  # 0 <= gamma <= K, so every corner is a valid network of its own
+                for ga_c, wa in axis_a:
+                    for gp_c, wp in axis_p:
+                        rate = corner_rate(ga_c, gp_c)
+                        corners.append((ga_c, gp_c, wa * wp, rate))
+                        num = num * rate.denominator + wa * wp * rate.numerator * den
+                        den *= rate.denominator
             except RegimeError as exc:
-                if len(axes[0]) * len(axes[1]) == 1:
-                    raise
-                raise RegimeError(
-                    f"memory-sharing corner (gamma_a={ga_c}, gamma_p={gp_c}) is"
-                    f" unsupported: {exc}"
-                ) from exc
-            points.append((ga_c, gp_c, wa * wp, rate))
-            num = num * rate.denominator + wa * wp * rate.numerator * den
-            den *= rate.denominator
-    return points, num, den * gamma_a[1] * gamma_p[1]
+                note = str(exc)
+                if len(axis_a) * len(axis_p) > 1:
+                    note = (f"memory-sharing corner (gamma_a={ga_c}, gamma_p={gp_c}) is"
+                            f" unsupported: {note}")
+                yield gamma_a, (p, qp), None, None, (), note
+                continue
+            yield gamma_a, (p, qp), (num, den * qa * qp), bound(u, v), corners, ""
 
 
 def memory_share(params: SystemParams) -> MemoryShare:
     """Realize fractional replication by splitting files between the integral
     corner schemes; the rate is the matching convex combination of corner
     rates. An integral point is a single unit-weight corner, with
-    :func:`achievable_rate`'s rate and refusal."""
-    ga, gp, corner_rate = params.gamma_a, params.gamma_p, partial(_rate, params.k, params.l)
-    points, num, den = _share(ga.as_integer_ratio(), gp.as_integer_ratio(), corner_rate)
-    q = ga.denominator * gp.denominator
-    shares = tuple(SharePoint(a, p, Fraction(w, q), r) for a, p, w, r in points)
-    return MemoryShare(shares, Fraction(num, den))
+    :func:`achievable_rate`'s rate and refusal. A one-point :func:`sweep`."""
+    [(gamma_a, gamma_p, rate, _, corners, note)] = sweep(
+        params.k, params.l, params.n, (params.ma,), (params.mp.as_integer_ratio(),)
+    )
+    if note:
+        raise RegimeError(note)
+    q = gamma_a[1] * gamma_p[1]
+    shares = tuple(SharePoint(a, p, Fraction(w, q), r) for a, p, w, r in corners)
+    return MemoryShare(shares, Fraction(*rate))
 
 
 def rate_with_sharing(params: SystemParams) -> Fraction:

@@ -4,9 +4,11 @@ Subcommands: ``rate`` (closed forms for one memory point), ``simulate``
 (run delivery for a demand vector and check decodability), ``sweep``
 (rate/bound grid as CSV or JSON), ``verify`` (census oracle harness),
 ``man-check`` (dedicated-cache reduction cross-check) and ``layout-dump``
-(cache contents as JSON). ``simulate`` and ``layout-dump`` get the subset
-placement at L = 1 from :func:`ringcache.placement.build`, the placement
-whose rate ``rate`` and ``sweep`` report there, and the ring one otherwise.
+(cache contents as JSON). ``rate`` and ``sweep`` only render the points of
+:func:`ringcache.analysis.sweep`, ``rate`` a sweep of one point.
+``simulate`` and ``layout-dump`` get the subset placement at L = 1 from
+:func:`ringcache.placement.build`, the placement whose rate ``rate`` and
+``sweep`` report there, and the ring one otherwise.
 
 Exit codes: 0 success, 1 usage or validation error, 2 decodability or
 oracle failure.
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -25,8 +28,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .model import RegimeError, SystemParams, network_refusal
-from .model import params_from_gammas, private_size_refusal
+from .model import RegimeError, SystemParams, params_from_gammas
 from .placement import build, layout_to_json, preflight
 from .delivery import (
     check_demand,
@@ -37,12 +39,13 @@ from .delivery import (
     verify_decodability,
     worst_case_demand,
 )
-from .analysis import _cutset, _rate, _share, achievable_rate, cutset_bound, memory_share
+from .analysis import achievable_rate, sweep
 from .verify import count_vs_formula, man_crosscheck, sweep_grid
 
 # most rows one sweep writes; rows stream, so this bounds time, not memory:
-# 50,000 rows take 0.4 to 0.9 s up to K = 64, the most at Ma = 0, where every
-# cut-set line is kept (2-core x86-64 host, Python 3.11).
+# 50,000 rows take 0.26 to 0.73 s up to K = 64, the most at Ma = 0, where every
+# cut-set line is kept (10 Ma x 5,000 Mp at L = 2 written to /dev/null by an
+# in-process main, best of 3; 2-core x86-64 Xeon host, Python 3.11.7).
 # The commands that build a layout are bounded by placement.preflight instead.
 SWEEP_ROW_BUDGET = 50_000
 
@@ -55,7 +58,7 @@ SIZE_DIGITS = 500
 # main reads each one given through _integer, before any work
 INTEGER_FLAGS = {
     "K": "-K", "L": "-L", "N": "-N", "kmin": "--kmin", "kmax": "--kmax",
-    "ga": "--ga", "gp": "--gp", "t": "-t",
+    "ga": "--ga", "gp": "--gp", "t": "-t", "seed": "--seed",
 }
 
 CSV_HEADER = (
@@ -80,23 +83,16 @@ def _rational(text: str, flag: str) -> Fraction:
         raise ValueError(f"{flag}: {text!r} is not a rational number") from None
 
 
-def _integer(text: str, flag: str) -> int:
-    """An integer flag, read as ``int`` reads it; overlong text is refused
-    by its digit count, before any number is built from it."""
+def _integer(text: str, flag: str, entry: str = "") -> int:
+    """An integer flag, or an ``entry`` of one, read as ``int`` reads it; overlong
+    text is refused by its digit count, before any number is built from it."""
     digits = sum(map(str.isdigit, text))
     if digits > SIZE_DIGITS:
         raise ValueError(f"{flag}: {digits} digits, over the limit of {SIZE_DIGITS}")
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"{flag}: {text!r} is not an integer") from None
-
-
-def _demand_entry(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"--demands: entry {text!r} is not an integer") from None
+        raise ValueError(f"{flag}: {entry}{text!r} is not an integer") from None
 
 
 def dec6(x: Fraction) -> str:
@@ -145,21 +141,26 @@ def _sink(path: str | None) -> Iterator[Callable[[str], object]]:
 # ---------------------------------------------------------------------------
 
 def cmd_rate(args: argparse.Namespace) -> int:
-    params = _params(args)
-    # one memory share serves every point; only a mix of corners is listed
-    share = memory_share(params)
-    rate, corners = share.rate, share.points if len(share.points) > 1 else ()
-    bound = cutset_bound(params)
+    ma, mp = _rational(args.ma, "--ma"), _rational(args.mp, "--mp")
+    [(gamma_a, gamma_p, rate, bound, corners, note)] = sweep(
+        args.K, args.L, args.N, (ma,), (mp.as_integer_ratio(),)
+    )
+    if note:
+        raise ValueError(note)
+    rate, bound = Fraction(*rate), Fraction(*bound)
     optimal = rate == bound
+    # only a mix of corners is listed, each weight over the gammas' denominators
+    q = gamma_a[1] * gamma_p[1]
+    corners = [(a, p, _ratio(w, q), r) for a, p, w, r in corners] if len(corners) > 1 else ()
     if args.json:
         payload = {
-            "K": params.k,
-            "L": params.l,
-            "N": params.n,
-            "Ma": str(params.ma),
-            "Mp": str(params.mp),
-            "gamma_a": str(params.gamma_a),
-            "gamma_p": str(params.gamma_p),
+            "K": args.K,
+            "L": args.L,
+            "N": args.N,
+            "Ma": str(ma),
+            "Mp": str(mp),
+            "gamma_a": _ratio(*gamma_a),
+            "gamma_p": _ratio(*gamma_p),
             "rate": f"{rate.numerator}/{rate.denominator}",
             "rate_decimal": dec6(rate),
             "bound": f"{bound.numerator}/{bound.denominator}",
@@ -168,24 +169,16 @@ def cmd_rate(args: argparse.Namespace) -> int:
         }
         if corners:
             payload["memory_sharing"] = [
-                {
-                    "gamma_a": pt.gamma_a,
-                    "gamma_p": pt.gamma_p,
-                    "weight": str(pt.weight),
-                    "rate": str(pt.rate),
-                }
-                for pt in corners
+                {"gamma_a": a, "gamma_p": p, "weight": w, "rate": str(r)}
+                for a, p, w, r in corners
             ]
         print(json.dumps(payload, indent=2))
         return 0
     print(f"rate  = {rate} ({dec6(rate)})")
     print(f"bound = {bound} ({dec6(bound)})")
     print(f"optimal = {'yes' if optimal else 'no'}")
-    for pt in corners:
-        print(
-            f"  corner gamma_a={pt.gamma_a} gamma_p={pt.gamma_p}"
-            f" weight={pt.weight} rate={pt.rate}"
-        )
+    for a, p, w, r in corners:
+        print(f"  corner gamma_a={a} gamma_p={p} weight={w} rate={r}")
     return 0
 
 
@@ -193,7 +186,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     params = _params(args)
     # a bad demand is refused before the layout, seconds of work at large K, is built
     if args.demands is not None:
-        demand = tuple(_demand_entry(x) for x in args.demands.split(","))
+        demand = tuple(_integer(x, "--demands", "entry ") for x in args.demands.split(","))
     elif args.seed is not None:
         demand = random_demand(params, args.seed)
     else:
@@ -235,39 +228,21 @@ def _ratio(num: int, den: int) -> str:
     return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
-def _cells(num: int, den: int) -> tuple[str, str, str]:
-    """num/den (den > 0) as a row's numerator, denominator and decimal cells."""
-    g = math.gcd(num, den)
-    return str(num // g), str(den // g), _dec6(num, den)
-
-
-def _sweep_column(
-    args: argparse.Namespace, ma: Fraction, mps: list[tuple[str, int, int, str]],
-    corner_rate: Callable[[int, int], Fraction],
-) -> Iterator[tuple[str, ...]]:
-    """One Ma column's rows, 15 fields each in :data:`CSV_HEADER` order, in
-    integers; fields a row cannot fill are empty and ``note`` holds the reason."""
-    k, l, n = args.K, args.L, args.N
-    head = (str(k), str(l), str(n), str(ma))
-    refused = network_refusal(k, l, n, ma)
-    if not refused:
-        a, qa = (k * ma / n).as_integer_ratio()
-        gamma_a, bound = _ratio(a, qa), _cutset(k, l, n, ma)
-    for mp, u, v, note in mps:
-        if refused or note:
-            yield head + (mp,) + ("",) * 9 + (refused or note,)
-            continue
-        g = math.gcd(k * u, n * v)
-        p, qp = k * u // g, n * v // g
-        row = head + (mp, gamma_a, _ratio(p, qp))
-        try:  # as memory_share, with the sweep's corner rates
-            _, num, den = _share((a, qa), (p, qp), corner_rate)
-        except RegimeError as exc:
-            yield row + ("",) * 7 + (str(exc),)
-            continue
-        b_num, b_den = bound(u, v)
-        optimal = ("false", "true")[num * b_den == b_num * den]  # both dens > 0
-        yield row + _cells(num, den) + _cells(b_num, b_den) + (optimal, "")
+def _row(head: tuple[str, ...], point: tuple) -> tuple[str, ...]:
+    """A :func:`ringcache.analysis.sweep` point as its row's 15 fields, in
+    :data:`CSV_HEADER` order behind ``head`` (K, L, N, Ma, Mp); fields the
+    point cannot fill are empty and ``note`` holds the reason."""
+    gamma_a, gamma_p, rate, bound, _, note = point
+    if gamma_a is None:
+        return head + ("",) * 9 + (note,)
+    row = head + (_ratio(*gamma_a), _ratio(*gamma_p))
+    if rate is None:
+        return row + ("",) * 7 + (note,)
+    (num, den), (b_num, b_den) = rate, bound
+    g, h = math.gcd(num, den), math.gcd(b_num, b_den)
+    optimal = ("false", "true")[num * b_den == b_num * den]  # both dens > 0
+    return row + (str(num // g), str(den // g), _dec6(num, den),
+                  str(b_num // h), str(b_den // h), _dec6(b_num, b_den), optimal, "")
 
 
 # one row as json.dumps(rows, indent=2) lays out its dict; only the note may need escaping
@@ -284,13 +259,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"--mp-range: {len(ma_list)} Ma x {points} Mp values make"
             f" {len(ma_list) * points} rows, over the budget of {SWEEP_ROW_BUDGET}"
         )
-    # Mp = u/v stepped in integers, rendered and range-checked once per sweep
+    # Mp = u/v stepped in integers, each rendered once per sweep
     (a, b), (c, d) = start.as_integer_ratio(), step.as_integer_ratio()
-    mps = [(_ratio(u, b * d), u, b * d, private_size_refusal(u, b * d, args.N))
-           for u in range(a * d, a * d + points * b * c, b * c)]
-    # each corner rate and its count-law cross-check once, in a cache that dies with this sweep
-    corner_rate = functools.cache(functools.partial(_rate, args.K, args.L))
-    rows = (row for ma in ma_list for row in _sweep_column(args, ma, mps, corner_rate))
+    mps = [(u, b * d) for u in range(a * d, a * d + points * b * c, b * c)]
+    heads = [(str(args.K), str(args.L), str(args.N), str(ma)) for ma in ma_list]
+    cells = itertools.product(heads, [_ratio(u, v) for u, v in mps])
+    rows = (_row(head + (mp,), point)
+            for (head, mp), point in zip(cells, sweep(args.K, args.L, args.N, ma_list, mps)))
     with _sink(args.output) as write:  # row by row; a refused sweep opens no sink
         if args.format == "csv":
             write(CSV_HEADER + "\n")
@@ -414,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--worst-case", action="store_true", help="identity demands d_u = u (default)")
     group.add_argument("--demands", help="comma-separated file indices, one per user")
-    group.add_argument("--seed", type=int, help="seeded random demands")
+    group.add_argument("--seed", help="seeded random demands")
     p.add_argument("--unchecked", action="store_true", help="run outside the characterized regime")
     p.add_argument("-o", "--output", help="write the log to a file")
     p.set_defaults(func=cmd_simulate)

@@ -1,9 +1,11 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import ast
 import csv
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -31,7 +33,7 @@ from ringcache.verify import count_vs_formula, sweep_grid
 from fractions import Fraction
 
 from helpers import PacketStream, cutset_bound_reference, dec6_reference, drop_transmission
-from helpers import materialize, sweep_reference
+from helpers import materialize, memory_share_reference, sweep_reference
 
 
 def run_cli(*argv):
@@ -941,30 +943,27 @@ def test_rate_sweep_columns_are_pinned(l, ma):
 def test_sweep_bound_cells_are_the_bound_over_every_line():
     # seeded grid: K 1-64, L in {1, K, random}, N = K and N up to 3K + 5,
     # Ma in {0, N, fractional}, Mp in {0, N} and a stepped range whose start
-    # and step have denominators up to 10^6; every bound cell is the largest
-    # of all K cut-set lines, as is cutset_bound at that point
+    # and step have denominators up to 10^6; every bound of analysis.sweep is
+    # the largest of all K cut-set lines, as is cutset_bound at that point
     rng = random.Random(31)
     rows = positive = 0
     for k in range(1, 65):
         for l in sorted({1, k, rng.randint(1, k)}):
             for n in (k, rng.randint(k, 3 * k + 5)):
                 den = rng.randint(1, 10**6)
-                mas = f"0,{n},{Fraction(rng.randint(0, n * den // 4), den)}"
+                mas = [Fraction(0), Fraction(n), Fraction(rng.randint(0, n * den // 4), den)]
                 b, d = rng.randint(1, 10**6), rng.randint(1, 10**6)
                 start = Fraction(rng.randint(0, n * b // 8), b)
                 step = Fraction(rng.randint(d, 2 * d), d) * n / 5
-                for mp_range in (f"0:{n}:{n}", f"{start}:{n}:{step}"):
-                    code, out, err = run_cli(
-                        "sweep", "-K", str(k), "-L", str(l), "-N", str(n), "--ma", mas,
-                        "--mp-range", mp_range,
-                    )
-                    assert (code, err) == (0, "")
-                    for row in list(csv.reader(io.StringIO(out)))[1:]:
-                        params = SystemParams(k, l, Fraction(row[3]), Fraction(row[4]), n)
+                for first, by in ((Fraction(0), Fraction(n)), (start, step)):
+                    mps = [first + i * by for i in range((n - first) // by + 1)]
+                    points = analysis.sweep(k, l, n, mas, [mp.as_integer_ratio() for mp in mps])
+                    for (ma, mp), point in zip(itertools.product(mas, mps), points):
+                        params = SystemParams(k, l, ma, mp, n)
                         bound = analysis.cutset_bound(params)
                         assert bound == cutset_bound_reference(params), params
-                        if row[10]:
-                            assert Fraction(int(row[10]), int(row[11])) == bound, row
+                        if point[3] is not None:
+                            assert Fraction(*point[3]) == bound, params
                             rows += 1
                             positive += bound > 0
     assert rows > 5000 and positive > 1500, (rows, positive)
@@ -1089,33 +1088,81 @@ def test_rate_matches_a_one_point_sweep():
 
 
 def test_sweep_optimal_is_the_rate_meeting_the_bound():
-    # 240 seeded sweeps: on every computed row, optimal is exactly the
-    # printed rate equal to the printed bound, at zero memory, at fractional
-    # replication and with N > K alike
+    # 240 seeded sweeps: at every computed point of analysis.sweep, the rate
+    # meets the bound (one cross-multiplication, as the optimal cell reads
+    # it) exactly where the Fraction references' rate equals their bound, at
+    # zero memory, at fractional replication and with N > K alike
     rng = random.Random(22)
     seen = set()
     for i in range(240):
         k, l, n, ma_list, start, step, points = _sweep_case(rng, i)
-        stop = start + step * (points - 1) + step / 2 if points else start - 1
-        code, out, _ = run_cli(
-            "sweep", "-K", str(k), "-L", str(l), "-N", str(n),
-            f"--ma={','.join(map(str, ma_list))}", f"--mp-range={start}:{stop}:{step}",
-        )
-        assert code == 0
-        for row in csv.DictReader(io.StringIO(out)):
-            if row["note"]:
+        mps = [start + j * step for j in range(points)]
+        got = analysis.sweep(k, l, n, ma_list, [mp.as_integer_ratio() for mp in mps])
+        for (ma, mp), (gamma_a, gamma_p, rate, bound, _, note) in zip(
+            itertools.product(ma_list, mps), got
+        ):
+            if note:
                 continue
-            rate = int(row["rate_num"]) * int(row["bound_den"])
-            bound = int(row["bound_num"]) * int(row["rate_den"])
-            assert row["optimal"] == ("false", "true")[rate == bound], row
-            seen.add(row["optimal"])
-            if row["Ma"] == row["Mp"] == "0":
+            params = SystemParams(k, l, ma, mp, n)
+            optimal = rate[0] * bound[1] == bound[0] * rate[1]
+            expected = memory_share_reference(params).rate == cutset_bound_reference(params)
+            assert optimal is expected, params
+            seen.add(("false", "true")[optimal])
+            if ma == mp == 0:
                 seen.add("zero memory")
-            if "/" in row["gamma_a"] + row["gamma_p"]:
+            if gamma_a[1] * gamma_p[1] > 1:
                 seen.add("fractional")
-            if int(row["N"]) > int(row["K"]):
+            if n > k:
                 seen.add("N > K")
     assert seen == {"true", "false", "zero memory", "fractional", "N > K"}, seen
+
+
+def test_rate_json_lists_the_memory_share_corners():
+    # 400 seeded points, K <= 12, N in {K, 2K+1}, fractional sizes: rate
+    # --json's memory_sharing list is memory_share's points, rendered, and
+    # the rate memory_share's rate; a refused point is its message
+    rng = random.Random(30)
+    listed = refused = 0
+    for _ in range(400):
+        k = rng.randint(2, 12)
+        l = rng.randint(1, k)
+        n = rng.choice((k, 2 * k + 1))
+        den_a, den_p = rng.choice((1, 2, 3)), rng.choice((2, 3, 5))
+        ma = Fraction(rng.randint(0, n * den_a), den_a)
+        mp = Fraction(rng.randint(0, n * den_p), den_p)
+        got = run_cli("rate", "-K", str(k), "-L", str(l), f"--ma={ma}", f"--mp={mp}",
+                      "-N", str(n), "--json")
+        try:
+            share = analysis.memory_share(SystemParams(k, l, ma, mp, n))
+        except RegimeError as exc:
+            assert got == (1, "", f"ringcache: {exc}\n")
+            refused += 1
+            continue
+        assert got[::2] == (0, "")
+        payload = json.loads(got[1])
+        assert payload["rate"] == f"{share.rate.numerator}/{share.rate.denominator}"
+        if len(share.points) == 1:
+            assert "memory_sharing" not in payload
+            continue
+        assert payload["memory_sharing"] == [
+            {"gamma_a": pt.gamma_a, "gamma_p": pt.gamma_p, "weight": str(pt.weight),
+             "rate": str(pt.rate)}
+            for pt in share.points
+        ]
+        listed += 1
+    assert listed >= 250 and refused >= 10, (listed, refused)
+
+
+def test_cli_imports_no_private_name_from_analysis():
+    # cli renders what analysis computes; it reaches no kernel internals
+    tree = ast.parse((SRC / "ringcache" / "cli.py").read_text(encoding="utf-8"))
+    names = [
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "analysis"
+        for alias in node.names
+    ]
+    assert "sweep" in names
+    assert [name for name in names if name.startswith("_")] == []
 
 
 @pytest.mark.parametrize(
@@ -1258,6 +1305,24 @@ def test_an_overlong_integer_flag_is_refused_before_any_output(command, flag, di
     assert run_cli(*argv)[0] == 0
     got = run_cli(*_with_flag(argv, flag, "9" * digits))
     assert got == (1, "", f"ringcache: {flag}: {digits} digits, over the limit of 500\n")
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "{}"), ("--demands", "{},1,2,3,4")])
+@pytest.mark.parametrize("digits", [501, 3_000, 5_000])
+def test_an_overlong_seed_or_demand_is_refused_before_any_output(flag, value, digits):
+    # 5,000 nines of --seed used to fail in argparse, echoing the number,
+    # and 3,000 nines of a --demands entry in the range check, echoing it
+    # too; the refusal names the digit count instead
+    system = ("simulate", "-K", "5", "-L", "2", "--ma", "1", "--mp", "1", "-N", "5")
+    code, out, err = run_cli(*system, flag, value.format("9" * digits))
+    assert (code, out) == (1, "")
+    assert err == f"ringcache: {flag}: {digits} digits, over the limit of 500\n"
+    assert len(err.encode()) < 200
+
+
+def test_a_malformed_seed_is_named():
+    system = ("simulate", "-K", "5", "-L", "2", "--ma", "1", "--mp", "1", "-N", "5")
+    assert run_cli(*system, "--seed", "7.0") == (1, "", "ringcache: --seed: '7.0' is not an integer\n")
 
 
 @pytest.mark.parametrize("flag", ["-K", "-L"])
