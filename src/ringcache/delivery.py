@@ -63,13 +63,18 @@ packets as (case, [(user, place), ...]) pairs that carry no files: the
 demand only labels the terms. :meth:`Delivery.rotations` streams the same
 packets a rotation at a time (:class:`Rotation`), in the flat lists, and
 ``simulate`` reads that stream: :func:`format_log` writes each rotation's
-lines to its sink from one ``S:T`` label per place, a block of
-:data:`LOG_BLOCK` lines per write, and :func:`verify_decodability` files
-each rotation whole (:class:`DecodeCheck`), so ``simulate`` keeps no
-rotation it has passed. The check files each term as a bit of its user in
-one of two lists of F ints indexed by place, and reads the users each
-term is unreadable to from a third: nothing is per user. :func:`deliver`
-delivers any layout, the band the rate refuses included.
+lines to its sink a block of :data:`LOG_BLOCK` lines per write, each block
+one join of shared strings (user labels that carry the `` ^ `` separator,
+and per place pointers to its ``S:`` head and its T text), and
+:func:`verify_decodability` files each rotation whole
+(:class:`DecodeCheck`), so ``simulate`` keeps no rotation it has passed.
+The check files each term as a bit of its user in one of two lists of F
+ints indexed by place, and reads the users each term is unreadable to
+from a third: nothing is per user. A rotation whose every term is
+unreadable to its own user alone among its packet's users peels whole,
+tested over all its terms at once against the masks :func:`deliver` lays
+out beside ``users``. :func:`deliver` delivers any layout, the band the
+rate refuses included.
 """
 
 from __future__ import annotations
@@ -79,13 +84,13 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
+from operator import and_, eq, rshift
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .model import (
     InvalidParameters,
     SystemParams,
-    bit,
     bits,
     mask_str,
     window_masks,
@@ -99,6 +104,9 @@ SC2 = "SC2"
 # log lines per write: a rotation's lines are written in blocks, so that no
 # more than one block's terms and lines are held however large the rotation
 LOG_BLOCK = 64
+
+# user v's bit at index v, for a user v <= K turned on by j < K <= 64
+_USER_BITS = [0] + [1 << i for i in range(127)]
 
 # (user, S mask, T mask): a term without its file, as the packet builders make it
 Anchor = tuple[int, int, int]
@@ -127,12 +135,24 @@ def check_demand(params: SystemParams, demand: Sequence[int]) -> tuple[int, ...]
     return tuple(demand)
 
 
+def _lows(mask: int) -> list[int]:
+    """The bits of ``mask``, ascending, each as a mask of its own."""
+    lows = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        lows.append(low)
+    return lows
+
+
 def _swap_group(u: int, s: int, t: int) -> list[Anchor]:
     """Anchor plus, for each v in T, the key with v swapped against u."""
     group = [(u, s, t)]
-    pool = bit(u) | t
-    for v in bits(t):
-        group.append((v, s, pool ^ bit(v)))
+    pool = 1 << (u - 1) | t
+    while t:
+        low = t & -t  # v's bit
+        t ^= low
+        group.append((low.bit_length(), s, pool ^ low))
     return group
 
 
@@ -142,15 +162,16 @@ def _ring_xor(windows: tuple[int, ...], u: int, s: int, t: int) -> tuple[str, li
     ring's window that ends at x."""
     k = len(windows)
     full = (1 << k) - 1
-    union = bit(u) | s | t
+    own = 1 << (u - 1)
+    union = own | s | t
     ends = union  # x ends a window inside I when x, x - 1, ..., x - span + 1 are
     for d in range(1, s.bit_count()):
         ends &= ((union << d) | (union >> (k - d))) & full
     if ends.bit_count() == 1:
         return SC1, _swap_group(u, s, t)
     end = s & ~((s >> 1) | (s << (k - 1)))  # the member of S whose successor is not
-    members = bits(union)
-    p_u = (union & (bit(u) - 1)).bit_count() - (union & (end - 1)).bit_count()
+    members = _lows(union)
+    p_u = (union & (own - 1)).bit_count() - (union & (end - 1)).bit_count()
     others = ends ^ end
     images = []
     for part in (others & -end, others & (end - 1)):  # by ascending shift
@@ -159,10 +180,10 @@ def _ring_xor(windows: tuple[int, ...], u: int, s: int, t: int) -> tuple[str, li
             part ^= low
             w = windows[low.bit_length() - 1]
             v = members[(p_u + (union & (low - 1)).bit_count()) % len(members)]
-            images.append((v, w, union ^ w ^ bit(v)))
-    if len(images) == 1 and images[0][1] == bit(u) | t:
+            images.append((v.bit_length(), w, union ^ w ^ v))
+    if len(images) == 1 and images[0][1] == own | t:
         # S and {u} | T alone: the half turn carries one onto the other, and u into S
-        if not bit(images[0][0]) & s:
+        if not s >> (images[0][0] - 1) & 1:
             raise AssertionError("the shift carrying S onto {u} | T does not carry u into S")
         return SC2, _swap_group(u, s, t) + _swap_group(*images[0])
     return GENERAL, [(u, s, t)] + images
@@ -172,9 +193,9 @@ def _subset_xor(u: int, s: int, t: int) -> tuple[str, list[Anchor]]:
     """Subset-placement XOR through the anchor (u, S, T): for each other v
     in Q = {u} | S | T, S_v holds the elements of Q - {v} at the positions S
     takes in Q - {u}, and T_v the rest of Q - {v}."""
-    own = bit(u)
+    own = 1 << (u - 1)
     union = own | s | t
-    lifted = [1 << (x - 1) for x in bits(union)]
+    lifted = _lows(union)
     i_u = lifted.index(own)
     positions = [i - (i > i_u) for i, b in enumerate(lifted) if s & b]  # in Q - {u}
     keys = [(u, s, t)]
@@ -192,7 +213,9 @@ class Rotation(NamedTuple):
     """The packets that go out at user 1 + j, in flat lists: packet r, for
     r < len(order), has the case ``cases[r]`` and the terms (users[i] + j,
     places[i]) for starts[r] <= i < starts[r + 1], the anchor first, and
-    ``members[r]`` is the mask of users[starts[r]:starts[r + 1]]. ``places``
+    ``members[r]`` is the mask of users[starts[r]:starts[r + 1]]. Beside
+    ``users``, term i's user as a mask is ``owns[i]`` and its packet's
+    ``members`` is ``packs[i]``, both unturned, as ``users`` is. ``places``
     holds exactly the packets' terms, and they go out in ``order``."""
 
     j: int
@@ -202,17 +225,19 @@ class Rotation(NamedTuple):
     users: Sequence[int]
     members: Sequence[int]
     places: Sequence[int]
+    owns: Sequence[int]
+    packs: Sequence[int]
 
     def packets(self) -> Iterator[Packet]:
         """The rotation's packets, as (case, [(user, place), ...]), in ``order``."""
-        j, order, cases, starts, users, _, places = self
+        j, order, cases, starts, users, _, places, _, _ = self
         for r in order:
             lo, hi = starts[r], starts[r + 1]
             yield cases[r], [(v + j, p) for v, p in zip(users[lo:hi], places[lo:hi])]
 
     def anchors(self) -> Iterator[tuple[str, int, int]]:
         """Each packet's case and its anchor's user and place, in ``order``."""
-        j, order, cases, starts, users, _, places = self
+        j, order, cases, starts, users, _, places, _, _ = self
         for r in order:
             yield cases[r], users[starts[r]] + j, places[starts[r]]
 
@@ -226,9 +251,11 @@ class Delivery:
     rotation at a time."""
 
     def __init__(self, k: int, highs: list[int], cases: list[str], starts: list[int],
-                 users: list[int], members: list[int], places: list[int], turn: list[int]) -> None:
+                 users: list[int], members: list[int], places: list[int], owns: list[int],
+                 packs: list[int], turn: list[int]) -> None:
         self.k, self.highs, self.cases, self.starts = k, highs, cases, starts
         self.users, self.members, self.places, self.turn = users, members, places, turn
+        self.owns, self.packs = owns, packs
 
     def rotations(self) -> Iterator[Rotation]:
         """Rotation j sends the representatives with h <= K - j, a prefix,
@@ -244,7 +271,8 @@ class Delivery:
             # the packets that go out at user 1 + j, by their anchors' places
             anchors = list(map(places.__getitem__, islice(starts, live)))
             order = sorted(range(live), key=anchors.__getitem__)
-            yield Rotation(j, order, self.cases, starts, self.users, self.members, places)
+            yield Rotation(j, order, self.cases, starts, self.users, self.members, places,
+                           self.owns, self.packs)
 
     def __iter__(self) -> Iterator[Packet]:
         for rotation in self.rotations():
@@ -307,6 +335,8 @@ def deliver(layout: CacheLayout) -> Delivery:
         list(chain.from_iterable(group[i] for group in by_high)) for i in range(5)
     )
     starts = list(accumulate(sizes, initial=0))
+    owns = list(map(_USER_BITS.__getitem__, users))
+    packs = list(chain.from_iterable(map(repeat, members, sizes)))
     # each demand pair of user 1 is the anchor of its representative
     leftovers = sum(k - sent[places[a]].bit_count() for a in starts[:-1])
     if leftovers:
@@ -318,7 +348,7 @@ def deliver(layout: CacheLayout) -> Delivery:
     terms = sum((k + 1 - h) * sum(group[2]) for h, group in enumerate(by_high))
     if terms != k * len(demand):
         raise AssertionError(f"{terms} demand terms sent for {k * len(demand)} demand pairs")
-    return Delivery(k, highs, cases, starts, users, members, places, turn)
+    return Delivery(k, highs, cases, starts, users, members, places, owns, packs, turn)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +369,6 @@ class DecodabilityReport(NamedTuple):
 
     def failing_users(self) -> tuple[int, ...]:
         return tuple(sorted({f.user for f in self.failures}))
-
-
-# user v's bit at index v, for a user turned on by j < K <= 64
-_USER_BITS = [0] + [1 << i for i in range(127)]
 
 
 class DecodeCheck:
@@ -379,23 +405,23 @@ class DecodeCheck:
                 peeled[p] |= own
 
     def add_rotation(self, rotation: Rotation) -> None:
-        """File a whole rotation: every term peels unless some packet's
-        ``twice`` meets the packet's own users, and then the rotation goes
+        """File a whole rotation, every live term at once. When each packet
+        holds one term per user, and each term is unreadable to its own
+        user and to no other user of its packet, no user has a second
+        unreadable term, so every term peels. Otherwise the rotation goes
         through :meth:`add` packet by packet."""
-        j, order, _, starts, users, members, places = rotation
-        unread = list(map(self.unread.__getitem__, places))
-        for lo, hi, mask in zip(starts, islice(starts, 1, len(order) + 1), members):
-            once = twice = 0
-            for x in unread[lo:hi]:
-                twice |= once & x
-                once |= x
-            if twice >> j & mask:
-                for _, terms in rotation.packets():
-                    self.add(terms)
-                return
-        own, peeled = _USER_BITS[j:], self.peeled  # own[v] is the bit of user v + j
-        for v, p in zip(users, places):
-            peeled[p] |= own[v]
+        j, order, _, _, users, members, places, owns, packs = rotation
+        # the owns of a packet sum to its members exactly when no user repeats
+        if sum(islice(owns, len(places))) == sum(islice(members, len(order))) and all(
+            map(eq, map(and_, map(rshift, map(self.unread.__getitem__, places), repeat(j)), packs),
+                owns)
+        ):
+            own, peeled = _USER_BITS[j:], self.peeled  # own[v] is the bit of user v + j
+            for v, p in zip(users, places):
+                peeled[p] |= own[v]
+        else:
+            for _, terms in rotation.packets():
+                self.add(terms)
 
     def report(self, layout: CacheLayout) -> DecodabilityReport:
         """One pass over the layout's (S, T) pairs, each demanded by the users
@@ -441,20 +467,34 @@ def format_log(
     """Pass the layout's ``rotations`` through, writing each one's log lines,
     ``CASE d<u>:S:T ^ d<u'>:S':T' ...``, with ``write`` as it goes by, one
     write per :data:`LOG_BLOCK` lines, and, once the stream ends, the count
-    and rate lines; every line ends in a newline. Each user's ``d<u>:`` and
-    each place's ``S:T`` label are rendered once per run."""
-    user_label = [f"d{v}:" for v in range(layout.params.k + 1)]
-    label = [f"{mask_str(s)}:{mask_str(t)}" for s, t in zip(layout.s_of, layout.t_of)]
+    and rate lines; every line ends in a newline.
+
+    A block is one join over a flat list of shared strings, four for a
+    packet's first term (its case, `` d<u>:``, ``S:`` and ``T``) and three
+    for each later one (`` ^ d<u>:``, ``S:`` and ``T``), then a newline. Each
+    user's two labels, each distinct S's ``S:`` and each T's text are
+    rendered once per run; each place holds only pointers to the last two."""
+    k = layout.params.k
+    first = [f" d{v}:" for v in range(k + 1)]
+    later = [f" ^ d{v}:" for v in range(k + 1)]
+    heads = {s: mask_str(s) + ":" for s in set(layout.s_of)}
+    head = list(map(heads.__getitem__, layout.s_of))
+    tail = list(map(mask_str, layout.t_of))
     counts: Counter[str] = Counter()
     for rotation in rotations:
-        j, order, cases, starts, users, _, places = rotation
-        ulj = user_label[j:]  # ulj[v] labels user v + j
+        j, order, cases, starts, users, _, places, _, _ = rotation
+        lead, rest = first[j:], later[j:]  # lead[v] and rest[v] label user v + j
         for b in range(0, len(order), LOG_BLOCK):
-            lines = []
+            parts: list[str] = []
             for r in order[b:b + LOG_BLOCK]:
-                terms = [ulj[users[x]] + label[places[x]] for x in range(starts[r], starts[r + 1])]
-                lines.append(f"{cases[r]} {' ^ '.join(terms)}\n")
-            write("".join(lines))
+                lo, hi = starts[r], starts[r + 1]
+                p = places[lo]
+                parts += (cases[r], lead[users[lo]], head[p], tail[p])
+                for x in range(lo + 1, hi):
+                    p = places[x]
+                    parts += (rest[users[x]], head[p], tail[p])
+                parts.append("\n")
+            write("".join(parts))
         counts.update(map(cases.__getitem__, order))
         yield rotation
     total = sum(counts.values())

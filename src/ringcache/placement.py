@@ -57,6 +57,7 @@ import functools
 import itertools
 import json
 from collections import Counter
+from operator import and_
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .model import (
@@ -66,7 +67,6 @@ from .model import (
     SystemParams,
     binom,
     bit,
-    bits,
     mask_str,
     subset_masks,
     window_masks,
@@ -277,8 +277,8 @@ def _check_memory(layout: CacheLayout) -> None:
     """Every cache must hit its size budget exactly: Ma * F mini-subfiles in
     each shared cache and Mp * F in each private one, over all N files, with
     F the placement's subpacketization, and ``s_of`` and ``t_of`` must each
-    hold F places. One pass over the places counts the private caches: each
-    T adds one to each of its users outside S."""
+    hold F places. No T may meet its S, so each T adds one to the private
+    cache of each of its users, counted once per distinct T."""
     p = layout.params
     f = subpacketization(p, layout.placement)
     per_subfile = binom(p.k - layout.width, p.gp)
@@ -286,10 +286,14 @@ def _check_memory(layout: CacheLayout) -> None:
     for cache in layout.access:
         if p.n * len(cache) * per_subfile != shared_budget:
             raise AssertionError("shared cache holds a wrong subfile count")
+    if any(map(and_, layout.s_of, layout.t_of)):
+        raise AssertionError("a private index set T meets its shared set S")
     held = [0] * p.k
-    for held_by, count in Counter(t & ~s for s, t in zip(layout.s_of, layout.t_of)).items():
-        for u in bits(held_by):
-            held[u - 1] += count
+    for t, count in Counter(layout.t_of).items():
+        while t:
+            low = t & -t
+            held[low.bit_length() - 1] += count
+            t ^= low
     if any(p.n * size != private_budget for size in held):
         raise AssertionError("private cache holds a wrong mini-subfile count")
     if not len(layout.s_of) == len(layout.t_of) == f:

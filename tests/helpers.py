@@ -411,13 +411,17 @@ def scan_reference(layout, delivery):
 
 def as_rotation(j, packets):
     """A :class:`Rotation` at ``j`` holding ``packets``, each (case, [(user,
-    place), ...]) with every user past j, sent in the order given."""
+    place), ...]) with every user past j, sent in the order given, with each
+    term's ``owns`` and ``packs`` filled as :func:`deliver` fills them."""
     starts = list(itertools.accumulate((len(terms) for _, terms in packets), initial=0))
     users = [v - j for _, terms in packets for v, _ in terms]
     members = [mask_of(v - j for v, _ in terms) for _, terms in packets]
     places = [p for _, terms in packets for _, p in terms]
     cases = [case for case, _ in packets]
-    return Rotation(j, list(range(len(packets))), cases, starts, users, members, places)
+    owns = [bit(v) for v in users]
+    packs = [mask for mask, (_, terms) in zip(members, packets) for _ in terms]
+    return Rotation(j, list(range(len(packets))), cases, starts, users, members, places,
+                    owns, packs)
 
 
 class PacketStream:

@@ -359,6 +359,25 @@ def test_demand_validation():
         check_demand(params, (1, 2, 3, 4, 6))
 
 
+def test_format_log_holds_pointers_per_place_not_strings():
+    # K=20 L=2 gamma_a=3 gamma_p=4, F=20,020: for the whole run format_log
+    # keeps two pointers a place, into the shared ``S:`` heads and the cached
+    # T strings, 16 bytes a place; an ``S:T`` string per place took about 84
+    layout = build_layout(params_from_gammas(20, 2, 3, 4, 20))
+    rotations = list(deliver(layout).rotations())
+    for _ in format_log(rotations, layout, len):  # renders every S and T once
+        pass
+    tracemalloc.start()
+    try:
+        for _ in format_log(rotations, layout, len):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert layout.f == 20_020
+    assert 16 * layout.f < peak < 24 * layout.f, (peak, layout.f)
+
+
 def test_transmission_count_law(run7):
     _, _, result = run7
     gp = result.params.gp
@@ -689,9 +708,11 @@ def test_two_mask_rule_matches_the_term_by_term_rule_on_delivered_streams():
 
 def mutated_rotation(rng, rotation, unread):
     """The packets of ``rotation`` with one seeded fault in one of them: a
-    term dropped, a term duplicated, or a demand term added for one of the
+    term dropped, a term duplicated, a demand term added for one of the
     packet's users whose pair another of its users cannot read either, so
-    that user has a second unreadable term. Returns (fault, packets)."""
+    that user has a second unreadable term ("block"), or that user's own
+    term replaced by such a term, so each user keeps one term but the other
+    has a second unreadable one ("replace"). Returns (fault, packets)."""
     packets = list(rotation.packets())
     i = rng.randrange(len(packets))
     case, terms = packets[i]
@@ -700,21 +721,39 @@ def mutated_rotation(rng, rotation, unread):
     if len(terms) > 1:
         w, v = rng.sample([user for user, _ in terms], 2)
         unreadable = [p for p, x in enumerate(unread) if x & bit(v) and x & bit(w)]
-    fault = rng.choice(("drop", "duplicate", "block") if unreadable else ("drop", "duplicate"))
+    faults = ("drop", "duplicate", "block", "replace") if unreadable else ("drop", "duplicate")
+    fault = rng.choice(faults)
     if fault == "drop":
         del terms[rng.randrange(len(terms))]
     elif fault == "duplicate":
         terms.insert(rng.randrange(len(terms) + 1), rng.choice(terms))
-    else:
+    elif fault == "block":
         terms.insert(rng.randrange(len(terms) + 1), (w, rng.choice(unreadable)))
+    else:
+        at = [user for user, _ in terms].index(w)
+        terms[at] = (w, rng.choice(unreadable))
     packets[i] = case, terms
     rng.shuffle(packets)
     return fault, packets
 
 
+class WatchedCheck(DecodeCheck):
+    """A :class:`DecodeCheck` that notes whether :meth:`add_rotation` fell
+    back to filing packet by packet."""
+
+    fell_back = False
+
+    def add(self, terms):
+        self.fell_back = True
+        super().add(terms)
+
+
 def test_rotation_check_matches_the_term_by_term_rule_on_mutated_rotations():
     # each rotation of each stream, and the same rotation with one fault,
-    # filed whole, packet by packet, and by the term-by-term rule
+    # filed whole, packet by packet, and by the term-by-term rule; a clean
+    # rotation, and one that only drops a term, is filed at once, and one
+    # whose packet repeats a user or gives a user a second unreadable term
+    # falls back to filing packet by packet
     layouts = [build_layout(params) for params in sweep_grid(3, 8)]
     layouts += [
         build_subset_layout(SystemParams(k=k, l=1, ma=ga, mp=gp, n=k))
@@ -735,9 +774,9 @@ def test_rotation_check_matches_the_term_by_term_rule_on_mutated_rotations():
 
         for rotation in deliver(layout).rotations():
             for fault, packets in [("none", list(rotation.packets()))] + [
-                mutated_rotation(rng, rotation, unread) for _ in range(3)
+                mutated_rotation(rng, rotation, unread) for _ in range(5)
             ]:
-                whole, single, want = (DecodeCheck(unions), DecodeCheck(unions),
+                whole, single, want = (WatchedCheck(unions), DecodeCheck(unions),
                                        DecodeCheckReference(unions))
                 whole.add_rotation(as_rotation(rotation.j, packets))
                 for _, terms in packets:
@@ -748,9 +787,13 @@ def test_rotation_check_matches_the_term_by_term_rule_on_mutated_rotations():
                 assert filed[0] == filed[1] == filed[2], (layout.params, fault)
                 assert whole.report(layout) == single.report(layout) == want.report(layout)
                 seen[fault] += 1
+                seen[fault, "fell back" if whole.fell_back else "at once"] += 1
                 seen["blocked"] += any(want.blocked)
-    assert min(seen[fault] for fault in ("drop", "duplicate", "block")) > 300, seen
+    assert min(seen[fault] for fault in ("drop", "duplicate", "block", "replace")) > 300, seen
     assert seen["blocked"] > 300 and seen["none"] > 500, seen
+    assert seen["none", "at once"] == seen["none"] and seen["drop", "at once"] == seen["drop"]
+    for fault in ("duplicate", "block", "replace"):
+        assert seen[fault, "fell back"] == seen[fault], seen
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,19 @@ def test_check_memory_rejects_a_record_short_of_f_pairs():
             _check_memory(layout._replace(**short))
 
 
+@pytest.mark.parametrize("system", [EX5, EX7, dict(k=8, l=1, ma=6, mp=2, n=16)])
+def test_check_memory_rejects_a_t_that_meets_its_s(system):
+    # private caches are counted from T alone, so a T that also holds a
+    # member of its S is refused by name, wherever it sits in the record
+    params = SystemParams(**system)
+    layout = build_subset_layout(params) if params.l == 1 else build_layout(params)
+    s_of, t_of = layout.s_of, layout.t_of
+    for p in range(0, layout.f, max(1, layout.f // 10)):
+        met = t_of[:p] + (t_of[p] | s_of[p] & -s_of[p],) + t_of[p + 1 :]
+        with pytest.raises(AssertionError, match="T meets its shared set S"):
+            _check_memory(layout._replace(t_of=met))
+
+
 def test_ring_record_at_full_span_holds_one_pair_for_k_subfiles():
     # K=2 L=2 Ma=1: each window is the whole ring, and the record holds one
     # (S, T) pair for each of the F = K = 2 subfiles, one per window end
