@@ -51,22 +51,23 @@ every demand set's order. So rotation j's packets go out sorted by their
 anchors' places. Turning by one user permutes the pairs, and one table of
 F ints, ``turn[i]`` being the place of pair i turned on by one user,
 carries the terms from one rotation to the next with no bit rotation. The
-representatives sit in flat lists, their users in one and their places in
-another, each representative a run of both from its offset in ``starts``
-(:class:`Delivery`). Sorted by h, the live ones are a prefix, so one
-``map`` over the turn table turns every live term of a rotation at once.
-The representatives and the table are numbered through a dict of the F
-pairs, freed once they exist.
+representatives, sorted by h, are rotation 0 (:class:`Rotation`), the one
+record of the orbit: flat lists, their terms' users in one and places in
+another, each representative a run of both from its offset in ``starts``.
+The live ones are a prefix, so one ``map`` over the turn table turns every
+live term of a rotation at once: rotation j is rotation 0 with ``j``,
+``order`` and ``places`` replaced, sharing its other lists. Rotations are
+built by keyword or ``_replace`` and read by field name. Rotation 0 and the
+table are numbered through a dict of the F pairs, freed once they exist.
 
-:func:`deliver` returns the representatives. Iterated, they stream the
-packets as (case, [(user, place), ...]) pairs that carry no files: the
-demand only labels the terms. :meth:`Delivery.rotations` streams the same
-packets a rotation at a time (:class:`Rotation`), in the flat lists, and
-``simulate`` reads that stream: :func:`format_log` writes each rotation's
-lines to its sink a block of :data:`LOG_BLOCK` lines per write, each block
-one join of shared strings (user labels that carry the `` ^ `` separator,
-and per place pointers to its ``S:`` head and its T text), and
-:func:`verify_decodability` files each rotation whole
+:func:`deliver` returns rotation 0 and the table (:class:`Delivery`).
+Iterated, it streams the packets as (case, [(user, place), ...]) pairs
+carrying no files: the demand only labels the terms. ``simulate`` reads
+:meth:`Delivery.rotations`, a rotation at a time: :func:`format_log`
+writes each rotation's lines to its sink a block of :data:`LOG_BLOCK`
+lines per write, each block one join of shared strings (user labels that
+carry the `` ^ `` separator, and per place pointers to its ``S:`` head and
+its T text), and :func:`verify_decodability` files each rotation whole
 (:class:`DecodeCheck`), so ``simulate`` keeps no rotation it has passed.
 The check files each term as a bit of its user in one of two lists of F
 ints indexed by place, and reads the users each term is unreadable to
@@ -230,49 +231,46 @@ class Rotation(NamedTuple):
 
     def packets(self) -> Iterator[Packet]:
         """The rotation's packets, as (case, [(user, place), ...]), in ``order``."""
-        j, order, cases, starts, users, _, places, _, _ = self
-        for r in order:
+        j, cases, starts, users, places = self.j, self.cases, self.starts, self.users, self.places
+        for r in self.order:
             lo, hi = starts[r], starts[r + 1]
             yield cases[r], [(v + j, p) for v, p in zip(users[lo:hi], places[lo:hi])]
 
     def anchors(self) -> Iterator[tuple[str, int, int]]:
         """Each packet's case and its anchor's user and place, in ``order``."""
-        j, order, cases, starts, users, _, places, _, _ = self
-        for r in order:
+        j, cases, starts, users, places = self.j, self.cases, self.starts, self.users, self.places
+        for r in self.order:
             yield cases[r], users[starts[r]] + j, places[starts[r]]
 
 
-class Delivery:
-    """A layout's delivery as its orbit: for each demand pair (S, T) of user
-    1, the packet through (1, S, T), sorted by its highest user (``highs``)
-    and laid out in flat lists as a :class:`Rotation`'s at j = 0; and the
-    turn table, ``turn[i]`` being the place of pair i turned on by one user.
-    Iterating it streams the packets; :meth:`rotations` streams them a
-    rotation at a time."""
+def _order(starts: Sequence[int], places: Sequence[int], live: int) -> list[int]:
+    """The first ``live`` packets in the order they go out: by their anchors' places."""
+    anchors = list(map(places.__getitem__, islice(starts, live)))
+    return sorted(range(live), key=anchors.__getitem__)
 
-    def __init__(self, k: int, highs: list[int], cases: list[str], starts: list[int],
-                 users: list[int], members: list[int], places: list[int], owns: list[int],
-                 packs: list[int], turn: list[int]) -> None:
-        self.k, self.highs, self.cases, self.starts = k, highs, cases, starts
-        self.users, self.members, self.places, self.turn = users, members, places, turn
-        self.owns, self.packs = owns, packs
+
+class Delivery:
+    """A layout's delivery as its orbit: rotation 0 (``first``), the packet
+    through (1, S, T) for each demand pair (S, T) of user 1, sorted by its
+    highest user (``highs``); and the turn table (``turn``). Iterated, it
+    streams the packets; :meth:`rotations` streams them a rotation at a time."""
+
+    def __init__(self, k: int, highs: list[int], turn: list[int], first: Rotation) -> None:
+        self.k, self.highs, self.turn, self.first = k, highs, turn, first
 
     def rotations(self) -> Iterator[Rotation]:
         """Rotation j sends the representatives with h <= K - j, a prefix,
         every live term turned on by one user at once from rotation j - 1."""
-        k, highs, starts, turn = self.k, self.highs, self.starts, self.turn
-        places = self.places
+        k, highs, turn, rotation = self.k, self.highs, self.turn, self.first
+        starts = rotation.starts
         for j in range(k):
             live = bisect_right(highs, k - j)
             if not live:  # and no later rotation sends any
                 return
             if j:
-                places = list(map(turn.__getitem__, islice(places, starts[live])))
-            # the packets that go out at user 1 + j, by their anchors' places
-            anchors = list(map(places.__getitem__, islice(starts, live)))
-            order = sorted(range(live), key=anchors.__getitem__)
-            yield Rotation(j, order, self.cases, starts, self.users, self.members, places,
-                           self.owns, self.packs)
+                places = list(map(turn.__getitem__, islice(rotation.places, starts[live])))
+                rotation = rotation._replace(j=j, order=_order(starts, places, live), places=places)
+            yield rotation
 
     def __iter__(self) -> Iterator[Packet]:
         for rotation in self.rotations():
@@ -348,7 +346,9 @@ def deliver(layout: CacheLayout) -> Delivery:
     terms = sum((k + 1 - h) * sum(group[2]) for h, group in enumerate(by_high))
     if terms != k * len(demand):
         raise AssertionError(f"{terms} demand terms sent for {k * len(demand)} demand pairs")
-    return Delivery(k, highs, cases, starts, users, members, places, owns, packs, turn)
+    first = Rotation(j=0, order=_order(starts, places, len(highs)), cases=cases, starts=starts,
+                     users=users, members=members, places=places, owns=owns, packs=packs)
+    return Delivery(k, highs, turn, first)
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +410,14 @@ class DecodeCheck:
         user and to no other user of its packet, no user has a second
         unreadable term, so every term peels. Otherwise the rotation goes
         through :meth:`add` packet by packet."""
-        j, order, _, _, users, members, places, owns, packs = rotation
+        j, places, owns, members = rotation.j, rotation.places, rotation.owns, rotation.members
+        unread = map(rshift, map(self.unread.__getitem__, places), repeat(j))
         # the owns of a packet sum to its members exactly when no user repeats
-        if sum(islice(owns, len(places))) == sum(islice(members, len(order))) and all(
-            map(eq, map(and_, map(rshift, map(self.unread.__getitem__, places), repeat(j)), packs),
-                owns)
+        if sum(islice(owns, len(places))) == sum(islice(members, len(rotation.order))) and all(
+            map(eq, map(and_, unread, rotation.packs), owns)
         ):
             own, peeled = _USER_BITS[j:], self.peeled  # own[v] is the bit of user v + j
-            for v, p in zip(users, places):
+            for v, p in zip(rotation.users, places):
                 peeled[p] |= own[v]
         else:
             for _, terms in rotation.packets():
@@ -482,8 +482,9 @@ def format_log(
     tail = list(map(mask_str, layout.t_of))
     counts: Counter[str] = Counter()
     for rotation in rotations:
-        j, order, cases, starts, users, _, places, _, _ = rotation
-        lead, rest = first[j:], later[j:]  # lead[v] and rest[v] label user v + j
+        order, cases, starts = rotation.order, rotation.cases, rotation.starts
+        users, places = rotation.users, rotation.places
+        lead, rest = first[rotation.j:], later[rotation.j:]  # lead[v], rest[v] label user v + j
         for b in range(0, len(order), LOG_BLOCK):
             parts: list[str] = []
             for r in order[b:b + LOG_BLOCK]:

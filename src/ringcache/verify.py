@@ -240,12 +240,11 @@ class ManReport(NamedTuple):
 def man_crosscheck(k: int, t: int) -> ManReport:
     """The reduction at N = K: neither F nor the rate involves N. The size
     rule (:func:`ringcache.placement.preflight`) is checked before anything
-    is built."""
+    is built; a representative with highest user h goes out K - h + 1 times."""
     params = params_from_gammas(k, 1, 0, t, k)
     layout = build("man-check", params)
     f = binom(k, t)
-    packets = sum(len(rotation.order) for rotation in deliver(layout).rotations())
-    rate = Fraction(packets, layout.f)
+    rate = Fraction(sum(k + 1 - h for h in deliver(layout).highs), layout.f)
     expected_rate = Fraction(binom(k, t + 1), f)
     passed = layout.f == f and rate == expected_rate
     return ManReport(k, t, layout.f, f, rate, expected_rate, passed)

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from ringcache.analysis import MemoryShare, SharePoint, _rate
+from ringcache.analysis import MemoryShare, SharePoint, achievable_rate
 from ringcache.cli import CSV_HEADER
 from ringcache.delivery import (
     GENERAL,
@@ -60,6 +60,7 @@ from ringcache.model import (
     cyc,
     mask_of,
     mask_str,
+    params_from_gammas,
     position_sets,
     subset_masks,
     window_mask,
@@ -391,10 +392,11 @@ def scan_reference(layout, delivery):
     every pair turned back to user 1's frame and its packet sent when its
     highest user does not wrap."""
     places = Places(layout)
+    first = delivery.first
     by_pair = {}
-    for r, (case, h) in enumerate(zip(delivery.cases, delivery.highs)):
-        lo, hi = delivery.starts[r], delivery.starts[r + 1]
-        terms = list(zip(delivery.users[lo:hi], delivery.places[lo:hi]))
+    for r, (case, h) in enumerate(zip(first.cases, delivery.highs)):
+        lo, hi = first.starts[r], first.starts[r + 1]
+        terms = list(zip(first.users[lo:hi], first.places[lo:hi]))
         by_pair[places.pairs[terms[0][1]]] = (case, places.keys(terms), h)
     k = layout.params.k
     full = (1 << k) - 1
@@ -420,8 +422,8 @@ def as_rotation(j, packets):
     cases = [case for case, _ in packets]
     owns = [bit(v) for v in users]
     packs = [mask for mask, (_, terms) in zip(members, packets) for _ in terms]
-    return Rotation(j, list(range(len(packets))), cases, starts, users, members, places,
-                    owns, packs)
+    return Rotation(j=j, order=list(range(len(packets))), cases=cases, starts=starts,
+                    users=users, members=members, places=places, owns=owns, packs=packs)
 
 
 class PacketStream:
@@ -655,8 +657,9 @@ def memory_share_reference(params) -> MemoryShare:
     points = []
     for ga_c, wa in axes_a:
         for gp_c, wp in axes_p:
+            corner = params_from_gammas(params.k, params.l, ga_c, gp_c, params.n)
             try:
-                rate = _rate(params.k, params.l, ga_c, gp_c)
+                rate = achievable_rate(corner)
             except RegimeError as exc:
                 if len(axes_a) * len(axes_p) == 1:
                     raise
@@ -693,7 +696,7 @@ def sweep_row_reference(k, l, n, ma: Fraction, mp: Fraction):
     gammas = (str(params.gamma_a), str(params.gamma_p))
     try:
         if params.integral:
-            rate = _rate(k, l, params.ga, params.gp)
+            rate = achievable_rate(params)
         else:
             rate = memory_share_reference(params).rate
     except RegimeError as exc:

@@ -21,7 +21,14 @@ from ringcache.model import (
     position_sets,
     window_masks,
 )
-from ringcache.placement import RING, SUBSET, build_layout, build_subset_layout, demand_pairs
+from ringcache.placement import (
+    RING,
+    SUBSET,
+    build,
+    build_layout,
+    build_subset_layout,
+    demand_pairs,
+)
 from ringcache import delivery
 from ringcache.delivery import (
     GENERAL,
@@ -570,6 +577,32 @@ def test_scan_by_rotation_matches_the_per_user_scan():
         delivery = deliver(layout)
         assert delivery.highs == sorted(delivery.highs)
         assert list(delivery) == list(scan_reference(layout, delivery)), layout.params
+
+
+def test_rotation_zero_is_the_one_record_of_the_orbit():
+    # seeded ring, subset and dedicated layouts: rotations() yields the
+    # delivery's rotation 0 first, and every later rotation is rotation 0
+    # with j, order and places replaced, sharing its other lists, not copies
+    rng = random.Random(33)
+    grid = sweep_grid(3, 12)
+    ring, subset = [p for p in grid if p.l > 1], [p for p in grid if p.l == 1]
+    dedicated = [params_from_gammas(k, 1, 0, t, k) for k in range(3, 13) for t in range(k)]
+    layouts = [build("man-check", p) for p in rng.sample(dedicated, 8)]
+    layouts += [build("simulate", p) for p in rng.sample(ring, 8) + rng.sample(subset, 8)]
+    assert {layout.placement for layout in layouts} == {RING, SUBSET}
+    shared = ("cases", "starts", "users", "members", "owns", "packs")
+    later = 0
+    for layout in layouts:
+        delivery = deliver(layout)
+        first, *rest = delivery.rotations()
+        assert first is delivery.first, layout.params
+        assert first.j == 0 and len(first.order) == len(delivery.highs)
+        for j, rotation in enumerate(rest, start=1):
+            assert rotation.j == j
+            assert all(getattr(rotation, name) is getattr(first, name) for name in shared)
+            assert rotation.places is not first.places
+            later += 1
+    assert later > 50
 
 
 def test_an_uncovered_demand_pair_is_an_error(monkeypatch):

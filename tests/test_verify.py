@@ -23,8 +23,8 @@ from ringcache.model import (
     params_from_gammas,
     window_masks,
 )
-from ringcache.placement import RING, build_layout, demand_pairs, preflight
-from ringcache.delivery import GENERAL, SC1, SC2, worst_case_demand
+from ringcache.placement import RING, build, build_layout, demand_pairs, preflight
+from ringcache.delivery import GENERAL, SC1, SC2, deliver, worst_case_demand
 from ringcache.analysis import table1_counts
 from ringcache.verify import (
     count_vs_formula,
@@ -202,6 +202,17 @@ def test_man_crosscheck_examples():
     assert rep.passed and rep.rate == 0
     rep = man_crosscheck(6, 3)
     assert rep.passed and rep.f == 20
+
+
+def test_man_crosscheck_counts_the_packets_the_rotations_stream():
+    # sum(K - h + 1) over the representatives' highest users h is the count
+    # of packets the rotations send, on every dedicated instance with K <= 12
+    for k in range(1, 13):
+        for t in range(k + 1):
+            layout = build("man-check", params_from_gammas(k, 1, 0, t, k))
+            streamed = sum(len(rotation.order) for rotation in deliver(layout).rotations())
+            rep = man_crosscheck(k, t)
+            assert rep.rate * rep.f == streamed, (k, t)
 
 
 def test_sweep_grid_contents():
