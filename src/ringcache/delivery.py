@@ -2,7 +2,11 @@
 
 Every user's demand set lists the (S, T) pairs it cannot read. The server
 sends XOR packets, each built through an anchor key (u, S, T) and holding
-one term per user, until every demand key is in one.
+one term per user, until every demand key is in one. A packet builder
+returns (case, members, terms): the case tag, the packet's users as a
+mask, and its terms as (user, key) pairs, the anchor first, each pair
+named by one int key, S << K | T, so a pair is one dict lookup away from
+its place and the highest user is ``members.bit_length()``.
 
 Ring placement. With I = {u} | S | T in ascending order, I[0] < ... <
 I[m-1], the shift by i is the relabelling I[p] -> I[(p + i) mod m]; it maps
@@ -27,7 +31,9 @@ Subset placement (L = 1, or no shared layer). Q = {u} | S | T has
 t + 1 = 1 + gamma_a + gamma_p users and the XOR is Maddah-Ali--Niesen's:
 one term per user v of Q, for the mini-subfile whose S holds the elements
 of Q - {v} at the positions S takes in Q - {u}, and whose T the rest.
-Without a shared layer this is the SC1 swap group, so it carries that tag.
+Without a shared layer (gamma_a = 0) S is empty and this is the SC1 swap
+group: :func:`deliver` builds those packets with :func:`_swap_group`
+itself, the same terms in the same order.
 
 Orbits. Turning the ring by one user (i to i + 1, K to 1) maps windows,
 caches and demand sets onto themselves, and both constructions only see
@@ -58,7 +64,13 @@ The live ones are a prefix, so one ``map`` over the turn table turns every
 live term of a rotation at once: rotation j is rotation 0 with ``j``,
 ``order`` and ``places`` replaced, sharing its other lists. Rotations are
 built by keyword or ``_replace`` and read by field name. Rotation 0 and the
-table are numbered through a dict of the F pairs, freed once they exist.
+table are numbered through a dict of the F pairs' keys, freed once they
+exist. A key turns with both its fields at once: back by j through one
+shift-and-mask pair, read from two tables of K masks cached per K
+(:func:`_turn_masks`), and on by one user as the turn back by K - 1, once
+per pair to build the table. To check that the rotations cover every
+demand pair, :func:`deliver` turns each representative term of user v
+back by v - 1, to the pair user 1 demands in its place.
 
 :func:`deliver` returns rotation 0 and the table (:class:`Delivery`).
 Iterated, it streams the packets as (case, [(user, place), ...]) pairs
@@ -74,8 +86,9 @@ ints indexed by place, and reads the users each term is unreadable to
 from a third: nothing is per user. A rotation whose every term is
 unreadable to its own user alone among its packet's users peels whole,
 tested over all its terms at once against the masks :func:`deliver` lays
-out beside ``users``. :func:`deliver` delivers any layout, the band the
-rate refuses included.
+out beside ``users``. The report works out every place's wanted users and
+their count at C level and walks only the places with a miss.
+:func:`deliver` delivers any layout, the band the rate refuses included.
 """
 
 from __future__ import annotations
@@ -84,9 +97,9 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from functools import partial
-from itertools import accumulate, chain, islice, repeat
-from operator import and_, eq, rshift
+from functools import lru_cache, partial
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import and_, eq, inv, lshift, or_, rshift, xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .model import (
@@ -109,8 +122,10 @@ LOG_BLOCK = 64
 # user v's bit at index v, for a user v <= K turned on by j < K <= 64
 _USER_BITS = [0] + [1 << i for i in range(127)]
 
-# (user, S mask, T mask): a term without its file, as the packet builders make it
-Anchor = tuple[int, int, int]
+# (user, S << K | T): a term without its file, as the packet builders make it
+KeyTerm = tuple[int, int]
+# a packet builder's result: its case, its users as a mask, and its terms, the anchor first
+Built = tuple[str, int, list[KeyTerm]]
 # (user, place): a term without its file, its (S, T) pair named by its place
 Term = tuple[int, int]
 # a packet without files: its case and its terms, the anchor first
@@ -146,21 +161,41 @@ def _lows(mask: int) -> list[int]:
     return lows
 
 
-def _swap_group(u: int, s: int, t: int) -> list[Anchor]:
-    """Anchor plus, for each v in T, the key with v swapped against u."""
-    group = [(u, s, t)]
-    pool = 1 << (u - 1) | t
+@lru_cache(maxsize=None)
+def _turn_masks(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two masks that turn a key S << K | T back by j < K, both fields
+    at once: ``keep[j]``, each field's lowest K - j bits, which the shift
+    down by j keeps, and ``wrap[j]``, each field's highest j bits, which the
+    shift up by K - j fills: ``key >> j & keep[j] | key << (k - j) & wrap[j]``.
+    The turn on by one user is the turn back by K - 1."""
+    full = (1 << k) - 1
+    keep, wrap = [], []
+    for j in range(k):
+        low = full >> j
+        keep.append(low << k | low)
+        wrap.append((full ^ low) << k | (full ^ low))
+    return tuple(keep), tuple(wrap)
+
+
+def _swap_group(k: int, u: int, s: int, t: int) -> Built:
+    """SC1, its members {u} | T: the anchor plus, for each v in T, the term
+    with v swapped against u."""
+    head = s << k
+    pool = 1 << (u - 1) | t  # the members
+    terms = [(u, head | t)]
     while t:
         low = t & -t  # v's bit
         t ^= low
-        group.append((low.bit_length(), s, pool ^ low))
-    return group
+        terms.append((low.bit_length(), head | (pool ^ low)))
+    return SC1, pool, terms
 
 
-def _ring_xor(windows: tuple[int, ...], u: int, s: int, t: int) -> tuple[str, list[Anchor]]:
+def _ring_xor(windows: tuple[int, ...], u: int, s: int, t: int) -> Built:
     """Classify the anchor (u, S, T) by the windows inside its union set I,
-    found by their ends, and build its packet; ``windows[x - 1]`` is the
-    ring's window that ends at x."""
+    found by their ends, and build its packet as (case, members, terms);
+    ``windows[x - 1]`` is the ring's window that ends at x, and K is their
+    number. SC1 is the swap group, SC2 two of them (members I), and
+    GENERAL the anchor and its images."""
     k = len(windows)
     full = (1 << k) - 1
     own = 1 << (u - 1)
@@ -169,45 +204,48 @@ def _ring_xor(windows: tuple[int, ...], u: int, s: int, t: int) -> tuple[str, li
     for d in range(1, s.bit_count()):
         ends &= ((union << d) | (union >> (k - d))) & full
     if ends.bit_count() == 1:
-        return SC1, _swap_group(u, s, t)
+        return _swap_group(k, u, s, t)
     end = s & ~((s >> 1) | (s << (k - 1)))  # the member of S whose successor is not
-    members = _lows(union)
+    lifted = _lows(union)
     p_u = (union & (own - 1)).bit_count() - (union & (end - 1)).bit_count()
     others = ends ^ end
-    images = []
+    members = own
+    terms = [(u, s << k | t)]
     for part in (others & -end, others & (end - 1)):  # by ascending shift
         while part:
             low = part & -part  # the end of a window inside I
             part ^= low
             w = windows[low.bit_length() - 1]
-            v = members[(p_u + (union & (low - 1)).bit_count()) % len(members)]
-            images.append((v.bit_length(), w, union ^ w ^ v))
-    if len(images) == 1 and images[0][1] == own | t:
+            v = lifted[(p_u + (union & (low - 1)).bit_count()) % len(lifted)]
+            members |= v
+            terms.append((v.bit_length(), w << k | (union ^ w ^ v)))
+    if len(terms) == 2 and w == own | t:
         # S and {u} | T alone: the half turn carries one onto the other, and u into S
-        if not s >> (images[0][0] - 1) & 1:
+        if not s & v:
             raise AssertionError("the shift carrying S onto {u} | T does not carry u into S")
-        return SC2, _swap_group(u, s, t) + _swap_group(*images[0])
-    return GENERAL, [(u, s, t)] + images
+        image = _swap_group(k, v.bit_length(), w, union ^ w ^ v)
+        return SC2, union, _swap_group(k, u, s, t)[2] + image[2]
+    return GENERAL, members, terms
 
 
-def _subset_xor(u: int, s: int, t: int) -> tuple[str, list[Anchor]]:
+def _subset_xor(k: int, u: int, s: int, t: int) -> Built:
     """Subset-placement XOR through the anchor (u, S, T): for each other v
     in Q = {u} | S | T, S_v holds the elements of Q - {v} at the positions S
-    takes in Q - {u}, and T_v the rest of Q - {v}."""
+    takes in Q - {u}, and T_v the rest of Q - {v}. Returns (SC1, Q, terms)."""
     own = 1 << (u - 1)
     union = own | s | t
     lifted = _lows(union)
     i_u = lifted.index(own)
     positions = [i - (i > i_u) for i, b in enumerate(lifted) if s & b]  # in Q - {u}
-    keys = [(u, s, t)]
+    terms = [(u, s << k | t)]
     for i_v, vb in enumerate(lifted):
         if vb == own:
             continue
         s_v = 0
         for i in positions:  # position i of Q - {v} holds Q's i-th element, or the next past v
             s_v |= lifted[i + (i >= i_v)]
-        keys.append((vb.bit_length(), s_v, union ^ vb ^ s_v))
-    return SC1, keys
+        terms.append((vb.bit_length(), s_v << k | (union ^ vb ^ s_v)))
+    return SC1, union, terms
 
 
 class Rotation(NamedTuple):
@@ -286,47 +324,46 @@ def deliver(layout: CacheLayout) -> Delivery:
     demand pair twice: more terms than there are demand pairs."""
     params = layout.params
     k, full = params.k, (1 << params.k) - 1
-    if layout.placement == SUBSET:
-        build = _subset_xor
+    if not params.ga:
+        build = partial(_swap_group, k)
+    elif layout.placement == SUBSET:
+        build = partial(_subset_xor, k)
     else:
         build = partial(_ring_xor, window_masks(k, params.span))
-    # each pair numbered through its S and T as one int
-    place = {s << k | t: i for i, (s, t) in enumerate(zip(layout.s_of, layout.t_of))}
-    turn = [
-        place[(((s << 1) | (s >> (k - 1))) & full) << k | (((t << 1) | (t >> (k - 1))) & full)]
-        for s, t in zip(layout.s_of, layout.t_of)
-    ]
+    keep, wrap = _turn_masks(k)
+    # each pair numbered through its key, S << K | T
+    keys = list(map(or_, map(lshift, layout.s_of, repeat(k)), layout.t_of))
+    place = dict(zip(keys, count()))
+    shift, down, up = k - 1, keep[-1], wrap[-1]  # the turn on by one, as the turn back by K - 1
+    turn = [place[(key >> shift & down) | (key << 1 & up)] for key in keys]
+    del keys
     sent = [0] * layout.f  # the users each pair is sent to, as a mask, by place
     # each representative's case, members, size, users and places, by its highest user
     by_high: list[tuple[list, ...]] = [([], [], [], [], []) for _ in range(k + 1)]
     demand = demand_pairs(layout, 1)
     for s, t in demand:
-        case, keys = build(1, s, t)
-        h = max(keys)[0]
+        case, mask, terms = build(1, s, t)
+        h = mask.bit_length()
         cases, members, sizes, users, places = by_high[h]
         reach = (1 << (k - h + 1)) - 1
-        mask = 0
-        for v, a, b in keys:
-            p = place.get(a << k | b)
+        for v, key in terms:
+            p = place.get(key)
             if p is None:
                 raise AssertionError(
-                    f"representative term d{v}:{mask_str(a)}:{mask_str(b)}"
+                    f"representative term d{v}:{mask_str(key >> k)}:{mask_str(key & full)}"
                     " is not a pair of the layout"
                 )
             users.append(v)
             places.append(p)
             j = v - 1
-            mask |= 1 << j
             # the term goes to users v .. v + K - h, as the pair turned back
             # by j goes to users 1 + j .. 1 + j + K - h
             if j:
-                back = k - j
-                a, b = ((a >> j) | (a << back)) & full, ((b >> j) | (b << back)) & full
-                p = place[a << k | b]
+                p = place[(key >> j & keep[j]) | (key << (k - j) & wrap[j])]
             sent[p] |= reach << j
         cases.append(case)
         members.append(mask)
-        sizes.append(len(keys))
+        sizes.append(len(terms))
     del place
     highs = [h for h, group in enumerate(by_high) for _ in group[0]]
     cases, members, sizes, users, places = (
@@ -343,9 +380,9 @@ def deliver(layout: CacheLayout) -> Delivery:
     # terms sent number the pairs: a representative with highest user h goes
     # out in K - h + 1 rotations, and each of the K users has as many demand
     # pairs as user 1
-    terms = sum((k + 1 - h) * sum(group[2]) for h, group in enumerate(by_high))
-    if terms != k * len(demand):
-        raise AssertionError(f"{terms} demand terms sent for {k * len(demand)} demand pairs")
+    total = sum((k + 1 - h) * sum(group[2]) for h, group in enumerate(by_high))
+    if total != k * len(demand):
+        raise AssertionError(f"{total} demand terms sent for {k * len(demand)} demand pairs")
     first = Rotation(j=0, order=_order(starts, places, len(highs)), cases=cases, starts=starts,
                      users=users, members=members, places=places, owns=owns, packs=packs)
     return Delivery(k, highs, turn, first)
@@ -425,15 +462,18 @@ class DecodeCheck:
 
     def report(self, layout: CacheLayout) -> DecodabilityReport:
         """One pass over the layout's (S, T) pairs, each demanded by the users
-        outside S | T; misses by user, then in that user's demand-set order."""
-        full = (1 << layout.params.k) - 1
-        peeled, blocked = self.peeled, self.blocked
+        outside S | T; misses by user, then in that user's demand-set order.
+        Only the places with a miss are walked one by one."""
+        s_of, t_of = layout.s_of, layout.t_of
+        # S | T holds users 1 .. K alone, so the full mask XOR it is the rest
+        want = list(map(xor, repeat((1 << layout.params.k) - 1), map(or_, s_of, t_of)))
+        checked = sum(map(int.bit_count, want))
+        blocked = self.blocked
+        missed = list(map(and_, want, map(inv, self.peeled)))
         misses = []
-        checked = 0
-        for i, (s, t) in enumerate(zip(layout.s_of, layout.t_of)):
-            want = full & ~(s | t)
-            checked += want.bit_count()
-            for v in bits(want & ~peeled[i]):
+        for i, miss in compress(enumerate(missed), missed):
+            s, t = s_of[i], t_of[i]
+            for v in bits(miss):
                 reason = "never transmitted"
                 if blocked[i] >> (v - 1) & 1:
                     reason = "all carriers blocked by unreadable terms"

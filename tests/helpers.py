@@ -1,29 +1,30 @@
-"""Helpers only the tests need: window labels, the window masks as a set
-(the library only lists them), the window and popcount predicates, what a
+"""Helpers only the tests need: window labels, the window masks as a set (the
+library only lists them), the window and popcount predicates, what a
 layout lets a user read, each user's private cache and demand set
 enumerated user by user as the placement did before it split one T list
 per shared set, the layout dump as the dict the direct JSON renderer
 replaced, position-set rotations, the delivery builders one anchor at a
-time, the relabelling ring builder and the per-user scan that the
-window-end builder and the scan by rotation replaced, packets materialized
-as transmissions whose terms carry files (the library streams file-free
-packets), the places of (S, T) pairs as delivery numbers them, with the
-pairs a layout lacks past F, to turn (user, S, T) keys into (user, place)
-terms and back, a packet's log line from its keys through ``mask_str``, as
-it was written before the log read per-place labels, the greedy delivery
-loop the orbit plan replaced, rotations built from packets and a
-delivery that streams its packets as rotations of one packet each, the
-decode
-check with the per-term prefix and suffix rule the two running masks
-replaced, the decode check with one set of (user, S, T) keys
-per verdict that the place ledgers replaced, delivery results with a
-transmission taken out, the cut-set bound, memory sharing and the
-six-place rendering as the Fraction code the integer forms replaced, the
-cut-set bound's integer loop with a ``min`` per term that the split loop
-replaced, a layout's shared sets and the S and T of each of its places
-rebuilt from the shared-set masks and T lists, and the sweep built
-row by row through a SystemParams and Fractions, then rendered whole, as
-the column kernel and its streamed rows replaced, the exhaustive
+time, the swap group with each key as (user, S, T), as it was before the
+builders numbered each pair by one key S << K | T, and the adapter that
+splits such keys and joins them back, the relabelling ring builder and the
+per-user scan that the window-end builder and the scan by rotation
+replaced, packets materialized as transmissions whose terms carry files
+(the library streams file-free packets), the places of (S, T) pairs as
+delivery numbers them, with the pairs a layout lacks past F, to turn
+(user, S, T) keys into (user, place) terms and back, a packet's log line
+from its keys through ``mask_str``, as it was written before the log read
+per-place labels, the greedy delivery loop the orbit plan replaced,
+rotations built from packets and a delivery that streams its packets as
+rotations of one packet each, the decode check with the per-term prefix
+and suffix rule the two running masks replaced, the decode check with one
+set of (user, S, T) keys per verdict that the place ledgers replaced,
+delivery results with a transmission taken out, the cut-set bound, memory
+sharing and the six-place rendering as the Fraction code the integer forms
+replaced, the cut-set bound's integer loop with a ``min`` per term that
+the split loop replaced, a layout's shared sets and the S and T of each of
+its places rebuilt from the shared-set masks and T lists, and the sweep
+built row by row through a SystemParams and Fractions, then rendered
+whole, as the column kernel and its streamed rows replaced, the exhaustive
 census over every candidate subset that the census through one window's
 slice replaced, and the paper's large-memory condition, under which its
 optimality theorem says the scheme meets the cut-set bound."""
@@ -47,7 +48,6 @@ from ringcache.delivery import (
     Failure,
     Rotation,
     _subset_xor,
-    _swap_group,
     check_demand,
     deliver,
 )
@@ -327,6 +327,36 @@ def _transmission(case, keys, demand) -> Transmission:
     return Transmission(case, tuple(Term(v, demand[v - 1], s, t) for v, s, t in keys), keys[0])
 
 
+def _swap_group(u: int, s: int, t: int):
+    """SC1 as ``delivery._swap_group`` built it before it numbered each pair
+    by one key: the anchor plus, for each v in T, the key with v swapped
+    against u, every key (user, S, T)."""
+    group = [(u, s, t)]
+    pool = bit(u) | t
+    while t:
+        low = t & -t  # v's bit
+        t ^= low
+        group.append((low.bit_length(), s, pool ^ low))
+    return group
+
+
+def split_keys(k: int, built):
+    """A library packet builder's (case, members, terms) as (case, [(user,
+    S, T), ...]), each term's key S << K | T split into its two masks; the
+    members must be the mask of the terms' users."""
+    case, members, terms = built
+    keys = [(v, key >> k, key & ((1 << k) - 1)) for v, key in terms]
+    if members != mask_of(v for v, _, _ in keys):
+        raise AssertionError(f"members {members:#x} are not the users of {keys}")
+    return case, keys
+
+
+def join_keys(k: int, case, keys):
+    """(case, [(user, S, T), ...]) as a library packet builder returns it:
+    (case, members, terms), each term's pair as the key S << K | T."""
+    return case, mask_of(v for v, _, _ in keys), [(v, s << k | t) for v, s, t in keys]
+
+
 def _relabel(u: int, s: int, t: int):
     """Images of the anchor (u, S, T) under every shift of its union set:
     entry i relabels each member union[p] as union[(p + i) mod m], union
@@ -469,7 +499,7 @@ def build_transmission(params, demand, u: int, s: int, t: int) -> Transmission:
 
 
 def build_subset_xor(params, demand, u: int, s: int, t: int) -> Transmission:
-    return _transmission(*_subset_xor(u, s, t), demand)
+    return _transmission(*split_keys(params.k, _subset_xor(params.k, u, s, t)), demand)
 
 
 def materialize(layout, demand) -> DeliveryResult:

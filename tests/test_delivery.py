@@ -64,11 +64,13 @@ from helpers import (
     drop_transmission,
     elements_at,
     format_transmission,
+    join_keys,
     materialize,
     only_bit,
     ring_xor_reference,
     scan_reference,
     shift_positions,
+    split_keys,
     window_set,
 )
 from golden import EX5, EX5_TRANSMISSIONS, EX7, EX7_SC1, EX7_SC2, term_set
@@ -559,10 +561,51 @@ def test_window_end_kernel_matches_the_relabelling_one():
         ends, windows = window_masks(params.k, params.span), window_set(params.k, params.span)
         for u in range(1, params.k + 1 if params.k <= 8 else 2):
             for s, t in demand_pairs(layout, u):
-                got = _ring_xor(ends, u, s, t)
+                got = split_keys(params.k, _ring_xor(ends, u, s, t))
                 assert got == ring_xor_reference(windows, u, s, t), (params, u, s, t)
                 seen[got[0], u == 1] += 1
     assert min(seen[case, first] for case in (GENERAL, SC1, SC2) for first in (0, 1)) > 100, seen
+
+
+def test_one_key_turns_match_two_field_rotations_up_to_64_users():
+    # a pair's key S << K | T spans 2K bits, 128 at K = 64: turning it back
+    # by j with the two cached masks turns both fields back by j, and the
+    # turn back by K - 1 is the turn on by one user that builds the table
+    rng = random.Random(34)
+    for k in (2, 3, 17, 63, 64):
+        keep, wrap = delivery._turn_masks(k)
+        assert len(keep) == len(wrap) == k
+        for _ in range(40):
+            users = rng.sample(range(1, k + 1), rng.randint(0, k))
+            cut = rng.randint(0, len(users))
+            s, t = mask_of(users[:cut]), mask_of(users[cut:])
+            key = s << k | t
+            on = (key >> (k - 1) & keep[-1]) | (key << 1 & wrap[-1])
+            assert on == shift_positions(s, 1, k) << k | shift_positions(t, 1, k), (k, s, t)
+            for j in range(k):
+                back = (key >> j & keep[j]) | (key << (k - j) & wrap[j])
+                assert back == shift_positions(s, -j, k) << k | shift_positions(t, -j, k), (k, j)
+
+
+def test_turn_table_matches_two_field_rotations():
+    # every verify-grid layout up to K = 10, the L = 1 subset layouts and the
+    # dedicated ones: turn[i] is the place of pair i with S and T each turned
+    # on by one user
+    layouts = [build_layout(params) for params in sweep_grid(3, 10)]
+    layouts += [
+        build_subset_layout(SystemParams(k=k, l=1, ma=ga, mp=gp, n=k))
+        for k, ga, gp in l1_instances(3, 10)
+    ]
+    assert {layout.placement for layout in layouts if layout.params.ga} == {RING, SUBSET}
+    assert any(not layout.params.ga for layout in layouts)
+    for layout in layouts:
+        k = layout.params.k
+        places = Places(layout).index
+        want = [
+            places[shift_positions(s, 1, k), shift_positions(t, 1, k)]
+            for s, t in zip(layout.s_of, layout.t_of)
+        ]
+        assert deliver(layout).turn == want, layout.params
 
 
 def test_scan_by_rotation_matches_the_per_user_scan():
@@ -612,8 +655,8 @@ def test_an_uncovered_demand_pair_is_an_error(monkeypatch):
     build = delivery._ring_xor
 
     def without_sc2_tail(windows, u, s, t):
-        case, keys = build(windows, u, s, t)
-        return case, keys[:-1] if case == SC2 else keys
+        case, keys = split_keys(7, build(windows, u, s, t))
+        return join_keys(7, case, keys[:-1] if case == SC2 else keys)
 
     monkeypatch.setattr(delivery, "_ring_xor", without_sc2_tail)
     layout = build_layout(SystemParams(**EX7))
@@ -627,8 +670,8 @@ def test_a_representative_term_off_the_layout_is_named(monkeypatch):
     build = delivery._ring_xor
 
     def with_a_stray_term(windows, u, s, t):
-        case, keys = build(windows, u, s, t)
-        return case, keys + [(5, mask_of((1, 3)), bit(7))]
+        case, keys = split_keys(7, build(windows, u, s, t))
+        return join_keys(7, case, keys + [(5, mask_of((1, 3)), bit(7))])
 
     monkeypatch.setattr(delivery, "_ring_xor", with_a_stray_term)
     layout = build_layout(SystemParams(**EX7))
@@ -653,11 +696,11 @@ def test_a_demand_pair_sent_twice_is_an_error(monkeypatch, kernel, params):
     first = []
 
     def with_a_repeated_term(*args):
-        case, keys = build(*args)
+        case, keys = split_keys(params.k, build(*args))
         if not first:
             first.append(max(keys)[0])
             keys = keys + keys[:1]
-        return case, keys
+        return join_keys(params.k, case, keys)
 
     monkeypatch.setattr(delivery, kernel, with_a_repeated_term)
     layout = build_subset_layout(params) if params.l == 1 else build_layout(params)
@@ -886,6 +929,49 @@ def test_ledgers_report_what_the_key_sets_reported_on_mutated_streams():
             seen.update({failure.reason for failure in report.failures})
     assert seen["failing"] >= 500, seen
     assert seen["never transmitted"] >= 100 and seen["all carriers blocked by unreadable terms"] >= 100
+
+
+def test_miss_only_report_matches_the_per_user_walk():
+    # seeded ring and subset runs up to K = 10 with 0-5 packets dropped and,
+    # in some packets, a user w given a second demand term that another user
+    # v of the packet cannot read either, which blocks w's and v's terms:
+    # the report that walks only the places with a miss names the same
+    # misses, in the same order, as the walk over every user's demand set
+    rng = random.Random(20261034)
+    grid = sweep_grid(3, 10)
+    layouts = [build_layout(params) for params in rng.sample(grid, 24)]
+    layouts += [
+        build_subset_layout(SystemParams(k=k, l=1, ma=ga, mp=gp, n=k))
+        for k, ga, gp in rng.sample(l1_instances(3, 10), 16)
+    ]
+    assert {layout.placement for layout in layouts if layout.params.ga} == {RING, SUBSET}
+    seen = Counter()
+    for layout in layouts:
+        places = Places(layout)
+        packets = [places.keys(terms) for _, terms in deliver(layout)]
+        for dropped in range(6):
+            stream = [list(keys) for keys in packets]
+            for _ in range(min(dropped, len(stream))):
+                del stream[rng.randrange(len(stream))]
+            for _ in range(rng.randint(0, 2) if dropped and stream else 0):
+                keys = rng.choice(stream)
+                if len(keys) < 2:
+                    continue
+                w, v = rng.sample([user for user, _, _ in keys], 2)
+                both = bit(w) | bit(v)
+                pairs = [pair for pair in places.pairs if not (pair[0] | pair[1]) & both]
+                if pairs:
+                    keys.insert(rng.randrange(len(keys) + 1), (w, *rng.choice(pairs)))
+            want = DecodeCheckSets()
+            for keys in stream:
+                want.add(keys)
+            report = decode_keys(layout, stream)
+            assert report == want.report(layout), (layout.params, dropped)
+            seen["ok" if report.ok else "failing"] += 1
+            seen.update(failure.reason for failure in report.failures)
+    assert seen["ok"] >= 40 and seen["failing"] >= 150, seen
+    assert seen["never transmitted"] >= 300, seen
+    assert seen["all carriers blocked by unreadable terms"] >= 100, seen
 
 
 def test_decode_check_memory_is_per_pair_not_per_key():
