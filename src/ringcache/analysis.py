@@ -14,7 +14,15 @@ subset of [K] containing at least one window. A GENERAL subset yields
 The achievable rate is implemented twice, as the one-line closed form and
 as X/F from the per-case counts, and the two are cross-asserted on every
 call; within one sweep, where each distinct corner is rated once, that is
-once per corner. The census in :mod:`ringcache.verify` is the arbiter
+once per corner. Both sum the same tail of binomials, all on the one
+diagonal C(j, c), and both close it by the hockey-stick identity
+
+    C(lo, c) + C(lo + 1, c) + ... + C(hi, c) = C(hi + 1, c + 1) - C(lo, c + 1),
+
+so each is a fixed number of binomials per corner at any span. Each closes
+it over its own index (the counts over i, the closed form over m = span - i)
+with its own bounds and guards, so a slip in either still shows in the
+cross-check. The census in :mod:`ringcache.verify` is the arbiter
 behind both. Counts and closed forms describe the ring placement
 at every L; the achievable rate at L = 1 is the subset placement's instead.
 They hold for 0 <= gamma_p < span < K - gamma_p, the counting regime;
@@ -26,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .model import RegimeError, SystemParams, binom, network_refusal, private_size_refusal
@@ -64,7 +72,17 @@ def table1_counts(params: SystemParams) -> TransmissionCounts:
 
 
 def _counts(k: int, w: int, gp: int) -> TransmissionCounts:
-    tail = sum(binom(k - 2 * w - 1 + i, 1 + gp - w + i) for i in range(1, w))
+    """The per-case counts at span w. Their tail, the sum over i = 1 .. w - 1
+    of C(K - 2w - 1 + i, 1 + gp - w + i), is closed by the hockey-stick
+    identity over its own index i: every term is C(K - 2w - 1 + i, c) with
+    c = K - w - 2 - gp, nonzero from i0 = max(1, w - 1 - gp), so it is
+    C(K - w - 1, gp) - C(K - 2w - 1 + i0, c + 1); it is empty at w = 1, and
+    every term is zero at c < 0. :func:`_closed_form` closes the same sum
+    over its own index, so the cross-check in :func:`_rate` still compares
+    two transcriptions."""
+    c = k - w - 2 - gp
+    i0 = max(1, w - 1 - gp)
+    tail = 0 if c < 0 or w == 1 else binom(k - w - 1, gp) - binom(k - 2 * w - 1 + i0, c + 1)
     base = binom(k - w, 1 + gp) + (k - 1) * binom(k - w - 1, 1 + gp) - tail
     if gp < w - 1:
         subsets = base
@@ -96,8 +114,16 @@ def rate_closed_form(params: SystemParams) -> Fraction:
 
 
 def _closed_form(k: int, w: int, gp: int) -> tuple[int, int]:
-    """Numerator and denominator (not reduced) of :func:`rate_closed_form`."""
-    tail = sum(binom(k - w - 1 - (w - i), 1 + gp - (w - i)) for i in range(1, w))
+    """Numerator and denominator (not reduced) of :func:`rate_closed_form`.
+
+    Its tail, the sum over m = w - i = 1 .. w - 1 of C(K - w - 1 - m,
+    1 + gp - m), is closed over m, not through :func:`_counts`: every term is
+    C(K - w - 1 - m, c) with c = K - w - 2 - gp, nonzero up to
+    M = min(w - 1, gp + 1), so by the hockey-stick identity it is
+    C(K - w - 1, gp) - C(K - w - 1 - M, c + 1) (zero at w = 1, where M = 0),
+    and zero at c < 0, where every term is."""
+    c = k - w - 2 - gp
+    tail = 0 if c < 0 else binom(k - w - 1, gp) - binom(k - w - 1 - min(w - 1, gp + 1), c + 1)
     num = (1 + gp) * (binom(k - w, 1 + gp) + (k - 1) * binom(k - w - 1, 1 + gp) - tail)
     num -= gp * k * binom(k - w - 2, 1 + gp)
     if gp == w - 1:
@@ -252,8 +278,14 @@ def sweep(
     weighted sum. A refused point has its reason in ``note`` ("" otherwise),
     its gammas if the network and mp are valid, and None and () elsewhere; a
     refused corner's message names the corner where corners mix. Each corner
-    is rated once per call, each Ma column's cut-set lines built once."""
-    corner_rate = cache(partial(_rate, k, l))
+    is rated once per call, with its rate's numerator and denominator, and
+    each Ma column's cut-set lines built once."""
+
+    @cache
+    def corner_rate(ga: int, gp: int) -> tuple[Fraction, int, int]:
+        rate = _rate(k, l, ga, gp)
+        return rate, rate.numerator, rate.denominator
+
     notes = [private_size_refusal(u, v, n) for u, v in mps]
     for ma in mas:
         refused = network_refusal(k, l, n, ma)
@@ -275,10 +307,11 @@ def sweep(
             try:  # 0 <= gamma <= K, so every corner is a valid network of its own
                 for ga_c, wa in axis_a:
                     for gp_c, wp in axis_p:
-                        rate = corner_rate(ga_c, gp_c)
-                        corners.append((ga_c, gp_c, wa * wp, rate))
-                        num = num * rate.denominator + wa * wp * rate.numerator * den
-                        den *= rate.denominator
+                        rate, r_num, r_den = corner_rate(ga_c, gp_c)
+                        weight = wa * wp
+                        corners.append((ga_c, gp_c, weight, rate))
+                        num = num * r_den + weight * r_num * den
+                        den *= r_den
             except RegimeError as exc:
                 note = str(exc)
                 if len(axis_a) * len(axis_p) > 1:

@@ -26,7 +26,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .model import RegimeError, SystemParams, params_from_gammas
 from .placement import build, layout_to_json, preflight
@@ -43,8 +43,9 @@ from .analysis import achievable_rate, sweep
 from .verify import count_vs_formula, man_crosscheck, sweep_grid
 
 # most rows one sweep writes; rows stream, so this bounds time, not memory:
-# 50,000 rows take 0.26 to 0.73 s up to K = 64, the most at Ma = 0, where every
-# cut-set line is kept (10 Ma x 5,000 Mp at L = 2 written to /dev/null by an
+# 50,000 rows take 0.25 to 0.55 s up to K = 64, the most at Ma = 0, where every
+# cut-set line is kept (10 Ma x 5,000 Mp at L = 2, K in {8, 16, 32, 64}, Ma = 0
+# ten times or ten Ma spread over [0, K/2), written to /dev/null by an
 # in-process main, best of 3; 2-core x86-64 Xeon host, Python 3.11.7).
 # The commands that build a layout are bounded by placement.preflight instead.
 SWEEP_ROW_BUDGET = 50_000
@@ -228,21 +229,30 @@ def _ratio(num: int, den: int) -> str:
     return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
-def _row(head: tuple[str, ...], point: tuple) -> tuple[str, ...]:
-    """A :func:`ringcache.analysis.sweep` point as its row's 15 fields, in
-    :data:`CSV_HEADER` order behind ``head`` (K, L, N, Ma, Mp); fields the
-    point cannot fill are empty and ``note`` holds the reason."""
-    gamma_a, gamma_p, rate, bound, _, note = point
-    if gamma_a is None:
-        return head + ("",) * 9 + (note,)
-    row = head + (_ratio(*gamma_a), _ratio(*gamma_p))
-    if rate is None:
-        return row + ("",) * 7 + (note,)
-    (num, den), (b_num, b_den) = rate, bound
-    g, h = math.gcd(num, den), math.gcd(b_num, b_den)
-    optimal = ("false", "true")[num * b_den == b_num * den]  # both dens > 0
-    return row + (str(num // g), str(den // g), _dec6(num, den),
-                  str(b_num // h), str(b_den // h), _dec6(b_num, b_den), optimal, "")
+def _rows(
+    cells: Iterable[tuple[tuple[str, ...], str]], points: Iterable[tuple]
+) -> Iterator[tuple[str, ...]]:
+    """Each :func:`ringcache.analysis.sweep` point as its row's 15 fields, in
+    :data:`CSV_HEADER` order behind its cell, the head (K, L, N, Ma) and Mp;
+    fields the point cannot fill are empty and ``note`` holds the reason.
+    Every point of a column has the same gamma_a pair, rendered once."""
+    last_a = text_a = None
+    for (head, mp), (gamma_a, gamma_p, rate, bound, _, note) in zip(cells, points):
+        head += (mp,)
+        if gamma_a is None:
+            yield head + ("",) * 9 + (note,)
+            continue
+        if gamma_a is not last_a:
+            last_a, text_a = gamma_a, _ratio(*gamma_a)
+        row = head + (text_a, _ratio(*gamma_p))
+        if rate is None:
+            yield row + ("",) * 7 + (note,)
+            continue
+        (num, den), (b_num, b_den) = rate, bound
+        g, h = math.gcd(num, den), math.gcd(b_num, b_den)
+        optimal = ("false", "true")[num * b_den == b_num * den]  # both dens > 0
+        yield row + (str(num // g), str(den // g), _dec6(num, den),
+                     str(b_num // h), str(b_den // h), _dec6(b_num, b_den), optimal, "")
 
 
 # one row as json.dumps(rows, indent=2) lays out its dict; only the note may need escaping
@@ -264,8 +274,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     mps = [(u, b * d) for u in range(a * d, a * d + points * b * c, b * c)]
     heads = [(str(args.K), str(args.L), str(args.N), str(ma)) for ma in ma_list]
     cells = itertools.product(heads, [_ratio(u, v) for u, v in mps])
-    rows = (_row(head + (mp,), point)
-            for (head, mp), point in zip(cells, sweep(args.K, args.L, args.N, ma_list, mps)))
+    rows = _rows(cells, sweep(args.K, args.L, args.N, ma_list, mps))
     with _sink(args.output) as write:  # row by row; a refused sweep opens no sink
         if args.format == "csv":
             write(CSV_HEADER + "\n")

@@ -26,8 +26,10 @@ its places rebuilt from the shared-set masks and T lists, and the sweep
 built row by row through a SystemParams and Fractions, then rendered
 whole, as the column kernel and its streamed rows replaced, the exhaustive
 census over every candidate subset that the census through one window's
-slice replaced, and the paper's large-memory condition, under which its
-optimality theorem says the scheme meets the cut-set bound."""
+slice replaced, the count law's two transcriptions with each tail summed
+binomial by binomial, as the two-binomial forms replaced, and the paper's
+large-memory condition, under which its optimality theorem says the scheme
+meets the cut-set bound."""
 
 import itertools
 import json
@@ -37,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from ringcache.analysis import MemoryShare, SharePoint, achievable_rate
+from ringcache.analysis import MemoryShare, SharePoint, TransmissionCounts, achievable_rate
 from ringcache.cli import CSV_HEADER
 from ringcache.delivery import (
     GENERAL,
@@ -55,6 +57,7 @@ from ringcache.model import (
     InvalidParameters,
     RegimeError,
     SystemParams,
+    binom,
     bit,
     bits,
     cyc,
@@ -624,6 +627,52 @@ def census_reference(params) -> SubsetCensus:
     total = len(records)
     x = (1 + params.gp) * (total - sc1 - sc2) + sc1 + sc2
     return SubsetCensus(tuple(records), total, sc1, sc2, x)
+
+
+def counts_reference(k: int, w: int, gp: int) -> TransmissionCounts:
+    """The per-case counts at span w with the tail as the sum of w - 1
+    binomials that the library's two-binomial form replaced."""
+    tail = sum(binom(k - 2 * w - 1 + i, 1 + gp - w + i) for i in range(1, w))
+    base = binom(k - w, 1 + gp) + (k - 1) * binom(k - w - 1, 1 + gp) - tail
+    if gp < w - 1:
+        subsets = base
+        sc1 = k * binom(k - w - 2, 1 + gp)
+        sc2 = 0
+    else:
+        rerun = max(0, (k - 2 * w) * (k - 2 * w + 1) // 2)
+        wrap = max(0, (w - 1) * (k - 2 * w - 1))
+        subsets = base - rerun - wrap
+        sc1 = k * binom(k - w - 2, 1 + gp) - k * max(0, k - 2 * w - 1)
+        # disjoint window pairs; negative when K = 2*span, where none exist
+        sc2 = max(0, (1 + w) * (k - 2 * w - 1) + (k - 2 * w - 2) * (k - 2 * w - 1) // 2)
+        if w == 1:
+            # adjacent singletons are still disjoint windows, so every
+            # transmission-subset is a disjoint pair: the generic expression
+            # misses the K adjacent pairs
+            sc2 = subsets
+    x = (1 + gp) * subsets - gp * (sc1 + sc2)
+    return TransmissionCounts(subsets, sc1, sc2, x, k * binom(k - w, gp))
+
+
+def closed_form_reference(k: int, w: int, gp: int) -> tuple[int, int]:
+    """The closed form's unreduced numerator and denominator at span w with
+    the tail as the sum over m = w - i that the library's two-binomial form
+    replaced."""
+    tail = sum(binom(k - w - 1 - (w - i), 1 + gp - (w - i)) for i in range(1, w))
+    num = (1 + gp) * (binom(k - w, 1 + gp) + (k - 1) * binom(k - w - 1, 1 + gp) - tail)
+    num -= gp * k * binom(k - w - 2, 1 + gp)
+    if gp == w - 1:
+        eta = (1 + gp) * (
+            max(0, (k - 2 * w) * (k - 2 * w + 1) // 2)
+            + max(0, (w - 1) * (k - 2 * w - 1))
+        )
+        eta -= gp * k * max(0, k - 2 * w - 1)
+        # the disjoint-pair reduction, clamped like the SC2 count
+        eta += gp * max(
+            0, (1 + w) * (k - 2 * w - 1) + (k - 2 * w - 2) * (k - 2 * w - 1) // 2
+        )
+        num -= eta
+    return num, k * binom(k - w, gp)
 
 
 def cutset_terms(params) -> list[Fraction]:

@@ -11,6 +11,7 @@ import pytest
 from ringcache import analysis
 from ringcache.model import RegimeError, SystemParams, binom, params_from_gammas
 from ringcache.analysis import (
+    TransmissionCounts,
     achievable_rate,
     cutset_bound,
     memory_share,
@@ -21,6 +22,8 @@ from ringcache.analysis import (
 from ringcache.verify import sweep_grid
 
 from helpers import (
+    closed_form_reference,
+    counts_reference,
     cutset_bound_fraction_reference,
     cutset_bound_reference,
     cutset_terms,
@@ -104,6 +107,19 @@ def test_closed_form_equals_counts_everywhere():
     for params in sweep_grid(4, 12):
         c = table1_counts(params)
         assert rate_closed_form(params) == Fraction(c.transmissions, c.f)
+
+
+def test_two_binomial_tails_match_the_summed_tails_up_to_64_users():
+    # every counting-regime triple 0 <= gamma_p < span < K - gamma_p the
+    # bitmasks allow: each transcription equals its summed-tail original
+    triples = 0
+    for k in range(1, 65):
+        for w in range(1, k):
+            for gp in range(min(w, k - w)):
+                assert analysis._counts(k, w, gp) == counts_reference(k, w, gp), (k, w, gp)
+                assert analysis._closed_form(k, w, gp) == closed_form_reference(k, w, gp), (k, w, gp)
+                triples += 1
+    assert triples == 22352
 
 
 def test_cutset_examples():
@@ -408,13 +424,19 @@ def test_integer_kernel_matches_the_fraction_reference():
 
 
 def test_count_law_cross_check_runs_on_every_rate(monkeypatch):
-    # a closed form that drifts from the count law is caught by a direct
-    # rate and by every memory-sharing corner rate
-    monkeypatch.setattr(analysis, "_closed_form", lambda k, w, gp: (1, 10**9))
-    with pytest.raises(AssertionError, match="diverge"):
-        achievable_rate(SystemParams(k=7, l=2, ma=1, mp=1, n=7))
-    with pytest.raises(AssertionError, match="diverge"):
-        memory_share(SystemParams(k=10, l=3, ma=1, mp=Fraction(3, 2), n=10))
+    # a closed form that drifts from the count law, or a count law that
+    # drifts from the closed form, is caught by a direct rate and by every
+    # memory-sharing corner rate
+    for name, drifted in [
+        ("_closed_form", lambda k, w, gp: (1, 10**9)),
+        ("_counts", lambda k, w, gp: TransmissionCounts(1, 0, 0, 1, 10**9)),
+    ]:
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, name, drifted)
+            with pytest.raises(AssertionError, match="diverge"):
+                achievable_rate(SystemParams(k=7, l=2, ma=1, mp=1, n=7))
+            with pytest.raises(AssertionError, match="diverge"):
+                memory_share(SystemParams(k=10, l=3, ma=1, mp=Fraction(3, 2), n=10))
 
 
 def test_memory_share_corner_rejection():
