@@ -278,13 +278,16 @@ def sweep(
     weighted sum. A refused point has its reason in ``note`` ("" otherwise),
     its gammas if the network and mp are valid, and None and () elsewhere; a
     refused corner's message names the corner where corners mix. Each corner
-    is rated once per call, with its rate's numerator and denominator, and
-    each Ma column's cut-set lines built once."""
+    is rated once per call, refused or not, with its rate's numerator and
+    denominator or its refusal, and each Ma column's cut-set lines built once."""
 
     @cache
-    def corner_rate(ga: int, gp: int) -> tuple[Fraction, int, int]:
-        rate = _rate(k, l, ga, gp)
-        return rate, rate.numerator, rate.denominator
+    def corner_rate(ga: int, gp: int) -> tuple[Fraction | None, int, int, str]:
+        try:
+            rate = _rate(k, l, ga, gp)
+        except RegimeError as exc:
+            return None, 0, 1, str(exc)
+        return rate, rate.numerator, rate.denominator, ""
 
     notes = [private_size_refusal(u, v, n) for u, v in mps]
     for ma in mas:
@@ -303,17 +306,20 @@ def sweep(
             p, qp = k * u // g, n * v // g
             lo, rest = divmod(p, qp)
             axis_p = ((lo, qp - rest), (lo + 1, rest)) if rest else ((lo, 1),)
-            corners, num, den = [], 0, 1
-            try:  # 0 <= gamma <= K, so every corner is a valid network of its own
-                for ga_c, wa in axis_a:
-                    for gp_c, wp in axis_p:
-                        rate, r_num, r_den = corner_rate(ga_c, gp_c)
-                        weight = wa * wp
-                        corners.append((ga_c, gp_c, weight, rate))
-                        num = num * r_den + weight * r_num * den
-                        den *= r_den
-            except RegimeError as exc:
-                note = str(exc)
+            corners, num, den, note = [], 0, 1, ""
+            # 0 <= gamma <= K, so every corner is a valid network of its own
+            for ga_c, wa in axis_a:
+                for gp_c, wp in axis_p:
+                    rate, r_num, r_den, note = corner_rate(ga_c, gp_c)
+                    if note:
+                        break
+                    weight = wa * wp
+                    corners.append((ga_c, gp_c, weight, rate))
+                    num = num * r_den + weight * r_num * den
+                    den *= r_den
+                if note:
+                    break
+            if note:
                 if len(axis_a) * len(axis_p) > 1:
                     note = (f"memory-sharing corner (gamma_a={ga_c}, gamma_p={gp_c}) is"
                             f" unsupported: {note}")

@@ -10,6 +10,14 @@ Subcommands: ``rate`` (closed forms for one memory point), ``simulate``
 :func:`ringcache.placement.build`, the placement whose rate ``rate`` and
 ``sweep`` report there, and the ring one otherwise.
 
+Arguments are parsed once. The whole parser classifies every argument
+before it hands a command's arguments to the command's own parser, which
+classifies them again; so when ``argv[0]`` names a command, :func:`main`
+hands the rest straight to that command's parser. Any other argv, and a
+command's argv with arguments left over, goes through the whole parser,
+because it is the whole parser that reports a leftover ("unrecognized
+arguments"), under its own usage line.
+
 Exit codes: 0 success, 1 usage or validation error, 2 decodability or
 oracle failure.
 """
@@ -382,9 +390,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``ringcache`` parser, built once per process: parsing reads it and
-    never changes it, so in-process :func:`main` calls share it."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``ringcache`` parser and its commands' own parsers by name, built
+    once per process: parsing reads them and never changes them, so
+    in-process :func:`main` calls share them."""
     parser = _Parser(prog="ringcache", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -433,13 +442,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_layout_dump)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole ``ringcache`` parser, built once per process."""
+    return _parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed as the whole parser parses it; raises SystemExit where
+    it would. A command's arguments go straight to its own parser, which the
+    whole parser would run on them too, with ``command`` set first as the
+    whole parser sets it. Only leftovers send argv through the whole parser
+    again: its own parser would name them under the command's usage, the
+    whole parser names them under its own."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run the command ``argv`` (``sys.argv[1:]`` by default) names and return
+    its exit code. argv is parsed once, by the command's own parser, unless
+    it names no command or leaves arguments over (see :func:`_parse`)."""
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

@@ -99,7 +99,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import and_, eq, inv, lshift, or_, rshift, xor
+from operator import and_, inv, lshift, or_, rshift, xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .model import (
@@ -448,10 +448,13 @@ class DecodeCheck:
         unreadable term, so every term peels. Otherwise the rotation goes
         through :meth:`add` packet by packet."""
         j, places, owns, members = rotation.j, rotation.places, rotation.owns, rotation.members
+        live = len(places)
+        if len(owns) > live:  # a later rotation sends a prefix of the terms
+            owns = owns[:live]
         unread = map(rshift, map(self.unread.__getitem__, places), repeat(j))
         # the owns of a packet sum to its members exactly when no user repeats
-        if sum(islice(owns, len(places))) == sum(islice(members, len(rotation.order))) and all(
-            map(eq, map(and_, unread, rotation.packs), owns)
+        if sum(owns) == sum(islice(members, len(rotation.order))) and (
+            list(map(and_, unread, rotation.packs)) == owns
         ):
             own, peeled = _USER_BITS[j:], self.peeled  # own[v] is the bit of user v + j
             for v, p in zip(rotation.users, places):

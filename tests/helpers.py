@@ -29,7 +29,9 @@ census over every candidate subset that the census through one window's
 slice replaced, the count law's two transcriptions with each tail summed
 binomial by binomial, as the two-binomial forms replaced, and the paper's
 large-memory condition, under which its optimality theorem says the scheme
-meets the cut-set bound."""
+meets the cut-set bound, and argv parsed by the whole ``ringcache`` parser,
+as every command was parsed before a command's arguments went straight to
+its own parser."""
 
 import itertools
 import json
@@ -40,7 +42,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from ringcache.analysis import MemoryShare, SharePoint, TransmissionCounts, achievable_rate
-from ringcache.cli import CSV_HEADER
+from ringcache.cli import CSV_HEADER, build_parser
 from ringcache.delivery import (
     GENERAL,
     SC1,
@@ -798,3 +800,10 @@ def sweep_reference(k, l, n, ma_list, start, step, points, fmt="csv"):
         return json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
     lines = [",".join(row[:-1] + ((f'"{row[-1]}"' if row[-1] else ""),)) for row in rows]
     return "\n".join([CSV_HEADER] + lines) + "\n"
+
+
+def whole_parse(argv: list[str]):
+    """``argv`` parsed by the whole ``ringcache`` parser, which hands a
+    command's arguments to the command's own parser after classifying every
+    one of them itself; raises SystemExit where argparse exits."""
+    return build_parser().parse_args(argv)

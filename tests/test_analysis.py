@@ -1,5 +1,6 @@
 """Closed forms: counting, rate, cut-set bound, optimality, memory sharing."""
 
+import itertools
 import math
 import random
 import re
@@ -29,6 +30,7 @@ from helpers import (
     cutset_terms,
     large_memory,
     memory_share_reference,
+    sweep_row_reference,
 )
 
 
@@ -444,6 +446,32 @@ def test_memory_share_corner_rejection():
     params = SystemParams(k=12, l=2, ma=1, mp=Fraction(5, 2), n=12)
     with pytest.raises(RegimeError, match="corner"):
         memory_share(params)
+
+
+def test_a_sweep_rates_each_corner_once_refused_or_not(monkeypatch):
+    # columns across the band (gamma_p >= span below the large-memory
+    # regime, where no rate is claimed), one of them mixing gamma_a corners:
+    # every corner is rated once, a refused one too, and each point's note
+    # is the one the per-row path gives
+    calls = Counter()
+    rate = analysis._rate
+
+    def counting(*corner):
+        calls[corner] += 1
+        return rate(*corner)
+
+    k, l, n = 16, 2, 16
+    mas = [Fraction(1), Fraction(3, 2), Fraction(2)]
+    mps = [(u, 2) for u in range(17)]  # Mp = 0, 1/2, ..., 8
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_rate", counting)
+        notes = [point[-1] for point in analysis.sweep(k, l, n, mas, mps)]
+    assert set(calls.values()) == {1}
+    expected = [sweep_row_reference(k, l, n, ma, Fraction(u, v))[-1]
+                for ma, (u, v) in itertools.product(mas, mps)]
+    assert notes == expected
+    kinds = Counter("corner" in note if note else None for note in notes)
+    assert kinds[None] >= 10 and kinds[False] >= 10 and kinds[True] >= 10, kinds
 
 
 def test_rate_with_sharing_dispatch():

@@ -33,7 +33,7 @@ from ringcache.verify import count_vs_formula, sweep_grid
 from fractions import Fraction
 
 from helpers import PacketStream, cutset_bound_reference, dec6_reference, drop_transmission
-from helpers import materialize, memory_share_reference, sweep_reference
+from helpers import materialize, memory_share_reference, sweep_reference, whole_parse
 
 
 def run_cli(*argv):
@@ -1809,3 +1809,88 @@ def test_usage_error_then_command_matches_fresh_processes():
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert run_cli(*argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+# ---------------------------------------------------------------------------
+# argv parsed once: by the command's own parser, or by the whole parser
+# ---------------------------------------------------------------------------
+
+_SWEEP = ("sweep", "-K", "4", "-L", "2", "-N", "4", "--ma", "1", "--mp-range", "0:1")
+_SIMULATE = ("simulate", "-K", "5", "-L", "2", "--ma", "1", "--mp", "1", "-N", "5")
+
+# every command, the argv the whole parser takes alone, help, abbreviations,
+# leftovers and each kind of error a command's own parser raises
+PARSE_CORPUS = [
+    ("rate", "-K", "5", "-L", "2", "--ma", "1", "--mp", "1", "-N", "5"),
+    _SIMULATE,
+    _SWEEP,
+    ("verify", "-K", "5", "--ga", "1", "--gp", "0"),
+    ("man-check", "-K", "4", "-t", "2"),
+    ("layout-dump", "-K", "4", "-L", "2", "--ma", "1", "--mp", "1", "-N", "4"),
+    (),
+    ("-h",),
+    ("--he",),
+    ("-h", "sweep"),
+    ("bogus",),
+    ("swe",),
+    ("sweep", "-h"),
+    ("sweep", "--he"),
+    ("rate", "-K", "5", "-L", "2", "--ma=1", "--mp", "1", "-N", "5"),
+    ("sweep", "-K4", "-L", "2", "-N", "4", "--ma", "1", "--mp-range", "0:1"),
+    ("sweep", "-K", "4", "-L", "2", "-N", "4", "--ma", "1", "--mp-r", "0:1"),
+    ("sweep", "-K", "4", "-L", "2", "-N", "4", "--m", "1", "--mp-range", "0:1"),
+    _SWEEP + ("--bogus",),
+    _SWEEP + ("extra",),
+    _SWEEP + ("--", "x"),
+    _SWEEP + ("--format", "xml"),
+    _SWEEP[:-2],
+    ("sweep", "-K", "9") + _SWEEP[1:],
+    _SIMULATE + ("--seed", "1", "--worst-case"),
+]
+
+
+def _main_parsed_by(monkeypatch, parse, argv):
+    """``main(argv)`` with argv parsed by ``parse``: the exit code, stdout and
+    stderr, and the fields of each namespace parsed, before main reads them."""
+    parsed = []
+
+    def recording(argv):
+        args = parse(argv)
+        parsed.append(dict(vars(args)))
+        return args
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ringcache.cli, "_parse", recording)
+        return run_cli(*argv) + (parsed,)
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_main_parses_argv_as_the_whole_parser_does(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the terminal's width
+    got = _main_parsed_by(monkeypatch, ringcache.cli._parse, argv)
+    assert got == _main_parsed_by(monkeypatch, whole_parse, argv)
+    code, out, err, parsed = got
+    # the run got past parsing, or argparse printed why it did not
+    assert parsed or out.startswith("usage: ") or err.startswith("usage: ")
+
+
+def test_a_command_with_no_leftover_is_parsed_by_its_own_parser_alone(monkeypatch):
+    parser, commands = ringcache.cli._parsers()
+    calls = Counter()
+
+    def counting(name, parse):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return parse(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(parser, "parse_known_args", counting("whole", parser.parse_known_args))
+    sweep = commands["sweep"]
+    monkeypatch.setattr(sweep, "parse_known_args", counting("sweep", sweep.parse_known_args))
+    assert run_cli(*_SWEEP)[0] == 0
+    assert calls == {"sweep": 1}
+    # a leftover goes back to the whole parser, which hands the arguments
+    # to the command's parser once more before it names the leftover
+    calls.clear()
+    assert run_cli(*_SWEEP, "--bogus")[0] == 1
+    assert calls == {"sweep": 2, "whole": 1}
