@@ -1,9 +1,10 @@
 """Closed-form evaluation: transmission counting, achievable rate, cut-set
 lower bound and memory sharing. :func:`sweep` is the one kernel that rates
 memory points: a plain tuple of integers per (Ma, Mp) point with its rate,
-bound and memory-sharing corners. :func:`memory_share` and the CLI's
-``rate`` are one-point sweeps, and the CLI only renders the tuples. A point
-is optimal exactly where its rate equals the cut-set bound.
+bound and memory-sharing corners, each rate an unreduced pair. Only
+:func:`achievable_rate` and :func:`memory_share`, a one-point sweep like the
+CLI's ``rate``, turn such a pair into a Fraction; the CLI only renders the
+tuples. A point is optimal exactly where its rate equals the cut-set bound.
 
 Counting convention: a transmission-subset is a (1 + span + gamma_p)-sized
 subset of [K] containing at least one window. A GENERAL subset yields
@@ -140,10 +141,10 @@ def _closed_form(k: int, w: int, gp: int) -> tuple[int, int]:
     return num, k * binom(k - w, gp)
 
 
-def _dedicated_rate(k: int, t: int) -> Fraction:
+def _dedicated_rate(k: int, t: int) -> tuple[int, int]:
     """Maddah-Ali--Niesen rate C(K, t+1)/C(K, t) of a dedicated network at
-    replication t."""
-    return Fraction(binom(k, t + 1), binom(k, t))
+    replication t, as that unreduced (numerator, denominator) pair."""
+    return binom(k, t + 1), binom(k, t)
 
 
 def achievable_rate(params: SystemParams) -> Fraction:
@@ -161,17 +162,18 @@ def achievable_rate(params: SystemParams) -> Fraction:
     census and ``verify``) would give more transmissions for
     2 <= gamma_a <= K - 2. At L >= 2 the rate is the ring placement's.
     """
-    return _rate(params.k, params.l, params.ga, params.gp)
+    return Fraction(*_rate(params.k, params.l, params.ga, params.gp))
 
 
-def _rate(k: int, l: int, ga: int, gp: int) -> Fraction:
+def _rate(k: int, l: int, ga: int, gp: int) -> tuple[int, int]:
     """:func:`achievable_rate` of the network (K, L) at the integral
-    replication point (gamma_a, gamma_p); N does not enter."""
+    replication point (gamma_a, gamma_p), unreduced: the dedicated rate's
+    pair, the count law's (X, F), (0, 1) or (1, K); N does not enter."""
     if ga == 0:
         return _dedicated_rate(k, gp)
     span = ga * l
     if span + gp >= k:
-        return Fraction(0)
+        return 0, 1
     if span <= gp and span + gp < k - 1:  # the band: no rate is claimed
         raise RegimeError(
             f"rate uncharacterized for gamma_p = {gp} >= span = {span} below the"
@@ -182,17 +184,16 @@ def _rate(k: int, l: int, ga: int, gp: int) -> Fraction:
             return _dedicated_rate(k, ga + gp)
         # gamma_p < span < K - gamma_p: _counting_regime would reject nothing here
         counts = _counts(k, span, gp)
-        rate = Fraction(counts.transmissions, counts.f)
         num, den = _closed_form(k, span, gp)
         if counts.transmissions * den != num * counts.f:
             raise AssertionError(
-                f"count law {rate} and closed form {Fraction(num, den)} diverge at"
-                f" K={k} span={span} gamma_p={gp}"
+                f"count law {Fraction(counts.transmissions, counts.f)} and closed form"
+                f" {Fraction(num, den)} diverge at K={k} span={span} gamma_p={gp}"
             )
-        return rate
+        return counts.transmissions, counts.f
     # span + gamma_p = K - 1: every union set is the whole ring, K-term XORs,
     # one file in K parts
-    return Fraction(1, k)
+    return 1, k
 
 
 def cutset_bound(params: SystemParams) -> Fraction:
@@ -270,24 +271,23 @@ def sweep(
     """Rate and cut-set bound of the network (K, L, N) at every memory point,
     ``mas`` outer and mp = u/v (v > 0) of ``mps`` inner: one tuple
     (gamma_a, gamma_p, rate, bound, corners, note) per point, in integers.
-    Each gamma is a reduced (numerator, denominator) pair, rate and bound
-    unreduced ones (denominator > 0), and the memory-sharing corners, floor
-    first and gamma_a outer, are (gamma_a, gamma_p, weight * q_a * q_p, rate)
-    over the gammas' denominators q: at gamma = lo + rest/q, corner lo weighs
-    (q - rest)/q and corner lo + 1 weighs rest/q, and the rate is their
-    weighted sum. A refused point has its reason in ``note`` ("" otherwise),
-    its gammas if the network and mp are valid, and None and () elsewhere; a
-    refused corner's message names the corner where corners mix. Each corner
-    is rated once per call, refused or not, with its rate's numerator and
-    denominator or its refusal, and each Ma column's cut-set lines built once."""
+    Each gamma is a reduced (numerator, denominator) pair; rate, bound and
+    every corner's rate are unreduced ones (denominator > 0). The
+    memory-sharing corners, floor first and gamma_a outer, are (gamma_a,
+    gamma_p, weight * q_a * q_p, rate) over the gammas' denominators q: at
+    gamma = lo + rest/q, corner lo weighs (q - rest)/q and corner lo + 1
+    weighs rest/q, and the rate is their weighted sum. A refused point has
+    its reason in ``note`` ("" otherwise), its gammas if the network and mp
+    are valid, and None and () elsewhere; a refused corner's message names
+    the corner where corners mix. Each corner is rated once per call,
+    refused or not, and each Ma column's cut-set lines are built once."""
 
     @cache
-    def corner_rate(ga: int, gp: int) -> tuple[Fraction | None, int, int, str]:
+    def corner_rate(ga: int, gp: int) -> tuple[int, int, str]:
         try:
-            rate = _rate(k, l, ga, gp)
+            return *_rate(k, l, ga, gp), ""
         except RegimeError as exc:
-            return None, 0, 1, str(exc)
-        return rate, rate.numerator, rate.denominator, ""
+            return 0, 1, str(exc)
 
     notes = [private_size_refusal(u, v, n) for u, v in mps]
     for ma in mas:
@@ -306,40 +306,37 @@ def sweep(
             p, qp = k * u // g, n * v // g
             lo, rest = divmod(p, qp)
             axis_p = ((lo, qp - rest), (lo + 1, rest)) if rest else ((lo, 1),)
-            corners, num, den, note = [], 0, 1, ""
+            corners, num, den = [], 0, 1
             # 0 <= gamma <= K, so every corner is a valid network of its own
-            for ga_c, wa in axis_a:
-                for gp_c, wp in axis_p:
-                    rate, r_num, r_den, note = corner_rate(ga_c, gp_c)
-                    if note:
-                        break
-                    weight = wa * wp
-                    corners.append((ga_c, gp_c, weight, rate))
-                    num = num * r_den + weight * r_num * den
-                    den *= r_den
+            for (ga_c, wa), (gp_c, wp) in itertools.product(axis_a, axis_p):
+                r_num, r_den, note = corner_rate(ga_c, gp_c)
                 if note:
+                    if len(axis_a) * len(axis_p) > 1:
+                        note = (f"memory-sharing corner (gamma_a={ga_c}, gamma_p={gp_c}) is"
+                                f" unsupported: {note}")
+                    yield gamma_a, (p, qp), None, None, (), note
                     break
-            if note:
-                if len(axis_a) * len(axis_p) > 1:
-                    note = (f"memory-sharing corner (gamma_a={ga_c}, gamma_p={gp_c}) is"
-                            f" unsupported: {note}")
-                yield gamma_a, (p, qp), None, None, (), note
-                continue
-            yield gamma_a, (p, qp), (num, den * qa * qp), bound(u, v), corners, ""
+                weight = wa * wp
+                corners.append((ga_c, gp_c, weight, (r_num, r_den)))
+                num = num * r_den + weight * r_num * den
+                den *= r_den
+            else:
+                yield gamma_a, (p, qp), (num, den * qa * qp), bound(u, v), corners, ""
 
 
 def memory_share(params: SystemParams) -> MemoryShare:
     """Realize fractional replication by splitting files between the integral
     corner schemes; the rate is the matching convex combination of corner
     rates. An integral point is a single unit-weight corner, with
-    :func:`achievable_rate`'s rate and refusal. A one-point :func:`sweep`."""
+    :func:`achievable_rate`'s rate and refusal. A one-point :func:`sweep`,
+    whose integer pairs it turns into Fractions."""
     [(gamma_a, gamma_p, rate, _, corners, note)] = sweep(
         params.k, params.l, params.n, (params.ma,), (params.mp.as_integer_ratio(),)
     )
     if note:
         raise RegimeError(note)
     q = gamma_a[1] * gamma_p[1]
-    shares = tuple(SharePoint(a, p, Fraction(w, q), r) for a, p, w, r in corners)
+    shares = tuple(SharePoint(a, p, Fraction(w, q), Fraction(*r)) for a, p, w, r in corners)
     return MemoryShare(shares, Fraction(*rate))
 
 

@@ -160,7 +160,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
     optimal = rate == bound
     # only a mix of corners is listed, each weight over the gammas' denominators
     q = gamma_a[1] * gamma_p[1]
-    corners = [(a, p, _ratio(w, q), r) for a, p, w, r in corners] if len(corners) > 1 else ()
+    corners = [(a, p, _ratio(w, q), _ratio(*r)) for a, p, w, r in corners] if len(corners) > 1 else ()
     if args.json:
         payload = {
             "K": args.K,
@@ -178,7 +178,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
         }
         if corners:
             payload["memory_sharing"] = [
-                {"gamma_a": a, "gamma_p": p, "weight": w, "rate": str(r)}
+                {"gamma_a": a, "gamma_p": p, "weight": w, "rate": r}
                 for a, p, w, r in corners
             ]
         print(json.dumps(payload, indent=2))
@@ -487,7 +487,8 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader went away (``| head``): point stdout at devnull so the
         # final flush at exit cannot fail again, and exit without a traceback
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
 
 

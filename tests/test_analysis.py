@@ -474,6 +474,70 @@ def test_a_sweep_rates_each_corner_once_refused_or_not(monkeypatch):
     assert kinds[None] >= 10 and kinds[False] >= 10 and kinds[True] >= 10, kinds
 
 
+def test_each_rate_branch_returns_its_own_integer_pair():
+    # unreduced, as each branch computes it; only achievable_rate and
+    # memory_share turn the pairs into Fractions
+    for corner, pair in [
+        ((7, 2, 0, 2), (35, 21)),  # gamma_a = 0: C(7, 3) over C(7, 2)
+        ((7, 1, 2, 1), (35, 35)),  # L = 1, t = 3: C(7, 4) over C(7, 3)
+        ((7, 2, 1, 1), (56, 35)),  # the count law's X over F
+        ((6, 2, 2, 2), (0, 1)),  # span + gamma_p >= K
+        ((7, 2, 1, 4), (1, 7)),  # span + gamma_p = K - 1: the whole ring
+    ]:
+        got = analysis._rate(*corner)
+        assert got == pair and [type(x) for x in got] == [int, int], (corner, got)
+    assert type(achievable_rate(SystemParams(k=7, l=2, ma=1, mp=1, n=7))) is Fraction
+    share = memory_share(SystemParams(k=10, l=3, ma=1, mp=Fraction(3, 2), n=10))
+    assert {type(pt.rate) for pt in share.points} == {Fraction} == {type(share.rate)}
+
+
+def test_a_sweep_yields_integers_pairs_notes_and_no_fraction(monkeypatch):
+    # fractional Ma and Mp that mix corners, refused corners and refused
+    # points, at N = K and N = 2K + 1: every field is an int pair, a list of
+    # corners of ints with an int-pair rate, a note or None, and the sweep
+    # builds no Fraction, so analysis.Fraction raising changes nothing
+    class NoFraction:
+        def __new__(cls, *args):
+            raise AssertionError(f"Fraction{args} built by a sweep")
+
+    def is_pair(x):
+        return type(x) is tuple and [type(i) for i in x] == [int, int]
+
+    rng = random.Random(37)
+    seen = Counter()
+    for _ in range(40):
+        k = rng.randint(2, 20)
+        l = rng.randint(1, k)
+        n = rng.choice((k, 2 * k + 1))
+        # two Ma and k + 1 Mp with integral gammas, the rest stepped by 1/d
+        dens = [rng.randint(1, 6) for _ in range(3)]
+        mas = [Fraction(rng.randint(-1, n * d + 1), d) for d in dens]
+        mas += [Fraction(n * rng.randint(0, k), k) for _ in range(2)]
+        v = rng.randint(1, 6)
+        mps = [(u, v) for u in range(-1, n * v + 2)] + [(n * j, k) for j in range(k + 1)]
+        points = list(analysis.sweep(k, l, n, mas, mps))
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "Fraction", NoFraction)
+            assert list(analysis.sweep(k, l, n, mas, mps)) == points
+        for gamma_a, gamma_p, rate, bound, corners, note in points:
+            assert type(note) is str
+            if gamma_a is None:
+                assert (gamma_p, rate, bound, corners) == (None, None, None, ()) and note
+                seen["refused point"] += 1
+                continue
+            assert is_pair(gamma_a) and is_pair(gamma_p)
+            if rate is None:
+                assert bound is None and type(corners) is tuple and not corners and note
+                seen["refused corner" if "corner" in note else "refused integral"] += 1
+                continue
+            assert is_pair(rate) and is_pair(bound) and type(corners) is list and note == ""
+            for corner in corners:
+                assert type(corner) is tuple and len(corner) == 4, corner
+                assert [type(x) for x in corner[:3]] == [int, int, int] and is_pair(corner[3])
+            seen["mixed" if len(corners) > 1 else "integral"] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 5, seen
+
+
 def test_rate_with_sharing_dispatch():
     integral = SystemParams(k=7, l=2, ma=1, mp=1, n=7)
     assert rate_with_sharing(integral) == Fraction(8, 5)

@@ -405,6 +405,27 @@ def test_a_closed_stdout_stops_sweep_quietly():
     proc.stderr.close()
 
 
+def test_a_closed_stdout_leaves_no_descriptor_open():
+    # main points a closed stdout at devnull and closes what it opened for
+    # that, so an in-process run into a closed pipe leaves no descriptor open
+    def is_open(fd):
+        try:
+            os.fstat(fd)
+        except OSError:
+            return False
+        return True
+
+    read, write = os.pipe()
+    os.close(read)
+    err = io.StringIO()
+    with open(write, "w", encoding="utf-8") as pipe, redirect_stdout(pipe), redirect_stderr(err):
+        before = {fd for fd in range(256) if is_open(fd)}
+        code = main(["sweep", "-K", "12", "-L", "2", "-N", "12", "--ma", "1,2,3",
+                     "--mp-range", "0:12:1/200"])
+        after = {fd for fd in range(256) if is_open(fd)}
+    assert (code, err.getvalue(), after - before) == (1, "", set())
+
+
 def test_verify_holds_no_report_past_its_instance():
     # without --json, a grid run over K = 11 and 12 (121 instances) peaks
     # near its largest single count_vs_formula; holding every report with
